@@ -55,11 +55,8 @@ from .models import (
     counterexample,
     epistemic_lift,
     extension,
-    interpret_term,
     model_signature,
-    program_relation,
     restrict,
-    rtc,
     satisfies,
     valid_in_model,
 )

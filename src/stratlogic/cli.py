@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success (and true verdicts), 1 when a checked property is
-false, 2 on usage or input errors.
+false, 2 on usage or input errors and when an input exhausts the recursion
+limit or memory.
 """
 from __future__ import annotations
 
@@ -37,13 +38,12 @@ from .models import (
     epistemic_lift,
     extension,
     model_signature,
-    program_relation,
     satisfies,
     valid_in_model,
 )
 from .parser import ParseError, parse
 from .properties import build_property, dictator, knowing_dictator, tit_for_tat
-from .syntax import Signature, render
+from .syntax import Concrete, Diamond, Signature, Vector, VectorAtom, render
 from .voting import VotingError, audit_rule, induced_game
 
 
@@ -237,9 +237,11 @@ def _demo_pd() -> int:
         print(f"defection weakly dominant for player {player}:", formula_ok)
         _require(formula_ok and oracle_ok, "defection should be weakly dominant")
     tft = tit_for_tat(sig, 2)
-    rel = program_relation(model, tft)
-    start = model.index((0, 0))
-    reach = {model.state_key(int(j)) for j in np.flatnonzero(rel[start])}
+    reach = set()
+    for s in model.states:
+        target = VectorAtom(Vector(Concrete(name) for name in game.form.names(s)))
+        if satisfies(model, "c,c", Diamond(tft, target)):
+            reach.add(game.form.profile_key(s))
     print("tit-for-tat(player 2) reaches from c,c:", sorted(reach))
     _require(reach == {"c,c", "c,d", "d,c", "d,d"}, "unexpected tit-for-tat closure")
     print("demo pd: ok")
@@ -447,6 +449,10 @@ def main(argv: list[str] | None = None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        kind = type(exc).__name__
+        print(f"error: input too large to process ({kind})", file=sys.stderr)
         return 2
 
 

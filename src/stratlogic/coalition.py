@@ -138,7 +138,7 @@ def cl_extension(model: MaslModel, formula: CLFormula) -> np.ndarray:
     if isinstance(formula, CLTop):
         mask = np.ones(model.size, dtype=bool)
     elif isinstance(formula, CLAtom):
-        mask = _cl_atom_mask(model, formula.atom)
+        mask = model._atom_mask(formula.atom)
     elif isinstance(formula, CLNot):
         mask = ~cl_extension(model, formula.body)
     elif isinstance(formula, CLAnd):
@@ -150,28 +150,6 @@ def cl_extension(model: MaslModel, formula: CLFormula) -> np.ndarray:
     mask.flags.writeable = False
     cache[formula] = mask
     return mask
-
-
-def _cl_atom_mask(model: MaslModel, atom: Formula) -> np.ndarray:
-    records = model.game.records
-    if isinstance(atom, Winner):
-        if not model.game.has_winner_data:
-            raise EvalError("model has no winner labelling for win(...) atoms")
-        return np.array(
-            [r.winners is not None and atom.name in r.winners for r in records],
-            dtype=bool,
-        )
-    if isinstance(atom, UtilEq):
-        if not 1 <= atom.player <= model.n:
-            raise EvalError(f"no player {atom.player} in this model")
-        if atom.value not in model.game.utility_range:
-            raise EvalError(f"utility value {atom.value} is not in the model's range")
-        return np.array(
-            [r.utils[atom.player - 1] == atom.value for r in records], dtype=bool
-        )
-    if isinstance(atom, Label):
-        return np.array([r.label == atom.text for r in records], dtype=bool)
-    raise EvalError(f"not an atomic formula: {atom!r}")
 
 
 def _cl_box_mask(model: MaslModel, formula: CLBox) -> np.ndarray:

@@ -253,9 +253,9 @@ def intensional_to_dict(model: IntensionalModel) -> dict:
         )
     relations = {}
     for player in model.ambient.players:
-        rel = model.agent_relation(player)
-        pairs = [[int(i), int(j)] for i, j in zip(*rel.nonzero())]
-        relations[str(player)] = pairs
+        src, dst = model.agent_edges(player)
+        pairs = sorted(set(zip(src.tolist(), dst.tolist())))
+        relations[str(player)] = [list(pair) for pair in pairs]
     return {
         "forms": forms,
         "worlds": [

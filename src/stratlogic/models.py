@@ -2,10 +2,12 @@
 
 A flat model is a strategic game whose states are the strategy profiles; an
 intensional model is a set of (form, profile) worlds with per-agent
-accessibility relations on top.  All relations are dense boolean matrices:
-sequential composition is boolean matrix multiplication, iteration is
-reflexive-transitive closure by repeated squaring, and formula extensions are
-boolean vectors computed bottom-up with per-model caching.
+accessibility relations on top.  No relation is ever materialised: formula
+extensions are boolean masks over the states, computed bottom-up with
+per-model caching, and every modality is a predecessor computation on masks
+(`pre`).  A vector acts axis by axis on the profile grid, agent relations
+are stored as (source, target) edge arrays, and iteration is a least
+fixpoint grown from its frontier.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from .syntax import (
     Box,
     Choice,
     Concrete,
-    Current,
     Diamond,
     Formula,
     Iff,
@@ -41,7 +42,6 @@ from .syntax import (
     Seq,
     Signature,
     Star,
-    Term,
     Test,
     Top,
     UtilEq,
@@ -56,38 +56,6 @@ class EvalError(ValueError):
     """Raised when a formula cannot be evaluated on the given model."""
 
 
-def interpret_term(term: Term, strategies: Sequence[str], current: str) -> frozenset[str]:
-    """The set of strategies a term denotes for one player.
-
-    ``strategies`` is the player's strategy set in the relevant form and
-    ``current`` is what the player plays at the source state.  A Concrete
-    term naming an unavailable strategy denotes the empty set.
-    """
-    available = frozenset(strategies)
-    if isinstance(term, Concrete):
-        return available & {term.name}
-    if isinstance(term, Adversary):
-        return available
-    if isinstance(term, Current):
-        return available & {current}
-    raise EvalError(f"not a strategy term: {term!r}")
-
-
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Relational composition of boolean matrices."""
-    return a @ b
-
-
-def rtc(rel: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure by repeated squaring to a fixpoint."""
-    closure = rel | np.eye(len(rel), dtype=bool)
-    while True:
-        squared = compose(closure, closure)
-        if np.array_equal(squared, closure):
-            return closure
-        closure = squared
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -96,12 +64,14 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class _ModelBase:
     """Shared state-indexing, valuation, and cache plumbing."""
 
-    # Subclasses set: _coords (m, n) int array of ambient strategy indices,
-    # _records (one OutcomeRecord per state), n, and the ambient form.
+    # Subclasses set: _records (one OutcomeRecord per state), n, the ambient
+    # form, _cells (each state's flat index in the ambient profile grid) and
+    # _blocks: None when the states are exactly that grid in enumeration
+    # order, else one (state indices, grid cells) pair per form.
 
     def __init__(self) -> None:
-        self._rel_cache: dict[Program, np.ndarray] = {}
         self._ext_cache: dict[Formula, np.ndarray] = {}
+        self._plans: dict[Vector, tuple | None] = {}
 
     @property
     def size(self) -> int:
@@ -116,6 +86,7 @@ class _ModelBase:
         self._util_range = tuple(sorted({u for r in self._records for u in r.utils}))
         self._util_values = frozenset(self._util_range)
         self._has_winner_data = any(r.winners is not None for r in self._records)
+        self._shape = tuple(len(names) for names in self._ambient.strategy_sets)
 
     def _atom_mask(self, f: Formula) -> np.ndarray:
         if isinstance(f, Winner):
@@ -139,30 +110,71 @@ class _ModelBase:
             return np.array([r.label == f.text for r in self._records], dtype=bool)
         raise EvalError(f"not an atomic formula: {f!r}")
 
-    def _check_arity(self, vector: Vector) -> None:
+    def _vector_atom_mask(self, vector: Vector) -> np.ndarray:
+        """States matching every Concrete position of the vector."""
+        grid = np.zeros(self._shape, dtype=bool)
+        plan = self._vector_plan(vector)
+        if plan is not None:
+            grid[plan[0]] = True
+        return grid.reshape(-1)[self._cells]
+
+    def _vector_plan(self, vector: Vector) -> tuple | None:
+        """How a vector acts on the ambient grid, compiled once per model:
+        an index tuple cutting each Concrete axis to its strategy, and the
+        `??` axes; None when a Concrete name is foreign to the ambient form."""
+        try:
+            return self._plans[vector]
+        except KeyError:
+            pass
         if vector.n != self.n:
             raise EvalError(
                 f"vector {vector!r} has {vector.n} positions for {self.n} players"
             )
-
-    def _concrete_column(self, pos: int, name: str) -> np.ndarray | None:
-        """Mask of states whose coordinate at `pos` is the named strategy,
-        or None when the name is foreign to the ambient form."""
-        names = self._ambient.strategy_sets[pos]
-        if name not in names:
-            return None
-        return self._coords[:, pos] == names.index(name)
-
-    def _vector_atom_mask(self, vector: Vector) -> np.ndarray:
-        self._check_arity(vector)
-        mask = np.ones(self.size, dtype=bool)
+        index: list[slice] = []
+        adversary: list[int] = []
+        plan: tuple | None = None
         for pos, term in enumerate(vector.terms):
             if isinstance(term, Concrete):
-                col = self._concrete_column(pos, term.name)
-                if col is None:
-                    return np.zeros(self.size, dtype=bool)
-                mask &= col
-        return mask
+                names = self._ambient.strategy_sets[pos]
+                if term.name not in names:
+                    break
+                at = names.index(term.name)
+                index.append(slice(at, at + 1))
+            else:
+                index.append(slice(None))
+                if isinstance(term, Adversary):
+                    adversary.append(pos)
+        else:
+            plan = (tuple(index), tuple(adversary))
+        self._plans[vector] = plan
+        return plan
+
+    def _pre_vector(self, vector: Vector, target: np.ndarray) -> np.ndarray:
+        plan = self._vector_plan(vector)
+        if plan is None:
+            return np.zeros(self.size, dtype=bool)
+        if self._blocks is None:
+            return _grid_pre(target.reshape(self._shape), *plan).reshape(-1)
+        # Each form's worlds are scattered into their own copy of the grid,
+        # so vector moves never cross forms and never reach absent profiles.
+        out = np.zeros(self.size, dtype=bool)
+        grid = np.empty(self._shape, dtype=bool)
+        for states, cells in self._blocks:
+            grid.fill(False)
+            grid.reshape(-1)[cells] = target[states]
+            out[states] = _grid_pre(grid, *plan).reshape(-1)[cells]
+        return out
+
+
+def _grid_pre(grid: np.ndarray, index: tuple, adversary: tuple) -> np.ndarray:
+    """Predecessors of a grid mask under one vector: Concrete axes read the
+    named slice, `??` axes take `any`, `!!` axes stay; then broadcast back."""
+    sub = grid[index]
+    if adversary:
+        sub = sub.any(axis=adversary, keepdims=True)
+    out = np.empty(grid.shape, dtype=bool)
+    out[...] = sub
+    return out
 
 
 class MaslModel(_ModelBase):
@@ -174,7 +186,8 @@ class MaslModel(_ModelBase):
         self._ambient = game.form
         self.n = game.form.n
         self.states: list[Profile] = all_profiles(game.form)
-        self._coords = np.array(self.states, dtype=np.int64)
+        self._cells = np.arange(len(self.states))
+        self._blocks = None
         self._finish_init(game.records)
 
     def index(self, where: Union[Profile, str, int]) -> int:
@@ -189,23 +202,7 @@ class MaslModel(_ModelBase):
     def state_key(self, idx: int) -> str:
         return self._ambient.profile_key(self.states[idx])
 
-    def _vector_relation(self, vector: Vector) -> np.ndarray:
-        self._check_arity(vector)
-        rel = np.ones((self.size, self.size), dtype=bool)
-        for pos, term in enumerate(vector.terms):
-            if isinstance(term, Adversary):
-                continue
-            if isinstance(term, Current):
-                col = self._coords[:, pos]
-                rel &= col[:, None] == col[None, :]
-            else:
-                col = self._concrete_column(pos, term.name)
-                if col is None:
-                    return np.zeros((self.size, self.size), dtype=bool)
-                rel &= col[None, :]
-        return rel
-
-    def agent_relation(self, player: int) -> np.ndarray:
+    def agent_edges(self, player: int) -> tuple[np.ndarray, np.ndarray]:
         raise EvalError("agent programs need an intensional model, not a flat one")
 
 
@@ -213,8 +210,9 @@ class IntensionalModel(_ModelBase):
     """Worlds are (form, profile) pairs; agents get accessibility relations.
 
     Profiles are stored with ambient strategy indices, so vector machinery
-    is shared with flat models; vector relations additionally never cross
-    between forms.
+    is shared with flat models; vector moves additionally never cross
+    between forms.  Each agent's relation is kept as (source, target)
+    arrays of world indices.
     """
 
     def __init__(
@@ -272,21 +270,37 @@ class IntensionalModel(_ModelBase):
                 raise GameError(
                     f"outcome {rec.label!r} has wrong utility count for {self.n} players"
                 )
-        self._form_idx = np.array([fi for fi, _ in self.worlds], dtype=np.int64)
-        self._coords = np.array([s for _, s in self.worlds], dtype=np.int64)
         self._world_index = {w: i for i, w in enumerate(self.worlds)}
         self._finish_init(records)
-        self._agent: dict[int, np.ndarray] = {}
         m = len(self.worlds)
+        coords = np.array([s for _, s in self.worlds], dtype=np.int64)
+        self._cells = np.ravel_multi_index(tuple(coords.T), self._shape)
+        self._blocks = None
+        if len(self.forms) > 1 or not np.array_equal(
+            self._cells, np.arange(np.prod(self._shape))
+        ):
+            form_col = np.array([fi for fi, _ in self.worlds])
+            self._blocks = []
+            for form_idx in range(len(self.forms)):
+                states = np.flatnonzero(form_col == form_idx)
+                self._blocks.append((states, self._cells[states]))
+        self._edges: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for player, edges in (agent_edges or {}).items():
             if not 1 <= player <= self.n:
                 raise GameError(f"accessibility given for unknown player {player}")
-            rel = np.zeros((m, m), dtype=bool)
-            for i, j in edges:
-                if not (0 <= i < m and 0 <= j < m):
-                    raise GameError(f"accessibility edge ({i}, {j}) out of range")
-                rel[i, j] = True
-            self._agent[player] = _frozen(rel)
+            if not isinstance(edges, np.ndarray):
+                edges = list(edges)
+            try:
+                pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+            except (OverflowError, TypeError, ValueError):
+                raise GameError(
+                    f"accessibility for player {player} must be integer pairs"
+                ) from None
+            outside = (pairs < 0) | (pairs >= m)
+            if outside.any():
+                i, j = pairs[outside.any(axis=1)][0]
+                raise GameError(f"accessibility edge ({i}, {j}) out of range")
+            self._edges[player] = (_frozen(pairs[:, 0]), _frozen(pairs[:, 1]))
 
     @property
     def ambient(self) -> GameForm:
@@ -319,28 +333,15 @@ class IntensionalModel(_ModelBase):
             return self._world_index[where]
         raise EvalError(f"no world {where!r} in this model")
 
-    def _vector_relation(self, vector: Vector) -> np.ndarray:
-        self._check_arity(vector)
-        rel = self._form_idx[:, None] == self._form_idx[None, :]
-        for pos, term in enumerate(vector.terms):
-            if isinstance(term, Adversary):
-                continue
-            if isinstance(term, Current):
-                col = self._coords[:, pos]
-                rel &= col[:, None] == col[None, :]
-            else:
-                col = self._concrete_column(pos, term.name)
-                if col is None:
-                    return np.zeros((self.size, self.size), dtype=bool)
-                rel &= col[None, :]
-        return rel
-
-    def agent_relation(self, player: int) -> np.ndarray:
+    def agent_edges(self, player: int) -> tuple[np.ndarray, np.ndarray]:
+        """The player's accessibility relation as (source, target) arrays,
+        in the order the edges were given."""
         if not 1 <= player <= self.n:
             raise EvalError(f"no player {player} in this model")
-        if player not in self._agent:
-            return np.zeros((self.size, self.size), dtype=bool)
-        return self._agent[player]
+        if player not in self._edges:
+            empty = _frozen(np.zeros(0, dtype=np.int64))
+            return empty, empty
+        return self._edges[player]
 
 
 Model = Union[MaslModel, IntensionalModel]
@@ -357,34 +358,51 @@ def model_signature(model: Model) -> Signature:
     return Signature(model.ambient.strategy_sets, model.util_range, alternatives)
 
 
-def program_relation(model: Model, program: Program) -> np.ndarray:
-    """The binary relation a program denotes, as a boolean matrix."""
-    cache = model._rel_cache
-    if program in cache:
-        return cache[program]
+def pre(model: Model, program: Program, target: np.ndarray) -> np.ndarray:
+    """The states with at least one `program` successor in `target`.
+
+    `target` is a boolean mask over the model's states; the result is a new
+    mask.
+    """
     if isinstance(program, Vec):
-        rel = model._vector_relation(program.vector)
-    elif isinstance(program, Test):
-        rel = np.diag(extension(model, program.body))
-    elif isinstance(program, Seq):
-        rel = compose(
-            program_relation(model, program.left),
-            program_relation(model, program.right),
-        )
-    elif isinstance(program, Choice):
-        rel = program_relation(model, program.left) | program_relation(
-            model, program.right
-        )
-    elif isinstance(program, Star):
-        rel = rtc(program_relation(model, program.body))
-    elif isinstance(program, Agent):
-        rel = model.agent_relation(program.player)
-    elif isinstance(program, AgentConv):
-        rel = model.agent_relation(program.player).T
-    else:
-        raise EvalError(f"not a program: {program!r}")
-    cache[program] = _frozen(np.asarray(rel, dtype=bool))
-    return cache[program]
+        return model._pre_vector(program.vector, target)
+    if isinstance(program, Test):
+        return extension(model, program.body) & target
+    if isinstance(program, Seq):
+        return pre(model, program.left, pre(model, program.right, target))
+    if isinstance(program, Choice):
+        return pre(model, program.left, target) | pre(model, program.right, target)
+    if isinstance(program, Star):
+        return _pre_star(model, program.body, target)
+    if isinstance(program, Agent):
+        src, dst = model.agent_edges(program.player)
+        return _sources(src, dst, target)
+    if isinstance(program, AgentConv):
+        src, dst = model.agent_edges(program.player)
+        return _sources(dst, src, target)
+    raise EvalError(f"not a program: {program!r}")
+
+
+def _sources(src: np.ndarray, dst: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The sources of the edges that end in `target`."""
+    out = np.zeros(len(target), dtype=bool)
+    out[src[target[dst]]] = True
+    return out
+
+
+def _pre_star(model: Model, body: Program, target: np.ndarray) -> np.ndarray:
+    """Least fixpoint of Y = target | pre(body, Y).  `pre` distributes over
+    union, so each round applies the body only to the states first reached
+    in the round before.  The body is applied at least once, so its
+    evaluation errors surface even for an empty target."""
+    reached = np.array(target, dtype=bool)
+    frontier = reached
+    while True:
+        fresh = pre(model, body, frontier) & ~reached
+        if not fresh.any():
+            return reached
+        reached |= fresh
+        frontier = fresh
 
 
 def extension(model: Model, formula: Formula) -> np.ndarray:
@@ -412,11 +430,9 @@ def extension(model: Model, formula: Formula) -> np.ndarray:
     elif isinstance(formula, Iff):
         mask = extension(model, formula.left) == extension(model, formula.right)
     elif isinstance(formula, Diamond):
-        rel = program_relation(model, formula.program)
-        mask = compose(rel, extension(model, formula.body))
+        mask = pre(model, formula.program, extension(model, formula.body))
     elif isinstance(formula, Box):
-        rel = program_relation(model, formula.program)
-        mask = ~compose(rel, ~extension(model, formula.body))
+        mask = ~pre(model, formula.program, ~extension(model, formula.body))
     else:
         raise EvalError(f"not a formula: {formula!r}")
     cache[formula] = _frozen(np.asarray(mask, dtype=bool))
@@ -449,26 +465,33 @@ def counterexample(model: Model, formula: Formula) -> str | None:
 # epistemic constructions
 
 
+def _same_class_edges(classes: np.ndarray) -> np.ndarray:
+    """Every (i, j) pair of worlds with equal (non-negative) class labels,
+    as an (E, 2) array sorted by i, then j; never a pass over all pairs."""
+    order = np.argsort(classes, kind="stable")
+    counts = np.bincount(classes)
+    per_world = counts[classes]
+    src = np.repeat(np.arange(classes.size), per_world)
+    # The k-th partner of world i is the k-th member of i's class.
+    rank = np.arange(src.size) - np.repeat(np.cumsum(per_world) - per_world, per_world)
+    first = (np.cumsum(counts) - counts)[classes]
+    return np.column_stack((src, order[np.repeat(first, per_world) + rank]))
+
+
 def epistemic_lift(game: StrategicGame) -> IntensionalModel:
     """All profiles as worlds; each player can tell worlds apart exactly by
     their own coordinate."""
     states = all_profiles(game.form)
-    position = {s: i for i, s in enumerate(states)}
-    edges: dict[int, list[tuple[int, int]]] = {}
-    for player in game.form.players:
-        pos = player - 1
-        edges[player] = [
-            (position[s], position[t])
-            for s in states
-            for t in states
-            if s[pos] == t[pos]
-        ]
+    coords = np.array(states, dtype=np.int64)
     return IntensionalModel(
         ambient=game.form,
         forms=(("G", game.form),),
         worlds=[(0, s) for s in states],
         records=game.records,
-        agent_edges=edges,
+        agent_edges={
+            player: _same_class_edges(coords[:, player - 1])
+            for player in game.form.players
+        },
     )
 
 
@@ -521,18 +544,14 @@ def confusion_model(
     full_worlds = [(1, s) for s in all_profiles(ambient)]
     worlds = restricted_worlds + full_worlds
     records = [game.outcome(profile) for _, profile in worlds]
-    edges: dict[int, list[tuple[int, int]]] = {}
+    form_col = np.array([fi for fi, _ in worlds], dtype=np.int64)
+    coords = np.array([s for _, s in worlds], dtype=np.int64)
+    edges = {}
     for player in ambient.players:
-        pos = player - 1
-        pairs = []
-        for i, (fi, s) in enumerate(worlds):
-            for j, (fj, t) in enumerate(worlds):
-                if s[pos] != t[pos]:
-                    continue
-                if player not in confused_set and fi != fj:
-                    continue
-                pairs.append((i, j))
-        edges[player] = pairs
+        own = coords[:, player - 1]
+        if player not in confused_set:
+            own = form_col * len(ambient.strategy_sets[player - 1]) + own
+        edges[player] = _same_class_edges(own)
     return IntensionalModel(
         ambient=ambient,
         forms=(("Gr", restricted), ("G", ambient)),

@@ -45,7 +45,7 @@ from stratlogic.syntax import (
     Vec,
 )
 
-_NAMES = ("a", "b", "c")
+_NAMES = ("a", "b", "c", "d", "e", "f")
 
 
 def random_game(

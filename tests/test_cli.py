@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stratlogic
 from stratlogic.cli import main
 from stratlogic.jsonio import game_to_dict, intensional_from_dict, loads
 from stratlogic.catalog import prisoners_dilemma, vote3_game
@@ -248,3 +253,21 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_too_deep_formula_is_an_input_error_not_a_false_verdict(pd_file):
+    # 1 000 conjuncts nest deeper than the interpreter's recursion limit
+    formula = " & ".join(["u1=1"] * 1000)
+    src = str(Path(stratlogic.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stratlogic.cli", "check", "--game", pd_file,
+         "--formula", formula],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode != 1
+    assert "Traceback" not in proc.stderr
+    if proc.returncode != 0:
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")

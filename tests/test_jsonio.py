@@ -17,7 +17,6 @@ from stratlogic import (
     UtilEq,
     Vector,
     extension,
-    program_relation,
     render,
 )
 from stratlogic.coalition import CLAtom, CLBox
@@ -51,6 +50,8 @@ from stratlogic.catalog import (
     tiebreak3,
     vote3_game,
 )
+
+from dense_oracle import relation_via_pre
 
 
 # --------------------------------------------------------------------------
@@ -220,8 +221,8 @@ def test_intensional_round_trip():
     assert again.index(actual) == model.index(actual)
     for player in (1, 2):
         assert np.array_equal(
-            program_relation(again, Agent(player)),
-            program_relation(model, Agent(player)),
+            relation_via_pre(again, Agent(player)),
+            relation_via_pre(model, Agent(player)),
         )
     f = UtilEq(2, 3)
     assert np.array_equal(extension(again, f), extension(model, f))

@@ -1,8 +1,10 @@
-"""Relation semantics, the model checker, and the epistemic constructions."""
+"""Predecessor semantics against the dense oracle, the model checker, and the
+epistemic constructions."""
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -38,26 +40,36 @@ from stratlogic import (
     counterexample,
     epistemic_lift,
     extension,
-    interpret_term,
     model_signature,
-    program_relation,
+    nash_set,
     restrict,
     satisfies,
     valid_in_model,
 )
-from stratlogic.models import compose, rtc, confusion_model
+from stratlogic.models import confusion_model, pre
 from stratlogic.syntax import Agent, AgentConv, Choice, Seq, Star, Test as ProgTest, Vec
-from stratlogic.properties import knowledge
+from stratlogic.jsonio import intensional_to_dict
+from stratlogic.properties import build_property, knowledge
 from stratlogic.catalog import (
     commitment_confusion,
     prisoners_dilemma,
     vote3_game,
 )
 
+from dense_oracle import (
+    compose,
+    dense_extension,
+    interpret_term,
+    program_relation,
+    relation_via_pre,
+    rtc,
+)
 from gens import (
     random_eval_formula,
     random_eval_program,
+    random_formula,
     random_game,
+    random_program,
     random_vector,
 )
 
@@ -130,7 +142,8 @@ def test_vector_relation_membership_law():
         states = all_profiles(game.form)
         for _ in range(6):
             vec = random_vector(rng, sig)
-            rel = program_relation(model, Vec(vec))
+            rel = relation_via_pre(model, Vec(vec))
+            assert np.array_equal(rel, program_relation(model, Vec(vec)))
             for si, s in enumerate(states):
                 for ti, t in enumerate(states):
                     expected = all(
@@ -148,13 +161,13 @@ def test_vector_relation_membership_law():
 def test_vector_relation_hand_case():
     model = pd_model()
     # (c,??): target must have player 1 on c; source is irrelevant
-    rel = program_relation(model, Vec(Vector([Concrete("c"), ADV])))
+    rel = relation_via_pre(model, Vec(Vector([Concrete("c"), ADV])))
     want = np.zeros((4, 4), dtype=bool)
     want[:, model.index("c,c")] = True
     want[:, model.index("c,d")] = True
     assert np.array_equal(rel, want)
     # (!!,d): player 1 keeps the current strategy, player 2 moves to d
-    rel = program_relation(model, Vec(Vector([CUR, Concrete("d")])))
+    rel = relation_via_pre(model, Vec(Vector([CUR, Concrete("d")])))
     for s in range(4):
         for t in range(4):
             s_key, t_key = model.state_key(s), model.state_key(t)
@@ -166,7 +179,7 @@ def test_vector_relation_hand_case():
 
 def test_foreign_concrete_name_denotes_empty_relation():
     model = pd_model()
-    rel = program_relation(model, Vec(Vector([Concrete("z"), ADV])))
+    rel = relation_via_pre(model, Vec(Vector([Concrete("z"), ADV])))
     assert not rel.any()
 
 
@@ -180,7 +193,7 @@ def test_determined_vectors_are_functional():
             vec = random_vector(rng, sig)
             if not vec.determined():
                 continue
-            rel = program_relation(model, Vec(vec))
+            rel = relation_via_pre(model, Vec(vec))
             counts = rel.sum(axis=1)
             # every Concrete name here exists, so exactly one successor
             if all(
@@ -199,20 +212,22 @@ def test_seq_choice_star_test_semantics():
     model = pd_model()
     u = Vec(Vector([Concrete("c"), ADV]))
     v = Vec(Vector([ADV, Concrete("d")]))
-    ru = program_relation(model, u)
-    rv = program_relation(model, v)
-    assert np.array_equal(program_relation(model, Seq(u, v)), compose(ru, rv))
-    assert np.array_equal(program_relation(model, Choice(u, v)), ru | rv)
-    assert np.array_equal(program_relation(model, Star(u)), rtc(ru))
+    ru = relation_via_pre(model, u)
+    rv = relation_via_pre(model, v)
+    assert np.array_equal(relation_via_pre(model, Seq(u, v)), compose(ru, rv))
+    assert np.array_equal(relation_via_pre(model, Choice(u, v)), ru | rv)
+    assert np.array_equal(relation_via_pre(model, Star(u)), rtc(ru))
     guard = ProgTest(UtilEq(1, 0))
-    rel = program_relation(model, guard)
+    rel = relation_via_pre(model, guard)
     mask = extension(model, UtilEq(1, 0))
     assert np.array_equal(rel, np.diag(mask))
 
 
 def test_agent_programs_require_intensional_model():
     with pytest.raises(EvalError):
-        program_relation(pd_model(), Agent(1))
+        pre(pd_model(), Agent(1), np.ones(4, dtype=bool))
+    with pytest.raises(EvalError):
+        extension(pd_model(), Diamond(Agent(1), Top()))
 
 
 # --------------------------------------------------------------------------
@@ -295,8 +310,10 @@ def test_extensions_are_cached_and_frozen():
     b = extension(model, f)
     assert a is b
     assert not a.flags.writeable
-    rel = program_relation(model, Star(Vec(Vector([Concrete("c"), ADV]))))
-    assert not rel.flags.writeable
+    star = Diamond(Star(Vec(Vector([Concrete("c"), ADV]))), UtilEq(1, 0))
+    reach = extension(model, star)
+    assert extension(model, star) is reach
+    assert not reach.flags.writeable
 
 
 def test_state_index_forms():
@@ -343,7 +360,7 @@ def test_lift_relations_are_own_coordinate_equivalences():
     lift = epistemic_lift(game)
     states = all_profiles(game.form)
     for player in game.form.players:
-        rel = program_relation(lift, Agent(player))
+        rel = relation_via_pre(lift, Agent(player))
         for i, s in enumerate(states):
             for j, t in enumerate(states):
                 assert rel[i, j] == (s[player - 1] == t[player - 1])
@@ -352,20 +369,20 @@ def test_lift_relations_are_own_coordinate_equivalences():
         assert np.array_equal(rel, rel.T)
         assert np.array_equal(compose(rel, rel), rel)
         # so knowledge(i) = ((ag_i + ag_i^)*) coincides with R_i
-        know = program_relation(lift, knowledge(player))
+        know = relation_via_pre(lift, knowledge(player))
         assert np.array_equal(know, rel)
 
 
 def test_lift_common_knowledge_is_total():
     lift = epistemic_lift(prisoners_dilemma())
-    rel = program_relation(lift, Star(Choice(Agent(1), Agent(2))))
+    rel = relation_via_pre(lift, Star(Choice(Agent(1), Agent(2))))
     assert rel.all()
 
 
 def test_converse_swaps_axes():
     lift = epistemic_lift(prisoners_dilemma())
-    fwd = program_relation(lift, Agent(1))
-    bwd = program_relation(lift, AgentConv(1))
+    fwd = relation_via_pre(lift, Agent(1))
+    bwd = relation_via_pre(lift, AgentConv(1))
     assert np.array_equal(bwd, fwd.T)
 
 
@@ -410,8 +427,8 @@ def test_confusion_model_valuation_inherited():
 
 def test_confused_player_crosses_forms_informed_player_does_not():
     model, _ = commitment_confusion()
-    r2 = program_relation(model, Agent(2))
-    r1 = program_relation(model, Agent(1))
+    r2 = relation_via_pre(model, Agent(2))
+    r1 = relation_via_pre(model, Agent(1))
     # player 2 cannot tell Gr:c,d from G:d,d (same own coordinate d)
     assert r2[model.index("Gr:c,d"), model.index("G:d,d")]
     assert r2[model.index("Gr:c,c"), model.index("G:d,c")]
@@ -425,7 +442,7 @@ def test_confused_player_crosses_forms_informed_player_does_not():
 
 def test_vector_relations_never_cross_forms():
     model, _ = commitment_confusion()
-    rel = program_relation(model, Vec(Vector([ADV, ADV])))
+    rel = relation_via_pre(model, Vec(Vector([ADV, ADV])))
     gr = [i for i in range(model.size) if model.world_key(i).startswith("Gr:")]
     g = [i for i in range(model.size) if model.world_key(i).startswith("G:")]
     for i in gr:
@@ -440,7 +457,7 @@ def test_vector_relations_never_cross_forms():
 def test_confusion_restricted_form_limits_vectors():
     model, _ = commitment_confusion()
     # player 1 is committed to c in Gr: the (d,!!) vector has no successors there
-    rel = program_relation(model, Vec(Vector([Concrete("d"), CUR])))
+    rel = relation_via_pre(model, Vec(Vector([Concrete("d"), CUR])))
     assert not rel[model.index("Gr:c,c")].any()
     assert rel[model.index("G:c,c"), model.index("G:d,c")]
 
@@ -463,5 +480,151 @@ def test_missing_agent_relation_is_empty():
         list(game.records),
         agent_edges={1: [(0, 0)]},
     )
-    assert not program_relation(model, Agent(2)).any()
-    assert program_relation(model, Agent(1))[0, 0]
+    assert not relation_via_pre(model, Agent(2)).any()
+    assert relation_via_pre(model, Agent(1))[0, 0]
+
+
+def test_agent_edges_are_validated_arrays():
+    game = prisoners_dilemma()
+    form = game.form
+    worlds = [(0, s) for s in all_profiles(form)]
+    model = IntensionalModel(
+        form, [("G", form)], worlds, list(game.records),
+        agent_edges={1: [(3, 1), (0, 2), (3, 1), (0, 0)]},
+    )
+    src, dst = model.agent_edges(1)
+    assert list(zip(src.tolist(), dst.tolist())) == [(3, 1), (0, 2), (3, 1), (0, 0)]
+    assert not src.flags.writeable and not dst.flags.writeable
+    # serialised relations are sorted and free of duplicates
+    assert intensional_to_dict(model)["relations"] == {
+        "1": [[0, 0], [0, 2], [3, 1]],
+        "2": [],
+    }
+    for bad in [(0, 4), (-1, 0)]:
+        with pytest.raises(GameError, match=rf"edge \({bad[0]}, {bad[1]}\) out of range"):
+            IntensionalModel(
+                form, [("G", form)], worlds, list(game.records), agent_edges={1: [bad]}
+            )
+    with pytest.raises(GameError):
+        IntensionalModel(
+            form, [("G", form)], worlds, list(game.records), agent_edges={1: [(0, 10**30)]}
+        )
+    with pytest.raises(EvalError):
+        model.agent_edges(3)
+
+
+def test_confusion_edges_match_pairwise_definition():
+    game = vote3_game()
+    restricted = restrict(game.form, {1: ["a"], 3: ["b", "c"]})
+    model = confusion_model(game, restricted, [2])
+    for player in game.form.players:
+        pos = player - 1
+        want = [
+            (i, j)
+            for i, (fi, s) in enumerate(model.worlds)
+            for j, (fj, t) in enumerate(model.worlds)
+            if s[pos] == t[pos] and (player == 2 or fi == fj)
+        ]
+        src, dst = model.agent_edges(player)
+        assert list(zip(src.tolist(), dst.tolist())) == want
+
+
+# --------------------------------------------------------------------------
+# Predecessors against the dense oracle on random programs
+
+
+def _random_model(kind: str, rng: random.Random):
+    """A random model with at most 216 states: a flat model, an epistemic
+    lift, a confusion model, or ("sparse") a shuffled subset of a game's
+    profiles with random, asymmetric agent relations."""
+    if kind == "confusion":
+        game = random_game(rng, size_range=(2, 4))
+        subsets = {
+            player: rng.sample(names, rng.randint(1, len(names)))
+            for player, names in zip(game.form.players, game.form.strategy_sets)
+            if rng.random() < 0.5
+        }
+        confused = [p for p in game.form.players if rng.random() < 0.5]
+        return confusion_model(game, restrict(game.form, subsets), confused)
+    game = random_game(rng, size_range=(2, 6))
+    if kind == "flat":
+        return MaslModel(game)
+    if kind == "lift":
+        return epistemic_lift(game)
+    profiles = all_profiles(game.form)
+    kept = rng.sample(profiles, rng.randint(1, len(profiles)))
+    m = len(kept)
+    edges = {
+        player: [(rng.randrange(m), rng.randrange(m)) for _ in range(2 * m)]
+        for player in game.form.players
+        if rng.random() < 0.8
+    }
+    return IntensionalModel(
+        game.form,
+        [("G", game.form)],
+        [(0, s) for s in kept],
+        [game.outcome(s) for s in kept],
+        edges,
+    )
+
+
+@given(
+    st.sampled_from(("flat", "lift", "confusion", "sparse")),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_pre_matches_dense_oracle_on_random_programs(kind, seed):
+    rng = random.Random(seed)
+    model = _random_model(kind, rng)
+    assert model.size <= 216
+    pools = dict(
+        values=model.util_range,
+        labels=tuple(sorted({r.label for r in model._records})),
+        agents=kind != "flat",
+    )
+    sig = model_signature(model)
+    program = random_program(rng, sig, 4, **pools)
+    rel = program_relation(model, program)
+    targets = [
+        np.array([rng.random() < 0.3 for _ in range(model.size)]),
+        np.zeros(model.size, dtype=bool),
+        np.arange(model.size) == rng.randrange(model.size),
+    ]
+    for target in targets:
+        assert np.array_equal(pre(model, program, target), compose(rel, target))
+    formula = random_formula(rng, sig, 3, **pools)
+    assert np.array_equal(extension(model, formula), dense_extension(model, formula))
+
+
+# --------------------------------------------------------------------------
+# Memory stays linear in the number of profiles
+
+
+def test_nash_and_star_memory_is_linear_at_7776_profiles():
+    rng = random.Random(41)
+    form = GameForm([("a", "b", "c", "d", "e", "f")] * 5)
+    game = StrategicGame.from_outcomes(
+        form,
+        {
+            s: OutcomeRecord(form.profile_key(s), [rng.randint(0, 3) for _ in range(5)])
+            for s in all_profiles(form)
+        },
+    )
+    star = Star(
+        Choice(Vec(Vector([ADV, CUR, CUR, CUR, CUR])), Vec(Vector([CUR, ADV, CUR, CUR, CUR])))
+    )
+    tracemalloc.start()
+    try:
+        model = MaslModel(game)
+        nash = extension(model, build_property("nashHere", model_signature(model)))
+        reach = extension(model, Diamond(star, UtilEq(1, 0)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense 7776 x 7776 relation alone would take 60 MB
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert {model.states[int(i)] for i in np.flatnonzero(nash)} == nash_set(game)
+    # players 1 and 2 may move freely, everyone else stays put
+    grid = extension(model, UtilEq(1, 0)).reshape([6] * 5)
+    want = np.broadcast_to(grid.any(axis=(0, 1), keepdims=True), grid.shape)
+    assert np.array_equal(reach, want.reshape(-1))

@@ -41,7 +41,6 @@ from stratlogic.properties import (
     tit_for_tat,
 )
 from stratlogic.syntax import BOT, Agent, AgentConv, Choice, Seq, Star, Vec
-from stratlogic.models import program_relation
 from stratlogic.voting import ConstantRule, DictatorRule, induced_game
 from stratlogic.catalog import (
     prisoners_dilemma,
@@ -51,6 +50,7 @@ from stratlogic.catalog import (
     vote3_tiebreak_game,
 )
 
+from dense_oracle import program_relation, relation_via_pre
 from gens import random_game
 
 PD = prisoners_dilemma()
@@ -293,15 +293,17 @@ def test_tit_for_tat_one_step_copies_opponent():
     model = MaslModel(PD)
     program = tit_for_tat(PD_SIG, 1)
     assert isinstance(program, Star)
-    one_step = program_relation(model, program.body)
+    one_step = relation_via_pre(model, program.body)
+    assert np.array_equal(one_step, program_relation(model, program.body))
     states = ["c,c", "c,d", "d,c", "d,d"]
     for s in states:
         for t in states:
             s_opp = s.split(",")[1]
             t_own = t.split(",")[0]
             assert one_step[model.index(s), model.index(t)] == (t_own == s_opp)
-    closure = program_relation(model, program)
+    closure = relation_via_pre(model, program)
     assert closure.diagonal().all()
+    assert np.array_equal(closure, program_relation(model, program))
 
 
 # --------------------------------------------------------------------------
