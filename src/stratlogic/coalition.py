@@ -25,6 +25,8 @@ from .syntax import (
     Concrete,
     Formula,
     Label,
+    Layout,
+    Node,
     Not,
     Top,
     UtilEq,
@@ -32,20 +34,24 @@ from .syntax import (
     Vector,
     Winner,
     disj,
+    infix,
     render,
+    render_with,
 )
 
 
-class CLFormula:
+class CLFormula(Node):
     """Base class for coalition-logic formulas."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, eq=False)
 class CLTop(CLFormula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CLAtom(CLFormula):
     """An atomic fact, shared vocabulary with the strategy logic."""
 
@@ -56,18 +62,18 @@ class CLAtom(CLFormula):
             raise GameError(f"not an atomic formula: {self.atom!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CLNot(CLFormula):
     body: CLFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CLAnd(CLFormula):
     left: CLFormula
     right: CLFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CLBox(CLFormula):
     """``[C]body``: coalition C can force `body`."""
 
@@ -96,31 +102,21 @@ _CL_AND, _CL_UNARY = range(2)
 
 
 def render_cl(formula: CLFormula) -> str:
-    return _render_cl(formula, _CL_AND)
+    return render_with(_CL, formula, _CL_AND)
 
 
-def _render_cl(f: CLFormula, context: int) -> str:
-    if isinstance(f, CLAnd):
-        level = _CL_AND
-        text = _render_cl(f.left, _CL_AND) + " & " + _render_cl(f.right, _CL_AND + 1)
-    elif isinstance(f, CLTop):
-        level = _CL_UNARY
-        text = "T"
-    elif isinstance(f, CLAtom):
-        level = _CL_UNARY
-        text = render(f.atom)
-    elif isinstance(f, CLNot):
-        level = _CL_UNARY
-        text = "~" + _render_cl(f.body, _CL_UNARY)
-    elif isinstance(f, CLBox):
-        level = _CL_UNARY
-        members = ",".join(str(i) for i in sorted(f.coalition))
-        text = f"[C {{{members}}}] " + _render_cl(f.body, _CL_UNARY)
-    else:
-        raise TypeError(f"cannot render {f!r}")
-    if level < context:
-        return "(" + text + ")"
-    return text
+def _render_cl_box(f: CLBox) -> list:
+    members = ",".join(str(i) for i in sorted(f.coalition))
+    return [f"[C {{{members}}}] ", (_CL, f.body, _CL_UNARY)]
+
+
+_CL = Layout("coalition formula", {
+    CLAnd: lambda f, c: infix(_CL, f, " & ", _CL_AND, c),
+    CLTop: lambda f, c: "T",
+    CLAtom: lambda f, c: render(f.atom),
+    CLNot: lambda f, c: ["~", (_CL, f.body, _CL_UNARY)],
+    CLBox: lambda f, c: _render_cl_box(f),
+})
 
 
 # --------------------------------------------------------------------------

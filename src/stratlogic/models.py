@@ -81,11 +81,16 @@ class _ModelBase:
     def util_range(self) -> tuple:
         return self._util_range
 
-    def _finish_init(self, records: Sequence[OutcomeRecord]) -> None:
+    def _finish_init(
+        self,
+        records: Sequence[OutcomeRecord],
+        util_range: tuple,
+        has_winner_data: bool,
+    ) -> None:
         self._records = tuple(records)
-        self._util_range = tuple(sorted({u for r in self._records for u in r.utils}))
-        self._util_values = frozenset(self._util_range)
-        self._has_winner_data = any(r.winners is not None for r in self._records)
+        self._util_range = util_range
+        self._util_values = frozenset(util_range)
+        self._has_winner_data = has_winner_data
         self._shape = tuple(len(names) for names in self._ambient.strategy_sets)
 
     def _atom_mask(self, f: Formula) -> np.ndarray:
@@ -188,7 +193,7 @@ class MaslModel(_ModelBase):
         self.states: list[Profile] = all_profiles(game.form)
         self._cells = np.arange(len(self.states))
         self._blocks = None
-        self._finish_init(game.records)
+        self._finish_init(game.records, game.utility_range, game.has_winner_data)
 
     def index(self, where: Union[Profile, str, int]) -> int:
         if isinstance(where, str):
@@ -271,7 +276,11 @@ class IntensionalModel(_ModelBase):
                     f"outcome {rec.label!r} has wrong utility count for {self.n} players"
                 )
         self._world_index = {w: i for i, w in enumerate(self.worlds)}
-        self._finish_init(records)
+        self._finish_init(
+            records,
+            tuple(sorted({u for r in records for u in r.utils})),
+            any(r.winners is not None for r in records),
+        )
         m = len(self.worlds)
         coords = np.array([s for _, s in self.worlds], dtype=np.int64)
         self._cells = np.ravel_multi_index(tuple(coords.T), self._shape)
@@ -409,34 +418,61 @@ def extension(model: Model, formula: Formula) -> np.ndarray:
     """The set of states where the formula holds, as a boolean mask.
 
     The result is cached on the model and read-only; copy before mutating.
+    Subformulas are evaluated in post-order from an explicit stack, left
+    before right, so formula depth is not bounded by the recursion limit.
     """
     cache = model._ext_cache
-    if formula in cache:
-        return cache[formula]
-    if isinstance(formula, Top):
-        mask = np.ones(model.size, dtype=bool)
-    elif isinstance(formula, VectorAtom):
-        mask = model._vector_atom_mask(formula.vector)
-    elif isinstance(formula, (Winner, UtilEq, Label)):
-        mask = model._atom_mask(formula)
-    elif isinstance(formula, Not):
-        mask = ~extension(model, formula.body)
-    elif isinstance(formula, And):
-        mask = extension(model, formula.left) & extension(model, formula.right)
-    elif isinstance(formula, Or):
-        mask = extension(model, formula.left) | extension(model, formula.right)
-    elif isinstance(formula, Implies):
-        mask = ~extension(model, formula.left) | extension(model, formula.right)
-    elif isinstance(formula, Iff):
-        mask = extension(model, formula.left) == extension(model, formula.right)
-    elif isinstance(formula, Diamond):
-        mask = pre(model, formula.program, extension(model, formula.body))
-    elif isinstance(formula, Box):
-        mask = ~pre(model, formula.program, ~extension(model, formula.body))
-    else:
-        raise EvalError(f"not a formula: {formula!r}")
-    cache[formula] = _frozen(np.asarray(mask, dtype=bool))
+    mask = cache.get(formula)
+    if mask is not None:
+        return mask
+    stack = [formula]
+    while stack:
+        f = stack[-1]
+        if f in cache:  # a subformula that occurs more than once
+            stack.pop()
+            continue
+        children = _subformulas(f)
+        masks = [cache.get(c) for c in children]
+        missing = [c for c, m in zip(children, masks) if m is None]
+        if missing:
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        cache[f] = _frozen(np.asarray(_connective(model, f, *masks), dtype=bool))
     return cache[formula]
+
+
+def _subformulas(f: Formula) -> tuple:
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return f.left, f.right
+    if isinstance(f, (Not, Box, Diamond)):
+        return (f.body,)
+    return ()
+
+
+def _connective(model: Model, f: Formula, *sub: np.ndarray) -> np.ndarray:
+    """The mask of one node, given the masks of its `_subformulas`."""
+    if isinstance(f, Top):
+        return np.ones(model.size, dtype=bool)
+    if isinstance(f, VectorAtom):
+        return model._vector_atom_mask(f.vector)
+    if isinstance(f, (Winner, UtilEq, Label)):
+        return model._atom_mask(f)
+    if isinstance(f, Not):
+        return ~sub[0]
+    if isinstance(f, And):
+        return sub[0] & sub[1]
+    if isinstance(f, Or):
+        return sub[0] | sub[1]
+    if isinstance(f, Implies):
+        return ~sub[0] | sub[1]
+    if isinstance(f, Iff):
+        return sub[0] == sub[1]
+    if isinstance(f, Diamond):
+        return pre(model, f.program, sub[0])
+    if isinstance(f, Box):
+        return ~pre(model, f.program, ~sub[0])
+    raise EvalError(f"not a formula: {f!r}")
 
 
 def satisfies(model: Model, where, formula: Formula) -> bool:

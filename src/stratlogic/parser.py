@@ -11,8 +11,8 @@ commas it is a strategy vector such as ``(c,??,!!)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coalition import CLAnd, CLAtom, CLBox, CLFormula, CLNot, CLTop, cl_disj
 from .syntax import (
@@ -53,71 +53,53 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"[0-9]+")
 _PAYOFF_NAME = re.compile(r"u([0-9]+)\Z")
 _AGENT_NAME = re.compile(r"ag([0-9]+)\Z")
 
-_MULTI = ("<->", "??", "!!", "->", ">=")
-_SINGLE = "()[]{}<>,;+*?~&|=^/-"
+# One alternative per token class, tried in order; multi-character operators
+# come before the single characters they start with.
+_TOKEN = re.compile(
+    r"""(?P<newline>\n)
+    |(?P<space>[ \t\r]+)
+    |"(?P<STRING>[^"]*)"
+    |(?P<unterminated>")
+    |(?P<op><->|\?\?|!!|->|>=|[()\[\]{}<>,;+*?~&|=^/-])
+    |(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<INT>[0-9]+)""",
+    re.VERBOSE,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    # A column counts from the last newline outside a string literal.
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:  # no alternative matches at pos
+            break
+        kind = m.lastgroup
+        col = pos - line_start + 1
+        pos = m.end()
+        if kind == "op":
+            op = m[kind]
+            tokens.append(_Token(op, op, line, col))
+        elif kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise ParseError("unterminated string", line, col)
-            tokens.append(_Token("STRING", text[i + 1 : end], line, col))
-            col += end + 1 - i
-            i = end + 1
-            continue
-        for op in _MULTI:
-            if text.startswith(op, i):
-                tokens.append(_Token(op, op, line, col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            m = _NAME.match(text, i)
-            if m:
-                tokens.append(_Token("NAME", m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-                continue
-            m = _INT.match(text, i)
-            if m:
-                tokens.append(_Token("INT", m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-                continue
-            if ch in _SINGLE:
-                tokens.append(_Token(ch, ch, line, col))
-                i += 1
-                col += 1
-                continue
-            raise ParseError(f"stray character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+            line_start = pos
+        elif kind == "unterminated":
+            raise ParseError("unterminated string", line, col)
+        elif kind != "space":
+            tokens.append(_Token(kind, m[kind], line, col))
+    if pos < len(text):
+        raise ParseError(f"stray character {text[pos]!r}", line, pos - line_start + 1)
+    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -138,16 +120,19 @@ class _Parser:
         return tok
 
     def _accept(self, kind: str) -> _Token | None:
-        if self._peek().kind == kind:
-            return self._next()
+        tok = self.tokens[self.pos]
+        if tok.kind == kind:
+            self.pos += 1
+            return tok
         return None
 
     def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             found = tok.text or "end of input"
             raise ParseError(f"expected {what}, found {found!r}", tok.line, tok.col)
-        return self._next()
+        self.pos += 1
+        return tok
 
     def _fail(self, message: str):
         tok = self._peek()

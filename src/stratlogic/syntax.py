@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Union, TYPE_CHECKING
+from typing import Iterable, NamedTuple, Union, TYPE_CHECKING
 
 from .games import GameError, to_fraction
 
@@ -18,23 +18,94 @@ if TYPE_CHECKING:
 
 
 # --------------------------------------------------------------------------
+# the shared node base
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Node:
+    """Base of every syntax node: structural equality, and a structural hash
+    computed on first use and kept in the `_h` slot (None until then), so
+    dictionary lookups cost O(1) instead of a walk over the subtree.
+
+    Subclasses are ``@dataclass(frozen=True, slots=True, eq=False)``; their
+    fields, in ``__match_args__`` order, are what is hashed and compared.
+    Both walks use an explicit stack, so arbitrarily deep trees never reach
+    the interpreter's recursion limit.  Pickles and copies rebuild a node
+    from those fields alone, so the hash is recomputed where they are loaded.
+    """
+
+    _h: int | None = field(default=None, init=False, repr=False)
+
+    def __hash__(self) -> int:
+        h = self._h
+        if h is not None:
+            return h
+        # Bottom-up: a node is hashed once its node children are.
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            key = [type(node).__name__]
+            unhashed = []
+            for name in node.__match_args__:
+                value = getattr(node, name)
+                if isinstance(value, Node):
+                    if value._h is None:
+                        unhashed.append(value)
+                    value = value._h
+                key.append(value)
+            if unhashed:
+                stack.extend(unhashed)
+                continue
+            stack.pop()
+            object.__setattr__(node, "_h", hash(tuple(key)))
+        return self._h
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        # A hash mismatch rejects a pair at once where both hashes are known;
+        # equality itself never computes one.
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a._h != b._h and a._h is not None and b._h is not None:
+                return False
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if x is y:
+                    continue
+                if isinstance(x, Node):
+                    if type(x) is not type(y):
+                        return False
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+# --------------------------------------------------------------------------
 # strategy terms and vectors
 
 
-@dataclass(frozen=True)
-class Concrete:
+@dataclass(frozen=True, slots=True, eq=False)
+class Concrete(Node):
     """A named strategy; denotes {name} where available, else the empty set."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Adversary:
+@dataclass(frozen=True, slots=True, eq=False)
+class Adversary(Node):
     """The wildcard term ``??``: denotes the player's whole strategy set."""
 
 
-@dataclass(frozen=True)
-class Current:
+@dataclass(frozen=True, slots=True, eq=False)
+class Current(Node):
     """The term ``!!``: denotes whatever the player plays at the source state."""
 
 
@@ -44,8 +115,8 @@ ADV = Adversary()
 CUR = Current()
 
 
-@dataclass(frozen=True)
-class Vector:
+@dataclass(frozen=True, slots=True, eq=False)
+class Vector(Node):
     """One strategy term per player; doubles as an atom and as a program."""
 
     terms: tuple[Term, ...]
@@ -58,6 +129,7 @@ class Vector:
             if not isinstance(t, (Concrete, Adversary, Current)):
                 raise GameError(f"not a strategy term: {t!r}")
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_h", None)
 
     @property
     def n(self) -> int:
@@ -72,8 +144,10 @@ class Vector:
 # formulas
 
 
-class Formula:
+class Formula(Node):
     """Base class; supplies connective sugar for building test formulas."""
+
+    __slots__ = ()
 
     def __invert__(self) -> Formula:
         return Not(self)
@@ -88,24 +162,24 @@ class Formula:
         return Implies(self, other)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class VectorAtom(Formula):
     """True at s iff every Concrete position of the vector matches s."""
 
     vector: Vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Winner(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class UtilEq(Formula):
     """``u<player> = value``; the value must be in the game's utility range
     at evaluation time."""
@@ -116,49 +190,50 @@ class UtilEq(Formula):
     def __init__(self, player: int, value: int | str | float | Fraction):
         object.__setattr__(self, "player", player)
         object.__setattr__(self, "value", to_fraction(value))
+        object.__setattr__(self, "_h", None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Label(Formula):
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Box(Formula):
     program: "Program"
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Diamond(Formula):
     program: "Program"
     body: Formula
@@ -188,46 +263,48 @@ def disj(parts: Iterable[Formula]) -> Formula:
 # programs
 
 
-class Program:
+class Program(Node):
+    __slots__ = ()
+
     def __add__(self, other: Program) -> Program:
         return Choice(self, other)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Vec(Program):
     vector: Vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Test(Program):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Seq(Program):
     left: Program
     right: Program
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Choice(Program):
     left: Program
     right: Program
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Star(Program):
     body: Program
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Agent(Program):
     """Epistemic accessibility for one agent (intensional models only)."""
 
     player: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class AgentConv(Program):
     """The converse of an agent's accessibility relation."""
 
@@ -303,10 +380,49 @@ def render(node: Formula | Program | Vector) -> str:
     if isinstance(node, Vector):
         return _render_vector(node)
     if isinstance(node, Formula):
-        return _render_formula(node, _IFF)
+        return render_with(_FORMULAS, node, _IFF)
     if isinstance(node, Program):
-        return _render_program(node, _CHOICE)
+        return render_with(_PROGRAMS, node, _CHOICE)
     raise TypeError(f"cannot render {node!r}")
+
+
+class Layout(NamedTuple):
+    """How one syntactic category is spelled.  ``rules[type(node)](node,
+    context)`` gives the node's text, or a list of strings and
+    ``(layout, child, context)`` triples in output order."""
+
+    kind: str
+    rules: dict
+
+
+def render_with(layout: Layout, node, context: int) -> str:
+    """Render from an explicit stack, so deep trees and long chains never
+    reach the recursion limit."""
+    out: list[str] = []
+    stack: list = [(layout, node, context)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        layout, node, context = item
+        rule = layout.rules.get(type(node))
+        if rule is None:
+            raise TypeError(f"cannot render {layout.kind} {node!r}")
+        parts = rule(node, context)
+        if type(parts) is str:
+            out.append(parts)
+        else:
+            stack.extend(reversed(parts))
+    return "".join(out)
+
+
+def infix(layout: Layout, node, op: str, level: int, context: int, right_assoc=False):
+    """A binary node at binding strength `level`: the operand on the side it
+    does not associate to needs strictly tighter binding."""
+    left, right = (level + 1, level) if right_assoc else (level, level + 1)
+    parts = [(layout, node.left, left), op, (layout, node.right, right)]
+    return ["(", *parts, ")"] if level < context else parts
 
 
 def _render_term(t: Term) -> str:
@@ -333,95 +449,31 @@ def _render_label_arg(text: str) -> str:
     return f'"{text}"'
 
 
-def _formula_level(f: Formula) -> int:
-    if isinstance(f, Iff):
-        return _IFF
-    if isinstance(f, Implies):
-        return _IMPLIES
-    if isinstance(f, Or):
-        return _OR
-    if isinstance(f, And):
-        return _AND
-    return _UNARY
+_FORMULAS = Layout("formula", {
+    Top: lambda f, c: "T",
+    VectorAtom: lambda f, c: _render_vector(f.vector),
+    Winner: lambda f, c: f"win({_render_label_arg(f.name)})",
+    UtilEq: lambda f, c: f"u{f.player}={_render_rational(f.value)}",
+    Label: lambda f, c: f"label({_render_label_arg(f.text)})",
+    Not: lambda f, c: ["~", (_FORMULAS, f.body, _UNARY)],
+    Box: lambda f, c: [
+        "[", (_PROGRAMS, f.program, _CHOICE), "] ", (_FORMULAS, f.body, _UNARY)
+    ],
+    Diamond: lambda f, c: [
+        "<", (_PROGRAMS, f.program, _CHOICE), "> ", (_FORMULAS, f.body, _UNARY)
+    ],
+    And: lambda f, c: infix(_FORMULAS, f, " & ", _AND, c),
+    Or: lambda f, c: infix(_FORMULAS, f, " | ", _OR, c),
+    Implies: lambda f, c: infix(_FORMULAS, f, " -> ", _IMPLIES, c, right_assoc=True),
+    Iff: lambda f, c: infix(_FORMULAS, f, " <-> ", _IFF, c, right_assoc=True),
+})
 
-
-def _render_formula(f: Formula, context: int) -> str:
-    level = _formula_level(f)
-    if isinstance(f, Top):
-        text = "T"
-    elif isinstance(f, VectorAtom):
-        text = _render_vector(f.vector)
-    elif isinstance(f, Winner):
-        text = f"win({_render_label_arg(f.name)})"
-    elif isinstance(f, UtilEq):
-        text = f"u{f.player}={_render_rational(f.value)}"
-    elif isinstance(f, Label):
-        text = f"label({_render_label_arg(f.text)})"
-    elif isinstance(f, Not):
-        text = "~" + _render_formula(f.body, _UNARY)
-    elif isinstance(f, Box):
-        text = f"[{_render_program(f.program, _CHOICE)}] " + _render_formula(
-            f.body, _UNARY
-        )
-    elif isinstance(f, Diamond):
-        text = f"<{_render_program(f.program, _CHOICE)}> " + _render_formula(
-            f.body, _UNARY
-        )
-    elif isinstance(f, And):
-        # Left-associative: the right child needs strictly tighter binding.
-        text = (
-            _render_formula(f.left, _AND) + " & " + _render_formula(f.right, _AND + 1)
-        )
-    elif isinstance(f, Or):
-        text = _render_formula(f.left, _OR) + " | " + _render_formula(f.right, _OR + 1)
-    elif isinstance(f, Implies):
-        # Right-associative: the left child needs strictly tighter binding.
-        text = (
-            _render_formula(f.left, _IMPLIES + 1)
-            + " -> "
-            + _render_formula(f.right, _IMPLIES)
-        )
-    elif isinstance(f, Iff):
-        text = (
-            _render_formula(f.left, _IFF + 1) + " <-> " + _render_formula(f.right, _IFF)
-        )
-    else:
-        raise TypeError(f"cannot render formula {f!r}")
-    if level < context:
-        return "(" + text + ")"
-    return text
-
-
-def _program_level(p: Program) -> int:
-    if isinstance(p, Choice):
-        return _CHOICE
-    if isinstance(p, Seq):
-        return _SEQ
-    return _PUNARY
-
-
-def _render_program(p: Program, context: int) -> str:
-    level = _program_level(p)
-    if isinstance(p, Vec):
-        text = _render_vector(p.vector)
-    elif isinstance(p, Test):
-        text = "?" + _render_formula(p.body, _UNARY)
-    elif isinstance(p, Star):
-        text = _render_program(p.body, _PUNARY) + "*"
-    elif isinstance(p, Agent):
-        text = f"ag{p.player}"
-    elif isinstance(p, AgentConv):
-        text = f"ag{p.player}^"
-    elif isinstance(p, Seq):
-        text = _render_program(p.left, _SEQ) + ";" + _render_program(p.right, _SEQ + 1)
-    elif isinstance(p, Choice):
-        text = (
-            _render_program(p.left, _CHOICE)
-            + "+"
-            + _render_program(p.right, _CHOICE + 1)
-        )
-    else:
-        raise TypeError(f"cannot render program {p!r}")
-    if level < context:
-        return "(" + text + ")"
-    return text
+_PROGRAMS = Layout("program", {
+    Vec: lambda p, c: _render_vector(p.vector),
+    Test: lambda p, c: ["?", (_FORMULAS, p.body, _UNARY)],
+    Star: lambda p, c: [(_PROGRAMS, p.body, _PUNARY), "*"],
+    Agent: lambda p, c: f"ag{p.player}",
+    AgentConv: lambda p, c: f"ag{p.player}^",
+    Seq: lambda p, c: infix(_PROGRAMS, p, ";", _SEQ, c),
+    Choice: lambda p, c: infix(_PROGRAMS, p, "+", _CHOICE, c),
+})

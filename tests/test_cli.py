@@ -271,3 +271,34 @@ def test_too_deep_formula_is_an_input_error_not_a_false_verdict(pd_file):
     if proc.returncode != 0:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+
+def _check_subprocess(pd_file, formula: str, state: str):
+    src = str(Path(stratlogic.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "stratlogic.cli", "check", "--game", pd_file,
+         "--formula", formula, "--state", state],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_thousand_conjunct_check_gets_a_verdict(pd_file):
+    # Every fact holds at c,c; "u1=0" holds nowhere.
+    facts = ["u1=2", "~u2=3", 'label("cc")', "(??,c)", "[(c,!!)] ~u2=3"]
+    verdicts = {}
+    for n in (10, 1000):
+        holds = [facts[i % len(facts)] for i in range(n)]
+        fails = holds[: n // 2] + ["u1=0"] + holds[n // 2 + 1 :]
+        for name, conjuncts in (("holds", holds), ("fails", fails)):
+            proc = _check_subprocess(pd_file, " & ".join(conjuncts), "c,c")
+            assert proc.stderr == "", (n, name, proc.stderr)
+            data = loads(proc.stdout)
+            del data["formula"]
+            verdicts[n, name] = (proc.returncode, data)
+    assert verdicts[10, "holds"][0] == 0
+    assert verdicts[10, "fails"][0] == 1
+    assert verdicts[10, "holds"][1]["extension"] == ["c,c"]
+    assert verdicts[1000, "holds"] == verdicts[10, "holds"]
+    assert verdicts[1000, "fails"] == verdicts[10, "fails"]

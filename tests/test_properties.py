@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -131,7 +132,8 @@ def test_every_utileq_value_in_builds_is_in_range():
     def walk(node):
         if isinstance(node, UtilEq):
             seen.add(node.value)
-        for child in vars(node).values():
+        for f in dataclasses.fields(node):
+            child = getattr(node, f.name)
             if hasattr(child, "__dataclass_fields__"):
                 walk(child)
 
