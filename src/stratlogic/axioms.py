@@ -12,7 +12,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .games import GameError
-from .models import Model, counterexample, valid_in_model
+from .models import IntensionalModel, counterexample, valid_in_model
 from .properties import vec_switch
 from .syntax import (
     ADV,
@@ -230,7 +230,7 @@ def instantiate_many(
 
 
 def validity_report(
-    models: Sequence[tuple[str, Model]], instances: Sequence[AxiomInstance]
+    models: Sequence[tuple[str, IntensionalModel]], instances: Sequence[AxiomInstance]
 ) -> list[InstanceResult]:
     """Check every instance against every labelled model."""
     results = []

@@ -65,8 +65,6 @@ def _emit(data: dict, output: str | None) -> None:
 
 
 def _extension_keys(model, mask) -> list[str]:
-    if hasattr(model, "world_key"):
-        return [model.world_key(int(i)) for i in np.flatnonzero(mask)]
     return [model.state_key(int(i)) for i in np.flatnonzero(mask)]
 
 
@@ -74,20 +72,25 @@ def _extension_keys(model, mask) -> list[str]:
 # subcommands
 
 
-def _cmd_check(args) -> int:
-    game = load_game(args.game)
-    model = MaslModel(game)
+def _check(model, args, where: str) -> int:
+    """Evaluate ``args.formula`` on the model; `where` names the optional
+    argument with the state to report on."""
     formula = parse(args.formula, model_signature(model), "formula")
     mask = extension(model, formula)
     data = {"formula": render(formula), "extension": _extension_keys(model, mask)}
     code = 0
-    if args.state is not None:
-        holds = satisfies(model, args.state, formula)
-        data["state"] = args.state
+    at = getattr(args, where)
+    if at is not None:
+        holds = satisfies(model, at, formula)
+        data[where] = at
         data["holdsAt"] = holds
         code = 0 if holds else 1
     _emit(data, args.output)
     return code
+
+
+def _cmd_check(args) -> int:
+    return _check(MaslModel(load_game(args.game)), args, "state")
 
 
 def _cmd_parse(args) -> int:
@@ -168,18 +171,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_echeck(args) -> int:
-    model = load_intensional(args.model)
-    formula = parse(args.formula, model_signature(model), "formula")
-    mask = extension(model, formula)
-    data = {"formula": render(formula), "extension": _extension_keys(model, mask)}
-    code = 0
-    if args.world is not None:
-        holds = satisfies(model, args.world, formula)
-        data["world"] = args.world
-        data["holdsAt"] = holds
-        code = 0 if holds else 1
-    _emit(data, args.output)
-    return code
+    return _check(load_intensional(args.model), args, "world")
 
 
 def _cmd_axioms(args) -> int:
@@ -319,7 +311,7 @@ def _demo_confusion() -> int:
     model, actual = catalog.commitment_confusion()
     game = catalog.prisoners_dilemma()
     sig = Signature.from_game(game)
-    print("worlds:", [model.world_key(i) for i in range(model.size)])
+    print("worlds:", [model.state_key(i) for i in range(model.size)])
     dict2 = dictator(sig, 2)
     know2 = knowing_dictator(sig, 2)
     dict_worlds = _extension_keys(model, extension(model, dict2))

@@ -10,14 +10,14 @@ so they can check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Iterable, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .games import Coalition, GameError
-from .models import EvalError, MaslModel
+from .models import EvalError, IntensionalModel, extension
 from .syntax import (
     ADV,
     And,
@@ -34,6 +34,7 @@ from .syntax import (
     Vector,
     Winner,
     disj,
+    fold,
     infix,
     render,
     render_with,
@@ -122,39 +123,49 @@ _CL = Layout("coalition formula", {
 # --------------------------------------------------------------------------
 # direct semantics
 
-_caches: "WeakKeyDictionary[MaslModel, dict]" = WeakKeyDictionary()
 
-
-def cl_extension(model: MaslModel, formula: CLFormula) -> np.ndarray:
+def cl_extension(model: IntensionalModel, formula: CLFormula) -> np.ndarray:
     """States satisfying a coalition formula, computed from the game grid
-    (no relation matrices involved)."""
-    cache = _caches.setdefault(model, {})
-    if formula in cache:
-        return cache[formula]
-    if isinstance(formula, CLTop):
+    (no relation matrices involved).  The model's states must be exactly the
+    profiles of one form; masks are kept in the model's extension cache."""
+    if model._blocks is not None:
+        raise EvalError(
+            "coalition formulas need a model whose states are one full profile grid"
+        )
+    return fold(formula, _cl_children, partial(_cl_mask, model), model._ext_cache)
+
+
+def _cl_children(f: CLFormula) -> tuple:
+    if isinstance(f, CLAnd):
+        return f.left, f.right
+    if isinstance(f, (CLNot, CLBox)):
+        return (f.body,)
+    return ()
+
+
+def _cl_mask(model: IntensionalModel, f: CLFormula, *sub: np.ndarray) -> np.ndarray:
+    """The mask of one node, given the masks of its `_cl_children`."""
+    if isinstance(f, CLAtom):
+        return extension(model, f.atom)
+    if isinstance(f, CLTop):
         mask = np.ones(model.size, dtype=bool)
-    elif isinstance(formula, CLAtom):
-        mask = model._atom_mask(formula.atom)
-    elif isinstance(formula, CLNot):
-        mask = ~cl_extension(model, formula.body)
-    elif isinstance(formula, CLAnd):
-        mask = cl_extension(model, formula.left) & cl_extension(model, formula.right)
-    elif isinstance(formula, CLBox):
-        mask = _cl_box_mask(model, formula)
+    elif isinstance(f, CLNot):
+        mask = ~sub[0]
+    elif isinstance(f, CLAnd):
+        mask = sub[0] & sub[1]
+    elif isinstance(f, CLBox):
+        mask = _cl_box_mask(model, f, sub[0])
     else:
-        raise EvalError(f"not a coalition formula: {formula!r}")
+        raise EvalError(f"not a coalition formula: {f!r}")
     mask.flags.writeable = False
-    cache[formula] = mask
     return mask
 
 
-def _cl_box_mask(model: MaslModel, formula: CLBox) -> np.ndarray:
+def _cl_box_mask(model: IntensionalModel, formula: CLBox, body: np.ndarray) -> np.ndarray:
     for player in formula.coalition:
         if not 1 <= player <= model.n:
             raise EvalError(f"coalition mentions unknown player {player}")
-    body = cl_extension(model, formula.body)
-    sizes = [len(names) for names in model.game.form.strategy_sets]
-    grid = body.reshape(sizes)
+    grid = body.reshape(model._shape)
     complement_axes = tuple(
         pos for pos in range(model.n) if (pos + 1) not in formula.coalition
     )
@@ -168,7 +179,7 @@ def _cl_box_mask(model: MaslModel, formula: CLBox) -> np.ndarray:
     return np.full(model.size, value, dtype=bool)
 
 
-def cl_check(model: MaslModel, state, formula: CLFormula) -> bool:
+def cl_check(model: IntensionalModel, state, formula: CLFormula) -> bool:
     """Truth of a coalition formula at one state."""
     return bool(cl_extension(model, formula)[model.index(state)])
 
@@ -201,17 +212,18 @@ def coalition_vectors(coalition: Iterable[int], form) -> list[Vector]:
 def translate(formula: CLFormula, form) -> Formula:
     """Compile into the strategy logic: the coalition box becomes a
     disjunction of boxes over the coalition's commitment vectors."""
-    if isinstance(formula, CLTop):
+    return fold(formula, _cl_children, partial(_translate, form), {})
+
+
+def _translate(form, f: CLFormula, *sub: Formula) -> Formula:
+    if isinstance(f, CLTop):
         return Top()
-    if isinstance(formula, CLAtom):
-        return formula.atom
-    if isinstance(formula, CLNot):
-        return Not(translate(formula.body, form))
-    if isinstance(formula, CLAnd):
-        return And(translate(formula.left, form), translate(formula.right, form))
-    if isinstance(formula, CLBox):
-        return disj(
-            Box(Vec(c), translate(formula.body, form))
-            for c in coalition_vectors(formula.coalition, form)
-        )
-    raise GameError(f"not a coalition formula: {formula!r}")
+    if isinstance(f, CLAtom):
+        return f.atom
+    if isinstance(f, CLNot):
+        return Not(sub[0])
+    if isinstance(f, CLAnd):
+        return And(sub[0], sub[1])
+    if isinstance(f, CLBox):
+        return disj(Box(Vec(c), sub[0]) for c in coalition_vectors(f.coalition, form))
+    raise GameError(f"not a coalition formula: {f!r}")

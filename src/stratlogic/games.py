@@ -4,7 +4,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -240,14 +239,18 @@ class StrategicGame:
         self.form._check_player(player)
         return self.outcome(s).utils[player - 1]
 
-    @cached_property
-    def utility_range(self) -> tuple[Fraction, ...]:
-        """All utility values occurring in the game, ascending, no repeats."""
-        return tuple(sorted({u for rec in self.records for u in rec.utils}))
 
-    @cached_property
-    def has_winner_data(self) -> bool:
-        return any(rec.winners is not None for rec in self.records)
+def outcome_vocabulary(
+    records: Sequence[OutcomeRecord],
+) -> tuple[tuple[Fraction, ...], tuple[str, ...] | None]:
+    """The utility values occurring in the records, ascending and without
+    repeats, and the alternatives that win somewhere, sorted (None when no
+    record carries winner data)."""
+    # Keyed by (numerator, denominator): hashing a Fraction costs far more.
+    values = {(u.numerator, u.denominator): u for rec in records for u in rec.utils}
+    winners = [rec.winners for rec in records if rec.winners is not None]
+    alternatives = tuple(sorted(frozenset().union(*winners))) if winners else None
+    return tuple(sorted(values.values())), alternatives
 
 
 def _switches(game: StrategicGame, s: Profile, player: int) -> list[Profile]:

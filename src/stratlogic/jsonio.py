@@ -101,20 +101,26 @@ def util_to_json(value: Fraction) -> int | str:
 
 
 def game_to_dict(game: StrategicGame) -> dict:
-    outcomes = {}
-    for s in all_profiles(game.form):
-        rec = game.outcome(s)
+    profiles = all_profiles(game.form)
+    return _form_to_dict(game.form, zip(profiles, game.records), game.form)
+
+
+def _form_to_dict(form: GameForm, outcomes, ambient: GameForm) -> dict:
+    """A form with its (profile, record) outcomes; profiles are keyed in
+    the ambient form's strategy indices."""
+    table = {}
+    for profile, rec in outcomes:
         entry: dict[str, Any] = {
             "label": rec.label,
             "utils": [util_to_json(u) for u in rec.utils],
         }
         if rec.winners is not None:
             entry["winners"] = sorted(rec.winners)
-        outcomes[game.form.profile_key(s)] = entry
+        table[ambient.profile_key(profile)] = entry
     return {
-        "players": game.form.n,
-        "strategies": [list(names) for names in game.form.strategy_sets],
-        "outcomes": outcomes,
+        "players": form.n,
+        "strategies": [list(names) for names in form.strategy_sets],
+        "outcomes": table,
     }
 
 
@@ -231,26 +237,12 @@ def load_voting_spec(path: str | Path) -> tuple[VotingRule, BallotProfile]:
 def intensional_to_dict(model: IntensionalModel) -> dict:
     forms = []
     for form_idx, (fid, form) in enumerate(model.forms):
-        outcomes = {}
-        for world_idx, (wf, profile) in enumerate(model.worlds):
-            if wf != form_idx:
-                continue
-            rec = model._records[world_idx]
-            entry: dict[str, Any] = {
-                "label": rec.label,
-                "utils": [util_to_json(u) for u in rec.utils],
-            }
-            if rec.winners is not None:
-                entry["winners"] = sorted(rec.winners)
-            outcomes[model.ambient.profile_key(profile)] = entry
-        forms.append(
-            {
-                "id": fid,
-                "players": form.n,
-                "strategies": [list(names) for names in form.strategy_sets],
-                "outcomes": outcomes,
-            }
-        )
+        outcomes = [
+            (profile, rec)
+            for (wf, profile), rec in zip(model.worlds, model._records)
+            if wf == form_idx
+        ]
+        forms.append({"id": fid, **_form_to_dict(form, outcomes, model.ambient)})
     relations = {}
     for player in model.ambient.players:
         src, dst = model.agent_edges(player)
@@ -259,7 +251,7 @@ def intensional_to_dict(model: IntensionalModel) -> dict:
     return {
         "forms": forms,
         "worlds": [
-            [model.form_id(fi), model.ambient.profile_key(profile)]
+            [model.forms[fi][0], model.ambient.profile_key(profile)]
             for fi, profile in model.worlds
         ],
         "relations": relations,

@@ -1,17 +1,20 @@
 """Model checking for the strategy logic.
 
-A flat model is a strategic game whose states are the strategy profiles; an
-intensional model is a set of (form, profile) worlds with per-agent
-accessibility relations on top.  No relation is ever materialised: formula
-extensions are boolean masks over the states, computed bottom-up with
-per-model caching, and every modality is a predecessor computation on masks
-(`pre`).  A vector acts axis by axis on the profile grid, agent relations
-are stored as (source, target) edge arrays, and iteration is a least
-fixpoint grown from its frontier.
+A model is a set of (form, profile) worlds with optional per-agent
+accessibility relations on top; a strategic game's model is the case of one
+form, all of its profiles and no agents.  No relation is ever materialised:
+formula extensions are boolean masks over the states, computed bottom-up
+with per-model caching, and every modality is a predecessor computation on
+masks (`pre`).  A vector acts axis by axis on the profile grid, agent
+relations are stored as (source, target) edge arrays, and iteration is a
+least fixpoint grown from its frontier.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Union
+import math
+from functools import cached_property, partial
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .games import (
     Profile,
     StrategicGame,
     all_profiles,
+    outcome_vocabulary,
 )
 from .syntax import (
     Adversary,
@@ -49,6 +53,7 @@ from .syntax import (
     Vector,
     VectorAtom,
     Winner,
+    fold,
 )
 
 
@@ -61,15 +66,122 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class _ModelBase:
-    """Shared state-indexing, valuation, and cache plumbing."""
+class IntensionalModel:
+    """Worlds are (form, profile) pairs; agents get accessibility relations.
 
-    # Subclasses set: _records (one OutcomeRecord per state), n, the ambient
-    # form, _cells (each state's flat index in the ambient profile grid) and
-    # _blocks: None when the states are exactly that grid in enumeration
-    # order, else one (state indices, grid cells) pair per form.
+    This is the one model class.  A strategic game's model (`MaslModel`) is
+    the special case with one unnamed form, every profile as a world and no
+    agent mapping.  Profiles are stored with ambient strategy indices, and
+    vector moves never cross between forms.  Each agent's relation is kept
+    as (source, target) arrays of world indices.
 
-    def __init__(self) -> None:
+    `worlds` lists (form index, profile) pairs, or is an integer array of
+    (form index, *profile) rows.  A form id of None leaves a form unnamed:
+    its worlds' keys are bare profile keys such as ``c,d``, not ``G:c,d``.
+    Without an `agent_edges` mapping agent programs raise `EvalError`; with
+    one, a player the mapping leaves out has the empty relation.
+    """
+
+    def __init__(
+        self,
+        ambient: GameForm,
+        forms: Sequence[tuple[str | None, GameForm]],
+        worlds: Sequence[tuple[int, Profile]] | np.ndarray,
+        records: Sequence[OutcomeRecord],
+        agent_edges: Mapping[int, Iterable[tuple[int, int]]] | None = None,
+    ):
+        self.ambient = ambient
+        self.n = n = ambient.n
+        self.forms = tuple(forms)
+        self._shape = shape = tuple(len(names) for names in ambient.strategy_sets)
+        if not self.forms:
+            raise GameError("an intensional model needs at least one form")
+        ids = [fid for fid, _ in self.forms]
+        if len(set(ids)) != len(ids):
+            raise GameError("form ids must be distinct")
+        try:
+            if not isinstance(worlds, np.ndarray):
+                worlds = [(form_idx, *profile) for form_idx, profile in worlds]
+            table = np.asarray(worlds, dtype=np.int64).reshape(len(worlds), n + 1)
+        except (OverflowError, TypeError, ValueError):
+            raise GameError(f"worlds must be (form index, {n}-player profile) pairs") from None
+        m = len(table)
+        if not m:
+            raise GameError("an intensional model needs at least one world")
+        # Every check runs on whole columns; a failure names its first world.
+        form_col, coords = table[:, 0], table[:, 1:]
+        outside = (table < 0) | (table >= (len(self.forms), *shape))
+        if outside.any():
+            row = outside.any(axis=1).argmax()
+            if outside[row, 0]:
+                raise GameError(f"world references unknown form index {form_col[row]}")
+            raise GameError(
+                f"profile {tuple(coords[row].tolist())!r} is out of range "
+                f"at player {outside[row, 1:].argmax() + 1}"
+            )
+        for form_idx, (fid, form) in enumerate(self.forms):
+            if form.n != n:
+                raise GameError(f"form {fid!r} has a different player count")
+            if form.strategy_sets == ambient.strategy_sets:
+                continue
+            for pos, names in enumerate(ambient.strategy_sets):
+                offered = [name in form.strategy_sets[pos] for name in names]
+                if tuple(compress(names, offered)) != form.strategy_sets[pos]:
+                    raise GameError(
+                        f"form {fid!r} is not an order-preserving restriction "
+                        f"of the ambient form at player {pos + 1}"
+                    )
+                if all(offered):
+                    continue
+                rows = np.flatnonzero(form_col == form_idx)
+                absent = rows[~np.take(offered, coords[rows, pos])]
+                if absent.size:
+                    key = ambient.profile_key(tuple(coords[absent[0]].tolist()))
+                    raise GameError(f"world profile {key!r} is not available in form {fid!r}")
+        self._total = total = math.prod(shape)
+        weights = [total] + [math.prod(shape[pos + 1 :]) for pos in range(n)]
+        # A world's slot is its form index * total + its ambient grid cell.
+        self._slots = slots = table @ np.array(weights)
+        self._cells = slots % total
+        self._form_col, self._coords = form_col, coords
+        # None when the worlds are exactly the ambient grid in enumeration
+        # order (so none repeats), else one (world indices, grid cells) pair
+        # per form.
+        self._blocks = None
+        if not np.array_equal(slots, np.arange(total)):
+            dup = self._lookup[slots] != np.arange(m)
+            if dup.any():
+                row = dup.argmax()
+                raise GameError(
+                    f"duplicate world {(int(form_col[row]), tuple(coords[row].tolist()))!r}"
+                )
+            self._blocks = []
+            for form_idx in range(len(self.forms)):
+                states = np.flatnonzero(form_col == form_idx)
+                self._blocks.append((states, self._cells[states]))
+        self._records = tuple(records)
+        if len(self._records) != m:
+            raise GameError("need exactly one outcome record per world")
+        wrong = next((rec for rec in self._records if len(rec.utils) != n), None)
+        if wrong is not None:
+            raise GameError(f"outcome {wrong.label!r} has wrong utility count for {n} players")
+        self._edges = None if agent_edges is None else {}
+        for player, edges in (agent_edges or {}).items():
+            if not 1 <= player <= n:
+                raise GameError(f"accessibility given for unknown player {player}")
+            if not isinstance(edges, np.ndarray):
+                edges = list(edges)
+            try:
+                pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+            except (OverflowError, TypeError, ValueError):
+                raise GameError(
+                    f"accessibility for player {player} must be integer pairs"
+                ) from None
+            outside = (pairs < 0) | (pairs >= m)
+            if outside.any():
+                i, j = pairs[outside.any(axis=1)][0]
+                raise GameError(f"accessibility edge ({i}, {j}) out of range")
+            self._edges[player] = (_frozen(pairs[:, 0]), _frozen(pairs[:, 1]))
         self._ext_cache: dict[Formula, np.ndarray] = {}
         self._plans: dict[Vector, tuple | None] = {}
 
@@ -77,25 +189,78 @@ class _ModelBase:
     def size(self) -> int:
         return len(self._records)
 
-    @property
-    def util_range(self) -> tuple:
-        return self._util_range
+    @cached_property
+    def _signature(self) -> Signature:
+        return Signature(self.ambient.strategy_sets, *outcome_vocabulary(self._records))
 
-    def _finish_init(
-        self,
-        records: Sequence[OutcomeRecord],
-        util_range: tuple,
-        has_winner_data: bool,
-    ) -> None:
-        self._records = tuple(records)
-        self._util_range = util_range
-        self._util_values = frozenset(util_range)
-        self._has_winner_data = has_winner_data
-        self._shape = tuple(len(names) for names in self._ambient.strategy_sets)
+    @cached_property
+    def _util_values(self) -> frozenset:
+        return frozenset(self._signature.util_range)
+
+    @cached_property
+    def _lookup(self) -> np.ndarray:
+        """World index by slot, -1 at slots without a world."""
+        lookup = np.full(len(self.forms) * self._total, -1, dtype=np.int64)
+        lookup[self._slots] = np.arange(len(self._slots))
+        return lookup
+
+    @cached_property
+    def states(self) -> list[Profile]:
+        """Each world's profile, in ambient strategy indices."""
+        return list(map(tuple, self._coords.tolist()))
+
+    @cached_property
+    def worlds(self) -> list[tuple[int, Profile]]:
+        """Each world as a (form index, profile) pair."""
+        return list(zip(self._form_col.tolist(), self.states))
+
+    def state_key(self, idx: int) -> str:
+        """``c,d`` for a world of an unnamed form, ``G:c,d`` for one of form G."""
+        form_idx, profile = self.worlds[idx]
+        form_id = self.forms[form_idx][0]
+        key = self.ambient.profile_key(profile)
+        return key if form_id is None else f"{form_id}:{key}"
+
+    def index(self, where: int | str | tuple) -> int:
+        """A world's index, from the index itself, its `state_key`, or its
+        profile (one unnamed form) or (form index, profile) pair (named forms)."""
+        if isinstance(where, int):
+            if 0 <= where < self.size:
+                return where
+            raise EvalError(f"world index {where} out of range")
+        if isinstance(where, str):
+            prefix, colon, key = where.rpartition(":")
+            form_id = prefix if colon else None
+            ids = [fid for fid, _ in self.forms]
+            if form_id not in ids:
+                raise EvalError(f"state key {where!r} names no form of this model")
+            where = (ids.index(form_id), self.ambient.profile_from_key(key))
+        elif self.forms[0][0] is None:
+            where = (0, where)
+        form_idx, profile = where
+        self.ambient.validate_profile(profile)
+        if 0 <= form_idx < len(self.forms):
+            cell = np.ravel_multi_index(profile, self._shape)
+            state = int(self._lookup[form_idx * self._total + cell])
+            if state >= 0:
+                return state
+        raise EvalError(f"no world {where!r} in this model")
+
+    def agent_edges(self, player: int) -> tuple[np.ndarray, np.ndarray]:
+        """The player's accessibility relation as (source, target) arrays,
+        in the order the edges were given."""
+        if self._edges is None:
+            raise EvalError("agent programs need a model with agent relations")
+        if not 1 <= player <= self.n:
+            raise EvalError(f"no player {player} in this model")
+        if player not in self._edges:
+            empty = _frozen(np.zeros(0, dtype=np.int64))
+            return empty, empty
+        return self._edges[player]
 
     def _atom_mask(self, f: Formula) -> np.ndarray:
         if isinstance(f, Winner):
-            if not self._has_winner_data:
+            if self._signature.alternatives is None:
                 raise EvalError("model has no winner labelling for win(...) atoms")
             return np.array(
                 [r.winners is not None and f.name in r.winners for r in self._records],
@@ -140,7 +305,7 @@ class _ModelBase:
         plan: tuple | None = None
         for pos, term in enumerate(vector.terms):
             if isinstance(term, Concrete):
-                names = self._ambient.strategy_sets[pos]
+                names = self.ambient.strategy_sets[pos]
                 if term.name not in names:
                     break
                 at = names.index(term.name)
@@ -171,6 +336,13 @@ class _ModelBase:
         return out
 
 
+def _grid_worlds(form: GameForm) -> np.ndarray:
+    """Every profile of the form as a world of form 0: (form index, *profile)
+    rows in `all_profiles` order."""
+    shape = (1, *(len(names) for names in form.strategy_sets))
+    return np.indices(shape).reshape(len(shape), -1).T
+
+
 def _grid_pre(grid: np.ndarray, index: tuple, adversary: tuple) -> np.ndarray:
     """Predecessors of a grid mask under one vector: Concrete axes read the
     named slice, `??` axes take `any`, `!!` axes stay; then broadcast back."""
@@ -182,192 +354,20 @@ def _grid_pre(grid: np.ndarray, index: tuple, adversary: tuple) -> np.ndarray:
     return out
 
 
-class MaslModel(_ModelBase):
-    """A strategic game read as a Kripke model over its profiles."""
-
-    def __init__(self, game: StrategicGame):
-        super().__init__()
-        self.game = game
-        self._ambient = game.form
-        self.n = game.form.n
-        self.states: list[Profile] = all_profiles(game.form)
-        self._cells = np.arange(len(self.states))
-        self._blocks = None
-        self._finish_init(game.records, game.utility_range, game.has_winner_data)
-
-    def index(self, where: Union[Profile, str, int]) -> int:
-        if isinstance(where, str):
-            where = self._ambient.profile_from_key(where)
-        if isinstance(where, tuple):
-            return self.game.profile_index(where)
-        if isinstance(where, int) and 0 <= where < self.size:
-            return where
-        raise EvalError(f"no state {where!r} in this model")
-
-    def state_key(self, idx: int) -> str:
-        return self._ambient.profile_key(self.states[idx])
-
-    def agent_edges(self, player: int) -> tuple[np.ndarray, np.ndarray]:
-        raise EvalError("agent programs need an intensional model, not a flat one")
+def MaslModel(game: StrategicGame) -> IntensionalModel:
+    """A strategic game read as a Kripke model over its profiles: one unnamed
+    form, every profile a world in `all_profiles` order, and no agents."""
+    return IntensionalModel(
+        game.form, ((None, game.form),), _grid_worlds(game.form), game.records
+    )
 
 
-class IntensionalModel(_ModelBase):
-    """Worlds are (form, profile) pairs; agents get accessibility relations.
-
-    Profiles are stored with ambient strategy indices, so vector machinery
-    is shared with flat models; vector moves additionally never cross
-    between forms.  Each agent's relation is kept as (source, target)
-    arrays of world indices.
-    """
-
-    def __init__(
-        self,
-        ambient: GameForm,
-        forms: Sequence[tuple[str, GameForm]],
-        worlds: Sequence[tuple[int, Profile]],
-        records: Sequence[OutcomeRecord],
-        agent_edges: Mapping[int, Iterable[tuple[int, int]]] | None = None,
-    ):
-        super().__init__()
-        self._ambient = ambient
-        self.n = ambient.n
-        self.forms = tuple(forms)
-        if not self.forms:
-            raise GameError("an intensional model needs at least one form")
-        ids = [fid for fid, _ in self.forms]
-        if len(set(ids)) != len(ids):
-            raise GameError("form ids must be distinct")
-        for fid, form in self.forms:
-            if form.n != ambient.n:
-                raise GameError(f"form {fid!r} has a different player count")
-            for pos in range(ambient.n):
-                ambient_names = ambient.strategy_sets[pos]
-                kept = [n for n in ambient_names if n in form.strategy_sets[pos]]
-                if tuple(kept) != form.strategy_sets[pos]:
-                    raise GameError(
-                        f"form {fid!r} is not an order-preserving restriction "
-                        f"of the ambient form at player {pos + 1}"
-                    )
-        self.worlds: list[tuple[int, Profile]] = []
-        seen: set[tuple[int, Profile]] = set()
-        for form_idx, profile in worlds:
-            if not 0 <= form_idx < len(self.forms):
-                raise GameError(f"world references unknown form index {form_idx}")
-            ambient.validate_profile(profile)
-            _, form = self.forms[form_idx]
-            for pos, name in enumerate(ambient.names(profile)):
-                if name not in form.strategy_sets[pos]:
-                    raise GameError(
-                        f"world profile {ambient.profile_key(profile)!r} is not "
-                        f"available in form {self.forms[form_idx][0]!r}"
-                    )
-            key = (form_idx, tuple(profile))
-            if key in seen:
-                raise GameError(f"duplicate world {key!r}")
-            seen.add(key)
-            self.worlds.append(key)
-        if not self.worlds:
-            raise GameError("an intensional model needs at least one world")
-        if len(records) != len(self.worlds):
-            raise GameError("need exactly one outcome record per world")
-        for rec in records:
-            if len(rec.utils) != self.n:
-                raise GameError(
-                    f"outcome {rec.label!r} has wrong utility count for {self.n} players"
-                )
-        self._world_index = {w: i for i, w in enumerate(self.worlds)}
-        self._finish_init(
-            records,
-            tuple(sorted({u for r in records for u in r.utils})),
-            any(r.winners is not None for r in records),
-        )
-        m = len(self.worlds)
-        coords = np.array([s for _, s in self.worlds], dtype=np.int64)
-        self._cells = np.ravel_multi_index(tuple(coords.T), self._shape)
-        self._blocks = None
-        if len(self.forms) > 1 or not np.array_equal(
-            self._cells, np.arange(np.prod(self._shape))
-        ):
-            form_col = np.array([fi for fi, _ in self.worlds])
-            self._blocks = []
-            for form_idx in range(len(self.forms)):
-                states = np.flatnonzero(form_col == form_idx)
-                self._blocks.append((states, self._cells[states]))
-        self._edges: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for player, edges in (agent_edges or {}).items():
-            if not 1 <= player <= self.n:
-                raise GameError(f"accessibility given for unknown player {player}")
-            if not isinstance(edges, np.ndarray):
-                edges = list(edges)
-            try:
-                pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-            except (OverflowError, TypeError, ValueError):
-                raise GameError(
-                    f"accessibility for player {player} must be integer pairs"
-                ) from None
-            outside = (pairs < 0) | (pairs >= m)
-            if outside.any():
-                i, j = pairs[outside.any(axis=1)][0]
-                raise GameError(f"accessibility edge ({i}, {j}) out of range")
-            self._edges[player] = (_frozen(pairs[:, 0]), _frozen(pairs[:, 1]))
-
-    @property
-    def ambient(self) -> GameForm:
-        return self._ambient
-
-    def form_id(self, form_idx: int) -> str:
-        return self.forms[form_idx][0]
-
-    def world_key(self, idx: int) -> str:
-        form_idx, profile = self.worlds[idx]
-        return f"{self.form_id(form_idx)}:{self._ambient.profile_key(profile)}"
-
-    def index(self, where: Union[str, int, tuple[int, Profile]]) -> int:
-        if isinstance(where, int):
-            if 0 <= where < self.size:
-                return where
-            raise EvalError(f"world index {where} out of range")
-        if isinstance(where, str):
-            form_id, _, key = where.partition(":")
-            if not key:
-                raise EvalError(f"world key {where!r} is not of the form 'id:profile'")
-            for form_idx, (fid, _) in enumerate(self.forms):
-                if fid == form_id:
-                    profile = self._ambient.profile_from_key(key)
-                    where = (form_idx, profile)
-                    break
-            else:
-                raise EvalError(f"no form named {form_id!r} in this model")
-        if isinstance(where, tuple) and where in self._world_index:
-            return self._world_index[where]
-        raise EvalError(f"no world {where!r} in this model")
-
-    def agent_edges(self, player: int) -> tuple[np.ndarray, np.ndarray]:
-        """The player's accessibility relation as (source, target) arrays,
-        in the order the edges were given."""
-        if not 1 <= player <= self.n:
-            raise EvalError(f"no player {player} in this model")
-        if player not in self._edges:
-            empty = _frozen(np.zeros(0, dtype=np.int64))
-            return empty, empty
-        return self._edges[player]
-
-
-Model = Union[MaslModel, IntensionalModel]
-
-
-def model_signature(model: Model) -> Signature:
+def model_signature(model: IntensionalModel) -> Signature:
     """The parsing/building vocabulary a model supports."""
-    if isinstance(model, MaslModel):
-        return Signature.from_game(model.game)
-    alternatives = None
-    if model._has_winner_data:
-        seen = {w for r in model._records if r.winners for w in r.winners}
-        alternatives = tuple(sorted(seen))
-    return Signature(model.ambient.strategy_sets, model.util_range, alternatives)
+    return model._signature
 
 
-def pre(model: Model, program: Program, target: np.ndarray) -> np.ndarray:
+def pre(model: IntensionalModel, program: Program, target: np.ndarray) -> np.ndarray:
     """The states with at least one `program` successor in `target`.
 
     `target` is a boolean mask over the model's states; the result is a new
@@ -399,7 +399,7 @@ def _sources(src: np.ndarray, dst: np.ndarray, target: np.ndarray) -> np.ndarray
     return out
 
 
-def _pre_star(model: Model, body: Program, target: np.ndarray) -> np.ndarray:
+def _pre_star(model: IntensionalModel, body: Program, target: np.ndarray) -> np.ndarray:
     """Least fixpoint of Y = target | pre(body, Y).  `pre` distributes over
     union, so each round applies the body only to the states first reached
     in the round before.  The body is applied at least once, so its
@@ -414,32 +414,17 @@ def _pre_star(model: Model, body: Program, target: np.ndarray) -> np.ndarray:
         frontier = fresh
 
 
-def extension(model: Model, formula: Formula) -> np.ndarray:
+def extension(model: IntensionalModel, formula: Formula) -> np.ndarray:
     """The set of states where the formula holds, as a boolean mask.
 
     The result is cached on the model and read-only; copy before mutating.
     Subformulas are evaluated in post-order from an explicit stack, left
     before right, so formula depth is not bounded by the recursion limit.
     """
-    cache = model._ext_cache
-    mask = cache.get(formula)
+    mask = model._ext_cache.get(formula)
     if mask is not None:
         return mask
-    stack = [formula]
-    while stack:
-        f = stack[-1]
-        if f in cache:  # a subformula that occurs more than once
-            stack.pop()
-            continue
-        children = _subformulas(f)
-        masks = [cache.get(c) for c in children]
-        missing = [c for c, m in zip(children, masks) if m is None]
-        if missing:
-            stack.extend(reversed(missing))
-            continue
-        stack.pop()
-        cache[f] = _frozen(np.asarray(_connective(model, f, *masks), dtype=bool))
-    return cache[formula]
+    return fold(formula, _subformulas, partial(_connective, model), model._ext_cache)
 
 
 def _subformulas(f: Formula) -> tuple:
@@ -450,51 +435,49 @@ def _subformulas(f: Formula) -> tuple:
     return ()
 
 
-def _connective(model: Model, f: Formula, *sub: np.ndarray) -> np.ndarray:
-    """The mask of one node, given the masks of its `_subformulas`."""
+def _connective(model: IntensionalModel, f: Formula, *sub: np.ndarray) -> np.ndarray:
+    """The read-only mask of one node, given the masks of its `_subformulas`."""
     if isinstance(f, Top):
-        return np.ones(model.size, dtype=bool)
-    if isinstance(f, VectorAtom):
-        return model._vector_atom_mask(f.vector)
-    if isinstance(f, (Winner, UtilEq, Label)):
-        return model._atom_mask(f)
-    if isinstance(f, Not):
-        return ~sub[0]
-    if isinstance(f, And):
-        return sub[0] & sub[1]
-    if isinstance(f, Or):
-        return sub[0] | sub[1]
-    if isinstance(f, Implies):
-        return ~sub[0] | sub[1]
-    if isinstance(f, Iff):
-        return sub[0] == sub[1]
-    if isinstance(f, Diamond):
-        return pre(model, f.program, sub[0])
-    if isinstance(f, Box):
-        return ~pre(model, f.program, ~sub[0])
-    raise EvalError(f"not a formula: {f!r}")
+        mask = np.ones(model.size, dtype=bool)
+    elif isinstance(f, VectorAtom):
+        mask = model._vector_atom_mask(f.vector)
+    elif isinstance(f, (Winner, UtilEq, Label)):
+        mask = model._atom_mask(f)
+    elif isinstance(f, Not):
+        mask = ~sub[0]
+    elif isinstance(f, And):
+        mask = sub[0] & sub[1]
+    elif isinstance(f, Or):
+        mask = sub[0] | sub[1]
+    elif isinstance(f, Implies):
+        mask = ~sub[0] | sub[1]
+    elif isinstance(f, Iff):
+        mask = sub[0] == sub[1]
+    elif isinstance(f, Diamond):
+        mask = pre(model, f.program, sub[0])
+    elif isinstance(f, Box):
+        mask = ~pre(model, f.program, ~sub[0])
+    else:
+        raise EvalError(f"not a formula: {f!r}")
+    return _frozen(mask)
 
 
-def satisfies(model: Model, where, formula: Formula) -> bool:
-    """Truth at one state (flat: a profile or profile key; intensional: a
-    world index or ``form:profile`` key)."""
+def satisfies(model: IntensionalModel, where, formula: Formula) -> bool:
+    """Truth at one state, given as anything `IntensionalModel.index` takes."""
     return bool(extension(model, formula)[model.index(where)])
 
 
-def valid_in_model(model: Model, formula: Formula) -> bool:
+def valid_in_model(model: IntensionalModel, formula: Formula) -> bool:
     return bool(extension(model, formula).all())
 
 
-def counterexample(model: Model, formula: Formula) -> str | None:
+def counterexample(model: IntensionalModel, formula: Formula) -> str | None:
     """The first state (in enumeration order) falsifying the formula."""
     mask = extension(model, formula)
     bad = np.flatnonzero(~mask)
     if len(bad) == 0:
         return None
-    idx = int(bad[0])
-    if isinstance(model, IntensionalModel):
-        return model.world_key(idx)
-    return model.state_key(idx)
+    return model.state_key(int(bad[0]))
 
 
 # --------------------------------------------------------------------------
@@ -517,18 +500,9 @@ def _same_class_edges(classes: np.ndarray) -> np.ndarray:
 def epistemic_lift(game: StrategicGame) -> IntensionalModel:
     """All profiles as worlds; each player can tell worlds apart exactly by
     their own coordinate."""
-    states = all_profiles(game.form)
-    coords = np.array(states, dtype=np.int64)
-    return IntensionalModel(
-        ambient=game.form,
-        forms=(("G", game.form),),
-        worlds=[(0, s) for s in states],
-        records=game.records,
-        agent_edges={
-            player: _same_class_edges(coords[:, player - 1])
-            for player in game.form.players
-        },
-    )
+    worlds = _grid_worlds(game.form)
+    edges = {player: _same_class_edges(worlds[:, player]) for player in game.form.players}
+    return IntensionalModel(game.form, (("G", game.form),), worlds, game.records, edges)
 
 
 def restrict(form: GameForm, subsets: Mapping[int, Iterable[str]]) -> GameForm:
@@ -573,25 +547,15 @@ def confusion_model(
     confused_set = frozenset(confused)
     for player in confused_set:
         ambient._check_player(player)
-    restricted_worlds = [
-        (0, ambient.profile_from_names(restricted.names(s)))
-        for s in all_profiles(restricted)
-    ]
-    full_worlds = [(1, s) for s in all_profiles(ambient)]
-    worlds = restricted_worlds + full_worlds
-    records = [game.outcome(profile) for _, profile in worlds]
-    form_col = np.array([fi for fi, _ in worlds], dtype=np.int64)
-    coords = np.array([s for _, s in worlds], dtype=np.int64)
+    inner = [ambient.profile_from_names(restricted.names(s)) for s in all_profiles(restricted)]
+    full = _grid_worlds(ambient)
+    full[:, 0] = 1
+    worlds = np.vstack([[(0, *s) for s in inner], full])
     edges = {}
     for player in ambient.players:
-        own = coords[:, player - 1]
+        own = worlds[:, player]
         if player not in confused_set:
-            own = form_col * len(ambient.strategy_sets[player - 1]) + own
+            own = worlds[:, 0] * len(ambient.strategy_sets[player - 1]) + own
         edges[player] = _same_class_edges(own)
-    return IntensionalModel(
-        ambient=ambient,
-        forms=(("Gr", restricted), ("G", ambient)),
-        worlds=worlds,
-        records=records,
-        agent_edges=edges,
-    )
+    records = [game.outcome(s) for s in inner] + list(game.records)
+    return IntensionalModel(ambient, (("Gr", restricted), ("G", ambient)), worlds, records, edges)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .coalition import CLAnd, CLAtom, CLBox, CLFormula, CLNot, CLTop, cl_disj
@@ -239,42 +240,54 @@ class _Parser:
 
     # -- formulas ----------------------------------------------------------
 
+    def _infix(self, operand, operators: dict):
+        """Operands joined by binary operators, grouped by precedence from
+        explicit stacks, so long chains never recurse.  `operators` maps a
+        token to (binding strength, node, right-associative)."""
+        first = operand()
+        if self.tokens[self.pos].kind not in operators:
+            return first
+        out, pending = [first], []
+        while (op := operators.get(self.tokens[self.pos].kind)) is not None:
+            self.pos += 1
+            # Pending operators that bind tighter, or as tight when `op`
+            # associates to the left, take their operands first.
+            while pending and (
+                pending[-1][0] > op[0] or pending[-1][0] == op[0] and not op[2]
+            ):
+                right = out.pop()
+                out[-1] = pending.pop()[1](out[-1], right)
+            pending.append(op)
+            out.append(operand())
+        while pending:
+            right = out.pop()
+            out[-1] = pending.pop()[1](out[-1], right)
+        return out[0]
+
     def formula(self) -> Formula:
-        left = self._formula_implies()
-        if self._accept("<->"):
-            return Iff(left, self.formula())
-        return left
-
-    def _formula_implies(self) -> Formula:
-        left = self._formula_or()
-        if self._accept("->"):
-            return Implies(left, self._formula_implies())
-        return left
-
-    def _formula_or(self) -> Formula:
-        left = self._formula_and()
-        while self._accept("|"):
-            left = Or(left, self._formula_and())
-        return left
-
-    def _formula_and(self) -> Formula:
-        left = self._formula_unary()
-        while self._accept("&"):
-            left = And(left, self._formula_unary())
-        return left
+        return self._infix(self._formula_unary, _FORMULA_OPS)
 
     def _formula_unary(self) -> Formula:
-        if self._accept("~"):
-            return Not(self._formula_unary())
-        if self._accept("["):
-            program = self.program()
-            self._expect("]", "']'")
-            return Box(program, self._formula_unary())
-        if self._accept("<"):
-            program = self.program()
-            self._expect(">", "'>'")
-            return Diamond(program, self._formula_unary())
-        return self._formula_primary()
+        if self.tokens[self.pos].kind not in ("~", "[", "<"):
+            return self._formula_primary()
+        # Prefixes are collected in a loop and applied innermost first, so
+        # long prefix runs never recurse.
+        prefixes = []
+        while True:
+            if self._accept("~"):
+                prefixes.append(Not)
+            elif self._accept("["):
+                prefixes.append(partial(Box, self.program()))
+                self._expect("]", "']'")
+            elif self._accept("<"):
+                prefixes.append(partial(Diamond, self.program()))
+                self._expect(">", "'>'")
+            else:
+                break
+        out = self._formula_primary()
+        while prefixes:
+            out = prefixes.pop()(out)
+        return out
 
     def _formula_primary(self) -> Formula:
         tok = self._peek()
@@ -327,16 +340,7 @@ class _Parser:
     # -- programs ----------------------------------------------------------
 
     def program(self) -> Program:
-        left = self._program_seq()
-        while self._accept("+"):
-            left = Choice(left, self._program_seq())
-        return left
-
-    def _program_seq(self) -> Program:
-        left = self._program_unary()
-        while self._accept(";"):
-            left = Seq(left, self._program_unary())
-        return left
+        return self._infix(self._program_unary, _PROGRAM_OPS)
 
     def _program_unary(self) -> Program:
         out = self._program_primary()
@@ -370,22 +374,16 @@ class _Parser:
     # -- coalition logic ---------------------------------------------------
 
     def cl_formula(self) -> CLFormula:
-        left = self._cl_and()
-        while self._accept("|"):
-            right = self._cl_and()
-            left = cl_disj([left, right])
-        return left
-
-    def _cl_and(self) -> CLFormula:
-        left = self._cl_unary()
-        while self._accept("&"):
-            left = CLAnd(left, self._cl_unary())
-        return left
+        return self._infix(self._cl_unary, _CL_OPS)
 
     def _cl_unary(self) -> CLFormula:
-        if self._accept("~"):
-            return CLNot(self._cl_unary())
-        if self._accept("["):
+        prefixes = []
+        while True:
+            if self._accept("~"):
+                prefixes.append(CLNot)
+                continue
+            if not self._accept("["):
+                break
             name = self._expect("NAME", "'C'")
             if name.text != "C":
                 raise ParseError("expected 'C' to open a coalition", name.line, name.col)
@@ -405,8 +403,11 @@ class _Parser:
                     break
             self._expect("}", "'}'")
             self._expect("]", "']'")
-            return CLBox(frozenset(members), self._cl_unary())
-        return self._cl_primary()
+            prefixes.append(partial(CLBox, frozenset(members)))
+        out = self._cl_primary()
+        while prefixes:
+            out = prefixes.pop()(out)
+        return out
 
     def _cl_primary(self) -> CLFormula:
         tok = self._peek()
@@ -456,6 +457,17 @@ class _Parser:
                 keep = [w for w in self.sig.util_range if w > value]
             return cl_disj([CLAtom(UtilEq(player, w)) for w in keep])
         self._fail("expected '=', '>=' or '>' after a payoff atom")
+
+
+# Binary operators: token -> (binding strength, node, right-associative).
+_FORMULA_OPS = {
+    "<->": (0, Iff, True),
+    "->": (1, Implies, True),
+    "|": (2, Or, False),
+    "&": (3, And, False),
+}
+_PROGRAM_OPS = {"+": (0, Choice, False), ";": (1, Seq, False)}
+_CL_OPS = {"|": (0, lambda a, b: cl_disj([a, b]), False), "&": (1, CLAnd, False)}
 
 
 def parse(text: str, signature: Signature, kind: str = "formula"):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union, TYPE_CHECKING
 
-from .games import GameError, to_fraction
+from .games import GameError, outcome_vocabulary, to_fraction
 
 if TYPE_CHECKING:
     from .games import GameForm, StrategicGame
@@ -86,6 +86,27 @@ class Node:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def fold(root, children, combine, done: dict):
+    """``combine(node, *results of children(node))`` bottom-up from an explicit
+    stack, children left to right.  Results (never None) are kept in `done`
+    by node, so a subtree already there is combined only once."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in done:  # a subtree that occurs more than once
+            stack.pop()
+            continue
+        kids = children(node)
+        results = [done.get(kid) for kid in kids]
+        missing = [kid for kid, result in zip(kids, results) if result is None]
+        if missing:
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        done[node] = combine(node, *results)
+    return done[root]
 
 
 # --------------------------------------------------------------------------
@@ -357,11 +378,7 @@ class Signature:
 
     @classmethod
     def from_game(cls, game: "StrategicGame") -> Signature:
-        alts: tuple[str, ...] | None = None
-        if game.has_winner_data:
-            seen = {w for rec in game.records if rec.winners for w in rec.winners}
-            alts = tuple(sorted(seen))
-        return cls(game.form.strategy_sets, game.utility_range, alts)
+        return cls(game.form.strategy_sets, *outcome_vocabulary(game.records))
 
 
 # --------------------------------------------------------------------------

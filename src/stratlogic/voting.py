@@ -17,9 +17,8 @@ from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .games import GameForm, OutcomeRecord, StrategicGame
-from .models import MaslModel, extension
+from .models import MaslModel, extension, model_signature
 from .properties import dictator
-from .syntax import Signature
 
 
 class VotingError(ValueError):
@@ -374,7 +373,7 @@ def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
             break
         game = induced_game(rule, profile)
         model = MaslModel(game)
-        sig = Signature.from_game(game)
+        sig = model_signature(model)
         for voter in sorted(candidates):
             if not extension(model, dictator(sig, voter)).all():
                 candidates.discard(voter)

@@ -26,7 +26,6 @@ from stratlogic import (
     EvalError,
     Iff,
     Implies,
-    IntensionalModel,
     Label,
     Not,
     Or,
@@ -77,12 +76,9 @@ def rtc(rel: np.ndarray) -> np.ndarray:
 
 def _layout(model):
     """(ambient form, (m, n) ambient coordinates, per-state form index)."""
-    if isinstance(model, IntensionalModel):
-        coords = np.array([s for _, s in model.worlds], dtype=np.int64)
-        forms = np.array([fi for fi, _ in model.worlds], dtype=np.int64)
-        return model.ambient, coords, forms
     coords = np.array(model.states, dtype=np.int64)
-    return model.game.form, coords, np.zeros(len(coords), dtype=np.int64)
+    forms = np.array([fi for fi, _ in model.worlds], dtype=np.int64)
+    return model.ambient, coords, forms
 
 
 def vector_relation(model, vector) -> np.ndarray:

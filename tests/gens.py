@@ -82,6 +82,7 @@ def random_cl_formula(
     rng: random.Random, game: StrategicGame, depth: int = 3
 ) -> CLFormula:
     form = game.form
+    values = Signature.from_game(game).util_range
 
     def atom() -> CLFormula:
         roll = rng.random()
@@ -89,7 +90,7 @@ def random_cl_formula(
             return CLTop()
         if roll < 0.55:
             player = rng.randint(1, form.n)
-            value = rng.choice(game.utility_range)
+            value = rng.choice(values)
             return CLAtom(UtilEq(player, value))
         state = rng.choice(all_profiles(form))
         return CLAtom(Label(form.profile_key(state)))
@@ -122,7 +123,7 @@ _LABELS = ("ok", "x_1", "a,b", "two words", "a+b*c")
 def eval_safe_pools(game: StrategicGame) -> tuple[tuple, tuple]:
     """Value and label pools guaranteed to evaluate without errors."""
     labels = tuple(rec.label for rec in game.records)
-    return tuple(game.utility_range), labels
+    return Signature.from_game(game).util_range, labels
 
 
 def random_eval_formula(

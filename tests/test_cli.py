@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import stratlogic
+from stratlogic import Signature
 from stratlogic.cli import main
 from stratlogic.jsonio import game_to_dict, intensional_from_dict, loads
 from stratlogic.catalog import prisoners_dilemma, vote3_game
@@ -129,7 +130,7 @@ def test_voting_game_emits_loadable_game(spec_file, capsys):
 
     game = game_from_dict(_json_out(capsys))
     assert game.form.profile_count() == 27
-    assert game.has_winner_data
+    assert Signature.from_game(game).alternatives is not None
 
 
 def test_voting_bad_rule_exits_2(tmp_path, capsys):
@@ -273,12 +274,12 @@ def test_too_deep_formula_is_an_input_error_not_a_false_verdict(pd_file):
         assert proc.stderr.startswith("error:")
 
 
-def _check_subprocess(pd_file, formula: str, state: str):
+def _check_subprocess(pd_file, formula: str, state: str, command=("check",)):
     src = str(Path(stratlogic.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "stratlogic.cli", "check", "--game", pd_file,
+        [sys.executable, "-m", "stratlogic.cli", *command, "--game", pd_file,
          "--formula", formula, "--state", state],
         capture_output=True, text=True, env=env, timeout=60,
     )
@@ -300,5 +301,28 @@ def test_thousand_conjunct_check_gets_a_verdict(pd_file):
     assert verdicts[10, "holds"][0] == 0
     assert verdicts[10, "fails"][0] == 1
     assert verdicts[10, "holds"][1]["extension"] == ["c,c"]
+    assert verdicts[1000, "holds"] == verdicts[10, "holds"]
+    assert verdicts[1000, "fails"] == verdicts[10, "fails"]
+
+
+def test_thousand_conjunct_cl_check_gets_a_verdict(pd_file):
+    # Every fact holds at c,c; "u1=0" does not.
+    facts = ["u1=2", "~u2=3", 'label("cc")', "[C {1,2}] u1=2", "[C {1}] ~u1=3"]
+    verdicts = {}
+    for n in (10, 1000):
+        holds = [facts[i % len(facts)] for i in range(n)]
+        fails = holds[: n // 2] + ["u1=0"] + holds[n // 2 + 1 :]
+        for name, conjuncts in (("holds", holds), ("fails", fails)):
+            proc = _check_subprocess(pd_file, " & ".join(conjuncts), "c,c", ("cl", "check"))
+            assert proc.stderr == "", (n, name, proc.stderr)
+            data = loads(proc.stdout)
+            del data["formula"]
+            verdicts[n, name] = (proc.returncode, data)
+    assert verdicts[10, "holds"] == (
+        0,
+        {"extension": ["c,c"], "agreesWithTranslation": True, "state": "c,c", "holdsAt": True},
+    )
+    assert verdicts[10, "fails"][0] == 1
+    assert verdicts[10, "fails"][1]["holdsAt"] is False
     assert verdicts[1000, "holds"] == verdicts[10, "holds"]
     assert verdicts[1000, "fails"] == verdicts[10, "fails"]

@@ -11,6 +11,7 @@ import pytest
 from stratlogic import (
     ADV,
     Concrete,
+    EvalError,
     Label,
     MaslModel,
     Signature,
@@ -19,13 +20,14 @@ from stratlogic import (
     cl_check,
     cl_extension,
     coalition_vectors,
+    epistemic_lift,
     extension,
     satisfies,
     translate,
 )
 from stratlogic.coalition import CLAnd, CLAtom, CLBox, CLNot, CLTop, cl_disj, render_cl
 from stratlogic.syntax import Box, Not, Or, Top, Vec, Vector
-from stratlogic.catalog import prisoners_dilemma, vote3_game
+from stratlogic.catalog import commitment_confusion, prisoners_dilemma, vote3_game
 
 from gens import random_cl_formula, random_game
 
@@ -121,6 +123,24 @@ def test_cl_extension_cached_per_model():
     assert not cl_extension(model, f).flags.writeable
 
 
+def test_cl_extension_shares_the_model_cache():
+    model = MaslModel(PD)
+    atom = UtilEq(1, 1)
+    assert cl_extension(model, CLAtom(atom)) is extension(model, atom)
+    f = CLNot(CLAtom(atom))
+    assert cl_extension(model, f) is model._ext_cache[f]
+
+
+def test_cl_extension_needs_one_full_profile_grid():
+    model, _ = commitment_confusion()
+    with pytest.raises(EvalError):
+        cl_extension(model, CLBox(frozenset({1}), CLAtom(UtilEq(1, 1))))
+    # a lift's worlds are exactly the game's profiles
+    lift = epistemic_lift(PD)
+    f = CLBox(frozenset({1}), CLNot(CLAtom(UtilEq(1, 3))))
+    assert np.array_equal(cl_extension(lift, f), cl_extension(MaslModel(PD), f))
+
+
 def test_cl_check_matches_extension():
     model = MaslModel(PD)
     f = CLBox(frozenset({1}), CLAtom(UtilEq(1, 1)))
@@ -137,7 +157,7 @@ def test_cl_atom_semantics_match_records_directly():
         model = MaslModel(game)
         states = all_profiles(game.form)
         for player in game.form.players:
-            for value in game.utility_range:
+            for value in Signature.from_game(game).util_range:
                 ext = cl_extension(model, CLAtom(UtilEq(player, value)))
                 for i, s in enumerate(states):
                     assert ext[i] == (game.util(s, player) == value)

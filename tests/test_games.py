@@ -12,6 +12,7 @@ from stratlogic import (
     GameError,
     GameForm,
     OutcomeRecord,
+    Signature,
     StrategicGame,
     all_profiles,
     combine,
@@ -163,8 +164,9 @@ def test_pd_payoffs_and_range():
     assert pd.util((0, 1), 1) == 0 and pd.util((0, 1), 2) == 3
     assert pd.util((1, 0), 1) == 3 and pd.util((1, 0), 2) == 0
     assert pd.util((1, 1), 1) == 1 and pd.util((1, 1), 2) == 1
-    assert pd.utility_range == (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
-    assert not pd.has_winner_data
+    sig = Signature.from_game(pd)
+    assert sig.util_range == (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
+    assert sig.alternatives is None
 
 
 def test_pd_nash_and_dominance():
@@ -182,9 +184,10 @@ def test_pd_nash_and_dominance():
 
 def test_vote3_game_has_winner_data():
     g = vote3_game()
-    assert g.has_winner_data
+    sig = Signature.from_game(g)
+    assert sig.alternatives == ("a", "b", "c")
     assert g.outcome(g.form.profile_from_key("a,b,c")).winners == frozenset("abc")
-    assert g.utility_range == (Fraction(0), Fraction(1), Fraction(2))
+    assert sig.util_range == (Fraction(0), Fraction(1), Fraction(2))
 
 
 # --------------------------------------------------------------------------

@@ -215,8 +215,8 @@ def test_intensional_round_trip():
     model, actual = commitment_confusion()
     data = intensional_to_dict(model)
     again = intensional_from_dict(data)
-    assert [again.world_key(i) for i in range(again.size)] == [
-        model.world_key(i) for i in range(model.size)
+    assert [again.state_key(i) for i in range(again.size)] == [
+        model.state_key(i) for i in range(model.size)
     ]
     assert again.index(actual) == model.index(actual)
     for player in (1, 2):

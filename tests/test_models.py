@@ -48,7 +48,7 @@ from stratlogic import (
 )
 from stratlogic.models import confusion_model, pre
 from stratlogic.syntax import Agent, AgentConv, Choice, Seq, Star, Test as ProgTest, Vec
-from stratlogic.jsonio import intensional_to_dict
+from stratlogic.jsonio import intensional_from_dict, intensional_to_dict
 from stratlogic.properties import build_property, knowledge
 from stratlogic.catalog import (
     commitment_confusion,
@@ -349,7 +349,7 @@ def test_lift_worlds_mirror_game_states():
     assert lift.size == 27
     model = MaslModel(game)
     for i in range(27):
-        assert lift.world_key(i) == "G:" + model.state_key(i)
+        assert lift.state_key(i) == "G:" + model.state_key(i)
     # valuation carried over unchanged
     f = UtilEq(1, 2)
     assert np.array_equal(extension(lift, f), extension(model, f))
@@ -408,7 +408,7 @@ def test_restrict_rejects_unknown_names():
 
 def test_confusion_model_worlds_and_actual():
     model, actual = commitment_confusion()
-    keys = [model.world_key(i) for i in range(model.size)]
+    keys = [model.state_key(i) for i in range(model.size)]
     assert keys == ["Gr:c,c", "Gr:c,d", "G:c,c", "G:c,d", "G:d,c", "G:d,d"]
     assert actual == "Gr:c,d"
     assert model.index(actual) == 1
@@ -419,7 +419,7 @@ def test_confusion_model_valuation_inherited():
     game = prisoners_dilemma()
     flat = MaslModel(game)
     for i in range(model.size):
-        _, key = model.world_key(i).split(":")
+        _, key = model.state_key(i).split(":")
         for player in (1, 2):
             value = game.util(game.form.profile_from_key(key), player)
             assert satisfies(model, i, UtilEq(player, value))
@@ -433,8 +433,8 @@ def test_confused_player_crosses_forms_informed_player_does_not():
     assert r2[model.index("Gr:c,d"), model.index("G:d,d")]
     assert r2[model.index("Gr:c,c"), model.index("G:d,c")]
     # player 1 knows which form is being played
-    gr = [i for i in range(model.size) if model.world_key(i).startswith("Gr:")]
-    g = [i for i in range(model.size) if model.world_key(i).startswith("G:")]
+    gr = [i for i in range(model.size) if model.state_key(i).startswith("Gr:")]
+    g = [i for i in range(model.size) if model.state_key(i).startswith("G:")]
     for i in gr:
         for j in g:
             assert not r1[i, j] and not r1[j, i]
@@ -443,8 +443,8 @@ def test_confused_player_crosses_forms_informed_player_does_not():
 def test_vector_relations_never_cross_forms():
     model, _ = commitment_confusion()
     rel = relation_via_pre(model, Vec(Vector([ADV, ADV])))
-    gr = [i for i in range(model.size) if model.world_key(i).startswith("Gr:")]
-    g = [i for i in range(model.size) if model.world_key(i).startswith("G:")]
+    gr = [i for i in range(model.size) if model.state_key(i).startswith("Gr:")]
+    g = [i for i in range(model.size) if model.state_key(i).startswith("G:")]
     for i in gr:
         for j in g:
             assert not rel[i, j] and not rel[j, i]
@@ -465,9 +465,129 @@ def test_confusion_restricted_form_limits_vectors():
 def test_intensional_model_validation():
     game = prisoners_dilemma()
     form = game.form
-    with pytest.raises(Exception):
+    with pytest.raises(GameError):
         # world referencing a missing form index
         IntensionalModel(form, [("G", form)], [(1, (0, 0))], [game.records[0]])
+
+
+def _pd_parts():
+    game = prisoners_dilemma()
+    return game.form, [(0, s) for s in all_profiles(game.form)], list(game.records)
+
+
+def _restricted_pd():
+    form = prisoners_dilemma().form
+    return restrict(form, {1: ["c"]})
+
+
+# Each case: (forms, worlds, records) changed from a valid one-form PD model.
+_MALFORMED = {
+    "form not an order-preserving restriction": (
+        lambda f, w, r: ([("G", GameForm([("d", "c"), ("c", "d")]))], w, r),
+        "order-preserving restriction",
+    ),
+    "duplicate form ids": (
+        lambda f, w, r: ([("G", f), ("G", f)], w, r),
+        "distinct",
+    ),
+    "player-count mismatch": (
+        lambda f, w, r: ([("G", GameForm([("c", "d")] * 3))], w, r),
+        "player count",
+    ),
+    "unknown form index": (
+        lambda f, w, r: ([("G", f)], w[:3] + [(1, (1, 1))], r),
+        "unknown form index 1",
+    ),
+    "profile out of range": (
+        lambda f, w, r: ([("G", f)], w[:3] + [(0, (1, 2))], r),
+        "out of range at player 2",
+    ),
+    "profile not available in its form": (
+        lambda f, w, r: ([("Gr", _restricted_pd())], [(0, (0, 0)), (0, (1, 0))], r[:2]),
+        "not available in form 'Gr'",
+    ),
+    "duplicate world": (
+        lambda f, w, r: ([("G", f)], w[:3] + [w[1]], r),
+        r"duplicate world \(0, \(0, 1\)\)",
+    ),
+    "no worlds": (
+        lambda f, w, r: ([("G", f)], [], []),
+        "at least one world",
+    ),
+    "wrong number of records": (
+        lambda f, w, r: ([("G", f)], w, r[:3]),
+        "one outcome record per world",
+    ),
+    "wrong utility count in a record": (
+        lambda f, w, r: ([("G", f)], w, r[:3] + [OutcomeRecord("dd", [1, 1, 1])]),
+        "wrong utility count",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_constructor_rejects_each_malformed_case(case):
+    form, worlds, records = _pd_parts()
+    IntensionalModel(form, [("G", form)], worlds, records)  # the valid original
+    change, message = _MALFORMED[case]
+    with pytest.raises(GameError, match=message):
+        IntensionalModel(form, *change(form, worlds, records))
+
+
+def test_world_rows_get_the_same_checks():
+    form, worlds, records = _pd_parts()
+    rows = np.array([(f, *s) for f, s in worlds])
+    model = IntensionalModel(form, [("G", form)], rows, records)
+    assert model.worlds == worlds
+    for bad, message in [
+        ((1, 1, 1), "unknown form index"),
+        ((0, 1, 2), "out of range"),
+        ((0, 0, 1), "duplicate world"),
+    ]:
+        with pytest.raises(GameError, match=message):
+            IntensionalModel(form, [("G", form)], np.vstack([rows[:3], bad]), records)
+    with pytest.raises(GameError):
+        IntensionalModel(form, [("G", form)], rows[:, :2], records)
+
+
+def test_a_game_model_is_the_one_form_agent_free_model():
+    game = prisoners_dilemma()
+    model = MaslModel(game)
+    assert type(model) is type(epistemic_lift(game)) is IntensionalModel
+    assert model.forms == ((None, game.form),)
+    assert model.states == all_profiles(game.form)
+    assert model.worlds == [(0, s) for s in all_profiles(game.form)]
+    with pytest.raises(EvalError):
+        model.agent_edges(1)
+
+
+def _keyed_models():
+    game = vote3_game()
+    confusion, _ = commitment_confusion()
+    restricted = restrict(game.form, {1: ["a"], 3: ["b", "c"]})
+    return {
+        "game": MaslModel(game),
+        "lift": epistemic_lift(game),
+        "confusion": confusion,
+        "confusion3": confusion_model(game, restricted, [2]),
+        "json": intensional_from_dict(intensional_to_dict(confusion)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["game", "lift", "confusion", "confusion3", "json"])
+def test_state_keys_round_trip_through_index(kind):
+    model = _keyed_models()[kind]
+    keys = [model.state_key(i) for i in range(model.size)]
+    assert len(set(keys)) == model.size
+    for i, key in enumerate(keys):
+        assert model.index(key) == i
+        assert model.index(i) == i
+        # a game model also takes a bare profile, the others a (form, profile) pair
+        where = model.states[i] if kind == "game" else model.worlds[i]
+        assert model.index(where) == i
+    assert (":" in keys[0]) == (kind != "game")
+    with pytest.raises(EvalError):
+        model.index(model.size)
 
 
 def test_missing_agent_relation_is_empty():
@@ -578,7 +698,7 @@ def test_pre_matches_dense_oracle_on_random_programs(kind, seed):
     model = _random_model(kind, rng)
     assert model.size <= 216
     pools = dict(
-        values=model.util_range,
+        values=model_signature(model).util_range,
         labels=tuple(sorted({r.label for r in model._records})),
         agents=kind != "flat",
     )

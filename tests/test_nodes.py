@@ -25,7 +25,16 @@ from stratlogic import (
     render,
 )
 from stratlogic.catalog import prisoners_dilemma, vote3_game
-from stratlogic.coalition import CLAnd, CLAtom, CLBox, CLNot, CLTop, render_cl
+from stratlogic.coalition import (
+    CLAnd,
+    CLAtom,
+    CLBox,
+    CLNot,
+    CLTop,
+    cl_extension,
+    render_cl,
+    translate,
+)
 from stratlogic.jsonio import ast_to_dict
 from stratlogic.models import pre
 from stratlogic.syntax import (
@@ -237,3 +246,53 @@ def test_long_cl_chain_renders(default_recursion_limit):
         chain = CLAnd(chain, CLAtom(UtilEq(1, 2)))
     assert render_cl(chain) == " & ".join(["u1=2"] * CHAIN)
     assert len(_left_spine(ast_to_dict(chain))) == CHAIN
+
+
+def test_ten_thousand_deep_prefix_runs_and_arrow_chains_parse(default_recursion_limit):
+    c_first = Vec(Vector((Concrete("c"), ADV)))
+    prefixes = [
+        Not,
+        lambda body: Box(c_first, body),
+        lambda body: Diamond(c_first, body),
+    ]
+    # one run per prefix, then all three interleaved
+    for run in [[p] for p in prefixes] + [prefixes]:
+        deep = UtilEq(1, 3)
+        for i in range(CHAIN):
+            deep = run[i % len(run)](deep)
+        assert parse(render(deep), PD_SIG) == deep
+    for node, op in ((Implies, " -> "), (Iff, " <-> ")):
+        chain = TOP
+        for i in range(CHAIN - 1):
+            chain = node(UtilEq(2, i % 4), chain)
+        text = render(chain)
+        assert text.count(op) == CHAIN - 1
+        assert parse(text, PD_SIG) == chain
+
+
+def test_ten_thousand_deep_cl_prefix_runs_parse(default_recursion_limit):
+    for wrap in (CLNot, lambda body: CLBox(frozenset({1}), body)):
+        deep = CLAtom(UtilEq(1, 2))
+        for _ in range(CHAIN):
+            deep = wrap(deep)
+        assert parse(render_cl(deep), PD_SIG, "cl") == deep
+
+
+def test_ten_thousand_operand_cl_chain_evaluates(default_recursion_limit):
+    # true at c,c and false at c,d: the chain is contingent
+    operands = [
+        CLAtom(UtilEq(1, 2)),
+        CLNot(CLAtom(UtilEq(2, 3))),
+        CLBox(frozenset({1}), CLNot(CLAtom(UtilEq(1, 3)))),
+        CLAtom(Label("cc")),
+    ]
+    chain = operands[0]
+    for i in range(1, CHAIN):
+        chain = CLAnd(chain, operands[i % len(operands)])
+    model = MaslModel(PD)
+    direct = cl_extension(model, chain)
+    expected = np.logical_and.reduce([cl_extension(MaslModel(PD), f) for f in operands])
+    assert 0 < expected.sum() < model.size
+    assert np.array_equal(direct, expected)
+    assert np.array_equal(direct, extension(model, translate(chain, PD.form)))
+
