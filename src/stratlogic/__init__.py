@@ -6,6 +6,7 @@ from .games import (
     GameError,
     GameForm,
     OutcomeRecord,
+    Outcomes,
     Profile,
     StrategicGame,
     all_profiles,

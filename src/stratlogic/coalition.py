@@ -128,7 +128,7 @@ def cl_extension(model: IntensionalModel, formula: CLFormula) -> np.ndarray:
     """States satisfying a coalition formula, computed from the game grid
     (no relation matrices involved).  The model's states must be exactly the
     profiles of one form; masks are kept in the model's extension cache."""
-    if model._blocks is not None:
+    if model._blocks is not None or model.size != model._total:
         raise EvalError(
             "coalition formulas need a model whose states are one full profile grid"
         )

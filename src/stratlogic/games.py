@@ -4,8 +4,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 Profile = tuple[int, ...]
 """One strategy index per player, player 1 first (indices are 0-based)."""
@@ -180,6 +183,88 @@ class OutcomeRecord:
         object.__setattr__(self, "winners", winners)
 
 
+def _code_dtype(count: int) -> np.dtype:
+    """The smallest unsigned integer dtype that indexes a table of `count`
+    entries."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
+@dataclass(frozen=True, eq=False)
+class Outcomes:
+    """A columnar, exact outcome store: one row per world.
+
+    Utilities are codes into `values`, the utility range ascending and
+    without repeats, so code order is value order and comparing codes is
+    exact; `Fraction`s live only in the range table.  Labels are codes into
+    `labels`.  `winners` marks, per row, which of `alternatives` win there;
+    both are None when no row carries winner data, and a row without a
+    winner set is all False.
+    """
+
+    values: tuple[Fraction, ...]
+    codes: np.ndarray  # (rows, players) indices into `values`
+    labels: tuple[str, ...]
+    label_codes: np.ndarray  # (rows,) indices into `labels`
+    alternatives: tuple[str, ...] | None = None
+    winners: np.ndarray | None = None  # (rows, len(alternatives)) bool
+
+    @classmethod
+    def from_records(cls, records: Sequence[OutcomeRecord], n: int) -> Outcomes:
+        """Encode records of `n` utilities each.  The range table holds
+        exactly the values that occur, and the alternatives exactly those
+        that win somewhere, sorted."""
+        # Codes in order of first occurrence, renumbered by value below.
+        # Keyed by (numerator, denominator): hashing a Fraction costs far more.
+        first: dict[tuple[int, int], int] = {}
+        found: list[Fraction] = []
+        raw: list[int] = []
+        for rec in records:
+            if len(rec.utils) != n:
+                raise GameError(f"outcome {rec.label!r} has wrong utility count for {n} players")
+            for u in rec.utils:
+                key = (u.numerator, u.denominator)
+                code = first.get(key)
+                if code is None:
+                    code = first[key] = len(found)
+                    found.append(u)
+                raw.append(code)
+        order = sorted(range(len(found)), key=found.__getitem__)
+        rank = np.empty(len(found), dtype=_code_dtype(len(found)))
+        rank[order] = np.arange(len(found))
+        codes = rank[np.array(raw, dtype=rank.dtype)].reshape(-1, n)
+        labels: dict[str, int] = {}
+        label_codes = [labels.setdefault(rec.label, len(labels)) for rec in records]
+        sets: dict[frozenset[str] | None, int] = {}
+        set_codes = [sets.setdefault(rec.winners, len(sets)) for rec in records]
+        alternatives = winners = None
+        if any(won is not None for won in sets):
+            alternatives = tuple(sorted(frozenset().union(*filter(None, sets))))
+            rows = [[won is not None and a in won for a in alternatives] for won in sets]
+            winners = np.array(rows, dtype=bool)[set_codes]
+        return cls(
+            tuple(found[i] for i in order),
+            codes,
+            tuple(labels),
+            np.array(label_codes, dtype=_code_dtype(len(labels))),
+            alternatives,
+            winners,
+        )
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def record(self, row: int) -> OutcomeRecord:
+        """One row as an `OutcomeRecord`."""
+        winners = None
+        if self.winners is not None and self.winners[row].any():
+            winners = [a for a, won in zip(self.alternatives, self.winners[row]) if won]
+        return OutcomeRecord(
+            self.labels[self.label_codes[row]],
+            [self.values[code] for code in self.codes[row]],
+            winners,
+        )
+
+
 @dataclass(frozen=True)
 class StrategicGame:
     """A game form plus a total outcome assignment.
@@ -239,18 +324,10 @@ class StrategicGame:
         self.form._check_player(player)
         return self.outcome(s).utils[player - 1]
 
-
-def outcome_vocabulary(
-    records: Sequence[OutcomeRecord],
-) -> tuple[tuple[Fraction, ...], tuple[str, ...] | None]:
-    """The utility values occurring in the records, ascending and without
-    repeats, and the alternatives that win somewhere, sorted (None when no
-    record carries winner data)."""
-    # Keyed by (numerator, denominator): hashing a Fraction costs far more.
-    values = {(u.numerator, u.denominator): u for rec in records for u in rec.utils}
-    winners = [rec.winners for rec in records if rec.winners is not None]
-    alternatives = tuple(sorted(frozenset().union(*winners))) if winners else None
-    return tuple(sorted(values.values())), alternatives
+    @cached_property
+    def outcomes(self) -> Outcomes:
+        """The records as one columnar store, in `all_profiles` order."""
+        return Outcomes.from_records(self.records, self.form.n)
 
 
 def _switches(game: StrategicGame, s: Profile, player: int) -> list[Profile]:

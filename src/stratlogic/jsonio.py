@@ -11,6 +11,7 @@ from .games import (
     GameError,
     GameForm,
     OutcomeRecord,
+    Outcomes,
     StrategicGame,
     all_profiles,
     to_fraction,
@@ -236,10 +237,11 @@ def load_voting_spec(path: str | Path) -> tuple[VotingRule, BallotProfile]:
 
 def intensional_to_dict(model: IntensionalModel) -> dict:
     forms = []
+    table = model.outcomes
     for form_idx, (fid, form) in enumerate(model.forms):
         outcomes = [
-            (profile, rec)
-            for (wf, profile), rec in zip(model.worlds, model._records)
+            (profile, table.record(row))
+            for row, (wf, profile) in enumerate(model.worlds)
             if wf == form_idx
         ]
         forms.append({"id": fid, **_form_to_dict(form, outcomes, model.ambient)})
@@ -332,7 +334,8 @@ def intensional_from_dict(data: Mapping) -> IntensionalModel:
             cleaned.append((pair[0], pair[1]))
         edges[player] = cleaned
     try:
-        return IntensionalModel(ambient, forms, worlds, records, edges)
+        outcomes = Outcomes.from_records(records, n)
+        return IntensionalModel(ambient, forms, worlds, outcomes, edges)
     except GameError as exc:
         raise FormatError(str(exc)) from exc
 

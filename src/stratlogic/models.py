@@ -12,6 +12,7 @@ least fixpoint grown from its frontier.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import cached_property, partial
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
@@ -21,11 +22,10 @@ import numpy as np
 from .games import (
     GameError,
     GameForm,
-    OutcomeRecord,
+    Outcomes,
     Profile,
     StrategicGame,
     all_profiles,
-    outcome_vocabulary,
 )
 from .syntax import (
     Adversary,
@@ -76,8 +76,9 @@ class IntensionalModel:
     as (source, target) arrays of world indices.
 
     `worlds` lists (form index, profile) pairs, or is an integer array of
-    (form index, *profile) rows.  A form id of None leaves a form unnamed:
-    its worlds' keys are bare profile keys such as ``c,d``, not ``G:c,d``.
+    (form index, *profile) rows; `outcomes` has one row per world.  A form
+    id of None leaves a form unnamed: its worlds' keys are bare profile keys
+    such as ``c,d``, not ``G:c,d``.
     Without an `agent_edges` mapping agent programs raise `EvalError`; with
     one, a player the mapping leaves out has the empty relation.
     """
@@ -87,7 +88,7 @@ class IntensionalModel:
         ambient: GameForm,
         forms: Sequence[tuple[str | None, GameForm]],
         worlds: Sequence[tuple[int, Profile]] | np.ndarray,
-        records: Sequence[OutcomeRecord],
+        outcomes: Outcomes,
         agent_edges: Mapping[int, Iterable[tuple[int, int]]] | None = None,
     ):
         self.ambient = ambient
@@ -144,11 +145,11 @@ class IntensionalModel:
         self._slots = slots = table @ np.array(weights)
         self._cells = slots % total
         self._form_col, self._coords = form_col, coords
-        # None when the worlds are exactly the ambient grid in enumeration
-        # order (so none repeats), else one (world indices, grid cells) pair
-        # per form.
+        # None when the worlds are full copies of the ambient grid, form by
+        # form in enumeration order (so none repeats), else one (world
+        # indices, grid cells) pair per form.
         self._blocks = None
-        if not np.array_equal(slots, np.arange(total)):
+        if m % total or not np.array_equal(slots, np.arange(m)):
             dup = self._lookup[slots] != np.arange(m)
             if dup.any():
                 row = dup.argmax()
@@ -159,12 +160,12 @@ class IntensionalModel:
             for form_idx in range(len(self.forms)):
                 states = np.flatnonzero(form_col == form_idx)
                 self._blocks.append((states, self._cells[states]))
-        self._records = tuple(records)
-        if len(self._records) != m:
+        self.outcomes = outcomes
+        if len(outcomes) != m:
             raise GameError("need exactly one outcome record per world")
-        wrong = next((rec for rec in self._records if len(rec.utils) != n), None)
-        if wrong is not None:
-            raise GameError(f"outcome {wrong.label!r} has wrong utility count for {n} players")
+        if outcomes.codes.shape[1] != n:
+            label = outcomes.labels[outcomes.label_codes[0]]
+            raise GameError(f"outcome {label!r} has wrong utility count for {n} players")
         self._edges = None if agent_edges is None else {}
         for player, edges in (agent_edges or {}).items():
             if not 1 <= player <= n:
@@ -187,15 +188,20 @@ class IntensionalModel:
 
     @property
     def size(self) -> int:
-        return len(self._records)
+        return len(self._slots)
 
     @cached_property
     def _signature(self) -> Signature:
-        return Signature(self.ambient.strategy_sets, *outcome_vocabulary(self._records))
+        table = self.outcomes
+        return Signature(self.ambient.strategy_sets, table.values, table.alternatives)
 
     @cached_property
-    def _util_values(self) -> frozenset:
-        return frozenset(self._signature.util_range)
+    def _value_codes(self) -> dict:
+        return {value: code for code, value in enumerate(self.outcomes.values)}
+
+    @cached_property
+    def _label_codes(self) -> dict:
+        return {label: code for code, label in enumerate(self.outcomes.labels)}
 
     @cached_property
     def _lookup(self) -> np.ndarray:
@@ -259,39 +265,42 @@ class IntensionalModel:
         return self._edges[player]
 
     def _atom_mask(self, f: Formula) -> np.ndarray:
+        table = self.outcomes
         if isinstance(f, Winner):
-            if self._signature.alternatives is None:
+            if table.alternatives is None:
                 raise EvalError("model has no winner labelling for win(...) atoms")
-            return np.array(
-                [r.winners is not None and f.name in r.winners for r in self._records],
-                dtype=bool,
-            )
+            if f.name not in table.alternatives:
+                return np.zeros(self.size, dtype=bool)
+            return table.winners[:, table.alternatives.index(f.name)].copy()
         if isinstance(f, UtilEq):
             if not 1 <= f.player <= self.n:
                 raise EvalError(f"no player {f.player} in this model")
-            if f.value not in self._util_values:
+            code = self._value_codes.get(f.value)
+            if code is None:
                 raise EvalError(
                     f"utility value {f.value} is not in the model's range"
                 )
-            return np.array(
-                [r.utils[f.player - 1] == f.value for r in self._records], dtype=bool
-            )
+            return table.codes[:, f.player - 1] == code
         if isinstance(f, Label):
-            return np.array([r.label == f.text for r in self._records], dtype=bool)
+            code = self._label_codes.get(f.text)
+            if code is None:
+                return np.zeros(self.size, dtype=bool)
+            return table.label_codes == code
         raise EvalError(f"not an atomic formula: {f!r}")
 
     def _vector_atom_mask(self, vector: Vector) -> np.ndarray:
         """States matching every Concrete position of the vector."""
-        grid = np.zeros(self._shape, dtype=bool)
+        grid = np.zeros((1, *self._shape), dtype=bool)
         plan = self._vector_plan(vector)
         if plan is not None:
             grid[plan[0]] = True
         return grid.reshape(-1)[self._cells]
 
     def _vector_plan(self, vector: Vector) -> tuple | None:
-        """How a vector acts on the ambient grid, compiled once per model:
-        an index tuple cutting each Concrete axis to its strategy, and the
-        `??` axes; None when a Concrete name is foreign to the ambient form."""
+        """How a vector acts on a stack of ambient grids (a leading form
+        axis, then one axis per player), compiled once per model: an index
+        tuple cutting each Concrete axis to its strategy, and the `??` axes;
+        None when a Concrete name is foreign to the ambient form."""
         try:
             return self._plans[vector]
         except KeyError:
@@ -300,7 +309,7 @@ class IntensionalModel:
             raise EvalError(
                 f"vector {vector!r} has {vector.n} positions for {self.n} players"
             )
-        index: list[slice] = []
+        index = [slice(None)]
         adversary: list[int] = []
         plan: tuple | None = None
         for pos, term in enumerate(vector.terms):
@@ -313,7 +322,7 @@ class IntensionalModel:
             else:
                 index.append(slice(None))
                 if isinstance(term, Adversary):
-                    adversary.append(pos)
+                    adversary.append(pos + 1)
         else:
             plan = (tuple(index), tuple(adversary))
         self._plans[vector] = plan
@@ -324,11 +333,11 @@ class IntensionalModel:
         if plan is None:
             return np.zeros(self.size, dtype=bool)
         if self._blocks is None:
-            return _grid_pre(target.reshape(self._shape), *plan).reshape(-1)
+            return _grid_pre(target.reshape(-1, *self._shape), *plan).reshape(-1)
         # Each form's worlds are scattered into their own copy of the grid,
         # so vector moves never cross forms and never reach absent profiles.
         out = np.zeros(self.size, dtype=bool)
-        grid = np.empty(self._shape, dtype=bool)
+        grid = np.empty((1, *self._shape), dtype=bool)
         for states, cells in self._blocks:
             grid.fill(False)
             grid.reshape(-1)[cells] = target[states]
@@ -344,8 +353,9 @@ def _grid_worlds(form: GameForm) -> np.ndarray:
 
 
 def _grid_pre(grid: np.ndarray, index: tuple, adversary: tuple) -> np.ndarray:
-    """Predecessors of a grid mask under one vector: Concrete axes read the
-    named slice, `??` axes take `any`, `!!` axes stay; then broadcast back."""
+    """Predecessors of a mask on a stack of grids under one vector: the form
+    axis and `!!` axes stay, Concrete axes read the named slice, `??` axes
+    take `any`; then broadcast back."""
     sub = grid[index]
     if adversary:
         sub = sub.any(axis=adversary, keepdims=True)
@@ -358,7 +368,7 @@ def MaslModel(game: StrategicGame) -> IntensionalModel:
     """A strategic game read as a Kripke model over its profiles: one unnamed
     form, every profile a world in `all_profiles` order, and no agents."""
     return IntensionalModel(
-        game.form, ((None, game.form),), _grid_worlds(game.form), game.records
+        game.form, ((None, game.form),), _grid_worlds(game.form), game.outcomes
     )
 
 
@@ -371,25 +381,68 @@ def pre(model: IntensionalModel, program: Program, target: np.ndarray) -> np.nda
     """The states with at least one `program` successor in `target`.
 
     `target` is a boolean mask over the model's states; the result is a new
-    mask.
+    mask.  The program is run from an explicit stack of steps, each taking
+    its input mask from the top of a mask stack and leaving its output
+    there, so long sequences and choices never reach the recursion limit.
     """
     if isinstance(program, Vec):
         return model._pre_vector(program.vector, target)
-    if isinstance(program, Test):
-        return extension(model, program.body) & target
-    if isinstance(program, Seq):
-        return pre(model, program.left, pre(model, program.right, target))
-    if isinstance(program, Choice):
-        return pre(model, program.left, target) | pre(model, program.right, target)
-    if isinstance(program, Star):
-        return _pre_star(model, program.body, target)
-    if isinstance(program, Agent):
-        src, dst = model.agent_edges(program.player)
-        return _sources(src, dst, target)
-    if isinstance(program, AgentConv):
-        src, dst = model.agent_edges(program.player)
-        return _sources(dst, src, target)
-    raise EvalError(f"not a program: {program!r}")
+    masks = [target]
+    steps: list = [program]
+    while steps:
+        step = steps.pop()
+        if isinstance(step, Vec):
+            masks.append(model._pre_vector(step.vector, masks.pop()))
+        elif isinstance(step, Test):
+            masks.append(extension(model, step.body) & masks.pop())
+        elif isinstance(step, Seq):
+            steps += (step.left, step.right)
+        elif isinstance(step, Choice):
+            # pre(left, X) | pre(right, X), run as: copy X, left, swap, right, or.
+            steps += (_OR, step.right, _SWAP, step.left, _COPY)
+        elif step is _COPY:
+            masks.append(masks[-1])
+        elif step is _SWAP:
+            masks[-2], masks[-1] = masks[-1], masks[-2]
+        elif step is _OR:
+            right = masks.pop()
+            masks.append(masks.pop() | right)
+        elif isinstance(step, Star):
+            # The body is applied at least once, so its evaluation errors
+            # surface even for an empty target.
+            steps += (_StarRound(step.body, np.array(masks[-1], dtype=bool)), step.body)
+        elif isinstance(step, _StarRound):
+            fresh = masks.pop() & ~step.reached
+            if fresh.any():
+                step.reached |= fresh
+                masks.append(fresh)
+                steps += (step, step.body)
+            else:
+                masks.append(step.reached)
+        elif isinstance(step, Agent):
+            src, dst = model.agent_edges(step.player)
+            masks.append(_sources(src, dst, masks.pop()))
+        elif isinstance(step, AgentConv):
+            src, dst = model.agent_edges(step.player)
+            masks.append(_sources(dst, src, masks.pop()))
+        else:
+            raise EvalError(f"not a program: {step!r}")
+    return masks[0]
+
+
+# Mask-stack steps of `pre` that are not programs.
+_COPY, _SWAP, _OR = object(), object(), object()
+
+
+class _StarRound:
+    """One round of the least fixpoint Y = target | pre(body, Y): `pre`
+    distributes over union, so each round applies the body only to the
+    states first reached in the round before (the frontier)."""
+
+    __slots__ = ("body", "reached")
+
+    def __init__(self, body: Program, reached: np.ndarray):
+        self.body, self.reached = body, reached
 
 
 def _sources(src: np.ndarray, dst: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -397,21 +450,6 @@ def _sources(src: np.ndarray, dst: np.ndarray, target: np.ndarray) -> np.ndarray
     out = np.zeros(len(target), dtype=bool)
     out[src[target[dst]]] = True
     return out
-
-
-def _pre_star(model: IntensionalModel, body: Program, target: np.ndarray) -> np.ndarray:
-    """Least fixpoint of Y = target | pre(body, Y).  `pre` distributes over
-    union, so each round applies the body only to the states first reached
-    in the round before.  The body is applied at least once, so its
-    evaluation errors surface even for an empty target."""
-    reached = np.array(target, dtype=bool)
-    frontier = reached
-    while True:
-        fresh = pre(model, body, frontier) & ~reached
-        if not fresh.any():
-            return reached
-        reached |= fresh
-        frontier = fresh
 
 
 def extension(model: IntensionalModel, formula: Formula) -> np.ndarray:
@@ -502,7 +540,7 @@ def epistemic_lift(game: StrategicGame) -> IntensionalModel:
     their own coordinate."""
     worlds = _grid_worlds(game.form)
     edges = {player: _same_class_edges(worlds[:, player]) for player in game.form.players}
-    return IntensionalModel(game.form, (("G", game.form),), worlds, game.records, edges)
+    return IntensionalModel(game.form, (("G", game.form),), worlds, game.outcomes, edges)
 
 
 def restrict(form: GameForm, subsets: Mapping[int, Iterable[str]]) -> GameForm:
@@ -557,5 +595,14 @@ def confusion_model(
         if player not in confused_set:
             own = worlds[:, 0] * len(ambient.strategy_sets[player - 1]) + own
         edges[player] = _same_class_edges(own)
-    records = [game.outcome(s) for s in inner] + list(game.records)
-    return IntensionalModel(ambient, (("Gr", restricted), ("G", ambient)), worlds, records, edges)
+    # The rows of every profile are included, so the game's value, label and
+    # alternative tables stay exact for the joined model.
+    table = game.outcomes
+    rows = np.concatenate([[game.profile_index(s) for s in inner], np.arange(len(table))])
+    outcomes = replace(
+        table,
+        codes=table.codes[rows],
+        label_codes=table.label_codes[rows],
+        winners=None if table.winners is None else table.winners[rows],
+    )
+    return IntensionalModel(ambient, (("Gr", restricted), ("G", ambient)), worlds, outcomes, edges)

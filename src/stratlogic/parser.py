@@ -104,6 +104,21 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+class _Group(NamedTuple):
+    """An open parenthesized group: `finish` turns the group's expression
+    into the operand it stands for (applying the prefixes read before the
+    '(', or the postfix stars after the ')')."""
+
+    finish: object
+
+
+def _apply_prefixes(prefixes: list, node):
+    """Apply prefix constructors, read outermost first, innermost first."""
+    while prefixes:
+        node = prefixes.pop()(node)
+    return node
+
+
 class _Parser:
     def __init__(self, text: str, signature: Signature):
         self.tokens = _tokenize(text)
@@ -183,6 +198,13 @@ class _Parser:
                 continue
             return self.tokens[i].kind == ")" and commas >= 1
 
+    def _group_ahead(self) -> bool:
+        """Read the '(' of a parenthesized group, if one comes next."""
+        if self.tokens[self.pos].kind != "(" or self._vector_ahead():
+            return False
+        self.pos += 1
+        return True
+
     def _vector(self) -> Vector:
         open_tok = self._expect("(", "a vector")
         terms = []
@@ -240,54 +262,64 @@ class _Parser:
 
     # -- formulas ----------------------------------------------------------
 
-    def _infix(self, operand, operators: dict):
-        """Operands joined by binary operators, grouped by precedence from
-        explicit stacks, so long chains never recurse.  `operators` maps a
-        token to (binding strength, node, right-associative)."""
-        first = operand()
-        if self.tokens[self.pos].kind not in operators:
-            return first
-        out, pending = [first], []
-        while (op := operators.get(self.tokens[self.pos].kind)) is not None:
+    def _infix(self, operand, operators: dict, opened: _Group | None = None):
+        """Operands joined by binary operators, grouped by precedence and by
+        parentheses from explicit stacks, so long chains and deep nesting
+        never recurse.  `operators` maps a token to (binding strength, node,
+        right-associative).  `operand` returns a node, or a `_Group` once it
+        has read the '(' of a parenthesized group; the group is then parsed
+        here and finished at its ')'.  With `opened`, a group whose '(' the
+        caller read, the parse ends at that group's ')'."""
+        out: list = []
+        pending: list = [] if opened is None else [opened]
+        while True:
+            item = operand()
+            if type(item) is _Group:
+                pending.append(item)
+                continue
+            out.append(item)
+            while (op := operators.get(self.tokens[self.pos].kind)) is None:
+                # The chain ends here: it closes the innermost open group,
+                # or it is the whole expression.
+                while pending and type(pending[-1]) is not _Group:
+                    right = out.pop()
+                    out[-1] = pending.pop()[1](out[-1], right)
+                if not pending:
+                    return out[0]
+                self._expect(")", "')'")
+                out[-1] = pending.pop().finish(out[-1])
+                if opened is not None and not pending:
+                    return out[0]
             self.pos += 1
             # Pending operators that bind tighter, or as tight when `op`
             # associates to the left, take their operands first.
-            while pending and (
+            while pending and type(pending[-1]) is not _Group and (
                 pending[-1][0] > op[0] or pending[-1][0] == op[0] and not op[2]
             ):
                 right = out.pop()
                 out[-1] = pending.pop()[1](out[-1], right)
             pending.append(op)
-            out.append(operand())
-        while pending:
-            right = out.pop()
-            out[-1] = pending.pop()[1](out[-1], right)
-        return out[0]
 
     def formula(self) -> Formula:
         return self._infix(self._formula_unary, _FORMULA_OPS)
 
-    def _formula_unary(self) -> Formula:
-        if self.tokens[self.pos].kind not in ("~", "[", "<"):
-            return self._formula_primary()
+    def _formula_unary(self) -> Formula | _Group:
         # Prefixes are collected in a loop and applied innermost first, so
         # long prefix runs never recurse.
         prefixes = []
-        while True:
-            if self._accept("~"):
+        while (kind := self.tokens[self.pos].kind) in ("~", "[", "<"):
+            self.pos += 1
+            if kind == "~":
                 prefixes.append(Not)
-            elif self._accept("["):
+            elif kind == "[":
                 prefixes.append(partial(Box, self.program()))
                 self._expect("]", "']'")
-            elif self._accept("<"):
+            else:
                 prefixes.append(partial(Diamond, self.program()))
                 self._expect(">", "'>'")
-            else:
-                break
-        out = self._formula_primary()
-        while prefixes:
-            out = prefixes.pop()(out)
-        return out
+        if self._group_ahead():
+            return _Group(partial(_apply_prefixes, prefixes))
+        return _apply_prefixes(prefixes, self._formula_primary())
 
     def _formula_primary(self) -> Formula:
         tok = self._peek()
@@ -311,12 +343,7 @@ class _Parser:
                 return self._payoff_tail(player, tok)
             self._fail(f"unexpected name {tok.text!r} in a formula")
         if tok.kind == "(":
-            if self._vector_ahead():
-                return VectorAtom(self._vector())
-            self._next()
-            inner = self.formula()
-            self._expect(")", "')'")
-            return inner
+            return VectorAtom(self._vector())
         self._fail("expected a formula")
 
     def _payoff_tail(self, player: int, start: _Token) -> Formula:
@@ -342,8 +369,12 @@ class _Parser:
     def program(self) -> Program:
         return self._infix(self._program_unary, _PROGRAM_OPS)
 
-    def _program_unary(self) -> Program:
-        out = self._program_primary()
+    def _program_unary(self) -> Program | _Group:
+        if self._group_ahead():
+            return _Group(self._stars)
+        return self._stars(self._program_primary())
+
+    def _stars(self, out: Program) -> Program:
         while self._accept("*"):
             out = Star(out)
         return out
@@ -352,14 +383,12 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "?":
             self._next()
-            return Test(self._formula_unary())
+            body = self._formula_unary()
+            if type(body) is _Group:
+                body = self._infix(self._formula_unary, _FORMULA_OPS, body)
+            return Test(body)
         if tok.kind == "(":
-            if self._vector_ahead():
-                return Vec(self._vector())
-            self._next()
-            inner = self.program()
-            self._expect(")", "')'")
-            return inner
+            return Vec(self._vector())
         if tok.kind == "NAME":
             m = _AGENT_NAME.match(tok.text)
             if m:
@@ -376,7 +405,7 @@ class _Parser:
     def cl_formula(self) -> CLFormula:
         return self._infix(self._cl_unary, _CL_OPS)
 
-    def _cl_unary(self) -> CLFormula:
+    def _cl_unary(self) -> CLFormula | _Group:
         prefixes = []
         while True:
             if self._accept("~"):
@@ -404,10 +433,9 @@ class _Parser:
             self._expect("}", "'}'")
             self._expect("]", "']'")
             prefixes.append(partial(CLBox, frozenset(members)))
-        out = self._cl_primary()
-        while prefixes:
-            out = prefixes.pop()(out)
-        return out
+        if self._accept("("):
+            return _Group(partial(_apply_prefixes, prefixes))
+        return _apply_prefixes(prefixes, self._cl_primary())
 
     def _cl_primary(self) -> CLFormula:
         tok = self._peek()
@@ -430,11 +458,6 @@ class _Parser:
                 player = self._player_number(m.group(1), tok)
                 return self._cl_payoff_tail(player, tok)
             self._fail(f"unexpected name {tok.text!r} in a coalition formula")
-        if tok.kind == "(":
-            self._next()
-            inner = self.cl_formula()
-            self._expect(")", "')'")
-            return inner
         self._fail("expected a coalition formula")
 
     def _cl_payoff_tail(self, player: int, start: _Token) -> CLFormula:

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union, TYPE_CHECKING
 
-from .games import GameError, outcome_vocabulary, to_fraction
+from .games import GameError, to_fraction
 
 if TYPE_CHECKING:
-    from .games import GameForm, StrategicGame
+    from .games import StrategicGame
 
 
 # --------------------------------------------------------------------------
@@ -332,20 +332,6 @@ class AgentConv(Program):
     player: int
 
 
-def seq(first: Program, *rest: Program) -> Program:
-    out = first
-    for p in rest:
-        out = Seq(out, p)
-    return out
-
-
-def choice(first: Program, *rest: Program) -> Program:
-    out = first
-    for p in rest:
-        out = Choice(out, p)
-    return out
-
-
 # --------------------------------------------------------------------------
 # signatures: what the parser and the property builders need to know
 
@@ -373,12 +359,9 @@ class Signature:
         return self.strategy_sets[player - 1]
 
     @classmethod
-    def from_form(cls, form: "GameForm") -> Signature:
-        return cls(form.strategy_sets)
-
-    @classmethod
     def from_game(cls, game: "StrategicGame") -> Signature:
-        return cls(game.form.strategy_sets, *outcome_vocabulary(game.records))
+        table = game.outcomes
+        return cls(game.form.strategy_sets, table.values, table.alternatives)
 
 
 # --------------------------------------------------------------------------

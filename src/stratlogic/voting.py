@@ -14,11 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .games import GameForm, OutcomeRecord, StrategicGame
-from .models import MaslModel, extension, model_signature
+import numpy as np
+
+from .games import GameForm, OutcomeRecord, Outcomes, StrategicGame
+from .models import IntensionalModel, extension
 from .properties import dictator
+from .syntax import Signature
 
 
 class VotingError(ValueError):
@@ -288,25 +291,55 @@ def _winner_table(
     return table, form
 
 
+class _PayoffTable(NamedTuple):
+    """What every game a rule induces for a number of voters shares: the
+    form, the winner set each cell elects, and each winner set's payoff
+    under each ballot, as a code into the sorted payoff range."""
+
+    form: GameForm
+    ballots: dict[Ballot, int]  # all_ballots order
+    sets: tuple[frozenset[str], ...]  # in order of first election
+    cell_sets: np.ndarray  # (cells,) index into `sets`, all_profiles order
+    values: tuple[Fraction, ...]  # every payoff, ascending, no repeats
+    codes: np.ndarray  # (sets, ballots) index into `values`
+
+
+@lru_cache(maxsize=None)
+def _payoff_table(rule: VotingRule, n_voters: int) -> _PayoffTable:
+    table, form = _winner_table(rule, n_voters)
+    ballots = all_ballots(rule.alternatives)
+    index: dict[frozenset[str], int] = {}
+    cell_sets = [index.setdefault(table[names], len(index)) for names in table]
+    payoffs = [[outcome_payoff(won, ballot) for ballot in ballots] for won in index]
+    values = tuple(sorted(set().union(*payoffs)))
+    return _PayoffTable(
+        form=form,
+        ballots={ballot: i for i, ballot in enumerate(ballots)},
+        sets=tuple(index),
+        cell_sets=np.array(cell_sets),
+        values=values,
+        codes=np.array(
+            [[values.index(p) for p in row] for row in payoffs],
+            dtype=np.min_scalar_type(len(values) - 1),
+        ),
+    )
+
+
 def induced_game(rule: VotingRule, true_ballots: Sequence[Ballot]) -> StrategicGame:
     """The voting game: every voter picks an alternative to cast, utilities
     score the winner set against each voter's true ballot."""
-    true_ballots = tuple(true_ballots)
+    table = _payoff_table(rule, len(true_ballots))
     for ballot in true_ballots:
-        if set(ballot.order) != set(rule.alternatives):
+        if ballot not in table.ballots:
             raise VotingError(f"ballot {ballot} does not rank the alternatives")
-    table, form = _winner_table(rule, len(true_ballots))
-    records = []
-    for names in product(rule.alternatives, repeat=len(true_ballots)):
-        winners = table[names]
-        records.append(
-            OutcomeRecord(
-                label=winners_label(rule, winners),
-                utils=[outcome_payoff(winners, b) for b in true_ballots],
-                winners=winners,
-            )
+    columns = [table.ballots[ballot] for ballot in true_ballots]
+    by_set = [
+        OutcomeRecord(
+            winners_label(rule, won), [table.values[code] for code in row[columns]], won
         )
-    return StrategicGame(form, tuple(records))
+        for won, row in zip(table.sets, table.codes)
+    ]
+    return StrategicGame(table.form, tuple(by_set[w] for w in table.cell_sets))
 
 
 # --------------------------------------------------------------------------
@@ -366,16 +399,64 @@ def find_manipulation(rule: VotingRule, n_voters: int) -> Manipulation | None:
 
 
 def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
-    """Voters whose dictatorship formula holds in every induced game."""
+    """Voters whose dictatorship formula holds in every induced game.
+
+    The games are checked in batches.  A batch is one model whose forms are
+    the induced games of the ballot profiles that share the ballots of
+    voters 1 to n-2; each form is named by its ballot profile.  Each
+    candidate's `dictator` formula is evaluated once per batch, over the
+    union U of the batch's utility ranges, and a candidate it fails for
+    anywhere in the batch is dropped before the next batch.  The last two
+    voters hold every ballot somewhere in a batch, so U is the whole payoff
+    range of the rule, the same for every batch.
+
+    This gives each game's own verdict.  In a game with range R ⊆ U, the
+    disjunct for a value v says that no other voter ever gets more than v
+    while the candidate can always switch to at least v; atoms for values
+    outside R are false there, so it means that for any rational v.  If it
+    holds for some v in U but not in R, let r be the least value of R that
+    is at least v.  Other voters get at most v <= r, and a utility of at
+    least v is one of at least r, so the disjunct holds for r too.  If no
+    value of R is at least v, no switch reaches a utility of v and the
+    disjunct fails everywhere.  So the formula over U holds exactly where
+    the formula over R does.
+    """
+    table = _payoff_table(rule, n_voters)
+    names = [str(ballot) for ballot in table.ballots]
+    forms = len(names) ** 2
+    # Per batch, only the utilities change: worlds are the forms' full grids
+    # in order, and labels and winners are those of any one induced game.
+    shape = (forms,) + (len(rule.alternatives),) * n_voters
+    worlds = np.indices(shape).reshape(n_voters + 1, -1).T
+    cells = induced_game(rule, list(table.ballots)[:1] * n_voters).outcomes
+    label_codes = np.tile(cells.label_codes, forms)
+    winners = np.tile(cells.winners, (forms, 1))
+    profiles = np.empty((forms, n_voters), dtype=np.int64)
+    profiles[:, -2:] = list(product(range(len(names)), repeat=2))
+    sig = Signature(table.form.strategy_sets, table.values, cells.alternatives)
     candidates = set(range(1, n_voters + 1))
-    for profile in all_ballot_profiles(rule.alternatives, n_voters):
+    formulas = {voter: dictator(sig, voter) for voter in candidates}
+    for head in product(range(len(names)), repeat=n_voters - 2):
         if not candidates:
             break
-        game = induced_game(rule, profile)
-        model = MaslModel(game)
-        sig = model_signature(model)
+        profiles[:, :-2] = head
+        # codes[f, c, i]: the payoff code of cell c's winner set under
+        # voter i's ballot in profile f.
+        codes = table.codes[table.cell_sets[None, :, None], profiles[:, None, :]]
+        outcomes = Outcomes(
+            table.values,
+            codes.reshape(len(worlds), n_voters),
+            cells.labels,
+            label_codes,
+            cells.alternatives,
+            winners,
+        )
+        ids = [" ".join(names[b] for b in profile) for profile in profiles.tolist()]
+        model = IntensionalModel(
+            table.form, [(fid, table.form) for fid in ids], worlds, outcomes
+        )
         for voter in sorted(candidates):
-            if not extension(model, dictator(sig, voter)).all():
+            if not extension(model, formulas[voter]).all():
                 candidates.discard(voter)
     return frozenset(candidates)
 

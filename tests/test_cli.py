@@ -326,3 +326,38 @@ def test_thousand_conjunct_cl_check_gets_a_verdict(pd_file):
     assert verdicts[10, "fails"][1]["holdsAt"] is False
     assert verdicts[1000, "holds"] == verdicts[10, "holds"]
     assert verdicts[1000, "fails"] == verdicts[10, "fails"]
+
+
+def test_long_programs_and_deep_groups_get_a_verdict(pd_file):
+    # 10 000 sequenced vectors, 10 000 alternatives and 1 000 nested
+    # parentheses, each checked at c,c in a fresh interpreter.
+    formulas = {
+        "seq": "<" + ";".join(["(c,??)"] * 10_000) + "> u1=0",
+        "choice": "<" + "+".join(["(d,c)", "(c,??)"] * 5_000) + "> u1=3",
+        "parens": "(" * 1_000 + "u1=2" + ")" * 1_000,
+    }
+    for name, formula in formulas.items():
+        proc = _check_subprocess(pd_file, formula, "c,c")
+        assert proc.stderr == "", (name, proc.stderr[-500:])
+        assert proc.returncode == 0, name
+        assert loads(proc.stdout)["holdsAt"] is True
+
+
+def test_five_voter_audit_reports_the_same_keys(tmp_path):
+    src = str(Path(stratlogic.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    keys = {}
+    for n in (3, 5):
+        path = tmp_path / f"spec{n}.json"
+        spec = {"alternatives": ["a", "b", "c"], "ballots": ["abc"] * n, "rule": "dictator:1"}
+        path.write_text(json.dumps(spec))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratlogic.cli", "voting", "audit", "--spec", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = loads(proc.stdout)
+        assert data["dictators"] == [1]
+        keys[n] = list(data)
+    assert keys[5] == keys[3]

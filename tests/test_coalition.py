@@ -12,8 +12,10 @@ from stratlogic import (
     ADV,
     Concrete,
     EvalError,
+    IntensionalModel,
     Label,
     MaslModel,
+    Outcomes,
     Signature,
     UtilEq,
     all_profiles,
@@ -135,6 +137,16 @@ def test_cl_extension_needs_one_full_profile_grid():
     model, _ = commitment_confusion()
     with pytest.raises(EvalError):
         cl_extension(model, CLBox(frozenset({1}), CLAtom(UtilEq(1, 1))))
+    # two full copies of the grid are not one grid either
+    worlds = [(k, s) for k in range(2) for s in all_profiles(PD.form)]
+    twice = IntensionalModel(
+        PD.form,
+        [("G", PD.form), ("H", PD.form)],
+        worlds,
+        Outcomes.from_records(PD.records * 2, 2),
+    )
+    with pytest.raises(EvalError):
+        cl_extension(twice, CLBox(frozenset({1}), CLAtom(UtilEq(1, 1))))
     # a lift's worlds are exactly the game's profiles
     lift = epistemic_lift(PD)
     f = CLBox(frozenset({1}), CLNot(CLAtom(UtilEq(1, 3))))

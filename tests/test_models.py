@@ -4,7 +4,9 @@ epistemic constructions."""
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -29,6 +31,7 @@ from stratlogic import (
     Not,
     Or,
     OutcomeRecord,
+    Outcomes,
     Signature,
     StrategicGame,
     Top,
@@ -56,6 +59,7 @@ from stratlogic.catalog import (
     vote3_game,
 )
 
+from builders import choice, seq
 from dense_oracle import (
     compose,
     dense_extension,
@@ -63,6 +67,7 @@ from dense_oracle import (
     program_relation,
     relation_via_pre,
     rtc,
+    vector_relation,
 )
 from gens import (
     random_eval_formula,
@@ -467,7 +472,11 @@ def test_intensional_model_validation():
     form = game.form
     with pytest.raises(GameError):
         # world referencing a missing form index
-        IntensionalModel(form, [("G", form)], [(1, (0, 0))], [game.records[0]])
+        IntensionalModel(form, [("G", form)], [(1, (0, 0))], _table(game.records[:1]))
+
+
+def _table(records, n: int = 2) -> Outcomes:
+    return Outcomes.from_records(records, n)
 
 
 def _pd_parts():
@@ -528,15 +537,17 @@ _MALFORMED = {
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_constructor_rejects_each_malformed_case(case):
     form, worlds, records = _pd_parts()
-    IntensionalModel(form, [("G", form)], worlds, records)  # the valid original
+    IntensionalModel(form, [("G", form)], worlds, _table(records))  # the valid original
     change, message = _MALFORMED[case]
     with pytest.raises(GameError, match=message):
-        IntensionalModel(form, *change(form, worlds, records))
+        forms, worlds, records = change(form, worlds, records)
+        IntensionalModel(form, forms, worlds, _table(records))
 
 
 def test_world_rows_get_the_same_checks():
     form, worlds, records = _pd_parts()
     rows = np.array([(f, *s) for f, s in worlds])
+    records = _table(records)
     model = IntensionalModel(form, [("G", form)], rows, records)
     assert model.worlds == worlds
     for bad, message in [
@@ -597,7 +608,7 @@ def test_missing_agent_relation_is_empty():
         form,
         [("G", form)],
         [(0, s) for s in all_profiles(form)],
-        list(game.records),
+        game.outcomes,
         agent_edges={1: [(0, 0)]},
     )
     assert not relation_via_pre(model, Agent(2)).any()
@@ -609,7 +620,7 @@ def test_agent_edges_are_validated_arrays():
     form = game.form
     worlds = [(0, s) for s in all_profiles(form)]
     model = IntensionalModel(
-        form, [("G", form)], worlds, list(game.records),
+        form, [("G", form)], worlds, game.outcomes,
         agent_edges={1: [(3, 1), (0, 2), (3, 1), (0, 0)]},
     )
     src, dst = model.agent_edges(1)
@@ -623,11 +634,11 @@ def test_agent_edges_are_validated_arrays():
     for bad in [(0, 4), (-1, 0)]:
         with pytest.raises(GameError, match=rf"edge \({bad[0]}, {bad[1]}\) out of range"):
             IntensionalModel(
-                form, [("G", form)], worlds, list(game.records), agent_edges={1: [bad]}
+                form, [("G", form)], worlds, game.outcomes, agent_edges={1: [bad]}
             )
     with pytest.raises(GameError):
         IntensionalModel(
-            form, [("G", form)], worlds, list(game.records), agent_edges={1: [(0, 10**30)]}
+            form, [("G", form)], worlds, game.outcomes, agent_edges={1: [(0, 10**30)]}
         )
     with pytest.raises(EvalError):
         model.agent_edges(3)
@@ -655,8 +666,9 @@ def test_confusion_edges_match_pairwise_definition():
 
 def _random_model(kind: str, rng: random.Random):
     """A random model with at most 216 states: a flat model, an epistemic
-    lift, a confusion model, or ("sparse") a shuffled subset of a game's
-    profiles with random, asymmetric agent relations."""
+    lift, a confusion model, ("forms") two to four full copies of one form
+    with their own utilities, or ("sparse") a shuffled subset of a game's
+    profiles; the last two with random, asymmetric agent relations."""
     if kind == "confusion":
         game = random_game(rng, size_range=(2, 4))
         subsets = {
@@ -666,6 +678,21 @@ def _random_model(kind: str, rng: random.Random):
         }
         confused = [p for p in game.form.players if rng.random() < 0.5]
         return confusion_model(game, restrict(game.form, subsets), confused)
+    if kind == "forms":
+        game = random_game(rng, size_range=(1, 3))
+        copies = rng.randint(2, 4)
+        records = [
+            OutcomeRecord(rec.label, [rng.randint(0, 3) for _ in rec.utils])
+            for _ in range(copies)
+            for rec in game.records
+        ]
+        return IntensionalModel(
+            game.form,
+            [(f"G{k}", game.form) for k in range(copies)],
+            [(k, s) for k in range(copies) for s in all_profiles(game.form)],
+            Outcomes.from_records(records, game.form.n),
+            _random_edges(rng, game.form.players, len(records)),
+        )
     game = random_game(rng, size_range=(2, 6))
     if kind == "flat":
         return MaslModel(game)
@@ -673,23 +700,25 @@ def _random_model(kind: str, rng: random.Random):
         return epistemic_lift(game)
     profiles = all_profiles(game.form)
     kept = rng.sample(profiles, rng.randint(1, len(profiles)))
-    m = len(kept)
-    edges = {
-        player: [(rng.randrange(m), rng.randrange(m)) for _ in range(2 * m)]
-        for player in game.form.players
-        if rng.random() < 0.8
-    }
     return IntensionalModel(
         game.form,
         [("G", game.form)],
         [(0, s) for s in kept],
-        [game.outcome(s) for s in kept],
-        edges,
+        Outcomes.from_records([game.outcome(s) for s in kept], game.form.n),
+        _random_edges(rng, game.form.players, len(kept)),
     )
 
 
+def _random_edges(rng: random.Random, players, m: int) -> dict:
+    return {
+        player: [(rng.randrange(m), rng.randrange(m)) for _ in range(2 * m)]
+        for player in players
+        if rng.random() < 0.8
+    }
+
+
 @given(
-    st.sampled_from(("flat", "lift", "confusion", "sparse")),
+    st.sampled_from(("flat", "lift", "confusion", "forms", "sparse")),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=80, deadline=None)
@@ -699,7 +728,7 @@ def test_pre_matches_dense_oracle_on_random_programs(kind, seed):
     assert model.size <= 216
     pools = dict(
         values=model_signature(model).util_range,
-        labels=tuple(sorted({r.label for r in model._records})),
+        labels=tuple(sorted(model.outcomes.labels)),
         agents=kind != "flat",
     )
     sig = model_signature(model)
@@ -748,3 +777,91 @@ def test_nash_and_star_memory_is_linear_at_7776_profiles():
     grid = extension(model, UtilEq(1, 0)).reshape([6] * 5)
     want = np.broadcast_to(grid.any(axis=(0, 1), keepdims=True), grid.shape)
     assert np.array_equal(reach, want.reshape(-1))
+
+
+# --------------------------------------------------------------------------
+# Long programs need no recursion
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+@pytest.mark.parametrize("node", [Seq, Choice])
+def test_ten_thousand_step_programs_at_the_default_recursion_limit(node, nesting):
+    assert sys.getrecursionlimit() <= 1000
+    rng = random.Random(17)
+    model = MaslModel(vote3_game())
+    vectors = [random_vector(rng, model_signature(model)) for _ in range(10_000)]
+    steps = [Vec(v) for v in vectors]
+    if nesting == "left":
+        program = (seq if node is Seq else choice)(*steps)
+    else:
+        program = reduce(lambda right, left: node(left, right), reversed(steps))
+    target = np.array([rng.random() < 0.3 for _ in range(model.size)])
+    # The reach, one dense vector relation at a time.
+    relations = {v: vector_relation(model, v) for v in set(vectors)}
+    if node is Seq:
+        want = target
+        for v in reversed(vectors):
+            want = compose(relations[v], want)
+    else:
+        want = np.zeros(model.size, dtype=bool)
+        for v in vectors:
+            want |= compose(relations[v], target)
+    assert np.array_equal(pre(model, program, target), want)
+
+
+# --------------------------------------------------------------------------
+# The outcome store's atom masks
+
+
+@st.composite
+def _outcome_records(draw):
+    """A form and one record per profile: utilities from a small pool of
+    rationals (so values repeat), labels from a small pool, and winner sets
+    on some, all or none of the records."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    form = GameForm(("a", "b", "c")[:k] for k in sizes)
+    values = draw(
+        st.lists(st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=5, unique=True)
+    )
+    winner_data = draw(st.sampled_from(("none", "some", "all")))
+    records = []
+    for _ in range(form.profile_count()):
+        winners = None
+        if winner_data == "all" or winner_data == "some" and draw(st.booleans()):
+            winners = draw(st.sets(st.sampled_from(("x", "y", "z")), min_size=1))
+        records.append(
+            OutcomeRecord(
+                draw(st.sampled_from(("p", "q", "a,b"))),
+                [draw(st.sampled_from(values)) for _ in range(form.n)],
+                winners,
+            )
+        )
+    return form, records
+
+
+@given(_outcome_records())
+@settings(max_examples=80, deadline=None)
+def test_outcome_store_masks_match_per_record_comparisons(case):
+    form, records = case
+    table = Outcomes.from_records(records, form.n)
+    assert table.values == tuple(sorted({u for rec in records for u in rec.utils}))
+    assert table.codes.dtype == table.label_codes.dtype == np.uint8
+    assert [table.record(row) for row in range(len(records))] == records
+    model = IntensionalModel(
+        form, [("G", form)], [(0, s) for s in all_profiles(form)], table
+    )
+    for player in form.players:
+        for value in table.values:
+            want = [rec.utils[player - 1] == value for rec in records]
+            assert extension(model, UtilEq(player, value)).tolist() == want
+    for text in ("p", "q", "a,b", "absent"):
+        want = [rec.label == text for rec in records]
+        assert extension(model, Label(text)).tolist() == want
+    if all(rec.winners is None for rec in records):
+        assert table.alternatives is None and table.winners is None
+        with pytest.raises(EvalError):
+            extension(model, Winner("x"))
+        return
+    for name in ("x", "y", "z", "absent"):
+        want = [rec.winners is not None and name in rec.winners for rec in records]
+        assert extension(model, Winner(name)).tolist() == want

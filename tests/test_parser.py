@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,7 @@ from stratlogic.syntax import (
 )
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
+from builders import bare_signature
 from gens import random_formula, random_program
 
 PD = Signature.from_game(prisoners_dilemma())
@@ -114,7 +116,7 @@ def test_payoff_comparisons_expand_over_util_range():
 
 
 def test_payoff_comparison_requires_util_range():
-    bare = Signature.from_form(prisoners_dilemma().form)
+    bare = bare_signature(prisoners_dilemma().form)
     assert parse_formula("u1=2", bare) == UtilEq(1, 2)  # "=" is fine
     with pytest.raises(ParseError):
         parse_formula("u1>=2", bare)
@@ -217,6 +219,20 @@ def test_unbalanced_and_stray_tokens():
 def test_zero_denominator_rejected():
     with pytest.raises(ParseError):
         parse_formula("u1=1/0", PD)
+
+
+def test_thousand_nested_groups_parse_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    deep = lambda text: "(" * 1000 + text + ")" * 1000
+    assert parse_formula(deep("T"), PD) == Top()
+    assert parse_formula("~" + deep("u1=0 & T") + " | T", PD) == parse_formula(
+        "~(u1=0 & T) | T", PD
+    )
+    assert parse_formula("<" + deep("(c,??)") + "*>T", PD) == parse_formula("<(c,??)*>T", PD)
+    assert parse_program("?" + deep("T") + ";ag1", PD) == parse_program("?T;ag1", PD)
+    assert parse_cl("[C{1}]" + deep("u1=0 | T"), PD) == parse_cl("[C{1}](u1=0 | T)", PD)
+    with pytest.raises(ParseError, match="expected '\\)'"):
+        parse_formula(deep("T")[:-1], PD)
 
 
 # --------------------------------------------------------------------------

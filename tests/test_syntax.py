@@ -37,12 +37,12 @@ from stratlogic.syntax import (
     Star,
     Test as ProgTest,
     Vec,
-    choice,
     conj,
     disj,
-    seq,
 )
 from stratlogic.catalog import prisoners_dilemma, vote3_game
+
+from builders import bare_signature, choice, seq
 
 
 def _pd_sig() -> Signature:
@@ -123,7 +123,7 @@ def test_signature_from_voting_game():
 
 
 def test_signature_from_form_has_no_valuation_data():
-    sig = Signature.from_form(prisoners_dilemma().form)
+    sig = bare_signature(prisoners_dilemma().form)
     assert sig.util_range is None and sig.alternatives is None
 
 

@@ -2,26 +2,37 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratlogic import (
     Ballot,
+    GameForm,
+    IntensionalModel,
     MaslModel,
+    OutcomeRecord,
     Signature,
+    StrategicGame,
     VotingError,
+    all_profiles,
     apply_rule,
     audit_rule,
+    extension,
     induced_game,
+    model_signature,
     outcome_payoff,
     satisfies,
     set_better,
 )
-from stratlogic.properties import strategy_proof_inner
+from stratlogic.properties import dictator, strategy_proof_inner
 from stratlogic.voting import (
     AbsoluteMajority,
     ConstantRule,
@@ -42,6 +53,7 @@ from stratlogic.catalog import (
     vote3_tiebreak_game,
 )
 
+from gens import random_game
 from tables import PLURALITY_TABLE, TIEBREAK_TABLE
 
 ALTS = ("a", "b", "c")
@@ -337,6 +349,117 @@ def test_audit_small_alternative_sets_note():
 def test_rule_dictators_two_voters():
     assert rule_dictators(DictatorRule(ALTS, 2), 2) == frozenset({2})
     assert rule_dictators(plurality3(), 2) == frozenset()
+
+
+# --------------------------------------------------------------------------
+# The batched dictatorship check against the per-profile loop
+
+_RULES = {
+    "plurality": plurality3(),
+    "absolute_majority": AbsoluteMajority(ALTS),
+    "tiebreak": tiebreak3(),
+    "dictator1": DictatorRule(ALTS, 1),
+    "dictator2": DictatorRule(ALTS, 2),
+    "constant": ConstantRule(ALTS, "b"),
+}
+
+
+def _scored_game(rule, ballots, cells) -> StrategicGame:
+    """An induced game scored cell by cell and voter by voter with
+    `outcome_payoff`; `cells` lists (cast votes, winner set) pairs."""
+    form = GameForm([rule.alternatives] * len(ballots))
+    return StrategicGame(
+        form,
+        tuple(
+            OutcomeRecord(
+                winners_label(rule, won), [outcome_payoff(won, b) for b in ballots], won
+            )
+            for _, won in cells
+        ),
+    )
+
+
+def _per_profile_dictators(rule, n_voters: int) -> frozenset[int]:
+    """The loop that batching replaced: one induced game, model and
+    `dictator` formula per ballot profile, candidates dropped as they fail."""
+    cells = [
+        (names, apply_rule(rule, names))
+        for names in product(rule.alternatives, repeat=n_voters)
+    ]
+    candidates = set(range(1, n_voters + 1))
+    for profile in all_ballot_profiles(rule.alternatives, n_voters):
+        if not candidates:
+            break
+        model = MaslModel(_scored_game(rule, profile, cells))
+        sig = model_signature(model)
+        for voter in sorted(candidates):
+            if not extension(model, dictator(sig, voter)).all():
+                candidates.discard(voter)
+    return frozenset(candidates)
+
+
+@pytest.mark.parametrize("n_voters", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(_RULES))
+def test_batched_dictators_match_the_per_profile_loop(name, n_voters):
+    rule = _RULES[name]
+    assert rule_dictators(rule, n_voters) == _per_profile_dictators(rule, n_voters)
+
+
+def test_induced_game_matches_cell_by_cell_scoring():
+    rng = random.Random(5)
+    ballots = all_ballots(ALTS)
+    for rule in _RULES.values():
+        for n_voters in (2, 3, 4):
+            cells = [
+                (names, apply_rule(rule, names))
+                for names in product(ALTS, repeat=n_voters)
+            ]
+            profile = [rng.choice(ballots) for _ in range(n_voters)]
+            assert induced_game(rule, profile) == _scored_game(rule, profile, cells)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.fractions(-2, 4, max_denominator=4), max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_dictator_over_a_wider_range_has_the_same_extension(seed, extra):
+    # The lemma behind batching: `dictator` built over any superset of a
+    # game's utility range holds exactly where it holds over the range.
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        game = random_game(rng, size_range=(1, 3))
+    else:
+        rule = _RULES[rng.choice(sorted(_RULES))]
+        game = induced_game(rule, [rng.choice(all_ballots(ALTS)) for _ in range(3)])
+    table = game.outcomes
+    values = tuple(sorted(set(table.values) | set(extra)))
+    recode = np.array([values.index(v) for v in table.values])
+    wide = IntensionalModel(
+        game.form,
+        [(None, game.form)],
+        [(0, s) for s in all_profiles(game.form)],
+        replace(table, values=values, codes=recode[table.codes]),
+    )
+    own = MaslModel(game)
+    for player in game.form.players:
+        assert np.array_equal(
+            extension(wide, dictator(model_signature(wide), player)),
+            extension(own, dictator(model_signature(own), player)),
+        )
+
+
+def test_five_voter_dictator_audit_memory_is_per_batch():
+    tracemalloc.start()
+    try:
+        found = rule_dictators(DictatorRule(ALTS, 1), 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == frozenset({1})
+    # A batch is 36 games of 243 profiles.  All 7 776 games in one model
+    # would be 1.9 M worlds, whose (form, *profile) rows alone take 91 MB.
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # --------------------------------------------------------------------------
