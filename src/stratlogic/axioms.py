@@ -191,9 +191,9 @@ def instantiate(
     elif schema == "OwnActionKnowledge":
         for player in sig.players:
             for a in sig.strategies(player):
-                chosen = VectorAtom(vec_switch(sig, player, a))
+                switch = vec_switch(sig, player, a)
                 add(
-                    Box(Vec(vec_switch(sig, player, a)), Box(Agent(player), chosen)),
+                    Box(Vec(switch), Box(Agent(player), VectorAtom(switch))),
                     f"i={player}, a={a}",
                 )
     elif schema == "OtherActionIgnorance":
@@ -206,12 +206,9 @@ def instantiate(
                 if other == player:
                     continue
                 for a in sig.strategies(other):
-                    chosen = VectorAtom(vec_switch(sig, other, a))
+                    switch = vec_switch(sig, other, a)
                     parts.append(
-                        Box(
-                            Vec(vec_switch(sig, other, a)),
-                            Not(Box(Agent(player), chosen)),
-                        )
+                        Box(Vec(switch), Not(Box(Agent(player), VectorAtom(switch))))
                     )
             add(conj(parts), f"i={player}")
     return out
@@ -243,9 +240,3 @@ def validity_report(
             InstanceResult(instance, valid=not failures, counterexamples=tuple(failures))
         )
     return results
-
-
-def functionality_shape(vector: Vector, phi: Formula) -> Formula:
-    """The Functionality implication for an arbitrary vector, including
-    undetermined ones; useful for exhibiting counterexamples."""
-    return Implies(Diamond(Vec(vector), phi), Box(Vec(vector), phi))

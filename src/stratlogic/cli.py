@@ -56,8 +56,46 @@ def _require(condition: bool, message: str) -> None:
         raise DemoFailure(message)
 
 
+def _dumps(data) -> str:
+    """``json.dumps(data, indent=2)``, written from an explicit stack, so
+    deeply nested data (the AST of a long formula) never reaches the
+    recursion limit."""
+    out: list[str] = []
+    stack: list = [(data, "")]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        value, indent = item
+        if isinstance(value, dict):
+            # Keys are strings in JSON; `json` spells other scalar keys first.
+            entries = [
+                (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
+                for k, v in value.items()
+            ]
+            brackets = "{}"
+        elif isinstance(value, (list, tuple)):
+            entries = [("", v) for v in value]
+            brackets = "[]"
+        else:
+            out.append(json.dumps(value))
+            continue
+        if not entries:
+            out.append(brackets)
+            continue
+        inner = indent + "  "
+        out.append(brackets[0])
+        stack.append("\n" + indent + brackets[1])
+        for k in range(len(entries) - 1, -1, -1):
+            prefix, child = entries[k]
+            stack.append((child, inner))
+            stack.append(("," if k else "") + "\n" + inner + prefix)
+    return "".join(out)
+
+
 def _emit(data: dict, output: str | None) -> None:
-    text = json.dumps(data, indent=2)
+    text = _dumps(data)
     if output:
         Path(output).write_text(text + "\n")
     else:
@@ -296,7 +334,7 @@ def _demo_vote3tb() -> int:
         "tie-breaking should make the rule resolute",
     )
     report = audit_rule(catalog.tiebreak3(), 3)
-    print(json.dumps(audit_report_to_dict(report), indent=2))
+    print(_dumps(audit_report_to_dict(report)))
     _require(report.resolute, "audit should find the rule resolute")
     _require(not report.strategy_proof, "audit should find a manipulation")
     _require(report.manipulation is not None, "audit should exhibit a witness")

@@ -17,7 +17,6 @@ import numpy as np
 from stratlogic.axioms import (
     EPISTEMIC_SCHEMAS,
     VECTOR_SCHEMAS,
-    functionality_shape,
     instantiate_many,
     validity_report,
 )
@@ -68,6 +67,7 @@ from stratlogic.voting import (
     set_better,
 )
 
+from builders import functionality_shape
 from conftest import record
 from gens import (
     random_cl_formula,

@@ -28,12 +28,12 @@ from stratlogic import (
 from stratlogic.axioms import (
     default_pool,
     enumerate_vectors,
-    functionality_shape,
     instantiate_many,
 )
 from stratlogic.syntax import Not, Winner
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
+from builders import functionality_shape
 from gens import random_game, random_lift_game
 
 PD = prisoners_dilemma()

@@ -9,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stratlogic
 from stratlogic import Signature
-from stratlogic.cli import main
+from stratlogic.cli import _dumps, main
 from stratlogic.jsonio import game_to_dict, intensional_from_dict, loads
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
@@ -341,6 +343,45 @@ def test_long_programs_and_deep_groups_get_a_verdict(pd_file):
         assert proc.stderr == "", (name, proc.stderr[-500:])
         assert proc.returncode == 0, name
         assert loads(proc.stdout)["holdsAt"] is True
+
+
+def test_parse_of_deep_formulas_writes_the_whole_ast(pd_file):
+    # 1 000 conjuncts and 1 000 negations nest the AST 1 000 levels deep.
+    src = str(Path(stratlogic.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for formula, node, count in (
+        (" & ".join(["u1=1"] * 1000), "And", 999),
+        ("~" * 1000 + "T", "Not", 1000),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratlogic.cli", "parse", "--game", pd_file, formula],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stderr == ""
+        lines = proc.stdout.split("\n", 3)
+        assert lines[2] == f'  "canonical": {json.dumps(formula)},'
+        assert proc.stdout.count(f'"node": "{node}"') == count
+        assert proc.stdout.endswith("\n}\n")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.text(max_size=3) | st.integers() | st.floats() | st.booleans() | st.none(),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=20,
+)
+
+
+@given(_JSON)
+@settings(max_examples=200, deadline=None)
+def test_dumps_matches_json_dumps_with_indent(data):
+    assert _dumps(data) == json.dumps(data, indent=2)
 
 
 def test_five_voter_audit_reports_the_same_keys(tmp_path):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -49,8 +50,18 @@ from stratlogic import (
     satisfies,
     valid_in_model,
 )
+from stratlogic import models
 from stratlogic.models import confusion_model, pre
-from stratlogic.syntax import Agent, AgentConv, Choice, Seq, Star, Test as ProgTest, Vec
+from stratlogic.syntax import (
+    Agent,
+    AgentConv,
+    Choice,
+    Formula,
+    Seq,
+    Star,
+    Test as ProgTest,
+    Vec,
+)
 from stratlogic.jsonio import intensional_from_dict, intensional_to_dict
 from stratlogic.properties import build_property, knowledge
 from stratlogic.catalog import (
@@ -59,7 +70,7 @@ from stratlogic.catalog import (
     vote3_game,
 )
 
-from builders import choice, seq
+from builders import choice, node_objects, seq
 from dense_oracle import (
     compose,
     dense_extension,
@@ -777,6 +788,41 @@ def test_nash_and_star_memory_is_linear_at_7776_profiles():
     grid = extension(model, UtilEq(1, 0)).reshape([6] * 5)
     want = np.broadcast_to(grid.any(axis=(0, 1), keepdims=True), grid.shape)
     assert np.array_equal(reach, want.reshape(-1))
+
+
+@pytest.mark.parametrize("values", [10, 25, 55])
+def test_nash_here_evaluates_each_distinct_subformula_once(values, monkeypatch):
+    """The |U| ladder, counted rather than timed: on 27 profiles the
+    extension of `nashHere` computes one mask per distinct subformula, and
+    each distinct subformula is one object, so every cache hit is by
+    identity."""
+    form = GameForm([("a", "b", "c")] * 3)
+    cells = iter(range(81))
+    game = StrategicGame.from_outcomes(
+        form,
+        {
+            s: OutcomeRecord(
+                form.profile_key(s), [Fraction(next(cells) * 7 % values, 2) for _ in range(3)]
+            )
+            for s in all_profiles(form)
+        },
+    )
+    model = MaslModel(game)
+    assert len(model_signature(model).util_range) == values
+    formula = build_property("nashHere", model_signature(model))
+    subformulas = [node for node in node_objects(formula) if isinstance(node, Formula)]
+    assert len(dict.fromkeys(subformulas)) == len(subformulas)
+    computed = []
+    connective = models._connective
+
+    def counted(model, f, *sub):
+        computed.append(f)
+        return connective(model, f, *sub)
+
+    monkeypatch.setattr(models, "_connective", counted)
+    nash = extension(model, formula)
+    assert len(computed) == len(subformulas)
+    assert {model.states[int(i)] for i in np.flatnonzero(nash)} == nash_set(game)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stratlogic import properties
 from stratlogic import (
     ADV,
     And,
@@ -15,6 +18,7 @@ from stratlogic import (
     Concrete,
     CUR,
     Diamond,
+    GameError,
     MaslModel,
     Not,
     Or,
@@ -23,6 +27,7 @@ from stratlogic import (
     Vector,
     VectorAtom,
     build_property,
+    render,
     epistemic_lift,
     expand,
     extension,
@@ -52,7 +57,9 @@ from stratlogic.catalog import (
 )
 
 from dense_oracle import program_relation, relation_via_pre
+from builders import node_objects
 from gens import random_game
+import property_oracle
 
 PD = prisoners_dilemma()
 PD_SIG = Signature.from_game(PD)
@@ -343,3 +350,102 @@ def test_strategy_proof_inner_is_the_boxed_body():
     outer = build_property("strategyProof", sig)
     assert isinstance(outer, Box)
     assert outer.body == strategy_proof_inner(sig)
+
+
+# --------------------------------------------------------------------------
+# Shared subformulas, against the compositional builders
+
+
+def _assert_shared(root) -> None:
+    nodes = node_objects(root)
+    # A dict keys nodes by structural equality: two equal objects share a key.
+    assert len(dict.fromkeys(nodes)) == len(nodes)
+
+
+def _same_build(build, oracle) -> None:
+    """The two thunks give equal, identically rendered trees (or lists of
+    vectors), the first with no two distinct nodes equal; or both raise the
+    same GameError."""
+    try:
+        want = oracle()
+    except GameError as exc:
+        with pytest.raises(GameError) as got:
+            build()
+        assert str(got.value) == str(exc)
+        return
+    got = build()
+    assert got == want
+    for node, twin in zip(*((x if isinstance(x, list) else [x]) for x in (got, want))):
+        assert render(node) == render(twin)
+        _assert_shared(node)
+
+
+_STRATEGY_POOL = ("a", "b", "c", "d")
+
+
+@st.composite
+def _signatures(draw) -> Signature:
+    """2–4 players with 1–4 strategies each (names overlap across players),
+    1–8 exact values including fractions, with or without alternatives."""
+    strategy_sets = tuple(
+        tuple(draw(st.lists(st.sampled_from(_STRATEGY_POOL), min_size=1, max_size=4, unique=True)))
+        for _ in range(draw(st.integers(2, 4)))
+    )
+    values = draw(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    alternatives = draw(
+        st.none()
+        | st.lists(st.sampled_from(_STRATEGY_POOL), min_size=1, max_size=4, unique=True).map(tuple)
+    )
+    return Signature(strategy_sets, tuple(sorted(values)), alternatives)
+
+
+@given(_signatures())
+@settings(max_examples=60, deadline=None)
+def test_builders_match_the_compositional_oracle_with_shared_nodes(sig):
+    moves = [(i, a) for i in sig.players for a in sig.strategies(i)]
+    params = {(): [()], ("player",): [(i,) for i in sig.players], ("player", "strategy"): moves}
+    for name in PROPERTY_NAMES:
+        oracle, wanted = property_oracle.PROPERTIES[name]
+        for args in params[wanted]:
+            _same_build(
+                lambda: build_property(name, sig, **dict(zip(wanted, args))),
+                lambda: oracle(sig, *args),
+            )
+
+    def same_helper(helper: str, *args) -> None:
+        _same_build(
+            lambda: getattr(properties, helper)(sig, *args),
+            lambda: getattr(property_oracle, helper)(sig, *args),
+        )
+
+    for i in sig.players:
+        for helper in ("box_switch", "diamond_switch", "box_any"):
+            same_helper(helper, i, UtilEq(i, sig.util_range[0]))
+        for v in sig.util_range:
+            same_helper("payoff_geq", i, v)
+            same_helper("payoff_gt", i, v)
+    for i, a in moves:
+        same_helper("vec_switch", i, a)
+        same_helper("vec_any", i, a)
+    for x in sig.alternatives or ():
+        same_helper("plurality_winner_vectors", x)
+
+
+def test_shared_node_counts_on_a_three_by_three_by_three_signature():
+    sig = Signature((("a", "b", "c"),) * 3, (0, 1, 2, 3))
+    weak = [(i, a) for i in sig.players for a in sig.strategies(i)]
+
+    def objects(formulas):
+        return sum(len(node_objects(f)) for f in formulas)
+
+    assert objects(property_oracle.weak_dominance(sig, *args) for args in weak) == 1305
+    assert objects(properties.weak_dominance(sig, *args) for args in weak) == 396
+    assert objects([property_oracle.nash_here(sig)]) == 281
+    assert objects([properties.nash_here(sig)]) == 147
