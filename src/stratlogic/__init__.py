@@ -10,10 +10,7 @@ from .games import (
     Profile,
     StrategicGame,
     all_profiles,
-    combine,
-    is_best_response,
-    nash_set,
-    weakly_dominant,
+    best_response,
 )
 from .syntax import (
     ADV,
@@ -61,8 +58,8 @@ from .models import (
     satisfies,
     valid_in_model,
 )
-from .parser import ParseError, parse, parse_cl, parse_formula, parse_program
-from .properties import build_property, expand
+from .parser import ParseError, parse
+from .properties import build_property
 from .coalition import (
     CLAnd,
     CLAtom,
@@ -70,7 +67,6 @@ from .coalition import (
     CLFormula,
     CLNot,
     CLTop,
-    cl_check,
     cl_extension,
     coalition_vectors,
     render_cl,

@@ -1,7 +1,7 @@
 """Worked examples used by the demos and the test suite."""
 from __future__ import annotations
 
-from .games import GameForm, OutcomeRecord, StrategicGame
+from .games import GameForm, OutcomeRecord, Outcomes, StrategicGame
 from .models import IntensionalModel, confusion_model, restrict
 from .voting import Ballot, BallotProfile, Plurality, ResoluteWrap, induced_game
 
@@ -11,15 +11,13 @@ ALTERNATIVES = ("a", "b", "c")
 def prisoners_dilemma() -> StrategicGame:
     """Two players, cooperate/defect, with the usual temptation ordering."""
     form = GameForm([("c", "d"), ("c", "d")])
-    return StrategicGame.from_named_outcomes(
-        form,
-        {
-            ("c", "c"): OutcomeRecord("cc", (2, 2)),
-            ("c", "d"): OutcomeRecord("cd", (0, 3)),
-            ("d", "c"): OutcomeRecord("dc", (3, 0)),
-            ("d", "d"): OutcomeRecord("dd", (1, 1)),
-        },
-    )
+    records = [
+        OutcomeRecord("cc", (2, 2)),
+        OutcomeRecord("cd", (0, 3)),
+        OutcomeRecord("dc", (3, 0)),
+        OutcomeRecord("dd", (1, 1)),
+    ]
+    return StrategicGame(form, Outcomes.from_records(records, form.n))
 
 
 def three_voter_ballots() -> BallotProfile:

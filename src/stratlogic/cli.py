@@ -21,7 +21,7 @@ from .axioms import (
     validity_report,
 )
 from .coalition import cl_extension, render_cl, translate
-from .games import GameError, nash_set, weakly_dominant
+from .games import GameError, best_response
 from .jsonio import (
     FormatError,
     ast_to_dict,
@@ -106,6 +106,13 @@ def _extension_keys(model, mask) -> list[str]:
     return [model.state_key(int(i)) for i in np.flatnonzero(mask)]
 
 
+def _nash_mask(game) -> np.ndarray:
+    """The pure Nash equilibria over the profiles, from best responses
+    alone: an independent check on the `nashHere` formula."""
+    grids = [best_response(game, player) for player in game.form.players]
+    return np.logical_and.reduce(grids).reshape(-1)
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -144,13 +151,9 @@ def _cmd_nash(args) -> int:
     model = MaslModel(game)
     sig = model_signature(model)
     mask = extension(model, build_property("nashHere", sig))
-    by_formula = {model.states[int(i)] for i in np.flatnonzero(mask)}
-    by_search = nash_set(game)
-    agree = by_formula == by_search
-    data = {
-        "equilibria": [game.form.profile_key(s) for s in sorted(by_search)],
-        "formulaAgrees": agree,
-    }
+    nash = _nash_mask(game)
+    agree = bool(np.array_equal(mask, nash))
+    data = {"equilibria": _extension_keys(model, nash), "formulaAgrees": agree}
     _emit(data, args.output)
     return 0 if agree else 1
 
@@ -168,7 +171,7 @@ def _cmd_voting_game(args) -> int:
     return 0
 
 
-def _cmd_cl_translate(args) -> int:
+def _cmd_coalition_translate(args) -> int:
     game = load_game(args.game)
     sig = model_signature(MaslModel(game))
     clf = parse(args.formula, sig, "cl")
@@ -180,7 +183,7 @@ def _cmd_cl_translate(args) -> int:
     return 0
 
 
-def _cmd_cl_check(args) -> int:
+def _cmd_coalition_check(args) -> int:
     game = load_game(args.game)
     model = MaslModel(game)
     clf = parse(args.formula, model_signature(model), "cl")
@@ -250,22 +253,24 @@ def _demo_pd() -> int:
     game = catalog.prisoners_dilemma()
     model = MaslModel(game)
     sig = model_signature(model)
-    equilibria = nash_set(game)
+    nash = _nash_mask(game)
+    equilibria = _extension_keys(model, nash)
     print("prisoner's dilemma states:", [model.state_key(i) for i in range(model.size)])
-    print("nash equilibria:", sorted(game.form.profile_key(s) for s in equilibria))
-    _require(equilibria == {(1, 1)}, "expected d,d to be the unique equilibrium")
+    print("nash equilibria:", equilibria)
+    _require(equilibria == ["d,d"], "expected d,d to be the unique equilibrium")
     mask = extension(model, build_property("nashHere", sig))
     _require(
-        {model.states[int(i)] for i in np.flatnonzero(mask)} == equilibria,
-        "nashHere formula disagrees with the search oracle",
+        np.array_equal(mask, nash),
+        "nashHere formula disagrees with the best-response check",
     )
     for player in (1, 2):
         formula_ok = valid_in_model(
             model, build_property("weakDominance", sig, player=player, strategy="d")
         )
-        oracle_ok = weakly_dominant(game, player, "d")
+        defect = game.form.strategy_index(player, "d")
+        check_ok = best_response(game, player).take(defect, axis=player - 1).all()
         print(f"defection weakly dominant for player {player}:", formula_ok)
-        _require(formula_ok and oracle_ok, "defection should be weakly dominant")
+        _require(formula_ok and check_ok, "defection should be weakly dominant")
     tft = tit_for_tat(sig, 2)
     reach = set()
     for s in model.states:
@@ -288,13 +293,13 @@ def _demo_vote3() -> int:
         game.outcome(truthful).utils == (1, 1, 1),
         "the three-way tie should pay 1 to everyone",
     )
-    equilibria = nash_set(game)
-    print("equilibrium count:", len(equilibria))
-    _require(truthful in equilibria, "the truthful profile should be an equilibrium")
+    nash = _nash_mask(game)
+    print("equilibrium count:", int(nash.sum()))
+    _require(nash[game.profile_index(truthful)], "the truthful profile should be an equilibrium")
     mask = extension(model, build_property("nashHere", sig))
     _require(
-        {model.states[int(i)] for i in np.flatnonzero(mask)} == equilibria,
-        "nashHere formula disagrees with the search oracle",
+        np.array_equal(mask, nash),
+        "nashHere formula disagrees with the best-response check",
     )
     _require(
         valid_in_model(model, build_property("pluralityRule", sig)),
@@ -410,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("text", help="expression to parse")
     p.set_defaults(fn=_cmd_parse)
 
-    p = with_output(sub.add_parser("nash", help="equilibria, formula vs. search"))
+    p = with_output(sub.add_parser("nash", help="equilibria, formula vs. best responses"))
     p.add_argument("--game", required=True)
     p.set_defaults(fn=_cmd_nash)
 
@@ -430,12 +435,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = with_output(cl.add_parser("translate", help="compile into the strategy logic"))
     p.add_argument("--game", required=True)
     p.add_argument("--formula", required=True)
-    p.set_defaults(fn=_cmd_cl_translate)
+    p.set_defaults(fn=_cmd_coalition_translate)
     p = with_output(cl.add_parser("check", help="direct semantics, cross-checked"))
     p.add_argument("--game", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--state")
-    p.set_defaults(fn=_cmd_cl_check)
+    p.set_defaults(fn=_cmd_coalition_check)
 
     p = with_output(sub.add_parser("lift", help="emit the epistemic lift of a game"))
     p.add_argument("--game", required=True)

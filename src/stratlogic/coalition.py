@@ -179,11 +179,6 @@ def _cl_box_mask(model: IntensionalModel, formula: CLBox, body: np.ndarray) -> n
     return np.full(model.size, value, dtype=bool)
 
 
-def cl_check(model: IntensionalModel, state, formula: CLFormula) -> bool:
-    """Truth of a coalition formula at one state."""
-    return bool(cl_extension(model, formula)[model.index(state)])
-
-
 # --------------------------------------------------------------------------
 # translation into the strategy logic
 

@@ -1,10 +1,10 @@
-"""Finite strategic games: forms, outcomes, profiles, and solution concepts."""
+"""Finite strategic games: forms, profiles, the outcome store, and best
+responses."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -133,32 +133,6 @@ def all_profiles(form: GameForm) -> list[Profile]:
     return list(product(*ranges))
 
 
-def combine(
-    form: GameForm,
-    coalition: Iterable[int],
-    coalition_part: Mapping[int, str],
-    rest_part: Mapping[int, str],
-) -> Profile:
-    """Assemble a profile from a coalition's choices and the complement's.
-
-    Both parts map player numbers to strategy names; together they must cover
-    every player exactly once, with ``coalition_part`` covering ``coalition``.
-    """
-    members = frozenset(coalition)
-    for player in members:
-        form._check_player(player)
-    if set(coalition_part) != members:
-        raise GameError("coalition part does not cover exactly the coalition")
-    rest = frozenset(form.players) - members
-    if set(rest_part) != rest:
-        raise GameError("rest part does not cover exactly the complement")
-    names = []
-    for player in form.players:
-        source = coalition_part if player in members else rest_part
-        names.append(source[player])
-    return form.profile_from_names(names)
-
-
 @dataclass(frozen=True)
 class OutcomeRecord:
     """What the valuation can see at a profile: a label, utilities, and
@@ -253,6 +227,17 @@ class Outcomes:
     def __len__(self) -> int:
         return len(self.codes)
 
+    def __eq__(self, other) -> bool:
+        """Field-wise equality.  The encoding is canonical (values
+        ascending, labels in order of first occurrence, alternatives
+        sorted), so equal stores are exactly those with equal records.
+        Stores hold arrays and are not hashable."""
+        if not isinstance(other, Outcomes):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
     def record(self, row: int) -> OutcomeRecord:
         """One row as an `OutcomeRecord`."""
         winners = None
@@ -267,27 +252,25 @@ class Outcomes:
 
 @dataclass(frozen=True)
 class StrategicGame:
-    """A game form plus a total outcome assignment.
-
-    ``records`` is aligned with ``all_profiles(form)``.
-    """
+    """A game form plus its outcomes: one row per profile, in
+    `all_profiles` order.  `outcome(s)` is the record view of one row."""
 
     form: GameForm
-    records: tuple[OutcomeRecord, ...]
+    outcomes: Outcomes
 
     def __post_init__(self) -> None:
         expected = self.form.profile_count()
-        if len(self.records) != expected:
+        if len(self.outcomes) != expected:
             raise GameError(
-                f"need one outcome per profile: got {len(self.records)}, "
+                f"need one outcome per profile: got {len(self.outcomes)}, "
                 f"expected {expected}"
             )
-        for rec in self.records:
-            if len(rec.utils) != self.form.n:
-                raise GameError(
-                    f"outcome {rec.label!r} has {len(rec.utils)} utilities "
-                    f"for {self.form.n} players"
-                )
+        width = self.outcomes.codes.shape[1]
+        if width != self.form.n:
+            label = self.outcomes.labels[self.outcomes.label_codes[0]]
+            raise GameError(
+                f"outcome {label!r} has {width} utilities for {self.form.n} players"
+            )
 
     @classmethod
     def from_outcomes(
@@ -299,16 +282,7 @@ class StrategicGame:
             raise GameError(f"no outcome for profile {form.profile_key(missing[0])!r}")
         if len(outcomes) != len(states):
             raise GameError("outcome table mentions profiles outside the form")
-        return cls(form, tuple(outcomes[s] for s in states))
-
-    @classmethod
-    def from_named_outcomes(
-        cls, form: GameForm, outcomes: Mapping[tuple[str, ...], OutcomeRecord]
-    ) -> StrategicGame:
-        table = {
-            form.profile_from_names(names): rec for names, rec in outcomes.items()
-        }
-        return cls.from_outcomes(form, table)
+        return cls(form, Outcomes.from_records([outcomes[s] for s in states], form.n))
 
     def profile_index(self, s: Profile) -> int:
         self.form.validate_profile(s)
@@ -318,53 +292,20 @@ class StrategicGame:
         return idx
 
     def outcome(self, s: Profile) -> OutcomeRecord:
-        return self.records[self.profile_index(s)]
-
-    def util(self, s: Profile, player: int) -> Fraction:
-        self.form._check_player(player)
-        return self.outcome(s).utils[player - 1]
-
-    @cached_property
-    def outcomes(self) -> Outcomes:
-        """The records as one columnar store, in `all_profiles` order."""
-        return Outcomes.from_records(self.records, self.form.n)
+        return self.outcomes.record(self.profile_index(s))
 
 
-def _switches(game: StrategicGame, s: Profile, player: int) -> list[Profile]:
-    pos = player - 1
-    return [
-        s[:pos] + (alt,) + s[pos + 1 :]
-        for alt in range(len(game.form.strategy_sets[pos]))
-    ]
+def best_response(game: StrategicGame, player: int) -> np.ndarray:
+    """Where `player` best-responds: a bool array over the profile grid, one
+    axis per player, True at the profiles where no switch of the player's
+    own strategy raises their utility.  Exact, because utility codes keep
+    the order of the values.
 
-
-def is_best_response(game: StrategicGame, s: Profile, player: int) -> bool:
-    """True iff no own-strategy switch strictly improves `player` at `s`."""
+    Pure Nash equilibria are the AND of these grids over the players, and
+    strategy `a` is weakly dominant for `player` iff
+    ``best_response(game, player).take(a, axis=player - 1).all()``.
+    """
     game.form._check_player(player)
-    here = game.util(s, player)
-    return all(game.util(t, player) <= here for t in _switches(game, s, player))
-
-
-def nash_set(game: StrategicGame) -> frozenset[Profile]:
-    """All pure Nash equilibria, by exhaustive best-response checking."""
-    return frozenset(
-        s
-        for s in all_profiles(game.form)
-        if all(is_best_response(game, s, i) for i in game.form.players)
-    )
-
-
-def weakly_dominant(game: StrategicGame, player: int, name: str) -> bool:
-    """True iff `name` is weakly dominant for `player`: against every opponent
-    block it does at least as well as every alternative."""
-    a = game.form.strategy_index(player, name)
-    pos = player - 1
-    others = [range(len(names)) for names in game.form.strategy_sets]
-    del others[pos]
-    for rest in product(*others):
-        s_a = rest[:pos] + (a,) + rest[pos:]
-        for b in range(len(game.form.strategy_sets[pos])):
-            s_b = rest[:pos] + (b,) + rest[pos:]
-            if game.util(s_b, player) > game.util(s_a, player):
-                return False
-    return True
+    shape = tuple(len(names) for names in game.form.strategy_sets)
+    codes = game.outcomes.codes[:, player - 1].reshape(shape)
+    return codes == codes.max(axis=player - 1, keepdims=True)

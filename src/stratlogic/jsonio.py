@@ -77,6 +77,8 @@ def loads(text: str) -> Any:
         return json.loads(text, object_pairs_hook=_no_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError("not valid JSON: nesting too deep") from None
 
 
 def load_path(path: str | Path) -> Any:
@@ -102,8 +104,9 @@ def util_to_json(value: Fraction) -> int | str:
 
 
 def game_to_dict(game: StrategicGame) -> dict:
-    profiles = all_profiles(game.form)
-    return _form_to_dict(game.form, zip(profiles, game.records), game.form)
+    table = game.outcomes
+    outcomes = [(s, table.record(row)) for row, s in enumerate(all_profiles(game.form))]
+    return _form_to_dict(game.form, outcomes, game.form)
 
 
 def _form_to_dict(form: GameForm, outcomes, ambient: GameForm) -> dict:

@@ -504,14 +504,3 @@ def parse(text: str, signature: Signature, kind: str = "formula"):
         return parser._finish(parser.cl_formula())
     raise ValueError(f"unknown parse kind {kind!r}")
 
-
-def parse_formula(text: str, signature: Signature) -> Formula:
-    return parse(text, signature, "formula")
-
-
-def parse_program(text: str, signature: Signature) -> Program:
-    return parse(text, signature, "program")
-
-
-def parse_cl(text: str, signature: Signature) -> CLFormula:
-    return parse(text, signature, "cl")

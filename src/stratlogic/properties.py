@@ -9,7 +9,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Mapping
 
 from .games import GameError, to_fraction
 from .syntax import (
@@ -343,17 +342,6 @@ def tit_for_tat(sig: Signature, player: int) -> Program:
 # --------------------------------------------------------------------------
 # name-based dispatch (used by the CLI and the demos)
 
-_EXPANSIONS = {
-    "boxSwitch": (box_switch, ("player", "body")),
-    "boxAny": (box_any, ("player", "body")),
-    "diamondSwitch": (diamond_switch, ("player", "body")),
-    "diamondAnyState": (diamond_any_state, ("body",)),
-    "payoffGeq": (payoff_geq, ("player", "value")),
-    "payoffGt": (payoff_gt, ("player", "value")),
-    "vecSwitch": (vec_switch, ("player", "strategy")),
-    "vecAny": (vec_any, ("player", "strategy")),
-}
-
 _PROPERTIES = {
     "nashHere": (nash_here, ()),
     "gameIsNash": (game_is_nash, ()),
@@ -368,25 +356,14 @@ _PROPERTIES = {
 }
 
 
-def _dispatch(table, kind: str, name: str, sig: Signature, params: Mapping):
-    if name not in table:
-        raise GameError(f"unknown {kind} {name!r}")
-    fn, wanted = table[name]
-    if set(params) != set(wanted):
-        raise GameError(
-            f"{kind} {name!r} takes parameters {wanted}, got {tuple(params)}"
-        )
-    return fn(sig, *(params[key] for key in wanted))
-
-
-def expand(name: str, sig: Signature, **params):
-    """Build one of the derived modalities/atoms by name."""
-    return _dispatch(_EXPANSIONS, "abbreviation", name, sig, params)
-
-
 def build_property(name: str, sig: Signature, **params):
     """Build a named game property (a Formula, or a Program for titForTat)."""
-    return _dispatch(_PROPERTIES, "property", name, sig, params)
+    if name not in _PROPERTIES:
+        raise GameError(f"unknown property {name!r}")
+    fn, wanted = _PROPERTIES[name]
+    if set(params) != set(wanted):
+        raise GameError(f"property {name!r} takes parameters {wanted}, got {tuple(params)}")
+    return fn(sig, *(params[key] for key in wanted))
 
 
 PROPERTY_NAMES = tuple(_PROPERTIES)

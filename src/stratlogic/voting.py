@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .games import GameForm, OutcomeRecord, Outcomes, StrategicGame
+from .games import GameForm, Outcomes, StrategicGame, _code_dtype
 from .models import IntensionalModel, extension
 from .properties import dictator
 from .syntax import Signature
@@ -293,13 +293,16 @@ def _winner_table(
 
 class _PayoffTable(NamedTuple):
     """What every game a rule induces for a number of voters shares: the
-    form, the winner set each cell elects, and each winner set's payoff
-    under each ballot, as a code into the sorted payoff range."""
+    form, the winner set each cell elects with its label and winner row,
+    and each winner set's payoff under each ballot, as a code into the
+    sorted payoff range."""
 
     form: GameForm
     ballots: dict[Ballot, int]  # all_ballots order
-    sets: tuple[frozenset[str], ...]  # in order of first election
-    cell_sets: np.ndarray  # (cells,) index into `sets`, all_profiles order
+    cell_sets: np.ndarray  # (cells,) winner set index, all_profiles order
+    labels: tuple[str, ...]  # per winner set, in order of first election
+    alternatives: tuple[str, ...]  # every winning alternative, sorted
+    winners: np.ndarray  # (sets, alternatives) bool
     values: tuple[Fraction, ...]  # every payoff, ascending, no repeats
     codes: np.ndarray  # (sets, ballots) index into `values`
 
@@ -309,18 +312,25 @@ def _payoff_table(rule: VotingRule, n_voters: int) -> _PayoffTable:
     table, form = _winner_table(rule, n_voters)
     ballots = all_ballots(rule.alternatives)
     index: dict[frozenset[str], int] = {}
-    cell_sets = [index.setdefault(table[names], len(index)) for names in table]
+    sets = [index.setdefault(table[names], len(index)) for names in table]
+    # Labels are one per set, so set codes are label codes; every induced
+    # game's store shares this array.
+    cell_sets = np.array(sets, dtype=_code_dtype(len(index)))
+    cell_sets.flags.writeable = False
+    alternatives = tuple(sorted(frozenset().union(*index)))
     payoffs = [[outcome_payoff(won, ballot) for ballot in ballots] for won in index]
     values = tuple(sorted(set().union(*payoffs)))
     return _PayoffTable(
         form=form,
         ballots={ballot: i for i, ballot in enumerate(ballots)},
-        sets=tuple(index),
-        cell_sets=np.array(cell_sets),
+        cell_sets=cell_sets,
+        labels=tuple(winners_label(rule, won) for won in index),
+        alternatives=alternatives,
+        winners=np.array([[a in won for a in alternatives] for won in index]),
         values=values,
         codes=np.array(
             [[values.index(p) for p in row] for row in payoffs],
-            dtype=np.min_scalar_type(len(values) - 1),
+            dtype=_code_dtype(len(values)),
         ),
     )
 
@@ -333,13 +343,18 @@ def induced_game(rule: VotingRule, true_ballots: Sequence[Ballot]) -> StrategicG
         if ballot not in table.ballots:
             raise VotingError(f"ballot {ballot} does not rank the alternatives")
     columns = [table.ballots[ballot] for ballot in true_ballots]
-    by_set = [
-        OutcomeRecord(
-            winners_label(rule, won), [table.values[code] for code in row[columns]], won
-        )
-        for won, row in zip(table.sets, table.codes)
-    ]
-    return StrategicGame(table.form, tuple(by_set[w] for w in table.cell_sets))
+    # Keep only the payoffs this game pays, so its range is its own.
+    used, codes = np.unique(table.codes[:, columns], return_inverse=True)
+    codes = codes.reshape(len(table.labels), len(columns)).astype(_code_dtype(len(used)))
+    outcomes = Outcomes(
+        tuple(table.values[code] for code in used),
+        codes[table.cell_sets],
+        table.labels,
+        table.cell_sets,
+        table.alternatives,
+        table.winners[table.cell_sets],
+    )
+    return StrategicGame(table.form, outcomes)
 
 
 # --------------------------------------------------------------------------
@@ -425,15 +440,14 @@ def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
     names = [str(ballot) for ballot in table.ballots]
     forms = len(names) ** 2
     # Per batch, only the utilities change: worlds are the forms' full grids
-    # in order, and labels and winners are those of any one induced game.
+    # in order, and each cell's label and winners are the payoff table's.
     shape = (forms,) + (len(rule.alternatives),) * n_voters
     worlds = np.indices(shape).reshape(n_voters + 1, -1).T
-    cells = induced_game(rule, list(table.ballots)[:1] * n_voters).outcomes
-    label_codes = np.tile(cells.label_codes, forms)
-    winners = np.tile(cells.winners, (forms, 1))
+    label_codes = np.tile(table.cell_sets, forms)
+    winners = np.tile(table.winners[table.cell_sets], (forms, 1))
     profiles = np.empty((forms, n_voters), dtype=np.int64)
     profiles[:, -2:] = list(product(range(len(names)), repeat=2))
-    sig = Signature(table.form.strategy_sets, table.values, cells.alternatives)
+    sig = Signature(table.form.strategy_sets, table.values, table.alternatives)
     candidates = set(range(1, n_voters + 1))
     formulas = {voter: dictator(sig, voter) for voter in candidates}
     for head in product(range(len(names)), repeat=n_voters - 2):
@@ -446,9 +460,9 @@ def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
         outcomes = Outcomes(
             table.values,
             codes.reshape(len(worlds), n_voters),
-            cells.labels,
+            table.labels,
             label_codes,
-            cells.alternatives,
+            table.alternatives,
             winners,
         )
         ids = [" ".join(names[b] for b in profile) for profile in profiles.tolist()]

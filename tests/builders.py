@@ -1,19 +1,33 @@
-"""Small syntax and signature builders, and a node walker, that only the
-tests use."""
+"""Small syntax, signature and profile builders, the by-name abbreviation
+table, and a node walker, that only the tests use."""
 
 from __future__ import annotations
+
+from typing import Iterable, Mapping
 
 from stratlogic import (
     Box,
     Choice,
     Diamond,
     Formula,
+    GameError,
     GameForm,
     Implies,
+    Profile,
     Program,
     Seq,
     Signature,
     Vector,
+)
+from stratlogic.properties import (
+    box_any,
+    box_switch,
+    diamond_any_state,
+    diamond_switch,
+    payoff_geq,
+    payoff_gt,
+    vec_any,
+    vec_switch,
 )
 from stratlogic.syntax import Node, Vec
 
@@ -60,3 +74,51 @@ def node_objects(root: Node) -> list[Node]:
                 if isinstance(child, Node):
                     stack.append(child)
     return list(seen.values())
+
+
+def combine(
+    form: GameForm,
+    coalition: Iterable[int],
+    coalition_part: Mapping[int, str],
+    rest_part: Mapping[int, str],
+) -> Profile:
+    """Assemble a profile from a coalition's choices and the complement's.
+
+    Both parts map player numbers to strategy names; together they must cover
+    every player exactly once, with ``coalition_part`` covering ``coalition``.
+    """
+    members = frozenset(coalition)
+    for player in members:
+        form._check_player(player)
+    if set(coalition_part) != members:
+        raise GameError("coalition part does not cover exactly the coalition")
+    rest = frozenset(form.players) - members
+    if set(rest_part) != rest:
+        raise GameError("rest part does not cover exactly the complement")
+    names = []
+    for player in form.players:
+        source = coalition_part if player in members else rest_part
+        names.append(source[player])
+    return form.profile_from_names(names)
+
+
+_EXPANSIONS = {
+    "boxSwitch": (box_switch, ("player", "body")),
+    "boxAny": (box_any, ("player", "body")),
+    "diamondSwitch": (diamond_switch, ("player", "body")),
+    "diamondAnyState": (diamond_any_state, ("body",)),
+    "payoffGeq": (payoff_geq, ("player", "value")),
+    "payoffGt": (payoff_gt, ("player", "value")),
+    "vecSwitch": (vec_switch, ("player", "strategy")),
+    "vecAny": (vec_any, ("player", "strategy")),
+}
+
+
+def expand(name: str, sig: Signature, **params):
+    """Build one of the derived modalities/atoms by name."""
+    if name not in _EXPANSIONS:
+        raise GameError(f"unknown abbreviation {name!r}")
+    fn, wanted = _EXPANSIONS[name]
+    if set(params) != set(wanted):
+        raise GameError(f"abbreviation {name!r} takes parameters {wanted}, got {tuple(params)}")
+    return fn(sig, *(params[key] for key in wanted))

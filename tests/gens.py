@@ -122,7 +122,8 @@ _LABELS = ("ok", "x_1", "a,b", "two words", "a+b*c")
 
 def eval_safe_pools(game: StrategicGame) -> tuple[tuple, tuple]:
     """Value and label pools guaranteed to evaluate without errors."""
-    labels = tuple(rec.label for rec in game.records)
+    table = game.outcomes
+    labels = tuple(table.labels[code] for code in table.label_codes)
     return Signature.from_game(game).util_range, labels
 
 

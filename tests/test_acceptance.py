@@ -30,7 +30,6 @@ from stratlogic.catalog import (
     vote3_tiebreak_game,
 )
 from stratlogic.coalition import cl_extension, translate
-from stratlogic.games import nash_set, weakly_dominant
 from stratlogic.models import (
     MaslModel,
     counterexample,
@@ -69,6 +68,7 @@ from stratlogic.voting import (
 
 from builders import functionality_shape
 from conftest import record
+from game_oracle import nash_set, weakly_dominant
 from gens import (
     random_cl_formula,
     random_formula,

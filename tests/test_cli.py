@@ -252,6 +252,22 @@ def test_bad_json_exits_2(tmp_path, capsys):
     assert main(["check", "--game", str(path), "--formula", "T"]) == 2
 
 
+def test_over_deep_json_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    src = str(Path(stratlogic.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stratlogic.cli", "check", "--game", str(path),
+         "--formula", "T"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: not valid JSON: nesting too deep\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -19,7 +19,6 @@ from stratlogic import (
     Signature,
     UtilEq,
     all_profiles,
-    cl_check,
     cl_extension,
     coalition_vectors,
     epistemic_lift,
@@ -31,6 +30,7 @@ from stratlogic.coalition import CLAnd, CLAtom, CLBox, CLNot, CLTop, cl_disj, re
 from stratlogic.syntax import Box, Not, Or, Top, Vec, Vector
 from stratlogic.catalog import commitment_confusion, prisoners_dilemma, vote3_game
 
+from game_oracle import util
 from gens import random_cl_formula, random_game
 
 PD = prisoners_dilemma()
@@ -143,7 +143,7 @@ def test_cl_extension_needs_one_full_profile_grid():
         PD.form,
         [("G", PD.form), ("H", PD.form)],
         worlds,
-        Outcomes.from_records(PD.records * 2, 2),
+        Outcomes.from_records([PD.outcomes.record(row) for row in range(4)] * 2, 2),
     )
     with pytest.raises(EvalError):
         cl_extension(twice, CLBox(frozenset({1}), CLAtom(UtilEq(1, 1))))
@@ -158,7 +158,7 @@ def test_cl_check_matches_extension():
     f = CLBox(frozenset({1}), CLAtom(UtilEq(1, 1)))
     ext = cl_extension(model, f)
     for i in range(4):
-        assert cl_check(model, i, f) == bool(ext[i])
+        assert cl_extension(model, f)[model.index(i)] == bool(ext[i])
 
 
 def test_cl_atom_semantics_match_records_directly():
@@ -172,7 +172,7 @@ def test_cl_atom_semantics_match_records_directly():
             for value in Signature.from_game(game).util_range:
                 ext = cl_extension(model, CLAtom(UtilEq(player, value)))
                 for i, s in enumerate(states):
-                    assert ext[i] == (game.util(s, player) == value)
+                    assert ext[i] == (util(game, s, player) == value)
 
 
 # --------------------------------------------------------------------------
@@ -239,4 +239,5 @@ def test_translation_agreement_on_sweep():
             compiled = extension(model, translate(f, game.form))
             assert np.array_equal(direct, compiled)
             for i in range(model.size):
-                assert cl_check(model, i, f) == satisfies(model, i, translate(f, game.form))
+                holds = cl_extension(model, f)[model.index(i)]
+                assert holds == satisfies(model, i, translate(f, game.form))

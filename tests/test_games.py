@@ -1,28 +1,33 @@
-"""Game forms, outcome tables, and the brute-force solution concepts."""
+"""Game forms, the outcome store, and the solution concepts: exact best
+responses against the brute-force oracle."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratlogic import (
     GameError,
     GameForm,
     OutcomeRecord,
+    Outcomes,
     Signature,
     StrategicGame,
     all_profiles,
-    combine,
-    is_best_response,
-    nash_set,
-    weakly_dominant,
+    best_response,
 )
 from stratlogic.games import to_fraction
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
+from builders import combine
+from game_oracle import is_best_response, nash_set, util, weakly_dominant
 from gens import random_game
 
 
@@ -160,10 +165,10 @@ def test_profile_index_matches_enumeration_order():
 
 def test_pd_payoffs_and_range():
     pd = prisoners_dilemma()
-    assert pd.util((0, 0), 1) == 2 and pd.util((0, 0), 2) == 2
-    assert pd.util((0, 1), 1) == 0 and pd.util((0, 1), 2) == 3
-    assert pd.util((1, 0), 1) == 3 and pd.util((1, 0), 2) == 0
-    assert pd.util((1, 1), 1) == 1 and pd.util((1, 1), 2) == 1
+    assert util(pd, (0, 0), 1) == 2 and util(pd, (0, 0), 2) == 2
+    assert util(pd, (0, 1), 1) == 0 and util(pd, (0, 1), 2) == 3
+    assert util(pd, (1, 0), 1) == 3 and util(pd, (1, 0), 2) == 0
+    assert util(pd, (1, 1), 1) == 1 and util(pd, (1, 1), 2) == 1
     sig = Signature.from_game(pd)
     assert sig.util_range == (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
     assert sig.alternatives is None
@@ -200,10 +205,10 @@ def _nash_by_definition(game: StrategicGame) -> set:
         ok = True
         for player in game.form.players:
             pos = player - 1
-            here = game.util(s, player)
+            here = util(game, s, player)
             for alt in range(len(game.form.strategy_sets[pos])):
                 t = s[:pos] + (alt,) + s[pos + 1 :]
-                if game.util(t, player) > here:
+                if util(game, t, player) > here:
                     ok = False
                     break
             if not ok:
@@ -225,7 +230,7 @@ def _dominant_by_definition(game: StrategicGame, player: int, name: str) -> bool
         s = rest[:pos] + (a,) + rest[pos:]
         for b in range(len(game.form.strategy_sets[pos])):
             t = rest[:pos] + (b,) + rest[pos:]
-            if game.util(t, player) > game.util(s, player):
+            if util(game, t, player) > util(game, s, player):
                 return False
     return True
 
@@ -248,3 +253,86 @@ def test_games_with_singleton_strategies_always_have_equilibria():
         game = random_game(rng, size_range=(1, 1))
         # one profile, trivially an equilibrium
         assert nash_set(game) == {tuple(0 for _ in range(game.form.n))}
+
+
+# --------------------------------------------------------------------------
+# Exact best responses on the codes against the brute-force oracle
+
+_UTILS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(-3, 2))
+
+
+@st.composite
+def _fractional_games(draw) -> StrategicGame:
+    """Games of 2 to 4 players with 1 to 3 strategies each and utilities
+    drawn from a few fractions, so ties and 1-strategy players are common."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    form = GameForm([tuple("abc"[:k]) for k in sizes])
+    pool = st.sampled_from(
+        draw(st.lists(st.sampled_from(_UTILS), min_size=1, max_size=3, unique=True))
+    )
+    utils = st.lists(pool, min_size=form.n, max_size=form.n)
+    outcomes = {s: OutcomeRecord(form.profile_key(s), draw(utils)) for s in all_profiles(form)}
+    return StrategicGame.from_outcomes(form, outcomes)
+
+
+@given(_fractional_games())
+@settings(max_examples=150, deadline=None)
+def test_best_response_gives_the_oracles_nash_and_dominance(game):
+    grids = [best_response(game, player) for player in game.form.players]
+    nash = np.logical_and.reduce(grids).reshape(-1)
+    states = all_profiles(game.form)
+    assert {states[i] for i in np.flatnonzero(nash)} == nash_set(game)
+    for player, grid in zip(game.form.players, grids):
+        for a, name in enumerate(game.form.strategies(player)):
+            dominant = bool(grid.take(a, axis=player - 1).all())
+            assert dominant == weakly_dominant(game, player, name)
+
+
+def test_best_response_rejects_unknown_players():
+    with pytest.raises(GameError):
+        best_response(prisoners_dilemma(), 3)
+
+
+# --------------------------------------------------------------------------
+# The outcome store
+
+
+def test_outcomes_equality_is_broken_by_one_changed_code_label_or_winner():
+    table = vote3_game().outcomes
+    assert table == replace(table)
+    codes = table.codes.copy()
+    codes[5, 1] = (codes[5, 1] + 1) % len(table.values)
+    label_codes = table.label_codes.copy()
+    label_codes[5] = (label_codes[5] + 1) % len(table.labels)
+    winners = table.winners.copy()
+    winners[5, 0] = ~winners[5, 0]
+    for changed in (
+        replace(table, codes=codes),
+        replace(table, label_codes=label_codes),
+        replace(table, winners=winners),
+        replace(table, winners=None, alternatives=None),
+    ):
+        assert changed != table and table != changed
+
+
+def test_equal_records_give_equal_stores_and_games():
+    game = vote3_game()
+    records = [game.outcome(s) for s in all_profiles(game.form)]
+    assert Outcomes.from_records(records, 3) == game.outcomes
+    table = dict(zip(all_profiles(game.form), records))
+    assert StrategicGame.from_outcomes(game.form, table) == game
+
+
+def test_games_are_not_hashable():
+    # The store holds arrays; no game is ever used as a key.
+    with pytest.raises(TypeError):
+        hash(prisoners_dilemma())
+
+
+def test_game_checks_the_store_against_the_form():
+    pd = prisoners_dilemma()
+    with pytest.raises(GameError, match="one outcome per profile"):
+        StrategicGame(pd.form, Outcomes.from_records([pd.outcome((0, 0))], 2))
+    three = Outcomes.from_records([OutcomeRecord("x", [0, 0, 0])] * 4, 3)
+    with pytest.raises(GameError, match="has 3 utilities for 2 players"):
+        StrategicGame(pd.form, three)

@@ -75,6 +75,14 @@ def test_loads_rejects_bad_json():
         loads("{nope")
 
 
+def test_over_deep_json_is_a_format_error(tmp_path):
+    # 100 000 levels, far past the default recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text('{"players": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(FormatError, match="nesting too deep"):
+        load_game(path)
+
+
 # --------------------------------------------------------------------------
 # Games
 
@@ -83,7 +91,7 @@ def test_game_round_trip():
     pd = prisoners_dilemma()
     again = game_from_dict(game_to_dict(pd))
     assert again.form == pd.form
-    assert again.records == pd.records
+    assert again.outcomes == pd.outcomes
 
 
 def test_game_round_trip_with_winners_and_fractions():
@@ -91,7 +99,7 @@ def test_game_round_trip_with_winners_and_fractions():
     data = game_to_dict(game)
     assert data["outcomes"]["a,b,c"]["winners"] == ["a", "b", "c"]
     again = game_from_dict(data)
-    assert again.records == game.records
+    assert again.outcomes == game.outcomes
 
 
 def test_game_from_dict_errors():

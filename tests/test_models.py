@@ -45,7 +45,6 @@ from stratlogic import (
     epistemic_lift,
     extension,
     model_signature,
-    nash_set,
     restrict,
     satisfies,
     valid_in_model,
@@ -71,6 +70,7 @@ from stratlogic.catalog import (
 )
 
 from builders import choice, node_objects, seq
+from game_oracle import nash_set, util
 from dense_oracle import (
     compose,
     dense_extension,
@@ -437,7 +437,7 @@ def test_confusion_model_valuation_inherited():
     for i in range(model.size):
         _, key = model.state_key(i).split(":")
         for player in (1, 2):
-            value = game.util(game.form.profile_from_key(key), player)
+            value = util(game, game.form.profile_from_key(key), player)
             assert satisfies(model, i, UtilEq(player, value))
 
 
@@ -483,7 +483,7 @@ def test_intensional_model_validation():
     form = game.form
     with pytest.raises(GameError):
         # world referencing a missing form index
-        IntensionalModel(form, [("G", form)], [(1, (0, 0))], _table(game.records[:1]))
+        IntensionalModel(form, [("G", form)], [(1, (0, 0))], _table([game.outcome((0, 0))]))
 
 
 def _table(records, n: int = 2) -> Outcomes:
@@ -492,7 +492,8 @@ def _table(records, n: int = 2) -> Outcomes:
 
 def _pd_parts():
     game = prisoners_dilemma()
-    return game.form, [(0, s) for s in all_profiles(game.form)], list(game.records)
+    states = all_profiles(game.form)
+    return game.form, [(0, s) for s in states], [game.outcome(s) for s in states]
 
 
 def _restricted_pd():
@@ -695,7 +696,7 @@ def _random_model(kind: str, rng: random.Random):
         records = [
             OutcomeRecord(rec.label, [rng.randint(0, 3) for _ in rec.utils])
             for _ in range(copies)
-            for rec in game.records
+            for rec in map(game.outcome, all_profiles(game.form))
         ]
         return IntensionalModel(
             game.form,

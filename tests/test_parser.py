@@ -30,9 +30,6 @@ from stratlogic import (
     VectorAtom,
     Winner,
     parse,
-    parse_cl,
-    parse_formula,
-    parse_program,
     render,
     render_cl,
 )
@@ -73,53 +70,53 @@ def _vec(*names):
 
 
 def test_parse_box_vector_payoff():
-    assert parse_formula("[(d,d)] u1=1", PD) == Box(Vec(_vec("d", "d")), UtilEq(1, 1))
+    assert parse("[(d,d)] u1=1", PD, "formula") == Box(Vec(_vec("d", "d")), UtilEq(1, 1))
 
 
 def test_parse_diamond_adversary():
-    assert parse_formula("<(c,??)> u2=2", PD) == Diamond(
+    assert parse("<(c,??)> u2=2", PD, "formula") == Diamond(
         Vec(_vec("c", "??")), UtilEq(2, 2)
     )
 
 
 def test_parse_star_with_test_and_current():
-    got = parse_formula("[((?u1=0);(c,!!))*] T", PD)
+    got = parse("[((?u1=0);(c,!!))*] T", PD, "formula")
     want = Box(Star(Seq(ProgTest(UtilEq(1, 0)), Vec(_vec("c", "!!")))), Top())
     assert got == want
 
 
 def test_parse_vector_atom_vs_grouping():
-    assert parse_formula("(c,d)", PD) == VectorAtom(_vec("c", "d"))
-    assert parse_formula("(T)", PD) == Top()
-    assert parse_formula("(u1=0 & T)", PD) == And(UtilEq(1, 0), Top())
+    assert parse("(c,d)", PD, "formula") == VectorAtom(_vec("c", "d"))
+    assert parse("(T)", PD, "formula") == Top()
+    assert parse("(u1=0 & T)", PD, "formula") == And(UtilEq(1, 0), Top())
 
 
 def test_parse_top_and_atoms():
-    assert parse_formula("T", PD) == Top()
-    assert parse_formula("label(ok)", PD) == Label("ok")
-    assert parse_formula('label("two words")', PD) == Label("two words")
-    assert parse_formula("win(a)", VOTE) == Winner("a")
+    assert parse("T", PD, "formula") == Top()
+    assert parse("label(ok)", PD, "formula") == Label("ok")
+    assert parse('label("two words")', PD, "formula") == Label("two words")
+    assert parse("win(a)", VOTE, "formula") == Winner("a")
 
 
 def test_parse_rationals():
-    assert parse_formula("u1=3/2", VOTE) == UtilEq(1, Fraction(3, 2))
-    assert parse_formula("u2=-2/3", VOTE) == UtilEq(2, Fraction(-2, 3))
+    assert parse("u1=3/2", VOTE, "formula") == UtilEq(1, Fraction(3, 2))
+    assert parse("u2=-2/3", VOTE, "formula") == UtilEq(2, Fraction(-2, 3))
 
 
 def test_payoff_comparisons_expand_over_util_range():
     # U = {0,1,2,3} for PD
-    assert parse_formula("u2>=2", PD) == Or(UtilEq(2, 2), UtilEq(2, 3))
-    assert parse_formula("u1>3", PD) == BOT
-    assert parse_formula("u1>=0", PD) == Or(
+    assert parse("u2>=2", PD, "formula") == Or(UtilEq(2, 2), UtilEq(2, 3))
+    assert parse("u1>3", PD, "formula") == BOT
+    assert parse("u1>=0", PD, "formula") == Or(
         Or(Or(UtilEq(1, 0), UtilEq(1, 1)), UtilEq(1, 2)), UtilEq(1, 3)
     )
 
 
 def test_payoff_comparison_requires_util_range():
     bare = bare_signature(prisoners_dilemma().form)
-    assert parse_formula("u1=2", bare) == UtilEq(1, 2)  # "=" is fine
+    assert parse("u1=2", bare, "formula") == UtilEq(1, 2)  # "=" is fine
     with pytest.raises(ParseError):
-        parse_formula("u1>=2", bare)
+        parse("u1>=2", bare, "formula")
 
 
 # --------------------------------------------------------------------------
@@ -127,40 +124,40 @@ def test_payoff_comparison_requires_util_range():
 
 
 def test_formula_precedence():
-    f = parse_formula("~u1=0 & u2=0", PD)
+    f = parse("~u1=0 & u2=0", PD, "formula")
     assert f == And(Not(UtilEq(1, 0)), UtilEq(2, 0))
-    f = parse_formula("u1=0 & u2=0 | u1=1", PD)
+    f = parse("u1=0 & u2=0 | u1=1", PD, "formula")
     assert f == Or(And(UtilEq(1, 0), UtilEq(2, 0)), UtilEq(1, 1))
-    f = parse_formula("u1=0 -> u2=0 -> u1=1", PD)
+    f = parse("u1=0 -> u2=0 -> u1=1", PD, "formula")
     assert f == Implies(UtilEq(1, 0), Implies(UtilEq(2, 0), UtilEq(1, 1)))
-    f = parse_formula("u1=0 <-> u2=0 <-> u1=1", PD)
+    f = parse("u1=0 <-> u2=0 <-> u1=1", PD, "formula")
     assert f == Iff(UtilEq(1, 0), Iff(UtilEq(2, 0), UtilEq(1, 1)))
-    f = parse_formula("u1=0 -> u2=0 <-> u1=1", PD)
+    f = parse("u1=0 -> u2=0 <-> u1=1", PD, "formula")
     assert f == Iff(Implies(UtilEq(1, 0), UtilEq(2, 0)), UtilEq(1, 1))
 
 
 def test_modality_binds_like_negation():
-    f = parse_formula("[ag1] u1=0 & u2=0", PD)
+    f = parse("[ag1] u1=0 & u2=0", PD, "formula")
     assert f == And(Box(Agent(1), UtilEq(1, 0)), UtilEq(2, 0))
-    f = parse_formula("<ag2^> ~u1=0", PD)
+    f = parse("<ag2^> ~u1=0", PD, "formula")
     assert f == Diamond(AgentConv(2), Not(UtilEq(1, 0)))
 
 
 def test_program_precedence():
-    p = parse_program("(c,??);(d,??)+ag1", PD)
+    p = parse("(c,??);(d,??)+ag1", PD, "program")
     assert p == Choice(Seq(Vec(_vec("c", "??")), Vec(_vec("d", "??"))), Agent(1))
-    p = parse_program("((c,??)+(d,??));ag1", PD)
+    p = parse("((c,??)+(d,??));ag1", PD, "program")
     assert p == Seq(Choice(Vec(_vec("c", "??")), Vec(_vec("d", "??"))), Agent(1))
-    p = parse_program("(c,??)*;(d,??)", PD)
+    p = parse("(c,??)*;(d,??)", PD, "program")
     assert p == Seq(Star(Vec(_vec("c", "??"))), Vec(_vec("d", "??")))
-    p = parse_program("ag1**", PD)
+    p = parse("ag1**", PD, "program")
     assert p == Star(Star(Agent(1)))
 
 
 def test_test_binds_following_unary_formula():
-    p = parse_program("?u1=0;(c,!!)", PD)
+    p = parse("?u1=0;(c,!!)", PD, "program")
     assert p == Seq(ProgTest(UtilEq(1, 0)), Vec(_vec("c", "!!")))
-    p = parse_program("?(u1=0 & u2=0);ag1", PD)
+    p = parse("?(u1=0 & u2=0);ag1", PD, "program")
     assert p == Seq(ProgTest(And(UtilEq(1, 0), UtilEq(2, 0))), Agent(1))
 
 
@@ -170,69 +167,68 @@ def test_test_binds_following_unary_formula():
 
 def test_unknown_strategy_name_rejected():
     with pytest.raises(ParseError):
-        parse_formula("(c,x)", PD)
+        parse("(c,x)", PD, "formula")
 
 
 def test_vector_arity_checked():
     with pytest.raises(ParseError):
-        parse_formula("(c,c,c)", PD)
+        parse("(c,c,c)", PD, "formula")
 
 
 def test_unknown_alternative_rejected():
     with pytest.raises(ParseError):
-        parse_formula("win(z)", VOTE)
+        parse("win(z)", VOTE, "formula")
 
 
 def test_winner_atom_needs_alternatives():
     with pytest.raises(ParseError):
-        parse_formula("win(a)", PD)
+        parse("win(a)", PD, "formula")
 
 
 def test_unknown_player_rejected():
     with pytest.raises(ParseError):
-        parse_formula("u9=0", PD)
+        parse("u9=0", PD, "formula")
     with pytest.raises(ParseError):
-        parse_program("ag9", PD)
+        parse("ag9", PD, "program")
 
 
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
-        parse_formula("T T", PD)
+        parse("T T", PD, "formula")
 
 
 def test_error_carries_line_and_column():
     with pytest.raises(ParseError) as err:
-        parse_formula("T &\n  (c,", PD)
+        parse("T &\n  (c,", PD, "formula")
     assert err.value.line == 2
     assert "line 2" in str(err.value)
     with pytest.raises(ParseError) as err:
-        parse_formula("u1=", PD)
+        parse("u1=", PD, "formula")
     assert err.value.line == 1 and err.value.col == 4
 
 
 def test_unbalanced_and_stray_tokens():
     for text in ["(T", "[ag1 T", "<(c,??) u1=0", "u1=0 &", "*", "label(", '"dangling']:
         with pytest.raises(ParseError):
-            parse_formula(text, PD)
+            parse(text, PD, "formula")
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(ParseError):
-        parse_formula("u1=1/0", PD)
+        parse("u1=1/0", PD, "formula")
 
 
 def test_thousand_nested_groups_parse_at_the_default_recursion_limit():
     assert sys.getrecursionlimit() <= 1000
     deep = lambda text: "(" * 1000 + text + ")" * 1000
-    assert parse_formula(deep("T"), PD) == Top()
-    assert parse_formula("~" + deep("u1=0 & T") + " | T", PD) == parse_formula(
-        "~(u1=0 & T) | T", PD
-    )
-    assert parse_formula("<" + deep("(c,??)") + "*>T", PD) == parse_formula("<(c,??)*>T", PD)
-    assert parse_program("?" + deep("T") + ";ag1", PD) == parse_program("?T;ag1", PD)
-    assert parse_cl("[C{1}]" + deep("u1=0 | T"), PD) == parse_cl("[C{1}](u1=0 | T)", PD)
+    assert parse(deep("T"), PD, "formula") == Top()
+    assert parse("~" + deep("u1=0 & T") + " | T", PD, "formula") == parse(
+        "~(u1=0 & T) | T", PD, "formula")
+    assert parse("<" + deep("(c,??)") + "*>T", PD, "formula") == parse("<(c,??)*>T", PD, "formula")
+    assert parse("?" + deep("T") + ";ag1", PD, "program") == parse("?T;ag1", PD, "program")
+    assert parse("[C{1}]" + deep("u1=0 | T"), PD, "cl") == parse("[C{1}](u1=0 | T)", PD, "cl")
     with pytest.raises(ParseError, match="expected '\\)'"):
-        parse_formula(deep("T")[:-1], PD)
+        parse(deep("T")[:-1], PD, "formula")
 
 
 # --------------------------------------------------------------------------
@@ -240,31 +236,31 @@ def test_thousand_nested_groups_parse_at_the_default_recursion_limit():
 
 
 def test_parse_cl_box():
-    f = parse_cl("[C {1,2}] u1=0", PD)
+    f = parse("[C {1,2}] u1=0", PD, "cl")
     assert f == CLBox(frozenset({1, 2}), CLAtom(UtilEq(1, 0)))
-    f = parse_cl("[C {}] u1=0", PD)
+    f = parse("[C {}] u1=0", PD, "cl")
     assert f == CLBox(frozenset(), CLAtom(UtilEq(1, 0)))
 
 
 def test_parse_cl_connectives():
-    f = parse_cl("~(T & u1=0)", PD)
+    f = parse("~(T & u1=0)", PD, "cl")
     assert f == CLNot(CLAnd(CLTop(), CLAtom(UtilEq(1, 0))))
     # "|" is sugar for the ~(~.. & ~..) encoding
-    f = parse_cl("u1=0 | u2=0", PD)
+    f = parse("u1=0 | u2=0", PD, "cl")
     assert f == cl_disj([CLAtom(UtilEq(1, 0)), CLAtom(UtilEq(2, 0))])
 
 
 def test_parse_cl_duplicate_member():
     with pytest.raises(ParseError):
-        parse_cl("[C {1,1}] T", PD)
+        parse("[C {1,1}] T", PD, "cl")
     with pytest.raises(ParseError):
-        parse_cl("[C {9}] T", PD)
+        parse("[C {9}] T", PD, "cl")
 
 
 def test_cl_render_round_trip():
     for text in ["[C {1,2}] (u1=0 & ~u2=3)", "~[C {}] T", "[C {2}] [C {1}] u1=1"]:
-        f = parse_cl(text, PD)
-        assert parse_cl(render_cl(f), PD) == f
+        f = parse(text, PD, "cl")
+        assert parse(render_cl(f), PD, "cl") == f
 
 
 # --------------------------------------------------------------------------
@@ -281,8 +277,8 @@ def test_round_trip_hand_formulas():
         "[ag2^] (u1=0 | u2=3)",
     ]
     for text in texts:
-        ast = parse_formula(text, PD)
-        assert parse_formula(render(ast), PD) == ast
+        ast = parse(text, PD, "formula")
+        assert parse(render(ast), PD, "formula") == ast
 
 
 def test_round_trip_seeded_sweep():
@@ -300,7 +296,7 @@ def test_round_trip_seeded_sweep():
 def test_round_trip_hypothesis(seed):
     rng = random.Random(seed)
     f = random_formula(rng, PD, 4)
-    assert parse_formula(render(f), PD) == f
+    assert parse(render(f), PD, "formula") == f
 
 
 def test_parse_kind_dispatch():

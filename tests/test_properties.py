@@ -29,12 +29,9 @@ from stratlogic import (
     build_property,
     render,
     epistemic_lift,
-    expand,
     extension,
-    nash_set,
     valid_in_model,
     satisfies,
-    weakly_dominant,
 )
 from stratlogic.properties import (
     PROPERTY_NAMES,
@@ -57,7 +54,8 @@ from stratlogic.catalog import (
 )
 
 from dense_oracle import program_relation, relation_via_pre
-from builders import node_objects
+from builders import expand, node_objects
+from game_oracle import nash_set, weakly_dominant
 from gens import random_game
 import property_oracle
 

@@ -19,6 +19,7 @@ from stratlogic import (
     IntensionalModel,
     MaslModel,
     OutcomeRecord,
+    Outcomes,
     Signature,
     StrategicGame,
     VotingError,
@@ -368,15 +369,11 @@ def _scored_game(rule, ballots, cells) -> StrategicGame:
     """An induced game scored cell by cell and voter by voter with
     `outcome_payoff`; `cells` lists (cast votes, winner set) pairs."""
     form = GameForm([rule.alternatives] * len(ballots))
-    return StrategicGame(
-        form,
-        tuple(
-            OutcomeRecord(
-                winners_label(rule, won), [outcome_payoff(won, b) for b in ballots], won
-            )
-            for _, won in cells
-        ),
-    )
+    records = [
+        OutcomeRecord(winners_label(rule, won), [outcome_payoff(won, b) for b in ballots], won)
+        for _, won in cells
+    ]
+    return StrategicGame(form, Outcomes.from_records(records, form.n))
 
 
 def _per_profile_dictators(rule, n_voters: int) -> frozenset[int]:
@@ -415,7 +412,13 @@ def test_induced_game_matches_cell_by_cell_scoring():
                 for names in product(ALTS, repeat=n_voters)
             ]
             profile = [rng.choice(ballots) for _ in range(n_voters)]
-            assert induced_game(rule, profile) == _scored_game(rule, profile, cells)
+            game, scored = induced_game(rule, profile), _scored_game(rule, profile, cells)
+            assert game == scored
+            # The whole store, down to the code dtypes, is the one
+            # `Outcomes.from_records` encodes from the scored records.
+            assert game.outcomes == scored.outcomes
+            for name in ("codes", "label_codes", "winners"):
+                assert getattr(game.outcomes, name).dtype == getattr(scored.outcomes, name).dtype
 
 
 @given(
