@@ -2,11 +2,12 @@
 responses."""
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +36,8 @@ def to_fraction(value: int | str | float | Fraction) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise GameError(f"bad rational literal {value!r}") from exc
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise GameError(f"not a finite utility value: {value!r}")
         # Floats travel through their decimal rendering so 0.5 means 1/2,
         # not the nearest binary fraction.
         return Fraction(str(value))
@@ -53,6 +56,8 @@ class GameForm:
     """
 
     strategy_sets: tuple[tuple[str, ...], ...]
+    # Per player, each strategy name's index; built once per form.
+    _index: tuple[dict[str, int], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, strategy_sets: Iterable[Iterable[str]]):
         sets = tuple(tuple(names) for names in strategy_sets)
@@ -67,6 +72,8 @@ class GameForm:
                 if not _STRATEGY_NAME.match(name):
                     raise GameError(f"bad strategy name {name!r}")
         object.__setattr__(self, "strategy_sets", sets)
+        index = tuple({name: i for i, name in enumerate(names)} for names in sets)
+        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:
@@ -86,13 +93,11 @@ class GameForm:
             raise GameError(f"no player {player} in a {self.n}-player game")
 
     def strategy_index(self, player: int, name: str) -> int:
-        names = self.strategies(player)
-        try:
-            return names.index(name)
-        except ValueError:
-            raise GameError(
-                f"player {player} has no strategy named {name!r}"
-            ) from None
+        self._check_player(player)
+        index = self._index[player - 1].get(name)
+        if index is None:
+            raise GameError(f"player {player} has no strategy named {name!r}")
+        return index
 
     def profile_count(self) -> int:
         count = 1
@@ -125,6 +130,24 @@ class GameForm:
 
     def profile_from_key(self, key: str) -> Profile:
         return self.profile_from_names(key.split(","))
+
+    def row_of_key(self, key: str) -> int:
+        """The position of profile `key` in `all_profiles` order, a
+        mixed-radix number with one digit per player; raises like
+        `profile_from_key`."""
+        names = key.split(",")
+        if len(names) != len(self._index):
+            raise GameError(f"expected {self.n} strategy names, got {len(names)}")
+        row = 0
+        try:
+            for index, name in zip(self._index, names):
+                row = row * len(index) + index[name]
+        except KeyError:
+            player = next(p for p, name in enumerate(names, 1) if name not in self._index[p - 1])
+            raise GameError(
+                f"player {player} has no strategy named {names[player - 1]!r}"
+            ) from None
+        return row
 
 
 def all_profiles(form: GameForm) -> list[Profile]:
@@ -184,42 +207,96 @@ class Outcomes:
 
     @classmethod
     def from_records(cls, records: Sequence[OutcomeRecord], n: int) -> Outcomes:
-        """Encode records of `n` utilities each.  The range table holds
-        exactly the values that occur, and the alternatives exactly those
-        that win somewhere, sorted."""
-        # Codes in order of first occurrence, renumbered by value below.
-        # Keyed by (numerator, denominator): hashing a Fraction costs far more.
-        first: dict[tuple[int, int], int] = {}
-        found: list[Fraction] = []
-        raw: list[int] = []
-        for rec in records:
-            if len(rec.utils) != n:
-                raise GameError(f"outcome {rec.label!r} has wrong utility count for {n} players")
-            for u in rec.utils:
-                key = (u.numerator, u.denominator)
-                code = first.get(key)
-                if code is None:
-                    code = first[key] = len(found)
-                    found.append(u)
-                raw.append(code)
-        order = sorted(range(len(found)), key=found.__getitem__)
-        rank = np.empty(len(found), dtype=_code_dtype(len(found)))
-        rank[order] = np.arange(len(found))
-        codes = rank[np.array(raw, dtype=rank.dtype)].reshape(-1, n)
+        """Encode records of `n` utilities each, one row per record; a row's
+        name in error messages is its label."""
+        rows = (
+            (row, rec.label, rec.label, rec.utils, rec.winners)
+            for row, rec in enumerate(records)
+        )
+        return cls.from_rows(rows, n, len(records))
+
+    @classmethod
+    def from_rows(
+        cls,
+        rows: Iterable[tuple[int, str, str, Sequence, Iterable[str] | None]],
+        n: int,
+        count: int,
+        row_key: Callable[[int], str] = str,
+    ) -> Outcomes:
+        """Encode `count` rows, each given once in any order, as ``(row,
+        name, label, utilities, winners or None)``.
+
+        Each distinct utility spelling, keyed by type and value so that
+        `True` is never taken for `1`, goes through `to_fraction` once, when
+        first seen; the codes are then renumbered by exact value, so ``1``,
+        ``1.0`` and ``"2/2"`` share one.  Labels are coded in order of first
+        occurrence by row and the alternatives are those that win somewhere,
+        sorted, so the store is canonical.  Errors name a row ``outcome
+        <name>`` and come in the order the rows are given; then the first
+        row not given is reported as the profile `row_key(row)`.
+        """
+        first: dict[tuple[type, object], int] = {}  # spelling -> raw code
+        found: list[Fraction] = []  # raw code -> value
         labels: dict[str, int] = {}
-        label_codes = [labels.setdefault(rec.label, len(labels)) for rec in records]
-        sets: dict[frozenset[str] | None, int] = {}
-        set_codes = [sets.setdefault(rec.winners, len(sets)) for rec in records]
+        sets: dict[tuple[str, ...] | None, int] = {}
+        order: list[int] = []
+        raw: list[int] = []
+        label_raw: list[int] = []
+        set_raw: list[int] = []
+        for row, name, label, utils, winners in rows:
+            if len(utils) != n:
+                raise GameError(f"outcome {name!r} has wrong utility count for {n} players")
+            for u in utils:
+                key = (u.__class__, u)
+                try:
+                    code = first.get(key)
+                except TypeError:  # unhashable, so not a utility
+                    code = None
+                if code is None:
+                    try:
+                        found.append(to_fraction(u))
+                    except GameError as exc:
+                        raise GameError(f"outcome {name!r}: {exc}") from None
+                    code = first[key] = len(found) - 1
+                raw.append(code)
+            key = None if winners is None else tuple(winners)
+            if key == ():
+                raise GameError(f"outcome {name!r}: winner set, when present, must be non-empty")
+            set_raw.append(sets.setdefault(key, len(sets)))
+            label_raw.append(labels.setdefault(label, len(labels)))
+            order.append(row)
+        placed = np.array(order, dtype=np.intp)
+        given = np.zeros(count, dtype=bool)
+        given[placed] = True
+        if not given.all():
+            raise GameError(f"no outcome for profile {row_key(int(given.argmin()))!r}")
+
+        def in_row_order(arrival) -> np.ndarray:
+            out = np.empty((count, *arrival.shape[1:]), dtype=arrival.dtype)
+            out[placed] = arrival
+            return out
+
+        values = sorted(set(found))
+        rank = {v: code for code, v in enumerate(values)}
+        code_table = np.array([rank[v] for v in found], dtype=_code_dtype(len(values)))
+        codes = in_row_order(code_table[np.array(raw, dtype=np.intp).reshape(-1, n)])
+        label_rows = in_row_order(np.array(label_raw, dtype=np.intp))
+        _, seen_at = np.unique(label_rows, return_index=True)
+        by_first = np.argsort(seen_at)
+        relabel = np.empty(len(labels), dtype=_code_dtype(len(labels)))
+        relabel[by_first] = np.arange(len(labels))
+        label_names = list(labels)
+        won = [None if key is None else frozenset(key) for key in sets]
         alternatives = winners = None
-        if any(won is not None for won in sets):
-            alternatives = tuple(sorted(frozenset().union(*filter(None, sets))))
-            rows = [[won is not None and a in won for a in alternatives] for won in sets]
-            winners = np.array(rows, dtype=bool)[set_codes]
+        if any(w is not None for w in won):
+            alternatives = tuple(sorted(frozenset().union(*filter(None, won))))
+            table = [[w is not None and a in w for a in alternatives] for w in won]
+            winners = in_row_order(np.array(table, dtype=bool)[set_raw])
         return cls(
-            tuple(found[i] for i in order),
+            tuple(values),
             codes,
-            tuple(labels),
-            np.array(label_codes, dtype=_code_dtype(len(labels))),
+            tuple(label_names[k] for k in by_first),
+            relabel[label_rows],
             alternatives,
             winners,
         )
@@ -271,18 +348,6 @@ class StrategicGame:
             raise GameError(
                 f"outcome {label!r} has {width} utilities for {self.form.n} players"
             )
-
-    @classmethod
-    def from_outcomes(
-        cls, form: GameForm, outcomes: Mapping[Profile, OutcomeRecord]
-    ) -> StrategicGame:
-        states = all_profiles(form)
-        missing = [s for s in states if s not in outcomes]
-        if missing:
-            raise GameError(f"no outcome for profile {form.profile_key(missing[0])!r}")
-        if len(outcomes) != len(states):
-            raise GameError("outcome table mentions profiles outside the form")
-        return cls(form, Outcomes.from_records([outcomes[s] for s in states], form.n))
 
     def profile_index(self, s: Profile) -> int:
         self.form.validate_profile(s)

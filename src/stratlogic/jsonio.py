@@ -2,20 +2,13 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .coalition import CLAnd, CLAtom, CLBox, CLFormula, CLNot, CLTop
-from .games import (
-    GameError,
-    GameForm,
-    OutcomeRecord,
-    Outcomes,
-    StrategicGame,
-    all_profiles,
-    to_fraction,
-)
+from .games import GameError, GameForm, Outcomes, StrategicGame, all_profiles
 from .models import IntensionalModel
 from .syntax import (
     Adversary,
@@ -128,23 +121,37 @@ def _form_to_dict(form: GameForm, outcomes, ambient: GameForm) -> dict:
     }
 
 
-def _outcome_from_dict(entry, n: int, where: str) -> OutcomeRecord:
-    label = _need(entry, "label", where)
+def _outcome_row(key: str, entry, n: int) -> tuple[str, str, list, list | None]:
+    """Outcome entry `key` as an `Outcomes.from_rows` row without its index.
+    Its JSON shape is checked here, in `_need`'s words; the encoder
+    converts the utilities."""
+    if not isinstance(entry, Mapping):
+        raise FormatError(f"outcome {key!r} must be a JSON object")
+    if "label" not in entry:
+        raise FormatError(f"outcome {key!r} is missing 'label'")
+    label = entry["label"]
     if not isinstance(label, str):
-        raise FormatError(f"{where}: label must be a string")
-    utils = _need(entry, "utils", where)
+        raise FormatError(f"outcome {key!r}: label must be a string")
+    if "utils" not in entry:
+        raise FormatError(f"outcome {key!r} is missing 'utils'")
+    utils = entry["utils"]
     if not isinstance(utils, list) or len(utils) != n:
-        raise FormatError(f"{where}: need a list of {n} utilities")
+        raise FormatError(f"outcome {key!r}: need a list of {n} utilities")
     winners = entry.get("winners")
     if winners is not None:
         if not isinstance(winners, list) or not all(
             isinstance(w, str) for w in winners
         ):
-            raise FormatError(f"{where}: winners must be a list of names")
+            raise FormatError(f"outcome {key!r}: winners must be a list of names")
+    return key, label, utils, winners
+
+
+def _encode(rows, n: int, count: int, row_key=str) -> Outcomes:
+    """`Outcomes.from_rows`, its errors raised as `FormatError`s."""
     try:
-        return OutcomeRecord(label, [to_fraction(u) for u in utils], winners)
+        return Outcomes.from_rows(rows, n, count, row_key)
     except GameError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+        raise FormatError(str(exc)) from exc
 
 
 def _form_from_dict(data: Mapping, what: str) -> GameForm:
@@ -171,17 +178,21 @@ def game_from_dict(data: Mapping) -> StrategicGame:
     outcomes = _need(data, "outcomes", "game")
     if not isinstance(outcomes, Mapping):
         raise FormatError("game: outcomes must be an object")
-    table: dict = {}
-    for key, entry in outcomes.items():
-        try:
-            profile = form.profile_from_key(key)
-        except GameError as exc:
-            raise FormatError(f"outcome key {key!r}: {exc}") from exc
-        table[profile] = _outcome_from_dict(entry, form.n, f"outcome {key!r}")
-    try:
-        return StrategicGame.from_outcomes(form, table)
-    except GameError as exc:
-        raise FormatError(str(exc)) from exc
+
+    n = form.n
+
+    def rows():
+        for key, entry in outcomes.items():
+            try:
+                row = form.row_of_key(key)
+            except GameError as exc:
+                raise FormatError(f"outcome key {key!r}: {exc}") from exc
+            yield (row, *_outcome_row(key, entry, n))
+
+    def row_key(row: int) -> str:
+        return form.profile_key(all_profiles(form)[row])
+
+    return StrategicGame(form, _encode(rows(), n, form.profile_count(), row_key))
 
 
 def load_game(path: str | Path) -> StrategicGame:
@@ -298,23 +309,28 @@ def intensional_from_dict(data: Mapping) -> IntensionalModel:
     if not isinstance(worlds_raw, list) or not worlds_raw:
         raise FormatError("model: worlds must be a non-empty list")
     worlds: list[tuple[int, tuple[int, ...]]] = []
-    records: list[OutcomeRecord] = []
-    for entry in worlds_raw:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise FormatError(f"model: world {entry!r} must be [form, profile]")
-        fid, key = entry
-        if fid not in by_id:
-            raise FormatError(f"model: world references unknown form {fid!r}")
-        form_idx = by_id[fid]
-        try:
-            profile = ambient.profile_from_key(key)
-        except GameError as exc:
-            raise FormatError(f"world {entry!r}: {exc}") from exc
-        outcomes = form_outcomes[form_idx]
-        if key not in outcomes:
-            raise FormatError(f"form {fid!r} has no outcome for world {key!r}")
-        worlds.append((form_idx, profile))
-        records.append(_outcome_from_dict(outcomes[key], n, f"outcome {key!r}"))
+
+    def rows():
+        for entry in worlds_raw:
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise FormatError(f"model: world {entry!r} must be [form, profile]")
+            fid, key = entry
+            if not isinstance(fid, str) or fid not in by_id:
+                raise FormatError(f"model: world references unknown form {fid!r}")
+            if not isinstance(key, str):
+                raise FormatError(f"world {entry!r}: profile key must be a string")
+            form_idx = by_id[fid]
+            try:
+                profile = ambient.profile_from_key(key)
+            except GameError as exc:
+                raise FormatError(f"world {entry!r}: {exc}") from exc
+            outcomes = form_outcomes[form_idx]
+            if key not in outcomes:
+                raise FormatError(f"form {fid!r} has no outcome for world {key!r}")
+            worlds.append((form_idx, profile))
+            yield (len(worlds) - 1, *_outcome_row(key, outcomes[key], n))
+
+    table = _encode(rows(), n, len(worlds_raw))
     relations_raw = data.get("relations", {})
     if not isinstance(relations_raw, Mapping):
         raise FormatError("model: relations must be an object")
@@ -337,8 +353,7 @@ def intensional_from_dict(data: Mapping) -> IntensionalModel:
             cleaned.append((pair[0], pair[1]))
         edges[player] = cleaned
     try:
-        outcomes = Outcomes.from_records(records, n)
-        return IntensionalModel(ambient, forms, worlds, outcomes, edges)
+        return IntensionalModel(ambient, forms, worlds, table, edges)
     except GameError as exc:
         raise FormatError(str(exc)) from exc
 

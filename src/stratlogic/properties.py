@@ -45,8 +45,8 @@ from .syntax import (
 #
 # Each property builder makes every subformula that recurs in its tree one
 # object: the strategy terms, vector programs and payoff levels are built
-# once per call.  The trees equal what the public helpers compose, and the
-# evaluator's caches then find each repeat by identity, not by comparing
+# once per call.  The trees equal the plain compositions of the abbreviations,
+# and the evaluator's caches then find each repeat by identity, not by comparing
 # equal trees node by node.
 
 
@@ -61,13 +61,6 @@ def vec_switch(sig: Signature, player: int, name: str) -> Vector:
     if name not in sig.strategies(player):
         raise GameError(f"player {player} has no strategy named {name!r}")
     return _vector(sig, player, Concrete(name), CUR)
-
-
-def vec_any(sig: Signature, player: int, name: str) -> Vector:
-    """The vector fixing `player` to `name` with everyone else unconstrained."""
-    if name not in sig.strategies(player):
-        raise GameError(f"player {player} has no strategy named {name!r}")
-    return _vector(sig, player, Concrete(name), ADV)
 
 
 def all_adversary(sig: Signature) -> Vector:
@@ -94,21 +87,6 @@ def _box_each(programs: list[Vec], body: Formula) -> Formula:
 
 def _diamond_some(programs: list[Vec], body: Formula) -> Formula:
     return disj(Diamond(program, body) for program in programs)
-
-
-def box_switch(sig: Signature, player: int, body: Formula) -> Formula:
-    """After any own-strategy switch by `player`, `body` holds."""
-    return _box_each(_moves(sig, player, CUR, _terms(sig)), body)
-
-
-def diamond_switch(sig: Signature, player: int, body: Formula) -> Formula:
-    """Some own-strategy switch by `player` reaches `body`."""
-    return _diamond_some(_moves(sig, player, CUR, _terms(sig)), body)
-
-
-def box_any(sig: Signature, player: int, body: Formula) -> Formula:
-    """However `player` commits and the others respond, `body` holds."""
-    return _box_each(_moves(sig, player, ADV, _terms(sig)), body)
 
 
 def diamond_any_state(sig: Signature, body: Formula) -> Formula:
@@ -203,12 +181,6 @@ def weak_dominance(sig: Signature, player: int, name: str) -> Formula:
 
 # --------------------------------------------------------------------------
 # voting properties
-
-
-def plurality_winner_vectors(sig: Signature, alternative: str) -> list[Vector]:
-    """All-Concrete vectors in which `alternative` gets strictly more votes
-    than every other alternative."""
-    return _plurality_vectors(sig, alternative, _terms(sig))
 
 
 def _plurality_vectors(

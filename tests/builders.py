@@ -1,32 +1,42 @@
-"""Small syntax, signature and profile builders, the by-name abbreviation
-table, and a node walker, that only the tests use."""
+"""Small syntax, signature, profile and game builders, the modality
+abbreviations and the by-name table over them, and a node walker, that only
+the tests use."""
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
 from stratlogic import (
+    ADV,
+    CUR,
     Box,
     Choice,
+    Concrete,
     Diamond,
     Formula,
     GameError,
     GameForm,
     Implies,
+    OutcomeRecord,
+    Outcomes,
     Profile,
     Program,
     Seq,
     Signature,
+    StrategicGame,
     Vector,
+    all_profiles,
 )
 from stratlogic.properties import (
-    box_any,
-    box_switch,
+    _box_each,
+    _diamond_some,
+    _moves,
+    _plurality_vectors,
+    _terms,
+    _vector,
     diamond_any_state,
-    diamond_switch,
     payoff_geq,
     payoff_gt,
-    vec_any,
     vec_switch,
 )
 from stratlogic.syntax import Node, Vec
@@ -57,6 +67,48 @@ def functionality_shape(vector: Vector, phi: Formula) -> Formula:
     """The Functionality implication for an arbitrary vector, including
     undetermined ones; useful for exhibiting counterexamples."""
     return Implies(Diamond(Vec(vector), phi), Box(Vec(vector), phi))
+
+
+def from_outcomes(form: GameForm, outcomes: Mapping[Profile, OutcomeRecord]) -> StrategicGame:
+    """A game from one record per profile of `form`."""
+    states = all_profiles(form)
+    missing = [s for s in states if s not in outcomes]
+    if missing:
+        raise GameError(f"no outcome for profile {form.profile_key(missing[0])!r}")
+    if len(outcomes) != len(states):
+        raise GameError("outcome table mentions profiles outside the form")
+    return StrategicGame(form, Outcomes.from_records([outcomes[s] for s in states], form.n))
+
+
+# The abbreviations below share nodes the way the property builders do.
+
+
+def vec_any(sig: Signature, player: int, name: str) -> Vector:
+    """The vector fixing `player` to `name` with everyone else unconstrained."""
+    if name not in sig.strategies(player):
+        raise GameError(f"player {player} has no strategy named {name!r}")
+    return _vector(sig, player, Concrete(name), ADV)
+
+
+def box_switch(sig: Signature, player: int, body: Formula) -> Formula:
+    """After any own-strategy switch by `player`, `body` holds."""
+    return _box_each(_moves(sig, player, CUR, _terms(sig)), body)
+
+
+def diamond_switch(sig: Signature, player: int, body: Formula) -> Formula:
+    """Some own-strategy switch by `player` reaches `body`."""
+    return _diamond_some(_moves(sig, player, CUR, _terms(sig)), body)
+
+
+def box_any(sig: Signature, player: int, body: Formula) -> Formula:
+    """However `player` commits and the others respond, `body` holds."""
+    return _box_each(_moves(sig, player, ADV, _terms(sig)), body)
+
+
+def plurality_winner_vectors(sig: Signature, alternative: str) -> list[Vector]:
+    """All-Concrete vectors in which `alternative` gets strictly more votes
+    than every other alternative."""
+    return _plurality_vectors(sig, alternative, _terms(sig))
 
 
 def node_objects(root: Node) -> list[Node]:

@@ -1,4 +1,5 @@
-"""Brute-force solution concepts, kept as a test oracle.
+"""Brute-force solution concepts and a record-at-a-time game reader, kept
+as test oracles.
 
 Everything here reads one utility at a time through `OutcomeRecord`s and
 compares `Fraction`s, so it shares nothing with the integer-coded
@@ -10,7 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from stratlogic.games import Profile, StrategicGame, all_profiles
+from stratlogic.games import (
+    GameForm,
+    OutcomeRecord,
+    Outcomes,
+    Profile,
+    StrategicGame,
+    all_profiles,
+)
 
 
 def util(game: StrategicGame, s: Profile, player: int) -> Fraction:
@@ -56,3 +64,15 @@ def weakly_dominant(game: StrategicGame, player: int, name: str) -> bool:
             if util(game, s_b, player) > util(game, s_a, player):
                 return False
     return True
+
+
+def game_from_records(data: dict) -> StrategicGame:
+    """A well-formed game JSON document read one entry at a time: an
+    `OutcomeRecord` per profile, in `all_profiles` order, then
+    `Outcomes.from_records`."""
+    form = GameForm(data["strategies"])
+    records = []
+    for s in all_profiles(form):
+        entry = data["outcomes"][form.profile_key(s)]
+        records.append(OutcomeRecord(entry["label"], entry["utils"], entry.get("winners")))
+    return StrategicGame(form, Outcomes.from_records(records, form.n))

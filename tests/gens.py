@@ -45,6 +45,8 @@ from stratlogic.syntax import (
     Vec,
 )
 
+from builders import from_outcomes
+
 _NAMES = ("a", "b", "c", "d", "e", "f")
 
 
@@ -65,7 +67,7 @@ def random_game(
     for s in all_profiles(form):
         utils = [rng.randint(lo, hi) for _ in range(n)]
         outcomes[s] = OutcomeRecord(form.profile_key(s), utils)
-    return StrategicGame.from_outcomes(form, outcomes)
+    return from_outcomes(form, outcomes)
 
 
 def random_lift_game(rng: random.Random) -> StrategicGame:

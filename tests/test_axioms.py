@@ -14,7 +14,6 @@ from stratlogic import (
     EPISTEMIC_SCHEMAS,
     MaslModel,
     Signature,
-    StrategicGame,
     UtilEq,
     VECTOR_SCHEMAS,
     Vector,
@@ -33,7 +32,7 @@ from stratlogic.axioms import (
 from stratlogic.syntax import Not, Winner
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
-from builders import functionality_shape
+from builders import from_outcomes, functionality_shape
 from gens import random_game, random_lift_game
 
 PD = prisoners_dilemma()
@@ -164,7 +163,7 @@ def test_other_action_ignorance_fails_with_singleton_strategies():
         s: PD.outcome(PD.form.profile_from_key(form.profile_key(s)))
         for s in all_profiles(form)
     }
-    game = StrategicGame.from_outcomes(form, records)
+    game = from_outcomes(form, records)
     lift = epistemic_lift(game)
     sig = Signature.from_game(game)
     report = validity_report([("lift", lift)], instantiate("OtherActionIgnorance", sig))

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import stratlogic
 from stratlogic import Signature
 from stratlogic.cli import _dumps, main
-from stratlogic.jsonio import game_to_dict, intensional_from_dict, loads
-from stratlogic.catalog import prisoners_dilemma, vote3_game
+from stratlogic.jsonio import game_to_dict, intensional_from_dict, intensional_to_dict, loads
+from stratlogic.catalog import commitment_confusion, prisoners_dilemma, vote3_game
 
 
 @pytest.fixture()
@@ -268,6 +268,37 @@ def test_over_deep_json_exits_2(tmp_path):
     assert proc.stderr == "error: not valid JSON: nesting too deep\n"
 
 
+def _cli_subprocess(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(stratlogic.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "stratlogic.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "spelling, shown", [("NaN", "nan"), ("-Infinity", "-inf"), ("1e400", "inf")]
+)
+def test_non_finite_utilities_exit_2(tmp_path, spelling, shown):
+    # `json` reads NaN, Infinity and overflowing literals as floats.
+    game = tmp_path / "game.json"
+    text = json.dumps(game_to_dict(prisoners_dilemma())).replace("[0, 3]", f"[0, {spelling}]")
+    game.write_text(text)
+    model = tmp_path / "model.json"
+    data = json.dumps(intensional_to_dict(commitment_confusion()[0]))
+    model.write_text(data.replace("[0, 3]", f"[0, {spelling}]"))
+    error = f"error: outcome 'c,d': not a finite utility value: {shown}\n"
+    for argv in (
+        ("nash", "--game", str(game)),
+        ("check", "--game", str(game), "--formula", "T"),
+        ("echeck", "--model", str(model), "--formula", "T"),
+    ):
+        proc = _cli_subprocess(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -293,13 +324,8 @@ def test_too_deep_formula_is_an_input_error_not_a_false_verdict(pd_file):
 
 
 def _check_subprocess(pd_file, formula: str, state: str, command=("check",)):
-    src = str(Path(stratlogic.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "stratlogic.cli", *command, "--game", pd_file,
-         "--formula", formula, "--state", state],
-        capture_output=True, text=True, env=env, timeout=60,
+    return _cli_subprocess(
+        *command, "--game", pd_file, "--formula", formula, "--state", state
     )
 
 

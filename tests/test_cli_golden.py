@@ -62,6 +62,15 @@ def _cases() -> dict[str, list[str]]:
     cases["pd-check-eval-error"] = ["check", *pd, "--formula", "u1=7"]
     cases["pd-parse-program"] = ["parse", *pd, "--kind", "program", "ag1;(c,??)*+?T"]
     cases["pd-parse-cl"] = ["parse", *pd, "--kind", "cl", "[C {1}] u2=3 | ~[C {}] T"]
+    # Profiles out of order, one value in several spellings, winners on some
+    # rows only.
+    mixed = ["--game", str(INPUTS / "mixed.json")]
+    cases["mixed-nash"] = ["nash", *mixed]
+    cases["mixed-check"] = [
+        "check", *mixed, "--formula", "(u2>=1/2 & ~win(q)) | label(top)", "--state", "a,x,k"
+    ]
+    for bad in ("bad-name", "missing-profile", "true-util"):
+        cases[f"{bad}-nash"] = ["nash", "--game", str(INPUTS / f"{bad}.json")]
     for spec in ("plurality_tiebreak", "dictator1"):
         path = str(INPUTS / f"{spec}.spec.json")
         cases[f"voting-game-{spec}"] = ["voting", "game", "--spec", path]

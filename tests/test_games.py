@@ -26,7 +26,7 @@ from stratlogic import (
 from stratlogic.games import to_fraction
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
-from builders import combine
+from builders import combine, from_outcomes
 from game_oracle import is_best_response, nash_set, util, weakly_dominant
 from gens import random_game
 
@@ -135,22 +135,22 @@ def test_outcome_record_validation():
 def test_game_checks_utils_arity():
     form = GameForm([("a",), ("x", "y")])
     good = {s: OutcomeRecord(form.profile_key(s), [0, 0]) for s in all_profiles(form)}
-    StrategicGame.from_outcomes(form, good)
+    from_outcomes(form, good)
     bad = dict(good)
     bad[(0, 1)] = OutcomeRecord("oops", [0, 0, 0])
     with pytest.raises(GameError):
-        StrategicGame.from_outcomes(form, bad)
+        from_outcomes(form, bad)
 
 
 def test_game_requires_total_outcomes():
     form = GameForm([("a",), ("x", "y")])
     table = {(0, 0): OutcomeRecord("one", [0, 0])}
     with pytest.raises(GameError):
-        StrategicGame.from_outcomes(form, table)
+        from_outcomes(form, table)
     table[(0, 1)] = OutcomeRecord("two", [0, 0])
     table[(5, 5)] = OutcomeRecord("extra", [0, 0])
     with pytest.raises(GameError):
-        StrategicGame.from_outcomes(form, table)
+        from_outcomes(form, table)
 
 
 def test_profile_index_matches_enumeration_order():
@@ -272,7 +272,7 @@ def _fractional_games(draw) -> StrategicGame:
     )
     utils = st.lists(pool, min_size=form.n, max_size=form.n)
     outcomes = {s: OutcomeRecord(form.profile_key(s), draw(utils)) for s in all_profiles(form)}
-    return StrategicGame.from_outcomes(form, outcomes)
+    return from_outcomes(form, outcomes)
 
 
 @given(_fractional_games())
@@ -320,7 +320,7 @@ def test_equal_records_give_equal_stores_and_games():
     records = [game.outcome(s) for s in all_profiles(game.form)]
     assert Outcomes.from_records(records, 3) == game.outcomes
     table = dict(zip(all_profiles(game.form), records))
-    assert StrategicGame.from_outcomes(game.form, table) == game
+    assert from_outcomes(game.form, table) == game
 
 
 def test_games_are_not_hashable():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratlogic import (
     Ballot,
@@ -35,6 +39,7 @@ from stratlogic.jsonio import (
     util_to_json,
     voting_spec_from_dict,
 )
+from stratlogic import games
 from stratlogic.syntax import ADV, Agent, Star, Vec
 from stratlogic.voting import (
     AbsoluteMajority,
@@ -52,6 +57,7 @@ from stratlogic.catalog import (
 )
 
 from dense_oracle import relation_via_pre
+from game_oracle import game_from_records
 
 
 # --------------------------------------------------------------------------
@@ -129,6 +135,183 @@ def test_game_from_dict_errors():
     empty_winners["outcomes"]["c,c"]["winners"] = []
     with pytest.raises(Exception):
         game_from_dict(empty_winners)
+
+
+# Each inner tuple spells one value several ways.
+_SPELLINGS = (
+    (1, 1.0, "1", "2/2"),
+    (0.5, "1/2", "2/4"),
+    (0, 0.0, "0", "-0"),
+    (-1.5, "-3/2"),
+    (2, "4/2", 2.0),
+)
+
+
+@st.composite
+def _game_documents(draw) -> dict:
+    """Game JSON with profiles in shuffled key order, entries with shuffled
+    field order, several spellings per value, 1-strategy players common,
+    and winners absent everywhere, present everywhere, or on some rows."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    strategies = [["abc"[k] for k in range(size)] for size in sizes]
+    values = draw(st.lists(st.sampled_from(_SPELLINGS), min_size=1, max_size=4, unique=True))
+    spelling = st.sampled_from([u for value in values for u in value])
+    winners = draw(st.sampled_from(["absent", "present", "some"]))
+    keys = draw(st.permutations([",".join(names) for names in product(*strategies)]))
+    outcomes = {}
+    for key in keys:
+        fields = [
+            ("label", draw(st.sampled_from(["p", "q", "r"]))),
+            ("utils", [draw(spelling) for _ in sizes]),
+        ]
+        if winners == "present" or (winners == "some" and draw(st.booleans())):
+            names = st.lists(st.sampled_from("xyz"), min_size=1, max_size=4)
+            fields.append(("winners", draw(names)))
+        elif winners == "some" and draw(st.booleans()):
+            fields.append(("winners", None))
+        outcomes[key] = dict(draw(st.permutations(fields)))
+    return {"players": len(sizes), "strategies": strategies, "outcomes": outcomes}
+
+
+def _assert_same_store(got, want) -> None:
+    assert got == want
+    for name in ("codes", "label_codes", "winners"):
+        assert getattr(got, name) is None or getattr(got, name).dtype == getattr(want, name).dtype
+
+
+@given(_game_documents())
+@settings(max_examples=200, deadline=None)
+def test_game_from_dict_equals_the_record_oracle(data):
+    game = game_from_dict(data)
+    want = game_from_records(data)
+    assert game.form == want.form
+    _assert_same_store(game.outcomes, want.outcomes)
+
+
+def test_each_distinct_utility_spelling_is_converted_once(monkeypatch):
+    """Counted rather than timed: a 6^4 game (5 184 utilities) spelled five
+    ways converts five values."""
+    spellings = [1, "1", 1.0, "1/2", 0]
+    strategies = [list("abcdef")] * 4
+    outcomes = {
+        ",".join(names): {"label": "x", "utils": [spellings[(row + p) % 5] for p in range(4)]}
+        for row, names in enumerate(product(*strategies))
+    }
+    calls = []
+    to_fraction = games.to_fraction
+
+    def counted(value):
+        calls.append(value)
+        return to_fraction(value)
+
+    monkeypatch.setattr(games, "to_fraction", counted)
+    game = game_from_dict({"players": 4, "strategies": strategies, "outcomes": outcomes})
+    assert len(calls) == 5
+    assert game.outcomes.values == (0, Fraction(1, 2), 1)
+
+
+_SMALL = {
+    "players": 2,
+    "strategies": [["a", "b"], ["x", "y"]],
+    "outcomes": {
+        "a,x": {"label": "ax", "utils": [1, 0]},
+        "a,y": {"label": "ay", "utils": [0, 1]},
+        "b,x": {"label": "bx", "utils": [1, 1]},
+        "b,y": {"label": "by", "utils": [0, 0]},
+    },
+}
+
+
+def _rename(table: dict, old: str, new: str) -> None:
+    table[new] = table.pop(old)
+
+
+# (how to break `_SMALL["outcomes"]`, the error message).  The messages and
+# which of several errors is reported are the reader's contract: bad keys
+# and entries in JSON key order, then missing profiles in profile order.
+_GAME_ERRORS = {
+    "bad key": (
+        lambda o: _rename(o, "a,x", "a;x"),
+        "outcome key 'a;x': expected 2 strategy names, got 1",
+    ),
+    "unknown name": (
+        lambda o: _rename(o, "a,x", "a,z"),
+        "outcome key 'a,z': player 2 has no strategy named 'z'",
+    ),
+    "key arity": (
+        lambda o: _rename(o, "a,x", "a,x,x"),
+        "outcome key 'a,x,x': expected 2 strategy names, got 3",
+    ),
+    "missing label": (lambda o: o["a,y"].pop("label"), "outcome 'a,y' is missing 'label'"),
+    "missing utils": (lambda o: o["a,y"].pop("utils"), "outcome 'a,y' is missing 'utils'"),
+    "entry not an object": (
+        lambda o: o.update({"a,y": [1, 2]}),
+        "outcome 'a,y' must be a JSON object",
+    ),
+    "label not a string": (
+        lambda o: o["a,y"].update(label=3),
+        "outcome 'a,y': label must be a string",
+    ),
+    "utils not a list": (
+        lambda o: o["a,y"].update(utils="1,2"),
+        "outcome 'a,y': need a list of 2 utilities",
+    ),
+    "utility count": (
+        lambda o: o["a,y"].update(utils=[1, 2, 3]),
+        "outcome 'a,y': need a list of 2 utilities",
+    ),
+    "bool utility": (
+        lambda o: o["a,y"].update(utils=[1, True]),
+        "outcome 'a,y': not a utility value: True",
+    ),
+    "null utility": (
+        lambda o: o["a,y"].update(utils=[None, 1]),
+        "outcome 'a,y': not a utility value: None",
+    ),
+    "list utility": (
+        lambda o: o["a,y"].update(utils=[1, [1]]),
+        "outcome 'a,y': not a utility value: [1]",
+    ),
+    "bad literal": (
+        lambda o: o["a,y"].update(utils=[1, "1/0"]),
+        "outcome 'a,y': bad rational literal '1/0'",
+    ),
+    "winners not a list": (
+        lambda o: o["a,y"].update(winners="p"),
+        "outcome 'a,y': winners must be a list of names",
+    ),
+    "empty winners": (
+        lambda o: o["a,y"].update(winners=[]),
+        "outcome 'a,y': winner set, when present, must be non-empty",
+    ),
+    "missing profile": (lambda o: o.pop("b,x"), "no outcome for profile 'b,x'"),
+    "bad utility before a later bad label": (
+        lambda o: (o["a,x"].update(utils=[1, "x"]), o["a,y"].update(label=1)),
+        "outcome 'a,x': bad rational literal 'x'",
+    ),
+    "bad utility before empty winners": (
+        lambda o: o["a,x"].update(utils=[1, "x"], winners=[]),
+        "outcome 'a,x': bad rational literal 'x'",
+    ),
+    "bad entry before a missing profile": (
+        lambda o: (o.pop("a,x"), o["b,y"].update(utils=[None, 1])),
+        "outcome 'b,y': not a utility value: None",
+    ),
+    "a utility seen before breaks a later entry": (
+        lambda o: (o["a,x"].update(utils=[True, 0]), o["a,y"].update(utils=[True, 0])),
+        "outcome 'a,x': not a utility value: True",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GAME_ERRORS))
+def test_game_from_dict_error_messages(case):
+    breaks, message = _GAME_ERRORS[case]
+    data = copy.deepcopy(_SMALL)
+    breaks(data["outcomes"])
+    with pytest.raises(FormatError) as got:
+        game_from_dict(data)
+    assert str(got.value) == message
 
 
 def test_game_load_from_file(tmp_path):
@@ -258,6 +441,55 @@ def test_intensional_from_dict_errors():
     bad["relations"]["2"][0] = [0, 99]
     with pytest.raises(Exception):
         intensional_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "breaks, message",
+    [
+        (
+            lambda d: d["forms"][1]["outcomes"]["c,d"].update(utils=[True, 1]),
+            "outcome 'c,d': not a utility value: True",
+        ),
+        (
+            lambda d: d["forms"][1]["outcomes"]["d,c"].update(winners=[]),
+            "outcome 'd,c': winner set, when present, must be non-empty",
+        ),
+        (
+            lambda d: d["forms"][1]["outcomes"]["d,d"].update(utils=[1]),
+            "outcome 'd,d': need a list of 2 utilities",
+        ),
+        # The first bad world wins, whether the world or its entry is bad.
+        (
+            lambda d: (
+                d["forms"][0]["outcomes"]["c,c"].update(utils=[None, 1]),
+                d["worlds"].__setitem__(1, ["NoSuchForm", "c,c"]),
+            ),
+            "outcome 'c,c': not a utility value: None",
+        ),
+        (
+            lambda d: (
+                d["forms"][1]["outcomes"]["c,d"].update(utils=[None, 1]),
+                d["worlds"].__setitem__(1, ["NoSuchForm", "c,c"]),
+            ),
+            "model: world references unknown form 'NoSuchForm'",
+        ),
+        (
+            lambda d: d["worlds"].__setitem__(0, [["Gr"], "c,c"]),
+            "model: world references unknown form ['Gr']",
+        ),
+        (
+            lambda d: d["worlds"].__setitem__(0, ["Gr", 5]),
+            "world ['Gr', 5]: profile key must be a string",
+        ),
+    ],
+)
+def test_intensional_from_dict_outcome_errors(breaks, message):
+    model, _ = commitment_confusion()
+    data = json.loads(json.dumps(intensional_to_dict(model)))
+    breaks(data)
+    with pytest.raises(FormatError) as got:
+        intensional_from_dict(data)
+    assert str(got.value) == message
 
 
 def test_load_intensional(tmp_path):

@@ -34,7 +34,6 @@ from stratlogic import (
     OutcomeRecord,
     Outcomes,
     Signature,
-    StrategicGame,
     Top,
     UtilEq,
     Vector,
@@ -69,7 +68,7 @@ from stratlogic.catalog import (
     vote3_game,
 )
 
-from builders import choice, node_objects, seq
+from builders import choice, from_outcomes, node_objects, seq
 from game_oracle import nash_set, util
 from dense_oracle import (
     compose,
@@ -764,7 +763,7 @@ def test_pre_matches_dense_oracle_on_random_programs(kind, seed):
 def test_nash_and_star_memory_is_linear_at_7776_profiles():
     rng = random.Random(41)
     form = GameForm([("a", "b", "c", "d", "e", "f")] * 5)
-    game = StrategicGame.from_outcomes(
+    game = from_outcomes(
         form,
         {
             s: OutcomeRecord(form.profile_key(s), [rng.randint(0, 3) for _ in range(5)])
@@ -799,7 +798,7 @@ def test_nash_here_evaluates_each_distinct_subformula_once(values, monkeypatch):
     identity."""
     form = GameForm([("a", "b", "c")] * 3)
     cells = iter(range(81))
-    game = StrategicGame.from_outcomes(
+    game = from_outcomes(
         form,
         {
             s: OutcomeRecord(
