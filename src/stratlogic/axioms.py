@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .games import GameError
 from .models import IntensionalModel, counterexample, valid_in_model
-from .properties import vec_switch
+from .properties import _terms
 from .syntax import (
     ADV,
     CUR,
@@ -75,19 +75,16 @@ class InstanceResult:
 def enumerate_vectors(sig: Signature) -> list[Vector]:
     """All-Concrete vectors, then one-position wildcard variants, then
     one-position Current variants."""
-    out: list[Vector] = []
-    for names in product(*sig.strategy_sets):
-        out.append(Vector(Concrete(name) for name in names))
+    return _enumerate_vectors(sig, _terms(sig))
+
+
+def _enumerate_vectors(sig: Signature, terms: dict[str, Concrete]) -> list[Vector]:
+    sets = [[terms[name] for name in names] for names in sig.strategy_sets]
+    out = [Vector(c) for c in product(*sets)]
     for special in (ADV, CUR):
         for pos in range(sig.n):
-            rest = [sig.strategy_sets[p] for p in range(sig.n) if p != pos]
-            for names in product(*rest):
-                names = list(names)
-                terms = [
-                    special if p == pos else Concrete(names.pop(0))
-                    for p in range(sig.n)
-                ]
-                out.append(Vector(terms))
+            for rest in product(*sets[:pos], *sets[pos + 1 :]):
+                out.append(Vector(rest[:pos] + (special,) + rest[pos:]))
     return out
 
 
@@ -104,10 +101,61 @@ def default_pool(sig: Signature) -> list[Formula]:
     return atoms + [Not(a) for a in atoms]
 
 
-def _with_concrete(vector: Vector, pos: int, name: str) -> Vector:
-    terms = list(vector.terms)
-    terms[pos] = Concrete(name)
-    return Vector(terms)
+class _Shared:
+    """The nodes that recur across the instances of one `instantiate_many`
+    call, each built once: one `Concrete` term per strategy name, one vector
+    per term tuple (the enumerated vectors first), and per vector one
+    program, one atom and one row of boxes over the pool; also the rendered
+    text of each pool formula, for the `about` strings.  Equal subformulas
+    of the instances are then one object, so a model's caches find each
+    repeat by identity instead of comparing equal trees node by node."""
+
+    def __init__(self, sig: Signature, pool, vectors):
+        self.sig = sig
+        self.terms = _terms(sig)
+        self.pool = default_pool(sig) if pool is None else pool
+        self.texts = [render(phi) for phi in self.pool]
+        self.vectors = _enumerate_vectors(sig, self.terms) if vectors is None else vectors
+        self.top = Top()
+        self.agents = {p: (Agent(p), AgentConv(p)) for p in sig.players}
+        self._by_terms: dict[tuple, Vector] = {c.terms: c for c in self.vectors}
+        self._programs: dict[Vector, Vec] = {}
+        self._atoms: dict[Vector, VectorAtom] = {}
+        self._boxes: dict[Vector, list[Box]] = {}
+
+    def vector(self, terms: tuple) -> Vector:
+        c = self._by_terms.get(terms)
+        if c is None:
+            c = self._by_terms[terms] = Vector(terms)
+        return c
+
+    def with_concrete(self, c: Vector, pos: int, name: str) -> Vector:
+        return self.vector(c.terms[:pos] + (self.terms[name],) + c.terms[pos + 1 :])
+
+    def switch(self, player: int, name: str) -> Vector:
+        """The vector fixing `player` to `name` while everyone else stays put."""
+        term = self.terms[name]
+        return self.vector(tuple(term if p == player else CUR for p in self.sig.players))
+
+    def program(self, c: Vector) -> Vec:
+        program = self._programs.get(c)
+        if program is None:
+            program = self._programs[c] = Vec(c)
+        return program
+
+    def atom(self, c: Vector) -> VectorAtom:
+        atom = self._atoms.get(c)
+        if atom is None:
+            atom = self._atoms[c] = VectorAtom(c)
+        return atom
+
+    def boxes(self, c: Vector) -> list[Box]:
+        """``[c] phi`` for each formula phi of the pool, in pool order."""
+        row = self._boxes.get(c)
+        if row is None:
+            program = self.program(c)
+            row = self._boxes[c] = [Box(program, phi) for phi in self.pool]
+        return row
 
 
 def instantiate(
@@ -118,100 +166,7 @@ def instantiate(
 ) -> list[AxiomInstance]:
     """All ground instances of one schema.  Vectors that a schema cannot use
     (e.g. undetermined vectors for Functionality) are skipped."""
-    if schema not in ALL_SCHEMAS:
-        raise GameError(f"unknown axiom schema {schema!r}")
-    if vectors is None:
-        vectors = enumerate_vectors(sig)
-    if pool is None:
-        pool = default_pool(sig)
-    out: list[AxiomInstance] = []
-
-    def add(formula: Formula, about: str) -> None:
-        out.append(AxiomInstance(schema, formula, about))
-
-    if schema == "Effectivity":
-        for c in vectors:
-            add(Box(Vec(c), VectorAtom(c)), f"c={render(c)}")
-    elif schema == "Seriality":
-        for c in vectors:
-            add(Diamond(Vec(c), Top()), f"c={render(c)}")
-    elif schema == "Functionality":
-        for c in vectors:
-            if not c.determined():
-                continue
-            for phi in pool:
-                add(
-                    Implies(Diamond(Vec(c), phi), Box(Vec(c), phi)),
-                    f"c={render(c)}, phi={render(phi)}",
-                )
-    elif schema == "AdversaryPower":
-        for c in vectors:
-            for pos, term in enumerate(c.terms):
-                if not isinstance(term, Adversary):
-                    continue
-                player = pos + 1
-                for phi in pool:
-                    cases = conj(
-                        Box(Vec(_with_concrete(c, pos, a)), phi)
-                        for a in sig.strategies(player)
-                    )
-                    add(
-                        Iff(Box(Vec(c), phi), cases),
-                        f"c={render(c)}, i={player}, phi={render(phi)}",
-                    )
-    elif schema == "DeterminateCurrentChoice":
-        for c in vectors:
-            for pos, term in enumerate(c.terms):
-                if not isinstance(term, Current):
-                    continue
-                player = pos + 1
-                for a in sig.strategies(player):
-                    picked = VectorAtom(vec_switch(sig, player, a))
-                    add(
-                        Implies(
-                            picked,
-                            Iff(VectorAtom(c), VectorAtom(_with_concrete(c, pos, a))),
-                        ),
-                        f"c={render(c)}, i={player}, a={a}",
-                    )
-    elif schema == "ConverseA":
-        for player in sig.players:
-            for phi in pool:
-                add(
-                    Implies(phi, Box(Agent(player), Diamond(AgentConv(player), phi))),
-                    f"i={player}, phi={render(phi)}",
-                )
-    elif schema == "ConverseB":
-        for player in sig.players:
-            for phi in pool:
-                add(
-                    Implies(phi, Box(AgentConv(player), Diamond(Agent(player), phi))),
-                    f"i={player}, phi={render(phi)}",
-                )
-    elif schema == "OwnActionKnowledge":
-        for player in sig.players:
-            for a in sig.strategies(player):
-                switch = vec_switch(sig, player, a)
-                add(
-                    Box(Vec(switch), Box(Agent(player), VectorAtom(switch))),
-                    f"i={player}, a={a}",
-                )
-    elif schema == "OtherActionIgnorance":
-        # One instance per observer: after any other player fixes a choice,
-        # the observer does not know it.  Falsifiable when that player has
-        # only one strategy (nothing to be uncertain about).
-        for player in sig.players:
-            parts = []
-            for other in sig.players:
-                if other == player:
-                    continue
-                for a in sig.strategies(other):
-                    switch = vec_switch(sig, other, a)
-                    parts.append(
-                        Box(Vec(switch), Not(Box(Agent(player), VectorAtom(switch))))
-                    )
-            add(conj(parts), f"i={player}")
-    return out
+    return instantiate_many([schema], sig, pool, vectors)
 
 
 def instantiate_many(
@@ -220,10 +175,107 @@ def instantiate_many(
     pool: Sequence[Formula] | None = None,
     vectors: Sequence[Vector] | None = None,
 ) -> list[AxiomInstance]:
-    out = []
+    """The instances of each schema in turn, over one enumeration of the
+    vectors and the pool, with each distinct subformula one object."""
+    shared = _Shared(sig, pool, vectors)
+    out: list[AxiomInstance] = []
     for schema in schemas:
-        out.extend(instantiate(schema, sig, pool, vectors))
+        if schema not in ALL_SCHEMAS:
+            raise GameError(f"unknown axiom schema {schema!r}")
+        _instances(schema, shared, out)
     return out
+
+
+def _instances(schema: str, shared: _Shared, out: list[AxiomInstance]) -> None:
+    """Append the instances of one schema to `out`."""
+    sig, pool = shared.sig, shared.pool
+
+    def add(formula: Formula, about: str) -> None:
+        out.append(AxiomInstance(schema, formula, about))
+
+    if schema == "Effectivity":
+        for c in shared.vectors:
+            add(Box(shared.program(c), shared.atom(c)), f"c={render(c)}")
+    elif schema == "Seriality":
+        for c in shared.vectors:
+            add(Diamond(shared.program(c), shared.top), f"c={render(c)}")
+    elif schema == "Functionality":
+        for c in shared.vectors:
+            if not c.determined():
+                continue
+            program, about = shared.program(c), render(c)
+            for phi, text, box in zip(pool, shared.texts, shared.boxes(c)):
+                add(Implies(Diamond(program, phi), box), f"c={about}, phi={text}")
+    elif schema == "AdversaryPower":
+        for c in shared.vectors:
+            for pos, term in enumerate(c.terms):
+                if not isinstance(term, Adversary):
+                    continue
+                player = pos + 1
+                # One row of boxes per strategy filled in at `pos`.
+                rows = [
+                    shared.boxes(shared.with_concrete(c, pos, a))
+                    for a in sig.strategies(player)
+                ]
+                about = f"c={render(c)}, i={player}"
+                for k, (text, box) in enumerate(zip(shared.texts, shared.boxes(c))):
+                    cases = conj(row[k] for row in rows)
+                    add(Iff(box, cases), f"{about}, phi={text}")
+    elif schema == "DeterminateCurrentChoice":
+        for c in shared.vectors:
+            for pos, term in enumerate(c.terms):
+                if not isinstance(term, Current):
+                    continue
+                player = pos + 1
+                atom, about = shared.atom(c), f"c={render(c)}, i={player}"
+                for a in sig.strategies(player):
+                    picked = shared.atom(shared.switch(player, a))
+                    fixed = shared.atom(shared.with_concrete(c, pos, a))
+                    add(Implies(picked, Iff(atom, fixed)), f"{about}, a={a}")
+    elif schema == "ConverseA":
+        for player in sig.players:
+            agent, converse = shared.agents[player]
+            for phi, text in zip(pool, shared.texts):
+                add(
+                    Implies(phi, Box(agent, Diamond(converse, phi))),
+                    f"i={player}, phi={text}",
+                )
+    elif schema == "ConverseB":
+        for player in sig.players:
+            agent, converse = shared.agents[player]
+            for phi, text in zip(pool, shared.texts):
+                add(
+                    Implies(phi, Box(converse, Diamond(agent, phi))),
+                    f"i={player}, phi={text}",
+                )
+    elif schema == "OwnActionKnowledge":
+        for player in sig.players:
+            agent = shared.agents[player][0]
+            for a in sig.strategies(player):
+                switch = shared.switch(player, a)
+                add(
+                    Box(shared.program(switch), Box(agent, shared.atom(switch))),
+                    f"i={player}, a={a}",
+                )
+    elif schema == "OtherActionIgnorance":
+        # One instance per observer: after any other player fixes a choice,
+        # the observer does not know it.  Falsifiable when that player has
+        # only one strategy (nothing to be uncertain about).
+        for player in sig.players:
+            agent = shared.agents[player][0]
+            parts = []
+            for other in sig.players:
+                if other == player:
+                    continue
+                for a in sig.strategies(other):
+                    switch = shared.switch(other, a)
+                    parts.append(
+                        Box(
+                            shared.program(switch),
+                            Not(Box(agent, shared.atom(switch))),
+                        )
+                    )
+            add(conj(parts), f"i={player}")
 
 
 def validity_report(

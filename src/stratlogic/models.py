@@ -222,9 +222,8 @@ class IntensionalModel:
 
     def state_key(self, idx: int) -> str:
         """``c,d`` for a world of an unnamed form, ``G:c,d`` for one of form G."""
-        form_idx, profile = self.worlds[idx]
-        form_id = self.forms[form_idx][0]
-        key = self.ambient.profile_key(profile)
+        form_id = self.forms[self._form_col[idx]][0]
+        key = self.ambient.profile_key(tuple(self._coords[idx].tolist()))
         return key if form_id is None else f"{form_id}:{key}"
 
     def index(self, where: int | str | tuple) -> int:

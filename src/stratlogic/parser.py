@@ -54,54 +54,69 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 _PAYOFF_NAME = re.compile(r"u([0-9]+)\Z")
 _AGENT_NAME = re.compile(r"ag([0-9]+)\Z")
 
-# One alternative per token class, tried in order; multi-character operators
-# come before the single characters they start with.
+# Each match is (leading blanks, token).  Multi-character operators come
+# before the single characters they start with; the last alternatives take a
+# stray character, a lone '"' (an unterminated string) and the end of input,
+# so the matches cover the whole text.
 _TOKEN = re.compile(
-    r"""(?P<newline>\n)
-    |(?P<space>[ \t\r]+)
-    |"(?P<STRING>[^"]*)"
-    |(?P<unterminated>")
-    |(?P<op><->|\?\?|!!|->|>=|[()\[\]{}<>,;+*?~&|=^/-])
-    |(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
-    |(?P<INT>[0-9]+)""",
+    r"""([ \t\r\n]*)
+    ("[^"]*"
+    |<->|\?\?|!!|->|>=|[()\[\]{}<>,;+*?~&|=^/-]
+    |[A-Za-z_][A-Za-z0-9_]*
+    |[0-9]+
+    |.|\Z)""",
     re.VERBOSE,
 )
+_OPERATORS = frozenset("<-> ?? !! -> >= ( ) [ ] { } < > , ; + * ? ~ & | = ^ / -".split())
+# A token's kind by its first character; a stray character has none.
+_KIND_BY_FIRST = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "NAME"),
+    **dict.fromkeys("0123456789", "INT"),
+    '"': "STRING",
+    "": "EOF",
+}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    # A column counts from the last newline outside a string literal.
-    line, line_start, pos = 1, 0, 0
-    for m in _TOKEN.finditer(text):
-        if m.start() != pos:  # no alternative matches at pos
-            break
-        kind = m.lastgroup
-        col = pos - line_start + 1
-        pos = m.end()
-        if kind == "op":
-            op = m[kind]
-            tokens.append(_Token(op, op, line, col))
-        elif kind == "newline":
-            line += 1
-            line_start = pos
-        elif kind == "unterminated":
-            raise ParseError("unterminated string", line, col)
-        elif kind != "space":
-            tokens.append(_Token(kind, m[kind], line, col))
-    if pos < len(text):
-        raise ParseError(f"stray character {text[pos]!r}", line, pos - line_start + 1)
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
-    return tokens
+_Token = tuple[str, str, int]
+
+
+def _tokenize(text: str) -> tuple[list[_Token], list[tuple[str, str]]]:
+    """The (kind, text, index) tokens of `text`, ending with one EOF, and the
+    (blanks, token) matches they index, from which `_position` recovers a
+    token's line and column."""
+    matches = _TOKEN.findall(text)
+    tokens = []
+    for index, (_, tok) in enumerate(matches):
+        if tok in _OPERATORS:
+            tokens.append((tok, tok, index))
+            continue
+        kind = _KIND_BY_FIRST.get(tok[:1])
+        if kind == "STRING":
+            if tok == '"':
+                raise ParseError("unterminated string", *_position(matches, index))
+            tok = tok[1:-1]
+        elif kind is None:
+            raise ParseError(f"stray character {tok!r}", *_position(matches, index))
+        tokens.append((kind, tok, index))
+        if kind == "EOF":
+            return tokens, matches
+
+
+def _position(matches: list[tuple[str, str]], index: int) -> tuple[int, int]:
+    """The line and column of the token of match `index`.  A column counts
+    from the last newline outside a string literal."""
+    line, col = 1, 1
+    for blanks, tok in matches[: index + 1]:
+        if "\n" in blanks:
+            line += blanks.count("\n")
+            col = len(blanks) - blanks.rindex("\n")
+        else:
+            col += len(blanks)
+        col += len(tok)
+    return line, col - len(matches[index][1])
 
 
 class _Group(NamedTuple):
@@ -121,11 +136,14 @@ def _apply_prefixes(prefixes: list, node):
 
 class _Parser:
     def __init__(self, text: str, signature: Signature):
-        self.tokens = _tokenize(text)
+        self.tokens, self._matches = _tokenize(text)
         self.pos = 0
         self.sig = signature
 
     # -- token plumbing ----------------------------------------------------
+    #
+    # A token is a (kind, text, index) tuple; `_error` turns its index into
+    # a line and column.
 
     def _peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -137,116 +155,110 @@ class _Parser:
 
     def _accept(self, kind: str) -> _Token | None:
         tok = self.tokens[self.pos]
-        if tok.kind == kind:
+        if tok[0] == kind:
             self.pos += 1
             return tok
         return None
 
     def _expect(self, kind: str, what: str) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise ParseError(f"expected {what}, found {found!r}", tok.line, tok.col)
+        if tok[0] != kind:
+            found = tok[1] or "end of input"
+            raise self._error(f"expected {what}, found {found!r}", tok)
         self.pos += 1
         return tok
 
+    def _error(self, message: str, tok: _Token) -> ParseError:
+        return ParseError(message, *_position(self._matches, tok[2]))
+
     def _fail(self, message: str):
-        tok = self._peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise self._error(message, self._peek())
 
     def _finish(self, result):
         tok = self._peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        if tok[0] != "EOF":
+            raise self._error(f"unexpected trailing input {tok[1]!r}", tok)
         return result
 
     # -- shared pieces -----------------------------------------------------
 
     def _rational(self) -> Fraction:
         negative = self._accept("-") is not None
-        num = int(self._expect("INT", "a number").text)
+        num = int(self._expect("INT", "a number")[1])
         den = 1
         if self._accept("/"):
             tok = self._expect("INT", "a denominator")
-            den = int(tok.text)
+            den = int(tok[1])
             if den == 0:
-                raise ParseError("zero denominator", tok.line, tok.col)
+                raise self._error("zero denominator", tok)
         value = Fraction(num, den)
         return -value if negative else value
 
     def _name_or_string(self, what: str) -> str:
-        tok = self._peek()
-        if tok.kind in ("NAME", "STRING"):
-            return self._next().text
+        if self._peek()[0] in ("NAME", "STRING"):
+            return self._next()[1]
         self._fail(f"expected {what}")
 
     def _vector_ahead(self) -> bool:
         # A vector is "(" term ("," term)+ ")" with terms that are names,
         # ??, or !!; anything else after "(" is a grouped expression.
-        i = self.pos
-        if self.tokens[i].kind != "(":
+        tokens, i = self.tokens, self.pos
+        if tokens[i][0] != "(":
             return False
         i += 1
         commas = 0
         while True:
-            if self.tokens[i].kind not in ("NAME", "??", "!!"):
+            if tokens[i][0] not in ("NAME", "??", "!!"):
                 return False
             i += 1
-            if self.tokens[i].kind == ",":
+            if tokens[i][0] == ",":
                 commas += 1
                 i += 1
                 continue
-            return self.tokens[i].kind == ")" and commas >= 1
+            return tokens[i][0] == ")" and commas >= 1
 
     def _group_ahead(self) -> bool:
         """Read the '(' of a parenthesized group, if one comes next."""
-        if self.tokens[self.pos].kind != "(" or self._vector_ahead():
+        if self.tokens[self.pos][0] != "(" or self._vector_ahead():
             return False
         self.pos += 1
         return True
 
     def _vector(self) -> Vector:
-        open_tok = self._expect("(", "a vector")
+        # Entered only once `_vector_ahead` has seen "(" term ("," term)+ ")",
+        # so every other token is a term and the others are "," up to ")".
+        tokens, pos = self.tokens, self.pos
+        n, strategy_sets = self.sig.n, self.sig.strategy_sets
         terms = []
         while True:
-            tok = self._next()
-            pos = len(terms)
-            if pos >= self.sig.n:
-                raise ParseError(
-                    f"vector has more than {self.sig.n} positions", tok.line, tok.col
-                )
-            if tok.kind == "??":
+            pos += 1
+            tok = kind, name, _ = tokens[pos]
+            if len(terms) == n:
+                raise self._error(f"vector has more than {n} positions", tok)
+            if kind == "??":
                 terms.append(ADV)
-            elif tok.kind == "!!":
+            elif kind == "!!":
                 terms.append(CUR)
-            elif tok.kind == "NAME":
-                if tok.text not in self.sig.strategy_sets[pos]:
-                    raise ParseError(
-                        f"player {pos + 1} has no strategy named {tok.text!r}",
-                        tok.line,
-                        tok.col,
-                    )
-                terms.append(Concrete(tok.text))
             else:
-                raise ParseError(
-                    f"expected a strategy term, found {tok.text!r}", tok.line, tok.col
-                )
-            if self._accept(","):
-                continue
-            self._expect(")", "',' or ')' in a vector")
-            break
-        if len(terms) != self.sig.n:
-            raise ParseError(
-                f"vector has {len(terms)} positions for {self.sig.n} players",
-                open_tok.line,
-                open_tok.col,
+                if name not in strategy_sets[len(terms)]:
+                    raise self._error(
+                        f"player {len(terms) + 1} has no strategy named {name!r}", tok
+                    )
+                terms.append(Concrete(name))
+            pos += 1
+            if tokens[pos][0] == ")":
+                break
+        if len(terms) != n:
+            raise self._error(
+                f"vector has {len(terms)} positions for {n} players", tokens[self.pos]
             )
+        self.pos = pos + 1
         return Vector(terms)
 
     def _player_number(self, digits: str, tok: _Token) -> int:
         player = int(digits)
         if not 1 <= player <= self.sig.n:
-            raise ParseError(f"no player {player} in scope", tok.line, tok.col)
+            raise self._error(f"no player {player} in scope", tok)
         return player
 
     def _winner_name(self) -> str:
@@ -254,9 +266,9 @@ class _Parser:
         tok = self._peek()
         name = self._name_or_string("an alternative name")
         if self.sig.alternatives is None:
-            raise ParseError("this game has no winner vocabulary", tok.line, tok.col)
+            raise self._error("this game has no winner vocabulary", tok)
         if name not in self.sig.alternatives:
-            raise ParseError(f"unknown alternative {name!r}", tok.line, tok.col)
+            raise self._error(f"unknown alternative {name!r}", tok)
         self._expect(")", "')'")
         return name
 
@@ -278,7 +290,7 @@ class _Parser:
                 pending.append(item)
                 continue
             out.append(item)
-            while (op := operators.get(self.tokens[self.pos].kind)) is None:
+            while (op := operators.get(self.tokens[self.pos][0])) is None:
                 # The chain ends here: it closes the innermost open group,
                 # or it is the whole expression.
                 while pending and type(pending[-1]) is not _Group:
@@ -307,7 +319,7 @@ class _Parser:
         # Prefixes are collected in a loop and applied innermost first, so
         # long prefix runs never recurse.
         prefixes = []
-        while (kind := self.tokens[self.pos].kind) in ("~", "[", "<"):
+        while (kind := self.tokens[self.pos][0]) in ("~", "[", "<"):
             self.pos += 1
             if kind == "~":
                 prefixes.append(Not)
@@ -322,45 +334,41 @@ class _Parser:
         return _apply_prefixes(prefixes, self._formula_primary())
 
     def _formula_primary(self) -> Formula:
-        tok = self._peek()
-        if tok.kind == "NAME":
-            if tok.text == "T":
+        tok = kind, text, _ = self._peek()
+        if kind == "NAME":
+            if text == "T":
                 self._next()
                 return Top()
-            if tok.text == "win":
+            if text == "win":
                 self._next()
                 return Winner(self._winner_name())
-            if tok.text == "label":
+            if text == "label":
                 self._next()
                 self._expect("(", "'('")
                 text = self._name_or_string("a label")
                 self._expect(")", "')'")
                 return Label(text)
-            m = _PAYOFF_NAME.match(tok.text)
+            m = _PAYOFF_NAME.match(text)
             if m:
                 self._next()
                 player = self._player_number(m.group(1), tok)
                 return self._payoff_tail(player, tok)
-            self._fail(f"unexpected name {tok.text!r} in a formula")
-        if tok.kind == "(":
+            self._fail(f"unexpected name {text!r} in a formula")
+        if kind == "(":
             return VectorAtom(self._vector())
         self._fail("expected a formula")
 
     def _payoff_tail(self, player: int, start: _Token) -> Formula:
-        op = self._peek()
-        if op.kind == "=":
+        op = self._peek()[0]
+        if op == "=":
             self._next()
             return UtilEq(player, self._rational())
-        if op.kind in (">=", ">"):
+        if op in (">=", ">"):
             self._next()
             if self.sig.util_range is None:
-                raise ParseError(
-                    "utility comparisons need a known utility range",
-                    start.line,
-                    start.col,
-                )
+                raise self._error("utility comparisons need a known utility range", start)
             value = self._rational()
-            build = payoff_geq if op.kind == ">=" else payoff_gt
+            build = payoff_geq if op == ">=" else payoff_gt
             return build(self.sig, player, value)
         self._fail("expected '=', '>=' or '>' after a payoff atom")
 
@@ -380,24 +388,24 @@ class _Parser:
         return out
 
     def _program_primary(self) -> Program:
-        tok = self._peek()
-        if tok.kind == "?":
+        tok = kind, text, _ = self._peek()
+        if kind == "?":
             self._next()
             body = self._formula_unary()
             if type(body) is _Group:
                 body = self._infix(self._formula_unary, _FORMULA_OPS, body)
             return Test(body)
-        if tok.kind == "(":
+        if kind == "(":
             return Vec(self._vector())
-        if tok.kind == "NAME":
-            m = _AGENT_NAME.match(tok.text)
+        if kind == "NAME":
+            m = _AGENT_NAME.match(text)
             if m:
                 self._next()
                 player = self._player_number(m.group(1), tok)
                 if self._accept("^"):
                     return AgentConv(player)
                 return Agent(player)
-            self._fail(f"unexpected name {tok.text!r} in a program")
+            self._fail(f"unexpected name {text!r} in a program")
         self._fail("expected a program")
 
     # -- coalition logic ---------------------------------------------------
@@ -414,18 +422,16 @@ class _Parser:
             if not self._accept("["):
                 break
             name = self._expect("NAME", "'C'")
-            if name.text != "C":
-                raise ParseError("expected 'C' to open a coalition", name.line, name.col)
+            if name[1] != "C":
+                raise self._error("expected 'C' to open a coalition", name)
             self._expect("{", "'{'")
             members: list[int] = []
-            if self._peek().kind != "}":
+            if self._peek()[0] != "}":
                 while True:
                     tok = self._expect("INT", "a player number")
-                    player = self._player_number(tok.text, tok)
+                    player = self._player_number(tok[1], tok)
                     if player in members:
-                        raise ParseError(
-                            f"duplicate coalition member {player}", tok.line, tok.col
-                        )
+                        raise self._error(f"duplicate coalition member {player}", tok)
                     members.append(player)
                     if self._accept(","):
                         continue
@@ -438,43 +444,39 @@ class _Parser:
         return _apply_prefixes(prefixes, self._cl_primary())
 
     def _cl_primary(self) -> CLFormula:
-        tok = self._peek()
-        if tok.kind == "NAME":
-            if tok.text == "T":
+        tok = kind, text, _ = self._peek()
+        if kind == "NAME":
+            if text == "T":
                 self._next()
                 return CLTop()
-            if tok.text == "win":
+            if text == "win":
                 self._next()
                 return CLAtom(Winner(self._winner_name()))
-            if tok.text == "label":
+            if text == "label":
                 self._next()
                 self._expect("(", "'('")
                 text = self._name_or_string("a label")
                 self._expect(")", "')'")
                 return CLAtom(Label(text))
-            m = _PAYOFF_NAME.match(tok.text)
+            m = _PAYOFF_NAME.match(text)
             if m:
                 self._next()
                 player = self._player_number(m.group(1), tok)
                 return self._cl_payoff_tail(player, tok)
-            self._fail(f"unexpected name {tok.text!r} in a coalition formula")
+            self._fail(f"unexpected name {text!r} in a coalition formula")
         self._fail("expected a coalition formula")
 
     def _cl_payoff_tail(self, player: int, start: _Token) -> CLFormula:
-        op = self._peek()
-        if op.kind == "=":
+        op = self._peek()[0]
+        if op == "=":
             self._next()
             return CLAtom(UtilEq(player, self._rational()))
-        if op.kind in (">=", ">"):
+        if op in (">=", ">"):
             self._next()
             if self.sig.util_range is None:
-                raise ParseError(
-                    "utility comparisons need a known utility range",
-                    start.line,
-                    start.col,
-                )
+                raise self._error("utility comparisons need a known utility range", start)
             value = self._rational()
-            if op.kind == ">=":
+            if op == ">=":
                 keep = [w for w in self.sig.util_range if w >= value]
             else:
                 keep = [w for w in self.sig.util_range if w > value]

@@ -55,14 +55,6 @@ def _vector(sig: Signature, player: int, term: Term, rest: Term) -> Vector:
     return Vector(term if p == player else rest for p in sig.players)
 
 
-def vec_switch(sig: Signature, player: int, name: str) -> Vector:
-    """The vector fixing `player` to `name` while everyone else stays put."""
-    sig.strategies(player)  # player range check
-    if name not in sig.strategies(player):
-        raise GameError(f"player {player} has no strategy named {name!r}")
-    return _vector(sig, player, Concrete(name), CUR)
-
-
 def all_adversary(sig: Signature) -> Vector:
     return Vector(ADV for _ in sig.players)
 

@@ -37,7 +37,6 @@ from stratlogic.properties import (
     diamond_any_state,
     payoff_geq,
     payoff_gt,
-    vec_switch,
 )
 from stratlogic.syntax import Node, Vec
 
@@ -81,6 +80,14 @@ def from_outcomes(form: GameForm, outcomes: Mapping[Profile, OutcomeRecord]) -> 
 
 
 # The abbreviations below share nodes the way the property builders do.
+
+
+def vec_switch(sig: Signature, player: int, name: str) -> Vector:
+    """The vector fixing `player` to `name` while everyone else stays put."""
+    sig.strategies(player)  # player range check
+    if name not in sig.strategies(player):
+        raise GameError(f"player {player} has no strategy named {name!r}")
+    return _vector(sig, player, Concrete(name), CUR)
 
 
 def vec_any(sig: Signature, player: int, name: str) -> Vector:

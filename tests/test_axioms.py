@@ -6,6 +6,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratlogic import (
     ADV,
@@ -29,10 +31,11 @@ from stratlogic.axioms import (
     enumerate_vectors,
     instantiate_many,
 )
-from stratlogic.syntax import Not, Winner
+from stratlogic.syntax import Not, Winner, render
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
-from builders import from_outcomes, functionality_shape
+import axiom_oracle
+from builders import from_outcomes, functionality_shape, node_objects
 from gens import random_game, random_lift_game
 
 PD = prisoners_dilemma()
@@ -208,3 +211,46 @@ def test_epistemic_schema_sweep():
             [("lift", lift)], instantiate_many(EPISTEMIC_SCHEMAS, sig)
         )
         assert all(r.valid for r in report)
+
+
+@st.composite
+def _signatures(draw) -> Signature:
+    """2–3 players with 1–3 strategies each (names overlap across players),
+    no utility range or 1–4 exact values including fractions, with or without
+    alternatives."""
+    names = ("a", "b", "c")
+    strategy_sets = tuple(
+        tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)))
+        for _ in range(draw(st.integers(2, 3)))
+    )
+    values = draw(
+        st.none()
+        | st.lists(
+            st.fractions(min_value=-2, max_value=2, max_denominator=3),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ).map(lambda vs: tuple(sorted(vs)))
+    )
+    alternatives = draw(
+        st.none() | st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True).map(tuple)
+    )
+    return Signature(strategy_sets, values, alternatives)
+
+
+@given(_signatures())
+@settings(max_examples=40, deadline=None)
+def test_instances_match_the_fresh_node_oracle_with_shared_nodes(sig):
+    want = []
+    for schema in ALL_SCHEMAS:
+        alone = instantiate(schema, sig)
+        oracle = axiom_oracle.instantiate(schema, sig)
+        assert alone == oracle  # schema, formula and about, in order
+        assert [render(i.formula) for i in alone] == [render(i.formula) for i in oracle]
+        want += oracle
+    got = instantiate_many(ALL_SCHEMAS, sig)
+    assert got == want
+    # No two distinct node objects of one call are equal: a dict keys nodes by
+    # structural equality, so equal objects would share a key.
+    nodes = list({id(n): n for i in got for n in node_objects(i.formula)}.values())
+    assert len(dict.fromkeys(nodes)) == len(nodes)

@@ -62,6 +62,15 @@ def _cases() -> dict[str, list[str]]:
     cases["pd-check-eval-error"] = ["check", *pd, "--formula", "u1=7"]
     cases["pd-parse-program"] = ["parse", *pd, "--kind", "program", "ag1;(c,??)*+?T"]
     cases["pd-parse-cl"] = ["parse", *pd, "--kind", "cl", "[C {1}] u2=3 | ~[C {}] T"]
+    # Parse errors and their positions: a column counts from the last newline
+    # outside a string literal.
+    cases["pd-parse-error-unknown-strategy"] = ["parse", *pd, "u1=1 &\n  [(c,zz)] u1=1"]
+    cases["pd-parse-error-long-vector"] = ["parse", *pd, "<(c,d,c)> T"]
+    cases["pd-parse-error-unterminated"] = ["parse", *pd, 'T & label("open']
+    cases["pd-parse-error-stray-after-string"] = ["parse", *pd, 'label("a\nb") & $']
+    cases["pd-check-error-stray-tab-line"] = [
+        "check", *pd, "--formula", "T\n\t&\r T #", "--state", "c,c"
+    ]
     # Profiles out of order, one value in several spellings, winners on some
     # rows only.
     mixed = ["--game", str(INPUTS / "mixed.json")]

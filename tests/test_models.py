@@ -612,6 +612,17 @@ def test_state_keys_round_trip_through_index(kind):
         model.index(model.size)
 
 
+@pytest.mark.parametrize("kind", ["game", "lift", "confusion3", "json"])
+def test_state_key_names_a_world_without_listing_the_worlds(kind):
+    # ("confusion" is left out: building the "json" model lists its worlds.)
+    model = _keyed_models()[kind]
+    for i in (0, model.size // 2, model.size - 1):
+        assert model.index(model.state_key(i)) == i
+    # `worlds` and `states` build one tuple per world; naming a few worlds of
+    # a large game must not pay for all of them.
+    assert "worlds" not in vars(model) and "states" not in vars(model)
+
+
 def test_missing_agent_relation_is_empty():
     game = prisoners_dilemma()
     form = game.form

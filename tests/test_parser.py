@@ -46,8 +46,11 @@ from stratlogic.syntax import (
 )
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
+from stratlogic import parser as parser_module
+
 from builders import bare_signature
 from gens import random_formula, random_program
+import lexer_oracle
 
 PD = Signature.from_game(prisoners_dilemma())
 VOTE = Signature.from_game(vote3_game())
@@ -173,6 +176,8 @@ def test_unknown_strategy_name_rejected():
 def test_vector_arity_checked():
     with pytest.raises(ParseError):
         parse("(c,c,c)", PD, "formula")
+    with pytest.raises(ParseError, match=r"vector has 2 positions for 3 players \(line 1, column 3\)"):
+        parse("~ (a,b)", VOTE, "formula")
 
 
 def test_unknown_alternative_rejected():
@@ -211,6 +216,84 @@ def test_unbalanced_and_stray_tokens():
     for text in ["(T", "[ag1 T", "<(c,??) u1=0", "u1=0 &", "*", "label(", '"dangling']:
         with pytest.raises(ParseError):
             parse(text, PD, "formula")
+
+
+# Token fragments for random texts: names, numbers and every operator of the
+# three grammars, blanks, newlines inside and outside string literals, stray
+# characters and unterminated strings.
+_FRAGMENTS = (
+    "a", "b", "c", "d", "x_1", "u1", "u2", "u3", "ag1", "ag2", "win", "label", "T", "C",
+    "0", "1", "12", "<->", "->", "??", "!!", ">=", "(", ")", "[", "]", "{", "}",
+    "<", ">", ",", ";", "+", "*", "?", "~", "&", "|", "=", "^", "/", "-", "!",
+    " ", "  ", "\t", "\r", "\n", " \n\t", "\r\n",
+    '"a b"', '""', '"x\ny"', '"\n\n"', '"', '"open', '"o\np',
+    "$", "\f", "#", ".", "\u00e9", "\v",
+)
+_BLANKS = (" ", "\n", "\t\n", "\r\n", " \n ")
+
+
+@st.composite
+def _texts(draw):
+    """A random text and a signature: a string of fragments, or the rendering
+    of a random formula spread over lines, with fragments dropped in."""
+    sig = draw(st.sampled_from([PD, VOTE]))
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(_FRAGMENTS), max_size=16).map("".join)), sig
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    text = render(random_formula(rng, sig, 4))
+    text = "".join(rng.choice(_BLANKS) if ch == " " else ch for ch in text)
+    for fragment in draw(st.lists(st.sampled_from(_FRAGMENTS), max_size=2)):
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + fragment + text[at:]
+    return text, sig
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+    except Exception as exc:  # a non-syntax error, e.g. a GameError
+        return type(exc).__name__, str(exc)
+
+
+class _OracleLexedParser(parser_module._Parser):
+    """The parser reading the oracle lexer's tokens and positions."""
+
+    def __init__(self, text, signature):
+        self._oracle = lexer_oracle.tokenize(text)
+        self.tokens = [(t.kind, t.text, i) for i, t in enumerate(self._oracle)]
+        self.pos = 0
+        self.sig = signature
+
+    def _error(self, message, tok):
+        where = self._oracle[tok[2]]
+        return ParseError(message, where.line, where.col)
+
+
+def _parse_with_oracle_lexer(text, signature, kind):
+    p = _OracleLexedParser(text, signature)
+    entry = {"formula": p.formula, "program": p.program, "cl": p.cl_formula}[kind]
+    return p._finish(entry())
+
+
+@given(_texts())
+@settings(max_examples=600, deadline=None)
+def test_lexer_matches_the_token_by_token_oracle(case):
+    text, sig = case
+    want = _outcome(lambda: lexer_oracle.tokenize(text))
+    got = _outcome(lambda: parser_module._tokenize(text))
+    if want[0] != "ok":
+        assert got == want
+        return
+    tokens, matches = got[1]
+    assert [t[:2] for t in tokens] == [(t.kind, t.text) for t in want[1]]
+    positions = [parser_module._position(matches, t[2]) for t in tokens]
+    assert positions == [(t.line, t.col) for t in want[1]]
+    for kind in ("formula", "program", "cl"):
+        assert _outcome(lambda: parse(text, sig, kind)) == _outcome(
+            lambda: _parse_with_oracle_lexer(text, sig, kind)
+        )
 
 
 def test_zero_denominator_rejected():
