@@ -12,7 +12,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .games import GameError
-from .models import IntensionalModel, counterexample, valid_in_model
+from .models import EvalError, IntensionalModel, compile_plan, extension, run_plan
 from .properties import _terms
 from .syntax import (
     ADV,
@@ -281,14 +281,29 @@ def _instances(schema: str, shared: _Shared, out: list[AxiomInstance]) -> None:
 def validity_report(
     models: Sequence[tuple[str, IntensionalModel]], instances: Sequence[AxiomInstance]
 ) -> list[InstanceResult]:
-    """Check every instance against every labelled model."""
-    results = []
-    for instance in instances:
-        failures = []
+    """Check every instance against every labelled model.
+
+    All instances are compiled into one plan, run once per model.  If an
+    instance cannot be evaluated, the error raised is the one that checking
+    instance by instance, model by model, meets first.
+    """
+    plan = compile_plan(instance.formula for instance in instances)
+    failures: list[list[tuple[str, str]]] = [[] for _ in instances]
+    try:
         for label, model in models:
-            if not valid_in_model(model, instance.formula):
-                failures.append((label, counterexample(model, instance.formula)))
-        results.append(
-            InstanceResult(instance, valid=not failures, counterexamples=tuple(failures))
-        )
-    return results
+            masks = run_plan(model, plan)
+            for found, slot in zip(failures, plan.roots):
+                mask = masks[slot]
+                if not mask.all():
+                    found.append((label, model.state_key(int(mask.argmin()))))
+    except EvalError as exc:
+        error = exc
+    else:
+        return [
+            InstanceResult(instance, valid=not found, counterexamples=tuple(found))
+            for instance, found in zip(instances, failures)
+        ]
+    for instance in instances:
+        for _, model in models:
+            extension(model, instance.formula)
+    raise error

@@ -57,12 +57,14 @@ class FormatError(ValueError):
 
 
 def _no_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise FormatError(f"duplicate key {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"duplicate key {key!r}")
+            seen.add(key)
+    return data
 
 
 def loads(text: str) -> Any:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from .syntax import (
     Vector,
     VectorAtom,
     Winner,
-    fold,
 )
 
 
@@ -183,7 +182,8 @@ class IntensionalModel:
                 i, j = pairs[outside.any(axis=1)][0]
                 raise GameError(f"accessibility edge ({i}, {j}) out of range")
             self._edges[player] = (_frozen(pairs[:, 0]), _frozen(pairs[:, 1]))
-        self._ext_cache: dict[Formula, np.ndarray] = {}
+        # Masks by `run_plan` key (and coalition formulas by node).
+        self._ext_cache: dict = {}
         self._plans: dict[Vector, tuple | None] = {}
 
     @property
@@ -455,25 +455,120 @@ def extension(model: IntensionalModel, formula: Formula) -> np.ndarray:
     """The set of states where the formula holds, as a boolean mask.
 
     The result is cached on the model and read-only; copy before mutating.
-    Subformulas are evaluated in post-order from an explicit stack, left
-    before right, so formula depth is not bounded by the recursion limit.
+    The formula is compiled into a `Plan` on first use and the plan is kept
+    on the formula, so evaluating it on further models does not walk it
+    again.  Neither step recurses, so formula depth is not bounded by the
+    recursion limit.
     """
-    mask = model._ext_cache.get(formula)
-    if mask is not None:
-        return mask
-    return fold(formula, _subformulas, partial(_connective, model), model._ext_cache)
+    try:
+        plan = formula._plan
+    except AttributeError:
+        plan = compile_plan((formula,))
+        if isinstance(formula, Formula):
+            object.__setattr__(formula, "_plan", plan)
+    return run_plan(model, plan)[plan.roots[0]]
 
 
-def _subformulas(f: Formula) -> tuple:
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return f.left, f.right
-    if isinstance(f, (Not, Box, Diamond)):
-        return (f.body,)
-    return ()
+class Plan(NamedTuple):
+    """The distinct nodes of some formulas in post-order, children left to
+    right, one entry per slot: its kind, its node and the slots of its first
+    and second child (-1 where there is none).  The entries are stored as
+    columns, with no tuple per entry; `roots` holds each formula's slot."""
+
+    kinds: bytearray
+    nodes: list
+    left: list[int]
+    right: list[int]
+    roots: list[int]
+
+
+# Plan entry kinds: how an entry's model-cache key is made.
+_LEAF, _NOT, _BINARY, _MODAL = range(4)
+_KINDS = {
+    **dict.fromkeys((Top, VectorAtom, Winner, UtilEq, Label), _LEAF),
+    Not: _NOT,
+    **dict.fromkeys((And, Or, Implies, Iff), _BINARY),
+    **dict.fromkeys((Box, Diamond), _MODAL),
+}
+_CHILDREN_DONE = object()
+
+
+def compile_plan(roots: Iterable[Formula]) -> Plan:
+    """One evaluation plan for all the roots, from an explicit stack.
+
+    Nodes are told apart by identity alone, so compiling never calls
+    `Node.__hash__` or `__eq__`; an equal but distinct subtree gets entries
+    of its own, and the model cache's keys make it share their masks.
+    """
+    plan = Plan(bytearray(), [], [], [], [])
+    slots: dict[int, int] = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node is _CHILDREN_DONE:  # below it: a connective, then its kind
+                node, kind = stack.pop(), stack.pop()
+                if kind == _BINARY:
+                    a, b = slots[id(node.left)], slots[id(node.right)]
+                else:
+                    a, b = slots[id(node.body)], -1
+            elif id(node) in slots:  # a subtree that occurs more than once
+                continue
+            else:
+                kind = _KINDS.get(type(node))
+                if kind is None:  # a subclass, or not a formula at all
+                    kind = next((k for t, k in _KINDS.items() if isinstance(node, t)), _LEAF)
+                if kind == _BINARY:
+                    stack += (kind, node, _CHILDREN_DONE, node.right, node.left)
+                    continue
+                if kind != _LEAF:
+                    stack += (kind, node, _CHILDREN_DONE, node.body)
+                    continue
+                a = b = -1
+            slots[id(node)] = len(plan.nodes)
+            plan.kinds.append(kind)
+            plan.nodes.append(node)
+            plan.left.append(a)
+            plan.right.append(b)
+        plan.roots.append(slots[id(root)])
+    return plan
+
+
+def run_plan(model: IntensionalModel, plan: Plan) -> list[np.ndarray]:
+    """Every entry's read-only mask on the model, slot by slot.
+
+    Masks are cached on the model under keys made from child results: a
+    leaf under itself, a connective under (type, id of each child mask), a
+    modality under (type, program, id of the body's mask).  The cache keeps
+    every mask alive, so equal ids mean equal masks, and a connective's
+    value depends on nothing else.  Equal subformulas therefore share one
+    mask within and across plans, found by C-level tuple hashing alone.
+    """
+    cache = model._ext_cache
+    masks: list[np.ndarray] = []
+    push = masks.append
+    for kind, node, a, b in zip(plan.kinds, plan.nodes, plan.left, plan.right):
+        if kind == _BINARY:
+            sub = masks[a], masks[b]
+            key = (type(node), id(sub[0]), id(sub[1]))
+        elif kind == _NOT:
+            sub = (masks[a],)
+            key = (Not, id(sub[0]))
+        elif kind == _MODAL:
+            sub = (masks[a],)
+            key = (type(node), node.program, id(sub[0]))
+        else:
+            sub = ()
+            key = node
+        mask = cache.get(key)
+        if mask is None:
+            mask = cache[key] = _connective(model, node, *sub)
+        push(mask)
+    return masks
 
 
 def _connective(model: IntensionalModel, f: Formula, *sub: np.ndarray) -> np.ndarray:
-    """The read-only mask of one node, given the masks of its `_subformulas`."""
+    """The read-only mask of one node, given the masks of its children."""
     if isinstance(f, Top):
         mask = np.ones(model.size, dtype=bool)
     elif isinstance(f, VectorAtom):

@@ -7,6 +7,7 @@ ascending.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -321,13 +322,25 @@ _PROPERTIES = {
 
 
 def build_property(name: str, sig: Signature, **params):
-    """Build a named game property (a Formula, or a Program for titForTat)."""
+    """Build a named game property (a Formula, or a Program for titForTat).
+
+    Equal names, signatures and parameters give the same object, so a
+    formula checked on many models of one signature (every induced game of
+    an election, say) is built, and compiled for evaluation, once.
+    """
     if name not in _PROPERTIES:
         raise GameError(f"unknown property {name!r}")
-    fn, wanted = _PROPERTIES[name]
+    wanted = _PROPERTIES[name][1]
     if set(params) != set(wanted):
         raise GameError(f"property {name!r} takes parameters {wanted}, got {tuple(params)}")
-    return fn(sig, *(params[key] for key in wanted))
+    return _built(name, sig, *(params[key] for key in wanted))
+
+
+# The last few properties built, each with its evaluation plan: enough for
+# one signature's checks, and little memory when every game has its own.
+@lru_cache(maxsize=4, typed=True)
+def _built(name: str, sig: Signature, *args):
+    return _PROPERTIES[name][0](sig, *args)
 
 
 PROPERTY_NAMES = tuple(_PROPERTIES)

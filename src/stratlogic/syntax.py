@@ -166,9 +166,14 @@ class Vector(Node):
 
 
 class Formula(Node):
-    """Base class; supplies connective sugar for building test formulas."""
+    """Base class; supplies connective sugar for building test formulas.
 
-    __slots__ = ()
+    The `_plan` slot holds the formula's compiled evaluation plan (see
+    `models.extension`).  It is set on first evaluation, never at
+    construction, so building a node costs nothing extra.
+    """
+
+    __slots__ = ("_plan",)
 
     def __invert__(self) -> Formula:
         return Not(self)

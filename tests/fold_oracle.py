@@ -1,0 +1,68 @@
+"""The fold-driven evaluator that `models.extension` replaced, kept as an
+oracle for the compiled plan runner.
+
+`syntax.fold` walks the formula bottom-up from an explicit stack, children
+left to right, and combines each node's children's masks; a subtree already
+in the per-call `done` dict (by structural equality) is combined once.  So
+the first error it raises is the one the left-to-right post-order meets
+first.  Programs go through `models.pre`, as in the runner.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+import numpy as np
+
+from stratlogic.models import EvalError, pre
+from stratlogic.syntax import (
+    And,
+    Box,
+    Diamond,
+    Iff,
+    Implies,
+    Label,
+    Not,
+    Or,
+    Top,
+    UtilEq,
+    VectorAtom,
+    Winner,
+    fold,
+)
+
+
+def extension(model, formula) -> np.ndarray:
+    return fold(formula, _subformulas, partial(_connective, model), {})
+
+
+def _subformulas(f) -> tuple:
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return f.left, f.right
+    if isinstance(f, (Not, Box, Diamond)):
+        return (f.body,)
+    return ()
+
+
+def _connective(model, f, *sub: np.ndarray) -> np.ndarray:
+    if isinstance(f, Top):
+        return np.ones(model.size, dtype=bool)
+    if isinstance(f, VectorAtom):
+        return model._vector_atom_mask(f.vector)
+    if isinstance(f, (Winner, UtilEq, Label)):
+        return model._atom_mask(f)
+    if isinstance(f, Not):
+        return ~sub[0]
+    if isinstance(f, And):
+        return sub[0] & sub[1]
+    if isinstance(f, Or):
+        return sub[0] | sub[1]
+    if isinstance(f, Implies):
+        return ~sub[0] | sub[1]
+    if isinstance(f, Iff):
+        return sub[0] == sub[1]
+    if isinstance(f, Diamond):
+        return pre(model, f.program, sub[0])
+    if isinstance(f, Box):
+        return ~pre(model, f.program, ~sub[0])
+    raise EvalError(f"not a formula: {f!r}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +13,13 @@ from hypothesis import strategies as st
 from stratlogic import (
     ADV,
     ALL_SCHEMAS,
+    Box,
     Concrete,
     EPISTEMIC_SCHEMAS,
+    EvalError,
     MaslModel,
     Signature,
+    Top,
     UtilEq,
     VECTOR_SCHEMAS,
     Vector,
@@ -27,16 +31,19 @@ from stratlogic import (
     validity_report,
 )
 from stratlogic.axioms import (
+    AxiomInstance,
+    InstanceResult,
     default_pool,
     enumerate_vectors,
     instantiate_many,
 )
-from stratlogic.syntax import Not, Winner, render
+from stratlogic.syntax import Agent, Not, Winner, render
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
 import axiom_oracle
+import fold_oracle
 from builders import from_outcomes, functionality_shape, node_objects
-from gens import random_game, random_lift_game
+from gens import random_eval_formula, random_game, random_lift_game
 
 PD = prisoners_dilemma()
 PD_SIG = Signature.from_game(PD)
@@ -187,6 +194,68 @@ def test_validity_report_counterexamples_name_model_and_state():
     label, state = report[0].counterexamples[0]
     assert label == "pd"
     assert state in {"c,c", "c,d", "d,c", "d,d"}
+
+
+def _oracle_report(models, instances):
+    """Instance by instance, model by model, with the fold evaluator: the
+    results, or the message of the first EvalError."""
+    results = []
+    try:
+        for instance in instances:
+            failures = []
+            for label, model in models:
+                mask = fold_oracle.extension(model, instance.formula)
+                if not mask.all():
+                    failures.append((label, model.state_key(int(np.flatnonzero(~mask)[0]))))
+            results.append(InstanceResult(instance, not failures, tuple(failures)))
+    except EvalError as exc:
+        return str(exc)
+    return results
+
+
+def _report(models, instances):
+    try:
+        return validity_report(models, instances)
+    except EvalError as exc:
+        return str(exc)
+
+
+# Evaluable on the lift only, and on no model.
+_AGENTS = AxiomInstance("hand", Box(Agent(1), Top()), "agents")
+_RANGE = AxiomInstance("hand", UtilEq(1, 99), "range")
+
+
+def test_validity_report_raises_the_first_error_of_the_instance_order():
+    lift, game = epistemic_lift(PD), MaslModel(PD)
+    instances = [AxiomInstance("hand", Top(), "ok"), _AGENTS, _RANGE]
+    with pytest.raises(EvalError, match="agent programs need a model with agent relations"):
+        validity_report([("lift", lift), ("game", game)], instances)
+    with pytest.raises(EvalError, match="utility value 99 is not in the model's range"):
+        validity_report([("lift", lift)], instances)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_batched_report_matches_the_instance_by_instance_oracle(seed):
+    """Vector schema instances, random formulas (which often fail somewhere)
+    and now and then epistemic instances or agent programs, which cannot be
+    evaluated on the game's model, or a value outside the range, over one
+    to three models."""
+    rng = random.Random(seed)
+    game = random_lift_game(rng)
+    sig = Signature.from_game(game)
+    models = [("lift", epistemic_lift(game)), ("game", MaslModel(game)), ("again", MaslModel(game))]
+    models = rng.sample(models, rng.randint(1, 3))
+    instances = rng.sample(instantiate_many(VECTOR_SCHEMAS, sig), 10)
+    if rng.random() < 0.2:
+        instances += rng.sample(instantiate_many(EPISTEMIC_SCHEMAS, sig), 2)
+    instances += [
+        AxiomInstance("random", random_eval_formula(rng, game, 3, agents=rng.random() < 0.1), "r")
+        for _ in range(12)
+    ]
+    instances += [bad for bad in (_AGENTS, _RANGE) if rng.random() < 0.1]
+    rng.shuffle(instances)
+    assert _report(models, instances) == _oracle_report(models, instances)
 
 
 def test_vector_schema_sweep():

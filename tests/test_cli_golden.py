@@ -60,6 +60,10 @@ def _cases() -> dict[str, list[str]]:
     pd = ["--game", str(INPUTS / "pd.json")]
     cases["pd-check-false"] = ["check", *pd, "--formula", "u1=0", "--state", "c,c"]
     cases["pd-check-eval-error"] = ["check", *pd, "--formula", "u1=7"]
+    # Three errors: the first in left-to-right post-order is reported.
+    cases["pd-check-eval-error-first-of-three"] = [
+        "check", *pd, "--formula", "u1=0 | [ag1] u2=9 & u1=7"
+    ]
     cases["pd-parse-program"] = ["parse", *pd, "--kind", "program", "ag1;(c,??)*+?T"]
     cases["pd-parse-cl"] = ["parse", *pd, "--kind", "cl", "[C {1}] u2=3 | ~[C {}] T"]
     # Parse errors and their positions: a column counts from the last newline

@@ -76,6 +76,13 @@ def test_loads_rejects_duplicate_keys():
     assert loads('{"a": 1}') == {"a": 1}
 
 
+def test_loads_names_the_first_repeated_key_in_document_order():
+    with pytest.raises(FormatError, match="duplicate key 'b'"):
+        loads('{"a": 1, "b": 2, "b": 3, "a": 4}')
+    with pytest.raises(FormatError, match="duplicate key 'a'"):
+        loads('[{"c": 0}, {"a": 1, "b": 2, "a": 3, "b": 4}]')
+
+
 def test_loads_rejects_bad_json():
     with pytest.raises(FormatError):
         loads("{nope")

@@ -3,6 +3,7 @@ epistemic constructions."""
 
 from __future__ import annotations
 
+import copy
 import random
 import sys
 import tracemalloc
@@ -26,6 +27,8 @@ from stratlogic import (
     Diamond,
     EvalError,
     GameForm,
+    Iff,
+    Implies,
     IntensionalModel,
     Label,
     MaslModel,
@@ -48,13 +51,14 @@ from stratlogic import (
     satisfies,
     valid_in_model,
 )
-from stratlogic import models
-from stratlogic.models import confusion_model, pre
+from stratlogic import models, properties
+from stratlogic.models import compile_plan, confusion_model, pre, run_plan
 from stratlogic.syntax import (
     Agent,
     AgentConv,
     Choice,
     Formula,
+    Node,
     Seq,
     Star,
     Test as ProgTest,
@@ -68,6 +72,7 @@ from stratlogic.catalog import (
     vote3_game,
 )
 
+import fold_oracle
 from builders import choice, from_outcomes, node_objects, seq
 from game_oracle import nash_set, util
 from dense_oracle import (
@@ -765,6 +770,121 @@ def test_pre_matches_dense_oracle_on_random_programs(kind, seed):
         assert np.array_equal(pre(model, program, target), compose(rel, target))
     formula = random_formula(rng, sig, 3, **pools)
     assert np.array_equal(extension(model, formula), dense_extension(model, formula))
+
+
+# --------------------------------------------------------------------------
+# The compiled plan runner against the fold oracle
+
+
+def _outcome(evaluate, model, formula):
+    """The formula's mask, or the message of the EvalError it raises."""
+    try:
+        return evaluate(model, formula)
+    except EvalError as exc:
+        return str(exc)
+
+
+def _same(got, want) -> bool:
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    return np.array_equal(got, want)
+
+
+def _dag(rng: random.Random, sig: Signature, parts: list) -> Formula:
+    """Connectives over a pool that starts as `parts` and takes in each new
+    node, so later nodes reuse earlier ones as shared subtrees."""
+    pool = list(parts)
+    for _ in range(8):
+        kind = rng.choice((Not, And, Or, Implies, Iff, Box, Diamond))
+        if kind is Not:
+            node = Not(rng.choice(pool))
+        elif kind in (Box, Diamond):
+            node = kind(Vec(random_vector(rng, sig)), rng.choice(pool))
+        else:
+            node = kind(rng.choice(pool), rng.choice(pool))
+        pool.append(node)
+    return pool[-1]
+
+
+@given(
+    st.sampled_from(("flat", "lift", "confusion", "forms", "sparse")),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_runner_matches_the_fold_oracle(kind, seed):
+    """Random formulas, a DAG over their subtrees and an equal but distinct
+    copy of one of them, evaluated root by root on one model and as one
+    batch on a fresh copy of it: the same masks as the fold evaluator, or
+    the same first error.  Values outside the range and agent programs on a
+    model without agents now and then make errors to compare."""
+    rng = random.Random(seed)
+    model = _random_model(kind, rng)
+    sig = model_signature(model)
+    pools = dict(
+        values=sig.util_range + ((99,) if rng.random() < 0.2 else ()),
+        labels=tuple(sorted(model.outcomes.labels)),
+        agents=kind != "flat" or rng.random() < 0.2,
+    )
+    first, second = (random_formula(rng, sig, 3, **pools) for _ in range(2))
+    twin = copy.deepcopy(first)
+    assert twin == first and twin is not first
+    subtrees = [node for node in node_objects(first) if isinstance(node, Formula)]
+    dag = _dag(rng, sig, [second, *rng.sample(subtrees, min(3, len(subtrees)))])
+    roots = [And(first, second), Or(twin, dag), dag]
+    want = [_outcome(fold_oracle.extension, model, root) for root in roots]
+    for root, expected in zip(roots, want):
+        assert _same(_outcome(extension, model, root), expected)
+    fresh = _random_model(kind, random.Random(seed))
+    errors = [w for w in want if isinstance(w, str)]
+    plan = compile_plan(roots)
+    if errors:
+        with pytest.raises(EvalError) as exc:
+            run_plan(fresh, plan)
+        assert str(exc.value) == errors[0]
+    else:
+        masks = run_plan(fresh, plan)
+        for slot, expected in zip(plan.roots, want):
+            assert np.array_equal(masks[slot], expected)
+
+
+def test_a_formula_is_compiled_once_across_models(monkeypatch):
+    calls = []
+    compile_once = models.compile_plan
+
+    def counted(roots):
+        calls.append(roots)
+        return compile_once(roots)
+
+    monkeypatch.setattr(models, "compile_plan", counted)
+    game = vote3_game()
+    formula = properties.nash_here(Signature.from_game(game))
+    masks = [extension(model, formula) for model in (MaslModel(game), MaslModel(game))]
+    extension(epistemic_lift(game), formula)
+    assert len(calls) == 1
+    assert np.array_equal(*masks) and masks[0] is not masks[1]
+
+
+def test_a_compiled_plan_hashes_no_connective_on_a_fresh_model(monkeypatch):
+    """Compiling tells nodes apart by identity and hashes none; running
+    keys connectives by their children's masks, not by the node, so only
+    leaves, and the programs of modalities, are hashed."""
+    game = vote3_game()
+    sig = Signature.from_game(game)
+    nash = build_property("nashHere", sig)
+    formula = Iff(nash, Implies(build_property("resolute", sig), Not(nash)))
+    want = extension(MaslModel(game), formula)
+    hashed = []
+    node_hash = Node.__hash__
+
+    def counted(self):
+        hashed.append(type(self))
+        return node_hash(self)
+
+    monkeypatch.setattr(Node, "__hash__", counted)
+    compile_plan([formula, copy.deepcopy(formula)])
+    assert not hashed
+    assert np.array_equal(extension(MaslModel(game), formula), want)
+    assert hashed and not {Not, And, Or, Implies, Iff, Box, Diamond} & set(hashed)
 
 
 # --------------------------------------------------------------------------

@@ -338,6 +338,36 @@ def test_property_names_and_dispatch():
         build_property("nashHere", PD_SIG, player=1)  # stray param
 
 
+def test_bad_property_requests_raise_before_the_memo():
+    """Names and parameters are checked first, so even a request the memo
+    could not hash is a GameError."""
+    for name, params in (
+        ("noSuch", {}),
+        ("dictator", {}),
+        ("nashHere", {"player": [1]}),
+        ("weakDominance", {"player": 1, "strategy": "d", "extra": {}}),
+    ):
+        with pytest.raises(GameError):
+            build_property(name, PD_SIG, **params)
+
+
+def test_properties_are_memoised_by_value():
+    sig = Signature.from_game(vote3_game())
+    twin = Signature(tuple(map(tuple, sig.strategy_sets)), tuple(sig.util_range), sig.alternatives)
+    assert twin == sig and twin is not sig
+    assert build_property("nashHere", sig) is build_property("nashHere", twin)
+    one = build_property("dictator", sig, player=1)
+    assert build_property("dictator", twin, player=1) is one
+    assert build_property("dictator", sig, player=2) is not one
+
+
+def test_the_property_memo_is_bounded():
+    bound = properties._built.cache_info().maxsize
+    for k in range(bound + 3):
+        build_property("nashHere", Signature((("c", "d"),) * 2, (k, k + 1)))
+    assert properties._built.cache_info().currsize <= bound
+
+
 def test_voting_properties_need_alternatives():
     with pytest.raises(Exception):
         build_property("pluralityRule", PD_SIG)
