@@ -436,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True)
     p.add_argument("--formula", required=True)
     p.set_defaults(fn=_cmd_coalition_translate)
-    p = with_output(cl.add_parser("check", help="direct semantics, cross-checked"))
+    p = with_output(cl.add_parser("check", help="evaluate, cross-checked against the translation"))
     p.add_argument("--game", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--state")

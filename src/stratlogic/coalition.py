@@ -1,11 +1,11 @@
 """Coalition logic over strategic games.
 
-The direct semantics of the coalition box ("the coalition has a joint
-strategy forcing the body whatever the others do") is evaluated straight
-from the game grid; independently, `translate` compiles coalition formulas
-into the strategy logic, where the box becomes a disjunction over the
-coalition's concrete commitment vectors.  The two routes are kept separate
-so they can check each other.
+The coalition box ("the coalition has a joint strategy forcing the body
+whatever the others do") is written into the strategy logic in one of two
+ways and evaluated there.  `cl_extension` uses a linear encoding of two
+vectors per box; `translate` is the paper's encoding, a disjunction over the
+coalition's concrete commitment vectors.  Both are exact, so they can check
+each other; the grid semantics they encode is the oracle in the tests.
 """
 from __future__ import annotations
 
@@ -20,9 +20,11 @@ from .games import Coalition, GameError
 from .models import EvalError, IntensionalModel, extension
 from .syntax import (
     ADV,
+    CUR,
     And,
     Box,
     Concrete,
+    Diamond,
     Formula,
     Label,
     Layout,
@@ -34,7 +36,6 @@ from .syntax import (
     Vector,
     Winner,
     disj,
-    fold,
     infix,
     render,
     render_with,
@@ -121,66 +122,32 @@ _CL = Layout("coalition formula", {
 
 
 # --------------------------------------------------------------------------
-# direct semantics
+# evaluation and translation into the strategy logic
 
 
 def cl_extension(model: IntensionalModel, formula: CLFormula) -> np.ndarray:
-    """States satisfying a coalition formula, computed from the game grid
-    (no relation matrices involved).  The model's states must be exactly the
-    profiles of one form; masks are kept in the model's extension cache."""
+    """States satisfying a coalition formula, by `models.extension` on its
+    linear encoding: ``[C]φ`` becomes ``<v_C>[w_C]φ``, where `v_C` has `??`
+    at the members and `!!` elsewhere and `w_C` the reverse.  Some move by
+    the coalition alone, after which every move by the others gives φ: the
+    coalition has a joint strategy forcing φ.  The model's states must be
+    exactly the profiles of one form, so that these moves reach every
+    profile."""
     if model._blocks is not None or model.size != model._total:
         raise EvalError(
             "coalition formulas need a model whose states are one full profile grid"
         )
-    return fold(formula, _cl_children, partial(_cl_mask, model), model._ext_cache)
+    return extension(model, _to_masl(formula, partial(_linear_box, model.n)))
 
 
-def _cl_children(f: CLFormula) -> tuple:
-    if isinstance(f, CLAnd):
-        return f.left, f.right
-    if isinstance(f, (CLNot, CLBox)):
-        return (f.body,)
-    return ()
-
-
-def _cl_mask(model: IntensionalModel, f: CLFormula, *sub: np.ndarray) -> np.ndarray:
-    """The mask of one node, given the masks of its `_cl_children`."""
-    if isinstance(f, CLAtom):
-        return extension(model, f.atom)
-    if isinstance(f, CLTop):
-        mask = np.ones(model.size, dtype=bool)
-    elif isinstance(f, CLNot):
-        mask = ~sub[0]
-    elif isinstance(f, CLAnd):
-        mask = sub[0] & sub[1]
-    elif isinstance(f, CLBox):
-        mask = _cl_box_mask(model, f, sub[0])
-    else:
-        raise EvalError(f"not a coalition formula: {f!r}")
-    mask.flags.writeable = False
-    return mask
-
-
-def _cl_box_mask(model: IntensionalModel, formula: CLBox, body: np.ndarray) -> np.ndarray:
-    for player in formula.coalition:
-        if not 1 <= player <= model.n:
+def _linear_box(n: int, coalition: Coalition, body: Formula) -> Formula:
+    for player in coalition:
+        if not 1 <= player <= n:
             raise EvalError(f"coalition mentions unknown player {player}")
-    grid = body.reshape(model._shape)
-    complement_axes = tuple(
-        pos for pos in range(model.n) if (pos + 1) not in formula.coalition
-    )
-    if complement_axes:
-        forced = np.all(grid, axis=complement_axes)
-    else:
-        forced = grid
-    # The box is state-independent: the coalition either has a forcing
-    # commitment or it does not.
-    value = bool(np.any(forced))
-    return np.full(model.size, value, dtype=bool)
-
-
-# --------------------------------------------------------------------------
-# translation into the strategy logic
+    players = range(1, n + 1)
+    some = Vector(ADV if p in coalition else CUR for p in players)
+    every = Vector(CUR if p in coalition else ADV for p in players)
+    return Diamond(Vec(some), Box(Vec(every), body))
 
 
 def coalition_vectors(coalition: Iterable[int], form) -> list[Vector]:
@@ -205,20 +172,51 @@ def coalition_vectors(coalition: Iterable[int], form) -> list[Vector]:
 
 
 def translate(formula: CLFormula, form) -> Formula:
-    """Compile into the strategy logic: the coalition box becomes a
-    disjunction of boxes over the coalition's commitment vectors."""
-    return fold(formula, _cl_children, partial(_translate, form), {})
+    """Compile into the strategy logic as the paper does: the coalition box
+    becomes a disjunction of boxes over the coalition's commitment vectors."""
+    return _to_masl(formula, partial(_commitment_box, form))
 
 
-def _translate(form, f: CLFormula, *sub: Formula) -> Formula:
-    if isinstance(f, CLTop):
-        return Top()
-    if isinstance(f, CLAtom):
-        return f.atom
-    if isinstance(f, CLNot):
-        return Not(sub[0])
-    if isinstance(f, CLAnd):
-        return And(sub[0], sub[1])
-    if isinstance(f, CLBox):
-        return disj(Box(Vec(c), sub[0]) for c in coalition_vectors(f.coalition, form))
-    raise GameError(f"not a coalition formula: {f!r}")
+def _commitment_box(form, coalition: Coalition, body: Formula) -> Formula:
+    return disj(Box(Vec(c), body) for c in coalition_vectors(coalition, form))
+
+
+def _to_masl(formula: CLFormula, box_rule) -> Formula:
+    """The strategy-logic formula for a coalition formula, with each box
+    written by ``box_rule(coalition, body)``.  Built bottom-up from an
+    explicit stack, children left to right; nodes are told apart by
+    identity, as in `models.compile_plan`, so a shared subtree is mapped
+    once and nothing is hashed."""
+    done: dict[int, Formula] = {}
+    stack = [formula]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        if isinstance(node, CLAnd):
+            kids = (node.left, node.right)
+        elif isinstance(node, (CLNot, CLBox)):
+            kids = (node.body,)
+        else:
+            kids = ()
+        missing = [kid for kid in kids if id(kid) not in done]
+        if missing:
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        sub = [done[id(kid)] for kid in kids]
+        if isinstance(node, CLTop):
+            out = Top()
+        elif isinstance(node, CLAtom):
+            out = node.atom
+        elif isinstance(node, CLNot):
+            out = Not(sub[0])
+        elif isinstance(node, CLAnd):
+            out = And(sub[0], sub[1])
+        elif isinstance(node, CLBox):
+            out = box_rule(node.coalition, sub[0])
+        else:
+            raise GameError(f"not a coalition formula: {node!r}")
+        done[id(node)] = out
+    return done[id(formula)]

@@ -7,36 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .coalition import CLAnd, CLAtom, CLBox, CLFormula, CLNot, CLTop
 from .games import GameError, GameForm, Outcomes, StrategicGame, all_profiles
 from .models import IntensionalModel
-from .syntax import (
-    Adversary,
-    Agent,
-    AgentConv,
-    And,
-    Box,
-    Choice,
-    Concrete,
-    Current,
-    Diamond,
-    Formula,
-    Iff,
-    Implies,
-    Label,
-    Not,
-    Or,
-    Program,
-    Seq,
-    Star,
-    Test,
-    Top,
-    UtilEq,
-    Vec,
-    Vector,
-    VectorAtom,
-    Winner,
-)
+from .syntax import Node
 from .voting import (
     AbsoluteMajority,
     AuditReport,
@@ -164,6 +137,10 @@ def _form_from_dict(data: Mapping, what: str) -> GameForm:
         for names in strategies
     ):
         raise FormatError(f"{what}: strategies must be a list of name lists")
+    # JSON's true and 2.0 are no player counts, though Python equates them
+    # with 1 and 2; the same holds for the world numbers of relation pairs.
+    if type(players) is not int:
+        raise FormatError(f"{what}: 'players' must be an integer, not {players!r}")
     if players != len(strategies):
         raise FormatError(
             f"{what}: 'players' is {players} but {len(strategies)} strategy "
@@ -349,7 +326,7 @@ def intensional_from_dict(data: Mapping) -> IntensionalModel:
             if not (
                 isinstance(pair, list)
                 and len(pair) == 2
-                and all(isinstance(x, int) for x in pair)
+                and all(type(x) is int for x in pair)
             ):
                 raise FormatError(f"model: bad relation pair {pair!r}")
             cleaned.append((pair[0], pair[1]))
@@ -401,76 +378,37 @@ def audit_report_to_dict(report: AuditReport) -> dict:
 
 
 def ast_to_dict(node) -> dict:
-    """Type-tagged JSON view of a formula, program, vector, or term.
+    """Type-tagged JSON view of a formula, program, vector, term or coalition
+    formula: ``{"node": class name, field: value, ...}`` with the fields in
+    ``__match_args__`` order.  A node becomes a dict and a tuple of nodes a
+    list; a `Fraction` goes through `util_to_json` and a frozenset becomes a
+    sorted list.
 
     Built top-down from an explicit stack, so deep trees and long chains
     never reach the recursion limit."""
-    root = _ast_node(node)
-    stack = [root]
+    if not isinstance(node, Node):
+        raise TypeError(f"cannot serialize {node!r}")
+    root: dict = {}
+    stack = [(node, root)]
     while stack:
-        out = stack.pop()
-        for key in _AST_CHILD_KEYS:
-            if key in out:
-                out[key] = _ast_node(out[key])
-                stack.append(out[key])
-        if "terms" in out:
-            out["terms"] = [_ast_node(t) for t in out["terms"]]
+        node, out = stack.pop()
+        out["node"] = type(node).__name__
+        for name in node.__match_args__:
+            value = getattr(node, name)
+            if isinstance(value, Node):
+                value = _ast_child(value, stack)
+            elif isinstance(value, tuple):
+                value = [_ast_child(item, stack) for item in value]
+            elif isinstance(value, Fraction):
+                value = util_to_json(value)
+            elif isinstance(value, frozenset):
+                value = sorted(value)
+            out[name] = value
     return root
 
 
-# The keys under which `_ast_node` leaves a child node to be converted.
-_AST_CHILD_KEYS = ("vector", "body", "left", "right", "program", "atom")
-
-
-def _ast_node(node) -> dict:
-    """One node's dict, with its children left as nodes."""
-    if isinstance(node, Vector):
-        return {"node": "Vector", "terms": list(node.terms)}
-    if isinstance(node, Concrete):
-        return {"node": "Concrete", "name": node.name}
-    if isinstance(node, Adversary):
-        return {"node": "Adversary"}
-    if isinstance(node, Current):
-        return {"node": "Current"}
-    if isinstance(node, Top):
-        return {"node": "Top"}
-    if isinstance(node, VectorAtom):
-        return {"node": "VectorAtom", "vector": node.vector}
-    if isinstance(node, Winner):
-        return {"node": "Winner", "name": node.name}
-    if isinstance(node, UtilEq):
-        return {"node": "UtilEq", "player": node.player, "value": util_to_json(node.value)}
-    if isinstance(node, Label):
-        return {"node": "Label", "text": node.text}
-    if isinstance(node, Not):
-        return {"node": "Not", "body": node.body}
-    if isinstance(node, (And, Or, Implies, Iff)):
-        return {"node": type(node).__name__, "left": node.left, "right": node.right}
-    if isinstance(node, (Box, Diamond)):
-        kind = type(node).__name__
-        return {"node": kind, "program": node.program, "body": node.body}
-    if isinstance(node, Vec):
-        return {"node": "Vec", "vector": node.vector}
-    if isinstance(node, Test):
-        return {"node": "Test", "body": node.body}
-    if isinstance(node, (Seq, Choice)):
-        return {"node": type(node).__name__, "left": node.left, "right": node.right}
-    if isinstance(node, Star):
-        return {"node": "Star", "body": node.body}
-    if isinstance(node, (Agent, AgentConv)):
-        return {"node": type(node).__name__, "player": node.player}
-    if isinstance(node, CLTop):
-        return {"node": "CLTop"}
-    if isinstance(node, CLAtom):
-        return {"node": "CLAtom", "atom": node.atom}
-    if isinstance(node, CLNot):
-        return {"node": "CLNot", "body": node.body}
-    if isinstance(node, CLAnd):
-        return {"node": "CLAnd", "left": node.left, "right": node.right}
-    if isinstance(node, CLBox):
-        return {
-            "node": "CLBox",
-            "coalition": sorted(node.coalition),
-            "body": node.body,
-        }
-    raise TypeError(f"cannot serialize {node!r}")
+def _ast_child(node: Node, stack: list) -> dict:
+    """An empty dict for a child node, filled in when the stack reaches it."""
+    out: dict = {}
+    stack.append((node, out))
+    return out

@@ -182,7 +182,7 @@ class IntensionalModel:
                 i, j = pairs[outside.any(axis=1)][0]
                 raise GameError(f"accessibility edge ({i}, {j}) out of range")
             self._edges[player] = (_frozen(pairs[:, 0]), _frozen(pairs[:, 1]))
-        # Masks by `run_plan` key (and coalition formulas by node).
+        # Masks by `run_plan` key.
         self._ext_cache: dict = {}
         self._plans: dict[Vector, tuple | None] = {}
 

@@ -331,45 +331,45 @@ class _Parser:
                 self._expect(">", "'>'")
         if self._group_ahead():
             return _Group(partial(_apply_prefixes, prefixes))
-        return _apply_prefixes(prefixes, self._formula_primary())
+        return _apply_prefixes(prefixes, self._atom(_FORMULA_ATOMS))
 
-    def _formula_primary(self) -> Formula:
+    # -- atoms, shared by the formula and coalition grammars ---------------
+
+    def _atom(self, atoms: _Atoms):
         tok = kind, text, _ = self._peek()
         if kind == "NAME":
             if text == "T":
                 self._next()
-                return Top()
+                return atoms.top()
             if text == "win":
                 self._next()
-                return Winner(self._winner_name())
+                return atoms.wrap(Winner(self._winner_name()))
             if text == "label":
                 self._next()
                 self._expect("(", "'('")
                 text = self._name_or_string("a label")
                 self._expect(")", "')'")
-                return Label(text)
+                return atoms.wrap(Label(text))
             m = _PAYOFF_NAME.match(text)
             if m:
                 self._next()
                 player = self._player_number(m.group(1), tok)
-                return self._payoff_tail(player, tok)
-            self._fail(f"unexpected name {text!r} in a formula")
-        if kind == "(":
-            return VectorAtom(self._vector())
-        self._fail("expected a formula")
+                return self._payoff_tail(atoms, player, tok)
+            self._fail(f"unexpected name {text!r} in a {atoms.noun}")
+        if kind == "(" and atoms.vector is not None:
+            return atoms.vector(self._vector())
+        self._fail(f"expected a {atoms.noun}")
 
-    def _payoff_tail(self, player: int, start: _Token) -> Formula:
+    def _payoff_tail(self, atoms: _Atoms, player: int, start: _Token):
         op = self._peek()[0]
         if op == "=":
             self._next()
-            return UtilEq(player, self._rational())
+            return atoms.wrap(UtilEq(player, self._rational()))
         if op in (">=", ">"):
             self._next()
             if self.sig.util_range is None:
                 raise self._error("utility comparisons need a known utility range", start)
-            value = self._rational()
-            build = payoff_geq if op == ">=" else payoff_gt
-            return build(self.sig, player, value)
+            return atoms.compare(self.sig, player, op, self._rational())
         self._fail("expected '=', '>=' or '>' after a payoff atom")
 
     # -- programs ----------------------------------------------------------
@@ -441,47 +441,7 @@ class _Parser:
             prefixes.append(partial(CLBox, frozenset(members)))
         if self._accept("("):
             return _Group(partial(_apply_prefixes, prefixes))
-        return _apply_prefixes(prefixes, self._cl_primary())
-
-    def _cl_primary(self) -> CLFormula:
-        tok = kind, text, _ = self._peek()
-        if kind == "NAME":
-            if text == "T":
-                self._next()
-                return CLTop()
-            if text == "win":
-                self._next()
-                return CLAtom(Winner(self._winner_name()))
-            if text == "label":
-                self._next()
-                self._expect("(", "'('")
-                text = self._name_or_string("a label")
-                self._expect(")", "')'")
-                return CLAtom(Label(text))
-            m = _PAYOFF_NAME.match(text)
-            if m:
-                self._next()
-                player = self._player_number(m.group(1), tok)
-                return self._cl_payoff_tail(player, tok)
-            self._fail(f"unexpected name {text!r} in a coalition formula")
-        self._fail("expected a coalition formula")
-
-    def _cl_payoff_tail(self, player: int, start: _Token) -> CLFormula:
-        op = self._peek()[0]
-        if op == "=":
-            self._next()
-            return CLAtom(UtilEq(player, self._rational()))
-        if op in (">=", ">"):
-            self._next()
-            if self.sig.util_range is None:
-                raise self._error("utility comparisons need a known utility range", start)
-            value = self._rational()
-            if op == ">=":
-                keep = [w for w in self.sig.util_range if w >= value]
-            else:
-                keep = [w for w in self.sig.util_range if w > value]
-            return cl_disj([CLAtom(UtilEq(player, w)) for w in keep])
-        self._fail("expected '=', '>=' or '>' after a payoff atom")
+        return _apply_prefixes(prefixes, self._atom(_CL_ATOMS))
 
 
 # Binary operators: token -> (binding strength, node, right-associative).
@@ -493,6 +453,32 @@ _FORMULA_OPS = {
 }
 _PROGRAM_OPS = {"+": (0, Choice, False), ";": (1, Seq, False)}
 _CL_OPS = {"|": (0, lambda a, b: cl_disj([a, b]), False), "&": (1, CLAnd, False)}
+
+
+class _Atoms(NamedTuple):
+    """How a grammar spells its atoms: the noun its messages use, the node
+    for ``T``, the wrapper of a win, label or payoff atom, the node for
+    ``u<i> >= v`` or ``u<i> > v`` given (signature, player, operator, value),
+    and the node for a vector, or None where ``(`` starts no atom."""
+
+    noun: str
+    top: object
+    wrap: object
+    compare: object
+    vector: object
+
+
+def _payoff_compare(sig: Signature, player: int, op: str, value: Fraction) -> Formula:
+    return (payoff_geq if op == ">=" else payoff_gt)(sig, player, value)
+
+
+def _cl_payoff_compare(sig: Signature, player: int, op: str, value: Fraction) -> CLFormula:
+    keep = [w for w in sig.util_range if w > value or op == ">=" and w == value]
+    return cl_disj([CLAtom(UtilEq(player, w)) for w in keep])
+
+
+_FORMULA_ATOMS = _Atoms("formula", Top, lambda atom: atom, _payoff_compare, VectorAtom)
+_CL_ATOMS = _Atoms("coalition formula", CLTop, CLAtom, _cl_payoff_compare, None)
 
 
 def parse(text: str, signature: Signature, kind: str = "formula"):

@@ -88,27 +88,6 @@ class Node:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-def fold(root, children, combine, done: dict):
-    """``combine(node, *results of children(node))`` bottom-up from an explicit
-    stack, children left to right.  Results (never None) are kept in `done`
-    by node, so a subtree already there is combined only once."""
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in done:  # a subtree that occurs more than once
-            stack.pop()
-            continue
-        kids = children(node)
-        results = [done.get(kid) for kid in kids]
-        missing = [kid for kid, result in zip(kids, results) if result is None]
-        if missing:
-            stack.extend(reversed(missing))
-            continue
-        stack.pop()
-        done[node] = combine(node, *results)
-    return done[root]
-
-
 # --------------------------------------------------------------------------
 # strategy terms and vectors
 

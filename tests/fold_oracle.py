@@ -1,7 +1,7 @@
 """The fold-driven evaluator that `models.extension` replaced, kept as an
 oracle for the compiled plan runner.
 
-`syntax.fold` walks the formula bottom-up from an explicit stack, children
+`fold` walks the formula bottom-up from an explicit stack, children
 left to right, and combines each node's children's masks; a subtree already
 in the per-call `done` dict (by structural equality) is combined once.  So
 the first error it raises is the one the left-to-right post-order meets
@@ -28,8 +28,28 @@ from stratlogic.syntax import (
     UtilEq,
     VectorAtom,
     Winner,
-    fold,
 )
+
+
+def fold(root, children, combine, done: dict):
+    """``combine(node, *results of children(node))`` bottom-up from an explicit
+    stack, children left to right.  Results (never None) are kept in `done`
+    by node, so a subtree already there is combined only once."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in done:  # a subtree that occurs more than once
+            stack.pop()
+            continue
+        kids = children(node)
+        results = [done.get(kid) for kid in kids]
+        missing = [kid for kid, result in zip(kids, results) if result is None]
+        if missing:
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        done[node] = combine(node, *results)
+    return done[root]
 
 
 def extension(model, formula) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratlogic
-from stratlogic import Signature
+from stratlogic import Signature, epistemic_lift
 from stratlogic.cli import _dumps, main
 from stratlogic.jsonio import game_to_dict, intensional_from_dict, intensional_to_dict, loads
 from stratlogic.catalog import commitment_confusion, prisoners_dilemma, vote3_game
@@ -294,6 +294,24 @@ def test_non_finite_utilities_exit_2(tmp_path, spelling, shown):
         ("nash", "--game", str(game)),
         ("check", "--game", str(game), "--formula", "T"),
         ("echeck", "--model", str(model), "--formula", "T"),
+    ):
+        proc = _cli_subprocess(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+
+
+def test_bool_and_float_integers_in_json_exit_2(tmp_path):
+    # Python equates true with 1 and 2.0 with 2; the formats do not.
+    lift = intensional_to_dict(epistemic_lift(prisoners_dilemma()))
+    lift["relations"]["1"][0] = [True, False]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(lift))
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({**game_to_dict(prisoners_dilemma()), "players": 2.0}))
+    for argv, error in (
+        (("echeck", "--model", str(model), "--formula", "T"),
+         "error: model: bad relation pair [True, False]\n"),
+        (("nash", "--game", str(game)),
+         "error: game: 'players' must be an integer, not 2.0\n"),
     ):
         proc = _cli_subprocess(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)

@@ -66,6 +66,12 @@ def _cases() -> dict[str, list[str]]:
     ]
     cases["pd-parse-program"] = ["parse", *pd, "--kind", "program", "ag1;(c,??)*+?T"]
     cases["pd-parse-cl"] = ["parse", *pd, "--kind", "cl", "[C {1}] u2=3 | ~[C {}] T"]
+    # Nested boxes with the empty and the grand coalition on three players.
+    cases["vote3-cl-check-nested"] = [
+        "cl", "check", "--game", str(INPUTS / "vote3.json"), "--formula",
+        "win(a) & ~[C {}] u1=2 & [C {1}] ~[C {2,3}] ~win(a) | u2=2 & [C {1,2,3}] [C {}] T",
+        "--state", "a,b,c",
+    ]
     # Parse errors and their positions: a column counts from the last newline
     # outside a string literal.
     cases["pd-parse-error-unknown-strategy"] = ["parse", *pd, "u1=1 &\n  [(c,zz)] u1=1"]
@@ -82,8 +88,12 @@ def _cases() -> dict[str, list[str]]:
     cases["mixed-check"] = [
         "check", *mixed, "--formula", "(u2>=1/2 & ~win(q)) | label(top)", "--state", "a,x,k"
     ]
-    for bad in ("bad-name", "missing-profile", "true-util"):
+    for bad in ("bad-name", "missing-profile", "true-util", "float-players"):
         cases[f"{bad}-nash"] = ["nash", "--game", str(INPUTS / f"{bad}.json")]
+    # A relation pair of JSON booleans is no pair of world numbers.
+    cases["bool-pair-echeck"] = [
+        "echeck", "--model", str(INPUTS / "bool-pair.model.json"), "--formula", "T"
+    ]
     for spec in ("plurality_tiebreak", "dictator1"):
         path = str(INPUTS / f"{spec}.spec.json")
         cases[f"voting-game-{spec}"] = ["voting", "game", "--spec", path]

@@ -1,4 +1,5 @@
-"""Coalition logic: direct semantics, the vector translation, and agreement."""
+"""Coalition logic: the linear encoding, the paper's translation, and the
+grid-semantics oracle they must both agree with."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratlogic import (
     ADV,
@@ -27,9 +30,10 @@ from stratlogic import (
     translate,
 )
 from stratlogic.coalition import CLAnd, CLAtom, CLBox, CLNot, CLTop, cl_disj, render_cl
-from stratlogic.syntax import Box, Not, Or, Top, Vec, Vector
+from stratlogic.syntax import CUR, Box, Diamond, Not, Or, Top, Vec, Vector
 from stratlogic.catalog import commitment_confusion, prisoners_dilemma, vote3_game
 
+import coalition_oracle
 from game_oracle import util
 from gens import random_cl_formula, random_game
 
@@ -64,7 +68,7 @@ def test_cl_disj_shape():
 
 
 # --------------------------------------------------------------------------
-# Direct semantics
+# Semantics
 
 
 def test_cl_box_hand_cases_on_pd():
@@ -129,8 +133,7 @@ def test_cl_extension_shares_the_model_cache():
     model = MaslModel(PD)
     atom = UtilEq(1, 1)
     assert cl_extension(model, CLAtom(atom)) is extension(model, atom)
-    f = CLNot(CLAtom(atom))
-    assert cl_extension(model, f) is model._ext_cache[f]
+    assert cl_extension(model, CLNot(CLAtom(atom))) is extension(model, Not(atom))
 
 
 def test_cl_extension_needs_one_full_profile_grid():
@@ -162,7 +165,6 @@ def test_cl_check_matches_extension():
 
 
 def test_cl_atom_semantics_match_records_directly():
-    # the direct route must read the outcome table, not the MASL evaluator
     rng = random.Random(41)
     for _ in range(10):
         game = random_game(rng)
@@ -173,6 +175,62 @@ def test_cl_atom_semantics_match_records_directly():
                 ext = cl_extension(model, CLAtom(UtilEq(player, value)))
                 for i, s in enumerate(states):
                     assert ext[i] == (util(game, s, player) == value)
+
+
+def test_cl_box_is_two_vectors():
+    # <(??,!!,!!)> [(!!,??,??)] u1=1: player 1 moves alone, then whatever
+    # players 2 and 3 do, u1=1 holds.
+    game = vote3_game()
+    model = MaslModel(game)
+    some = Vector([ADV, CUR, CUR])
+    every = Vector([CUR, ADV, ADV])
+    f = CLBox(frozenset({1}), CLAtom(UtilEq(1, 1)))
+    assert cl_extension(model, f) is extension(
+        model, Diamond(Vec(some), Box(Vec(every), UtilEq(1, 1)))
+    )
+
+
+def test_unknown_coalition_player_is_reported_before_any_atom():
+    # Only formulas built through the API get here: the parser rejects a
+    # player outside the game.  The box is encoded before anything is
+    # evaluated, so its player is reported ahead of the bad atom below it,
+    # which the bottom-up grid oracle meets first.
+    model = MaslModel(PD)
+    f = CLBox(frozenset({5}), CLAtom(UtilEq(1, 99)))
+    with pytest.raises(EvalError, match="coalition mentions unknown player 5"):
+        cl_extension(model, f)
+    with pytest.raises(EvalError, match="utility value 99 is not in the model's range"):
+        coalition_oracle.cl_extension(model, f)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_encoding_and_translation_match_the_grid_oracle(seed, lifted):
+    """Random 2-4-player games or their lifts, with nested boxes and the
+    empty and grand coalitions: the grid oracle, the linear encoding and
+    the paper's translation give one mask."""
+    rng = random.Random(seed)
+    game = random_game(rng, max_players=4, size_range=(2 if lifted else 1, 3))
+    model = epistemic_lift(game) if lifted else MaslModel(game)
+    players = list(game.form.players)
+
+    def some_coalition():
+        return frozenset(p for p in players if rng.random() < 0.5)
+
+    def body():
+        return random_cl_formula(rng, game, 2)
+
+    formulas = [
+        random_cl_formula(rng, game, 4),
+        CLBox(frozenset(), body()),
+        CLBox(frozenset(players), body()),
+        CLBox(some_coalition(), CLNot(CLBox(some_coalition(), body()))),
+        CLAnd(CLBox(frozenset(players), CLBox(frozenset(), body())), body()),
+    ]
+    for f in formulas:
+        want = coalition_oracle.cl_extension(model, f)
+        assert np.array_equal(cl_extension(model, f), want)
+        assert np.array_equal(extension(model, translate(f, game.form)), want)
 
 
 # --------------------------------------------------------------------------

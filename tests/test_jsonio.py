@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -40,7 +41,7 @@ from stratlogic.jsonio import (
     voting_spec_from_dict,
 )
 from stratlogic import games
-from stratlogic.syntax import ADV, Agent, Star, Vec
+from stratlogic.syntax import ADV, CUR, Agent, Signature, Star, Vec
 from stratlogic.voting import (
     AbsoluteMajority,
     ConstantRule,
@@ -56,8 +57,10 @@ from stratlogic.catalog import (
     vote3_game,
 )
 
+import ast_oracle
 from dense_oracle import relation_via_pre
 from game_oracle import game_from_records
+from gens import random_cl_formula, random_formula, random_program
 
 
 # --------------------------------------------------------------------------
@@ -534,5 +537,28 @@ def test_ast_to_dict_cl():
 
 
 def test_ast_to_dict_rejects_unknown():
-    with pytest.raises(Exception):
+    with pytest.raises(TypeError):
         ast_to_dict("not an ast")
+    with pytest.raises(TypeError):
+        ast_to_dict((Concrete("c"),))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_ast_to_dict_matches_the_per_class_table(seed):
+    """Formulas, programs, vectors, terms and coalition formulas: the same
+    dicts as the per-class table, keys in the same order."""
+    rng = random.Random(seed)
+    game = vote3_game()
+    sig = Signature.from_game(game)
+    program = random_program(rng, sig, 3)
+    vector = Vector([Concrete("a"), ADV, CUR])
+    for node in (
+        random_formula(rng, sig, 4),
+        program,
+        random_cl_formula(rng, game, 4),
+        vector,
+        *vector.terms,
+    ):
+        got, want = ast_to_dict(node), ast_oracle.ast_to_dict(node)
+        assert json.dumps(got) == json.dumps(want)

@@ -333,6 +333,16 @@ def test_parse_cl_connectives():
     assert f == cl_disj([CLAtom(UtilEq(1, 0)), CLAtom(UtilEq(2, 0))])
 
 
+def test_parse_cl_payoff_comparisons():
+    # PD's utility range is 0, 1, 2, 3.
+    def atoms(*values):
+        return cl_disj([CLAtom(UtilEq(1, v)) for v in values])
+
+    assert parse("u1>=2", PD, "cl") == atoms(2, 3)
+    assert parse("u1>2", PD, "cl") == atoms(3)
+    assert parse("u1>3", PD, "cl") == atoms()
+
+
 def test_parse_cl_duplicate_member():
     with pytest.raises(ParseError):
         parse("[C {1,1}] T", PD, "cl")
