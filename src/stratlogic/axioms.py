@@ -110,12 +110,12 @@ class _Shared:
     of the instances are then one object, so a model's caches find each
     repeat by identity instead of comparing equal trees node by node."""
 
-    def __init__(self, sig: Signature, pool, vectors):
+    def __init__(self, sig: Signature):
         self.sig = sig
         self.terms = _terms(sig)
-        self.pool = default_pool(sig) if pool is None else pool
+        self.pool = default_pool(sig)
         self.texts = [render(phi) for phi in self.pool]
-        self.vectors = _enumerate_vectors(sig, self.terms) if vectors is None else vectors
+        self.vectors = _enumerate_vectors(sig, self.terms)
         self.top = Top()
         self.agents = {p: (Agent(p), AgentConv(p)) for p in sig.players}
         self._by_terms: dict[tuple, Vector] = {c.terms: c for c in self.vectors}
@@ -158,26 +158,16 @@ class _Shared:
         return row
 
 
-def instantiate(
-    schema: str,
-    sig: Signature,
-    pool: Sequence[Formula] | None = None,
-    vectors: Sequence[Vector] | None = None,
-) -> list[AxiomInstance]:
+def instantiate(schema: str, sig: Signature) -> list[AxiomInstance]:
     """All ground instances of one schema.  Vectors that a schema cannot use
     (e.g. undetermined vectors for Functionality) are skipped."""
-    return instantiate_many([schema], sig, pool, vectors)
+    return instantiate_many([schema], sig)
 
 
-def instantiate_many(
-    schemas: Iterable[str],
-    sig: Signature,
-    pool: Sequence[Formula] | None = None,
-    vectors: Sequence[Vector] | None = None,
-) -> list[AxiomInstance]:
+def instantiate_many(schemas: Iterable[str], sig: Signature) -> list[AxiomInstance]:
     """The instances of each schema in turn, over one enumeration of the
-    vectors and the pool, with each distinct subformula one object."""
-    shared = _Shared(sig, pool, vectors)
+    vectors and the default pool, with each distinct subformula one object."""
+    shared = _Shared(sig)
     out: list[AxiomInstance] = []
     for schema in schemas:
         if schema not in ALL_SCHEMAS:

@@ -133,7 +133,7 @@ def cl_extension(model: IntensionalModel, formula: CLFormula) -> np.ndarray:
     coalition has a joint strategy forcing φ.  The model's states must be
     exactly the profiles of one form, so that these moves reach every
     profile."""
-    if model._blocks is not None or model.size != model._total:
+    if len(model.forms) != 1 or model.size != model._total:
         raise EvalError(
             "coalition formulas need a model whose states are one full profile grid"
         )

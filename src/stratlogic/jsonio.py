@@ -317,6 +317,8 @@ def intensional_from_dict(data: Mapping) -> IntensionalModel:
     for key, pairs in relations_raw.items():
         try:
             player = int(key)
+            if str(player) != key:
+                raise ValueError
         except ValueError:
             raise FormatError(f"model: bad agent key {key!r}") from None
         if not isinstance(pairs, list):
@@ -328,7 +330,7 @@ def intensional_from_dict(data: Mapping) -> IntensionalModel:
                 and len(pair) == 2
                 and all(type(x) is int for x in pair)
             ):
-                raise FormatError(f"model: bad relation pair {pair!r}")
+                raise FormatError(f"model: bad relation pair {json.dumps(pair, default=repr)}")
             cleaned.append((pair[0], pair[1]))
         edges[player] = cleaned
     try:

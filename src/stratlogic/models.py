@@ -144,21 +144,16 @@ class IntensionalModel:
         self._slots = slots = table @ np.array(weights)
         self._cells = slots % total
         self._form_col, self._coords = form_col, coords
-        # None when the worlds are full copies of the ambient grid, form by
-        # form in enumeration order (so none repeats), else one (world
-        # indices, grid cells) pair per form.
-        self._blocks = None
-        if m % total or not np.array_equal(slots, np.arange(m)):
+        # Dense when the worlds are full copies of the ambient grid, form by
+        # form in enumeration order (so none repeats).
+        self._dense = m % total == 0 and np.array_equal(slots, np.arange(m))
+        if not self._dense:
             dup = self._lookup[slots] != np.arange(m)
             if dup.any():
                 row = dup.argmax()
                 raise GameError(
                     f"duplicate world {(int(form_col[row]), tuple(coords[row].tolist()))!r}"
                 )
-            self._blocks = []
-            for form_idx in range(len(self.forms)):
-                states = np.flatnonzero(form_col == form_idx)
-                self._blocks.append((states, self._cells[states]))
         self.outcomes = outcomes
         if len(outcomes) != m:
             raise GameError("need exactly one outcome record per world")
@@ -331,17 +326,14 @@ class IntensionalModel:
         plan = self._vector_plan(vector)
         if plan is None:
             return np.zeros(self.size, dtype=bool)
-        if self._blocks is None:
+        if self._dense:
             return _grid_pre(target.reshape(-1, *self._shape), *plan).reshape(-1)
-        # Each form's worlds are scattered into their own copy of the grid,
-        # so vector moves never cross forms and never reach absent profiles.
-        out = np.zeros(self.size, dtype=bool)
-        grid = np.empty((1, *self._shape), dtype=bool)
-        for states, cells in self._blocks:
-            grid.fill(False)
-            grid.reshape(-1)[cells] = target[states]
-            out[states] = _grid_pre(grid, *plan).reshape(-1)[cells]
-        return out
+        # The worlds are scattered into one copy of the grid per form: the
+        # form axis is never a `??` axis, so vector moves never cross forms,
+        # and absent profiles stay false.
+        grid = np.zeros(len(self.forms) * self._total, dtype=bool)
+        grid[self._slots] = target
+        return _grid_pre(grid.reshape(-1, *self._shape), *plan).reshape(-1)[self._slots]
 
 
 def _grid_worlds(form: GameForm) -> np.ndarray:

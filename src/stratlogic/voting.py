@@ -1,5 +1,5 @@
-"""Voting rules on ranked ballots, the strategic games they induce, and a
-brute-force manipulability audit.
+"""Voting rules on ranked ballots, the strategic games they induce, and an
+exhaustive manipulability audit.
 
 Outcomes of a vote are non-empty sets of alternatives.  A voter compares
 outcome sets two ways, which the audit keeps carefully apart: the
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -272,35 +272,18 @@ def all_ballots(alternatives: Sequence[str]) -> list[Ballot]:
     return [Ballot(p) for p in permutations(alternatives)]
 
 
-def all_ballot_profiles(
-    alternatives: Sequence[str], n_voters: int
-) -> Iterator[BallotProfile]:
-    yield from product(all_ballots(alternatives), repeat=n_voters)
-
-
-@lru_cache(maxsize=None)
-def _winner_table(
-    rule: VotingRule, n_voters: int
-) -> tuple[dict[tuple[str, ...], frozenset[str]], GameForm]:
-    """Winner sets for every vector of cast votes, plus the voting form."""
-    form = GameForm([rule.alternatives] * n_voters)
-    table = {
-        names: apply_rule(rule, names)
-        for names in product(rule.alternatives, repeat=n_voters)
-    }
-    return table, form
-
-
 class _PayoffTable(NamedTuple):
     """What every game a rule induces for a number of voters shares: the
-    form, the winner set each cell elects with its label and winner row,
-    and each winner set's payoff under each ballot, as a code into the
-    sorted payoff range."""
+    form, the winner set each cell of cast votes elects with its label and
+    winner row, and each winner set's payoff under each ballot, as a code
+    into the sorted payoff range.  This is the rule's one table: the games,
+    the dictator check and the manipulation search all read it."""
 
     form: GameForm
     ballots: dict[Ballot, int]  # all_ballots order
     cell_sets: np.ndarray  # (cells,) winner set index, all_profiles order
-    labels: tuple[str, ...]  # per winner set, in order of first election
+    sets: tuple[frozenset[str], ...]  # winner sets, in order of first election
+    labels: tuple[str, ...]  # per winner set
     alternatives: tuple[str, ...]  # every winning alternative, sorted
     winners: np.ndarray  # (sets, alternatives) bool
     values: tuple[Fraction, ...]  # every payoff, ascending, no repeats
@@ -309,13 +292,16 @@ class _PayoffTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _payoff_table(rule: VotingRule, n_voters: int) -> _PayoffTable:
-    table, form = _winner_table(rule, n_voters)
+    form = GameForm([rule.alternatives] * n_voters)
     ballots = all_ballots(rule.alternatives)
     index: dict[frozenset[str], int] = {}
-    sets = [index.setdefault(table[names], len(index)) for names in table]
+    cells = [
+        index.setdefault(apply_rule(rule, names), len(index))
+        for names in product(rule.alternatives, repeat=n_voters)
+    ]
     # Labels are one per set, so set codes are label codes; every induced
     # game's store shares this array.
-    cell_sets = np.array(sets, dtype=_code_dtype(len(index)))
+    cell_sets = np.array(cells, dtype=_code_dtype(len(index)))
     cell_sets.flags.writeable = False
     alternatives = tuple(sorted(frozenset().union(*index)))
     payoffs = [[outcome_payoff(won, ballot) for ballot in ballots] for won in index]
@@ -324,6 +310,7 @@ def _payoff_table(rule: VotingRule, n_voters: int) -> _PayoffTable:
         form=form,
         ballots={ballot: i for i, ballot in enumerate(ballots)},
         cell_sets=cell_sets,
+        sets=tuple(index),
         labels=tuple(winners_label(rule, won) for won in index),
         alternatives=alternatives,
         winners=np.array([[a in won for a in alternatives] for won in index]),
@@ -394,23 +381,44 @@ class AuditReport:
 
 
 def find_manipulation(rule: VotingRule, n_voters: int) -> Manipulation | None:
-    """First (profile, voter, deviation) in enumeration order where lying
-    yields a set_better outcome, or None."""
-    table, _ = _winner_table(rule, n_voters)
-    ballots = all_ballots(rule.alternatives)
-    for profile in all_ballot_profiles(rule.alternatives, n_voters):
-        tops = tuple(b.top for b in profile)
-        before = table[tops]
-        for voter in range(1, n_voters + 1):
-            truth = profile[voter - 1]
-            for deviation in ballots:
-                if deviation == truth:
-                    continue
-                cast = tops[: voter - 1] + (deviation.top,) + tops[voter:]
-                after = table[cast]
-                if set_better(after, before, truth):
-                    return Manipulation(profile, voter, deviation, before, after)
-    return None
+    """The first (ballot profile, voter, deviation), profiles in `product`
+    order, where lying elects a winner set that is `set_better` on the
+    voter's true ballot; or None.
+
+    It is read off the payoff table: `gain[b, x, y]` says whether ballot b
+    prefers winner set x to y, and per voter and cast top one array over all
+    profiles reads gain[own ballot, set after, set before].  The least
+    (profile, voter, top) with a gain gives the witness that a loop over
+    every (profile, voter, deviation) meets first: a deviation acts only
+    through its top; keeping one's own top changes nothing, and
+    `set_better(X, X)` is false; `all_ballots` groups ballots by top in
+    declared order, so the first deviation is the first ballot of the least
+    top; and C order over the (ballots,)*n array is `product` order, voter 1
+    slowest."""
+    table = _payoff_table(rule, n_voters)
+    ballots, sets = list(table.ballots), table.sets
+    tops = np.array([rule.alternatives.index(b.top) for b in ballots])
+    gain = np.array([[[set_better(x, y, b) for y in sets] for x in sets] for b in ballots])
+    grid = table.cell_sets.reshape((len(rule.alternatives),) * n_voters)
+    own = np.ix_(*[np.arange(len(ballots))] * n_voters)
+    cast = [tops[axis] for axis in own]
+    before = grid[tuple(cast)]
+    witness = None
+    for voter, top in product(range(n_voters), range(len(rule.alternatives))):
+        moved = cast[:voter] + [np.full((1,) * n_voters, top)] + cast[voter + 1 :]
+        hits = gain[own[voter], grid[tuple(moved)], before].reshape(-1)
+        row = int(hits.argmax())
+        if hits[row] and (witness is None or row < witness[0]):
+            witness = (row, voter, top)
+    if witness is None:
+        return None
+    row, voter, top = witness
+    profile = tuple(ballots[b] for b in np.unravel_index(row, before.shape))
+    deviation = ballots[int(np.argmax(tops == top))]
+    deviated = profile[:voter] + (deviation,) + profile[voter + 1 :]
+    return Manipulation(
+        profile, voter + 1, deviation, apply_rule(rule, profile), apply_rule(rule, deviated)
+    )
 
 
 def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
@@ -479,8 +487,7 @@ def audit_rule(rule: VotingRule, n_voters: int) -> AuditReport:
     """Brute-force audit over all full-ballot profiles."""
     if n_voters < 2:
         raise VotingError("the audit needs at least two voters")
-    table, _ = _winner_table(rule, n_voters)
-    winner_sets = set(table.values())
+    table = _payoff_table(rule, n_voters)
     notes: list[str] = []
     if len(rule.alternatives) < 3:
         notes.append(
@@ -490,11 +497,11 @@ def audit_rule(rule: VotingRule, n_voters: int) -> AuditReport:
     manipulation = find_manipulation(rule, n_voters)
     return AuditReport(
         rule=rule.describe(),
-        resolute=all(len(w) == 1 for w in table.values()),
+        resolute=all(len(won) == 1 for won in table.sets),
         strategy_proof=manipulation is None,
         manipulation=manipulation,
-        non_imposed=len(winner_sets) >= 3,
-        distinct_winner_sets=len(winner_sets),
+        non_imposed=len(table.sets) >= 3,
+        distinct_winner_sets=len(table.sets),
         dictators=rule_dictators(rule, n_voters),
         notes=tuple(notes),
     )

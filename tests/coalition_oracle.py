@@ -22,7 +22,7 @@ from fold_oracle import fold
 def cl_extension(model, formula) -> np.ndarray:
     """States satisfying a coalition formula, computed from the game grid.
     The model's states must be exactly the profiles of one form."""
-    if model._blocks is not None or model.size != model._total:
+    if len(model.forms) != 1 or model.size != model._total:
         raise EvalError(
             "coalition formulas need a model whose states are one full profile grid"
         )

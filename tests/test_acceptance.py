@@ -59,7 +59,6 @@ from stratlogic.voting import (
     Ballot,
     ConstantRule,
     DictatorRule,
-    all_ballot_profiles,
     apply_rule,
     audit_rule,
     induced_game,
@@ -78,6 +77,7 @@ from gens import (
     random_program,
 )
 from tables import PLURALITY_TABLE, TIEBREAK_TABLE
+from voting_oracle import all_ballot_profiles
 
 ALTS = ("a", "b", "c")
 

@@ -157,15 +157,6 @@ def test_undetermined_functionality_counterexample():
     assert all(r.valid for r in report)
 
 
-def test_custom_pool_and_vectors():
-    pool = [UtilEq(1, 0)]
-    vecs = [Vector([Concrete("c"), Concrete("c")])]
-    inst = instantiate("Functionality", PD_SIG, pool=pool, vectors=vecs)
-    assert len(inst) == 1
-    inst = instantiate("Seriality", PD_SIG, vectors=vecs)
-    assert len(inst) == 1
-
-
 def test_other_action_ignorance_fails_with_singleton_strategies():
     # restrict player 1 to a single strategy: player 2 then knows 1's action
     form = restrict(PD.form, {1: ["c"]})

@@ -309,12 +309,22 @@ def test_bool_and_float_integers_in_json_exit_2(tmp_path):
     game.write_text(json.dumps({**game_to_dict(prisoners_dilemma()), "players": 2.0}))
     for argv, error in (
         (("echeck", "--model", str(model), "--formula", "T"),
-         "error: model: bad relation pair [True, False]\n"),
+         "error: model: bad relation pair [true, false]\n"),
         (("nash", "--game", str(game)),
          "error: game: 'players' must be an integer, not 2.0\n"),
     ):
         proc = _cli_subprocess(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+
+
+@pytest.mark.parametrize("key", [" 0_1 ", "+1", "01", "1.0"])
+def test_relation_key_must_be_a_canonical_player_number(tmp_path, capsys, key):
+    lift = intensional_to_dict(epistemic_lift(prisoners_dilemma()))
+    lift["relations"][key] = lift["relations"].pop("1")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(lift))
+    assert main(["echeck", "--model", str(model), "--formula", "<ag1> label(cd)"]) == 2
+    assert capsys.readouterr() == ("", f"error: model: bad agent key {key!r}\n")
 
 
 def test_unknown_subcommand_exits_2(capsys):

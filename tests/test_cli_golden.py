@@ -94,7 +94,9 @@ def _cases() -> dict[str, list[str]]:
     cases["bool-pair-echeck"] = [
         "echeck", "--model", str(INPUTS / "bool-pair.model.json"), "--formula", "T"
     ]
-    for spec in ("plurality_tiebreak", "dictator1"):
+    # Four alternatives: one strategy-proof rule, one with a manipulation.
+    specs = ("plurality_tiebreak", "dictator1", "absolute_majority4", "plurality_tiebreak4")
+    for spec in specs:
         path = str(INPUTS / f"{spec}.spec.json")
         cases[f"voting-game-{spec}"] = ["voting", "game", "--spec", path]
         cases[f"voting-audit-{spec}"] = ["voting", "audit", "--spec", path]

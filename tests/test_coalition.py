@@ -156,6 +156,27 @@ def test_cl_extension_needs_one_full_profile_grid():
     assert np.array_equal(cl_extension(lift, f), cl_extension(MaslModel(PD), f))
 
 
+def test_cl_extension_takes_one_grid_in_any_order():
+    game = vote3_game()
+    order = list(range(27))
+    random.Random(3).shuffle(order)
+    profiles = all_profiles(game.form)
+    model = IntensionalModel(
+        game.form,
+        [("G", game.form)],
+        [(0, profiles[row]) for row in order],
+        Outcomes.from_records([game.outcomes.record(row) for row in order], 3),
+    )
+    grid = MaslModel(game)
+    for f in (
+        CLBox(frozenset({1}), CLAtom(UtilEq(1, 1))),
+        CLBox(frozenset({2, 3}), CLNot(CLBox(frozenset({1}), CLAtom(UtilEq(2, 0))))),
+    ):
+        got = cl_extension(model, f)
+        assert np.array_equal(got, coalition_oracle.cl_extension(model, f))
+        assert np.array_equal(got, cl_extension(grid, f)[order])
+
+
 def test_cl_check_matches_extension():
     model = MaslModel(PD)
     f = CLBox(frozenset({1}), CLAtom(UtilEq(1, 1)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -40,7 +41,6 @@ from stratlogic.voting import (
     DictatorRule,
     Plurality,
     ResoluteWrap,
-    all_ballot_profiles,
     all_ballots,
     find_manipulation,
     rule_dictators,
@@ -54,8 +54,10 @@ from stratlogic.catalog import (
     vote3_tiebreak_game,
 )
 
+import voting_oracle
 from gens import random_game
 from tables import PLURALITY_TABLE, TIEBREAK_TABLE
+from voting_oracle import all_ballot_profiles
 
 ALTS = ("a", "b", "c")
 
@@ -287,6 +289,68 @@ def test_unmanipulable_rules():
     assert find_manipulation(AbsoluteMajority(ALTS), 3) is None
     assert find_manipulation(DictatorRule(ALTS, 1), 3) is None
     assert find_manipulation(ConstantRule(ALTS, "b"), 3) is None
+
+
+def _rule(name: str, alternatives: tuple[str, ...]):
+    tiebreak = Ballot(reversed(alternatives))
+    return {
+        "plurality": lambda: Plurality(alternatives),
+        "absolute_majority": lambda: AbsoluteMajority(alternatives),
+        "plurality+tiebreak": lambda: ResoluteWrap(Plurality(alternatives), tiebreak),
+        "absolute_majority+tiebreak": lambda: ResoluteWrap(
+            AbsoluteMajority(alternatives), tiebreak
+        ),
+        "dictator:1": lambda: DictatorRule(alternatives, 1),
+        "dictator:2": lambda: DictatorRule(alternatives, 2),
+        "constant": lambda: ConstantRule(alternatives, alternatives[-1]),
+    }[name]()
+
+
+_RULE_NAMES = (
+    "plurality",
+    "absolute_majority",
+    "plurality+tiebreak",
+    "absolute_majority+tiebreak",
+    "dictator:1",
+    "dictator:2",
+    "constant",
+)
+ALTS4 = ("a", "b", "c", "d")
+# (rule, alternatives, voters): every rule on three alternatives and on two
+# voters over four; at three and four voters over four alternatives, the
+# rules whose first witness comes early, and one exhaustive None.
+_SEARCH_CASES = [
+    *((name, ALTS, n) for name in _RULE_NAMES for n in (2, 3, 4)),
+    *((name, ALTS4, 2) for name in _RULE_NAMES),
+    *(
+        (name, ALTS4, n)
+        for name in ("plurality+tiebreak", "absolute_majority+tiebreak")
+        for n in (3, 4)
+    ),
+    ("plurality", ALTS4, 4),
+    ("dictator:2", ALTS4, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "name, alternatives, n_voters",
+    _SEARCH_CASES,
+    ids=[f"{name}-{len(alts)}x{n}" for name, alts, n in _SEARCH_CASES],
+)
+def test_table_search_matches_the_per_profile_loop(name, alternatives, n_voters):
+    rule = _rule(name, alternatives)
+    assert find_manipulation(rule, n_voters) == voting_oracle.find_manipulation(
+        rule, n_voters
+    )
+
+
+@pytest.mark.parametrize("name", ["dictator:1", "constant"])
+def test_four_by_four_search_is_fast(name):
+    # The per-profile loop takes about 43 s on each.
+    rule = _rule(name, ALTS4)
+    start = time.perf_counter()
+    assert find_manipulation(rule, 4) is None
+    assert time.perf_counter() - start < 2.0
 
 
 # --------------------------------------------------------------------------
