@@ -281,11 +281,11 @@ def validity_report(
     failures: list[list[tuple[str, str]]] = [[] for _ in instances]
     try:
         for label, model in models:
-            masks = run_plan(model, plan)
+            sets = run_plan(model, plan)
             for found, slot in zip(failures, plan.roots):
-                mask = masks[slot]
-                if not mask.all():
-                    found.append((label, model.state_key(int(mask.argmin()))))
+                key = model.first_outside(sets[slot])
+                if key is not None:
+                    found.append((label, key))
     except EvalError as exc:
         error = exc
     else:

@@ -3,17 +3,19 @@
 A model is a set of (form, profile) worlds with optional per-agent
 accessibility relations on top; a strategic game's model is the case of one
 form, all of its profiles and no agents.  No relation is ever materialised:
-formula extensions are boolean masks over the states, computed bottom-up
-with per-model caching, and every modality is a predecessor computation on
-masks (`pre`).  A vector acts axis by axis on the profile grid, agent
-relations are stored as (source, target) edge arrays, and iteration is a
-least fixpoint grown from its frontier.
+formula extensions are bit sets (Python ints whose bit k is the world in
+grid slot k), computed bottom-up with per-model caching, and every modality
+is a predecessor computation on them (`pre`).  A vector acts by shifts
+along the axes of the profile grid, agent relations are stored as (source,
+target) edge arrays, and iteration is a least fixpoint grown from its
+frontier.  The public functions take and return bool masks over the
+worlds, in enumeration order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -72,7 +74,9 @@ class IntensionalModel:
     the special case with one unnamed form, every profile as a world and no
     agent mapping.  Profiles are stored with ambient strategy indices, and
     vector moves never cross between forms.  Each agent's relation is kept
-    as (source, target) arrays of world indices.
+    as (source, target) arrays of world indices.  A set of worlds is an int
+    whose bit k is slot k, form index * grid size + grid cell; `full` is
+    the set of every world, and `mask` turns a set into a bool array.
 
     `worlds` lists (form index, profile) pairs, or is an integer array of
     (form index, *profile) rows; `outcomes` has one row per world.  A form
@@ -142,7 +146,6 @@ class IntensionalModel:
         weights = [total] + [math.prod(shape[pos + 1 :]) for pos in range(n)]
         # A world's slot is its form index * total + its ambient grid cell.
         self._slots = slots = table @ np.array(weights)
-        self._cells = slots % total
         self._form_col, self._coords = form_col, coords
         # Dense when the worlds are full copies of the ambient grid, form by
         # form in enumeration order (so none repeats).
@@ -177,9 +180,13 @@ class IntensionalModel:
                 i, j = pairs[outside.any(axis=1)][0]
                 raise GameError(f"accessibility edge ({i}, {j}) out of range")
             self._edges[player] = (_frozen(pairs[:, 0]), _frozen(pairs[:, 1]))
-        # Masks by `run_plan` key.
+        self._grid = (len(self.forms), ambient.strategy_sets)
+        self._width = int(slots.max()) + 1  # no set has a higher bit
+        self.full = (1 << m) - 1 if self._dense else self._pack(np.ones(m, dtype=bool))
+        # Bit sets by `run_plan` key, compiled vectors, and the masks handed out.
         self._ext_cache: dict = {}
-        self._plans: dict[Vector, tuple | None] = {}
+        self._steps: dict[Vector, _Steps | None] = {}
+        self._arrays: dict[int, np.ndarray] = {}
 
     @property
     def size(self) -> int:
@@ -258,15 +265,52 @@ class IntensionalModel:
             return empty, empty
         return self._edges[player]
 
-    def _atom_mask(self, f: Formula) -> np.ndarray:
+    def _pack(self, mask: np.ndarray) -> int:
+        """The bit set of a bool mask over the worlds: bit k is slot k."""
+        if not self._dense:
+            grid = np.zeros(self._width, dtype=bool)
+            grid[self._slots] = mask
+            mask = grid
+        return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+    def _unpack(self, bits: int) -> np.ndarray:
+        """A new bool mask over the worlds from a bit set."""
+        raw = np.frombuffer(bits.to_bytes(-(-self._width // 8), "little"), dtype=np.uint8)
+        grid = np.unpackbits(raw, count=self._width, bitorder="little").view(bool)
+        return grid if self._dense else grid[self._slots]
+
+    def mask(self, bits: int) -> np.ndarray:
+        """The read-only bool mask over the worlds of a bit set, made once
+        per distinct set and kept on the model."""
+        array = self._arrays.get(bits)
+        if array is None:
+            array = self._arrays[bits] = _frozen(self._unpack(bits))
+        return array
+
+    def first_outside(self, bits: int) -> str | None:
+        """The key of the first world, in enumeration order, whose bit is
+        clear; None when every world's bit is set."""
+        if bits == self.full:
+            return None
+        return self.state_key(int(self._unpack(bits).argmin()))
+
+    def _leaf(self, f: Formula) -> int:
+        """The bit set of an atomic formula, packed once from the outcome
+        store's columns."""
         table = self.outcomes
+        if isinstance(f, Top):
+            return self.full
+        if isinstance(f, VectorAtom):
+            # The states matching every Concrete position of the vector.
+            steps = self._vector_steps(f.vector)
+            return 0 if steps is None else steps.concrete << steps.offset & self.full
         if isinstance(f, Winner):
             if table.alternatives is None:
                 raise EvalError("model has no winner labelling for win(...) atoms")
             if f.name not in table.alternatives:
-                return np.zeros(self.size, dtype=bool)
-            return table.winners[:, table.alternatives.index(f.name)].copy()
-        if isinstance(f, UtilEq):
+                return 0
+            column = table.winners[:, table.alternatives.index(f.name)]
+        elif isinstance(f, UtilEq):
             if not 1 <= f.player <= self.n:
                 raise EvalError(f"no player {f.player} in this model")
             code = self._value_codes.get(f.value)
@@ -274,66 +318,108 @@ class IntensionalModel:
                 raise EvalError(
                     f"utility value {f.value} is not in the model's range"
                 )
-            return table.codes[:, f.player - 1] == code
-        if isinstance(f, Label):
+            column = table.codes[:, f.player - 1] == code
+        elif isinstance(f, Label):
             code = self._label_codes.get(f.text)
             if code is None:
-                return np.zeros(self.size, dtype=bool)
-            return table.label_codes == code
-        raise EvalError(f"not an atomic formula: {f!r}")
+                return 0
+            column = table.label_codes == code
+        else:
+            raise EvalError(f"not a formula: {f!r}")
+        return self._pack(column)
 
-    def _vector_atom_mask(self, vector: Vector) -> np.ndarray:
-        """States matching every Concrete position of the vector."""
-        grid = np.zeros((1, *self._shape), dtype=bool)
-        plan = self._vector_plan(vector)
-        if plan is not None:
-            grid[plan[0]] = True
-        return grid.reshape(-1)[self._cells]
-
-    def _vector_plan(self, vector: Vector) -> tuple | None:
-        """How a vector acts on a stack of ambient grids (a leading form
-        axis, then one axis per player), compiled once per model: an index
-        tuple cutting each Concrete axis to its strategy, and the `??` axes;
-        None when a Concrete name is foreign to the ambient form."""
+    def _vector_steps(self, vector: Vector) -> _Steps | None:
         try:
-            return self._plans[vector]
+            return self._steps[vector]
         except KeyError:
             pass
         if vector.n != self.n:
             raise EvalError(
                 f"vector {vector!r} has {vector.n} positions for {self.n} players"
             )
-        index = [slice(None)]
-        adversary: list[int] = []
-        plan: tuple | None = None
-        for pos, term in enumerate(vector.terms):
-            if isinstance(term, Concrete):
-                names = self.ambient.strategy_sets[pos]
-                if term.name not in names:
-                    break
-                at = names.index(term.name)
-                index.append(slice(at, at + 1))
-            else:
-                index.append(slice(None))
-                if isinstance(term, Adversary):
-                    adversary.append(pos + 1)
-        else:
-            plan = (tuple(index), tuple(adversary))
-        self._plans[vector] = plan
-        return plan
+        steps = self._steps[vector] = _compile_vector(self._grid, vector)
+        return steps
 
-    def _pre_vector(self, vector: Vector, target: np.ndarray) -> np.ndarray:
-        plan = self._vector_plan(vector)
-        if plan is None:
-            return np.zeros(self.size, dtype=bool)
-        if self._dense:
-            return _grid_pre(target.reshape(-1, *self._shape), *plan).reshape(-1)
-        # The worlds are scattered into one copy of the grid per form: the
-        # form axis is never a `??` axis, so vector moves never cross forms,
-        # and absent profiles stay false.
-        grid = np.zeros(len(self.forms) * self._total, dtype=bool)
-        grid[self._slots] = target
-        return _grid_pre(grid.reshape(-1, *self._shape), *plan).reshape(-1)[self._slots]
+    def _pre_vector(self, vector: Vector, bits: int) -> int:
+        """Predecessors of a bit set under one vector: read each Concrete
+        axis at its strategy, OR each `??` axis onto coordinate 0, keep the
+        slots where every moved axis is at 0 and spread them back along the
+        moved axes.  The form axis never moves, so moves never cross forms."""
+        steps = self._vector_steps(vector)
+        if steps is None:
+            return 0
+        bits >>= steps.offset
+        for shift in steps.gather:
+            bits |= bits >> shift
+        bits &= steps.zero
+        for shift in steps.spread:
+            bits |= bits << shift
+        # Spreading stays inside the grid, so only gaps can need clearing.
+        return bits if self._dense else bits & self.full
+
+
+class _Steps(NamedTuple):
+    """A vector compiled for one grid of slots (see `_pre_vector`)."""
+
+    offset: int  # the right shift that reads every Concrete axis
+    gather: tuple[int, ...]  # right shifts ORing each `??` axis onto 0
+    zero: int  # the slots where every moved axis is at 0
+    spread: tuple[int, ...]  # left shifts spreading them along those axes
+    concrete: int  # the slots where every Concrete axis is at 0
+
+
+@lru_cache(maxsize=1024)
+def _compile_vector(grid: tuple, vector: Vector) -> _Steps | None:
+    """A vector's steps on `forms` stacked grids of the ambient strategy
+    `sets`; None when a Concrete name is foreign to the ambient form."""
+    forms, sets = grid
+    shape = (forms, *map(len, sets))
+    offset, gather, spread, moved, concrete = 0, [], [], [], []
+    for pos, (term, names) in enumerate(zip(vector.terms, sets), 1):
+        stride = math.prod(shape[pos + 1 :])
+        if isinstance(term, Concrete):
+            if term.name not in names:
+                return None
+            offset += names.index(term.name) * stride
+            concrete.append(pos)
+        elif isinstance(term, Adversary):
+            gather += _doubling(len(names), stride)
+        else:
+            continue
+        spread += _doubling(len(names), stride)
+        moved.append(pos)
+    zero, at = _zeros(shape, tuple(moved)), _zeros(shape, tuple(concrete))
+    return _Steps(offset, tuple(gather), zero, tuple(spread), at)
+
+
+def _doubling(size: int, stride: int) -> list[int]:
+    """Shifts by 1, 2, 4, ... strides, then by the rest: ORed in turn, they
+    cover coordinates 0 .. size-1 of an axis from coordinate 0 (to the left)
+    or onto it (to the right), never carrying into the next axis."""
+    shifts, width = [], 1
+    while 2 * width <= size:
+        shifts.append(width * stride)
+        width *= 2
+    if width < size:
+        shifts.append((size - width) * stride)
+    return shifts
+
+
+@lru_cache(maxsize=256)
+def _zeros(shape: tuple[int, ...], axes: tuple[int, ...]) -> int:
+    """The slots of a C-order grid of this shape where each of the axes is
+    at coordinate 0, built by doubling: O(log) big-int operations per axis."""
+    width = math.prod(shape)
+    bits = (1 << width) - 1
+    for axis in axes:
+        stride = math.prod(shape[axis + 1 :])
+        period = stride * shape[axis]
+        block, count = (1 << stride) - 1, 1
+        while count * period < width:
+            block |= block << (count * period)
+            count *= 2
+        bits &= block
+    return bits
 
 
 def _grid_worlds(form: GameForm) -> np.ndarray:
@@ -341,18 +427,6 @@ def _grid_worlds(form: GameForm) -> np.ndarray:
     rows in `all_profiles` order."""
     shape = (1, *(len(names) for names in form.strategy_sets))
     return np.indices(shape).reshape(len(shape), -1).T
-
-
-def _grid_pre(grid: np.ndarray, index: tuple, adversary: tuple) -> np.ndarray:
-    """Predecessors of a mask on a stack of grids under one vector: the form
-    axis and `!!` axes stay, Concrete axes read the named slice, `??` axes
-    take `any`; then broadcast back."""
-    sub = grid[index]
-    if adversary:
-        sub = sub.any(axis=adversary, keepdims=True)
-    out = np.empty(grid.shape, dtype=bool)
-    out[...] = sub
-    return out
 
 
 def MaslModel(game: StrategicGame) -> IntensionalModel:
@@ -371,11 +445,20 @@ def model_signature(model: IntensionalModel) -> Signature:
 def pre(model: IntensionalModel, program: Program, target: np.ndarray) -> np.ndarray:
     """The states with at least one `program` successor in `target`.
 
-    `target` is a boolean mask over the model's states; the result is a new
-    mask.  The program is run from an explicit stack of steps, each taking
-    its input mask from the top of a mask stack and leaving its output
-    there, so long sequences and choices never reach the recursion limit.
+    `target` is a boolean mask over the model's states; the result is a
+    read-only mask kept on the model.
     """
+    target = np.asarray(target, dtype=bool)
+    if target.shape != (model.size,):
+        raise EvalError(f"target mask has shape {target.shape}, not ({model.size},)")
+    return model.mask(_pre(model, program, model._pack(target)))
+
+
+def _pre(model: IntensionalModel, program: Program, target: int) -> int:
+    """`pre` on bit sets.  The program is run from an explicit stack of
+    steps, each taking its input set from the top of a set stack and leaving
+    its output there, so long sequences and choices never reach the
+    recursion limit."""
     if isinstance(program, Vec):
         return model._pre_vector(program.vector, target)
     masks = [target]
@@ -385,26 +468,26 @@ def pre(model: IntensionalModel, program: Program, target: np.ndarray) -> np.nda
         if isinstance(step, Vec):
             masks.append(model._pre_vector(step.vector, masks.pop()))
         elif isinstance(step, Test):
-            masks.append(extension(model, step.body) & masks.pop())
+            masks.append(_bits(model, step.body) & masks.pop())
         elif isinstance(step, Seq):
             steps += (step.left, step.right)
         elif isinstance(step, Choice):
             # pre(left, X) | pre(right, X), run as: copy X, left, swap, right, or.
-            steps += (_OR, step.right, _SWAP, step.left, _COPY)
+            steps += (_OR_STEP, step.right, _SWAP, step.left, _COPY)
         elif step is _COPY:
             masks.append(masks[-1])
         elif step is _SWAP:
             masks[-2], masks[-1] = masks[-1], masks[-2]
-        elif step is _OR:
+        elif step is _OR_STEP:
             right = masks.pop()
             masks.append(masks.pop() | right)
         elif isinstance(step, Star):
             # The body is applied at least once, so its evaluation errors
             # surface even for an empty target.
-            steps += (_StarRound(step.body, np.array(masks[-1], dtype=bool)), step.body)
+            steps += (_StarRound(step.body, masks[-1]), step.body)
         elif isinstance(step, _StarRound):
             fresh = masks.pop() & ~step.reached
-            if fresh.any():
+            if fresh:
                 step.reached |= fresh
                 masks.append(fresh)
                 steps += (step, step.body)
@@ -412,17 +495,17 @@ def pre(model: IntensionalModel, program: Program, target: np.ndarray) -> np.nda
                 masks.append(step.reached)
         elif isinstance(step, Agent):
             src, dst = model.agent_edges(step.player)
-            masks.append(_sources(src, dst, masks.pop()))
+            masks.append(_sources(model, src, dst, masks.pop()))
         elif isinstance(step, AgentConv):
             src, dst = model.agent_edges(step.player)
-            masks.append(_sources(dst, src, masks.pop()))
+            masks.append(_sources(model, dst, src, masks.pop()))
         else:
             raise EvalError(f"not a program: {step!r}")
     return masks[0]
 
 
-# Mask-stack steps of `pre` that are not programs.
-_COPY, _SWAP, _OR = object(), object(), object()
+# Set-stack steps of `_pre` that are not programs.
+_COPY, _SWAP, _OR_STEP = object(), object(), object()
 
 
 class _StarRound:
@@ -432,26 +515,30 @@ class _StarRound:
 
     __slots__ = ("body", "reached")
 
-    def __init__(self, body: Program, reached: np.ndarray):
+    def __init__(self, body: Program, reached: int):
         self.body, self.reached = body, reached
 
 
-def _sources(src: np.ndarray, dst: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _sources(model: IntensionalModel, src: np.ndarray, dst: np.ndarray, target: int) -> int:
     """The sources of the edges that end in `target`."""
-    out = np.zeros(len(target), dtype=bool)
-    out[src[target[dst]]] = True
-    return out
+    out = np.zeros(model.size, dtype=bool)
+    out[src[model._unpack(target)[dst]]] = True
+    return model._pack(out)
 
 
 def extension(model: IntensionalModel, formula: Formula) -> np.ndarray:
     """The set of states where the formula holds, as a boolean mask.
 
-    The result is cached on the model and read-only; copy before mutating.
-    The formula is compiled into a `Plan` on first use and the plan is kept
-    on the formula, so evaluating it on further models does not walk it
-    again.  Neither step recurses, so formula depth is not bounded by the
-    recursion limit.
+    The result is kept on the model and read-only; copy before mutating.
     """
+    return model.mask(_bits(model, formula))
+
+
+def _bits(model: IntensionalModel, formula: Formula) -> int:
+    """The formula's bit set on the model.  The formula is compiled into a
+    `Plan` on first use and the plan is kept on the formula, so evaluating
+    it on further models does not walk it again.  Neither step recurses, so
+    formula depth is not bounded by the recursion limit."""
     try:
         plan = formula._plan
     except AttributeError:
@@ -463,24 +550,22 @@ def extension(model: IntensionalModel, formula: Formula) -> np.ndarray:
 
 class Plan(NamedTuple):
     """The distinct nodes of some formulas in post-order, children left to
-    right, one entry per slot: its kind, its node and the slots of its first
-    and second child (-1 where there is none).  The entries are stored as
-    columns, with no tuple per entry; `roots` holds each formula's slot."""
+    right, one entry per slot: its operation, its node and the slots of its
+    first and second child (-1 where there is none).  The entries are stored
+    as columns, with no tuple per entry; `roots` holds each formula's slot."""
 
-    kinds: bytearray
+    ops: bytearray
     nodes: list
     left: list[int]
     right: list[int]
     roots: list[int]
 
 
-# Plan entry kinds: how an entry's model-cache key is made.
-_LEAF, _NOT, _BINARY, _MODAL = range(4)
-_KINDS = {
+# Plan entry operations: a leaf, the unary ones, then the binary ones.
+_LEAF, _NOT, _DIAMOND, _BOX, _AND, _OR, _IMPLIES, _IFF = range(8)
+_OPS = {
     **dict.fromkeys((Top, VectorAtom, Winner, UtilEq, Label), _LEAF),
-    Not: _NOT,
-    **dict.fromkeys((And, Or, Implies, Iff), _BINARY),
-    **dict.fromkeys((Box, Diamond), _MODAL),
+    **dict(zip((Not, Diamond, Box, And, Or, Implies, Iff), range(_NOT, _IFF + 1))),
 }
 _CHILDREN_DONE = object()
 
@@ -490,7 +575,7 @@ def compile_plan(roots: Iterable[Formula]) -> Plan:
 
     Nodes are told apart by identity alone, so compiling never calls
     `Node.__hash__` or `__eq__`; an equal but distinct subtree gets entries
-    of its own, and the model cache's keys make it share their masks.
+    of its own, and the model cache's keys make it share their sets.
     """
     plan = Plan(bytearray(), [], [], [], [])
     slots: dict[int, int] = {}
@@ -498,27 +583,27 @@ def compile_plan(roots: Iterable[Formula]) -> Plan:
         stack = [root]
         while stack:
             node = stack.pop()
-            if node is _CHILDREN_DONE:  # below it: a connective, then its kind
-                node, kind = stack.pop(), stack.pop()
-                if kind == _BINARY:
+            if node is _CHILDREN_DONE:  # below it: a connective, then its op
+                node, op = stack.pop(), stack.pop()
+                if op >= _AND:
                     a, b = slots[id(node.left)], slots[id(node.right)]
                 else:
                     a, b = slots[id(node.body)], -1
             elif id(node) in slots:  # a subtree that occurs more than once
                 continue
             else:
-                kind = _KINDS.get(type(node))
-                if kind is None:  # a subclass, or not a formula at all
-                    kind = next((k for t, k in _KINDS.items() if isinstance(node, t)), _LEAF)
-                if kind == _BINARY:
-                    stack += (kind, node, _CHILDREN_DONE, node.right, node.left)
+                op = _OPS.get(type(node))
+                if op is None:  # a subclass, or not a formula at all
+                    op = next((o for t, o in _OPS.items() if isinstance(node, t)), _LEAF)
+                if op >= _AND:
+                    stack += (op, node, _CHILDREN_DONE, node.right, node.left)
                     continue
-                if kind != _LEAF:
-                    stack += (kind, node, _CHILDREN_DONE, node.body)
+                if op != _LEAF:
+                    stack += (op, node, _CHILDREN_DONE, node.body)
                     continue
                 a = b = -1
             slots[id(node)] = len(plan.nodes)
-            plan.kinds.append(kind)
+            plan.ops.append(op)
             plan.nodes.append(node)
             plan.left.append(a)
             plan.right.append(b)
@@ -526,82 +611,69 @@ def compile_plan(roots: Iterable[Formula]) -> Plan:
     return plan
 
 
-def run_plan(model: IntensionalModel, plan: Plan) -> list[np.ndarray]:
-    """Every entry's read-only mask on the model, slot by slot.
+def run_plan(model: IntensionalModel, plan: Plan) -> list[int]:
+    """Every entry's bit set on the model, slot by slot.
 
-    Masks are cached on the model under keys made from child results: a
-    leaf under itself, a connective under (type, id of each child mask), a
-    modality under (type, program, id of the body's mask).  The cache keeps
-    every mask alive, so equal ids mean equal masks, and a connective's
-    value depends on nothing else.  Equal subformulas therefore share one
-    mask within and across plans, found by C-level tuple hashing alone.
+    Sets are cached on the model under keys made from child results: a leaf
+    under itself, a connective under (operation, id of each child's set), a
+    modality under (operation, program, id of the body's set).  The cache
+    keeps every set alive, so equal ids mean equal sets (Python's shared
+    small ints are equal too), and a connective's value depends on nothing
+    else.  Equal subformulas therefore share one set within and across
+    plans, found by C-level tuple hashing alone.  A complement is an XOR
+    with `model.full`, so it never sets a slot without a world.
     """
-    cache = model._ext_cache
-    masks: list[np.ndarray] = []
-    push = masks.append
-    for kind, node, a, b in zip(plan.kinds, plan.nodes, plan.left, plan.right):
-        if kind == _BINARY:
-            sub = masks[a], masks[b]
-            key = (type(node), id(sub[0]), id(sub[1]))
-        elif kind == _NOT:
-            sub = (masks[a],)
-            key = (Not, id(sub[0]))
-        elif kind == _MODAL:
-            sub = (masks[a],)
-            key = (type(node), node.program, id(sub[0]))
+    cache, full = model._ext_cache, model.full
+    out: list[int] = []
+    push = out.append
+    for op, node, a, b in zip(plan.ops, plan.nodes, plan.left, plan.right):
+        if op >= _AND:
+            x, y = out[a], out[b]
+            key = (op, id(x), id(y))
+        elif op == _NOT:
+            x = out[a]
+            key = (op, id(x))
+        elif op:
+            x = out[a]
+            key = (op, node.program, id(x))
         else:
-            sub = ()
             key = node
-        mask = cache.get(key)
-        if mask is None:
-            mask = cache[key] = _connective(model, node, *sub)
-        push(mask)
-    return masks
-
-
-def _connective(model: IntensionalModel, f: Formula, *sub: np.ndarray) -> np.ndarray:
-    """The read-only mask of one node, given the masks of its children."""
-    if isinstance(f, Top):
-        mask = np.ones(model.size, dtype=bool)
-    elif isinstance(f, VectorAtom):
-        mask = model._vector_atom_mask(f.vector)
-    elif isinstance(f, (Winner, UtilEq, Label)):
-        mask = model._atom_mask(f)
-    elif isinstance(f, Not):
-        mask = ~sub[0]
-    elif isinstance(f, And):
-        mask = sub[0] & sub[1]
-    elif isinstance(f, Or):
-        mask = sub[0] | sub[1]
-    elif isinstance(f, Implies):
-        mask = ~sub[0] | sub[1]
-    elif isinstance(f, Iff):
-        mask = sub[0] == sub[1]
-    elif isinstance(f, Diamond):
-        mask = pre(model, f.program, sub[0])
-    elif isinstance(f, Box):
-        mask = ~pre(model, f.program, ~sub[0])
-    else:
-        raise EvalError(f"not a formula: {f!r}")
-    return _frozen(mask)
+        bits = cache.get(key)
+        if bits is None:
+            if op == _AND:
+                bits = x & y
+            elif op == _OR:
+                bits = x | y
+            elif op == _NOT:
+                bits = x ^ full
+            elif op == _IMPLIES:
+                bits = x ^ full | y
+            elif op == _IFF:
+                bits = x ^ y ^ full
+            elif op == _DIAMOND:
+                bits = _pre(model, node.program, x)
+            elif op == _BOX:
+                bits = _pre(model, node.program, x ^ full) ^ full
+            else:
+                bits = model._leaf(node)
+            cache[key] = bits
+        push(bits)
+    return out
 
 
 def satisfies(model: IntensionalModel, where, formula: Formula) -> bool:
     """Truth at one state, given as anything `IntensionalModel.index` takes."""
-    return bool(extension(model, formula)[model.index(where)])
+    bits = _bits(model, formula)
+    return bool(bits >> int(model._slots[model.index(where)]) & 1)
 
 
 def valid_in_model(model: IntensionalModel, formula: Formula) -> bool:
-    return bool(extension(model, formula).all())
+    return _bits(model, formula) == model.full
 
 
 def counterexample(model: IntensionalModel, formula: Formula) -> str | None:
     """The first state (in enumeration order) falsifying the formula."""
-    mask = extension(model, formula)
-    bad = np.flatnonzero(~mask)
-    if len(bad) == 0:
-        return None
-    return model.state_key(int(bad[0]))
+    return model.first_outside(_bits(model, formula))
 
 
 # --------------------------------------------------------------------------

@@ -328,6 +328,18 @@ class Signature:
     strategy_sets: tuple[tuple[str, ...], ...]
     util_range: tuple[Fraction, ...] | None = None
     alternatives: tuple[str, ...] | None = None
+    # The hash, computed on first use: hashing the `Fraction`s of the range
+    # costs microseconds, and the property memo hashes at every build.
+    _h: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._h is None:
+            h = hash((self.strategy_sets, self.util_range, self.alternatives))
+            object.__setattr__(self, "_h", h)
+        return self._h
+
+    def __reduce__(self):
+        return type(self), (self.strategy_sets, self.util_range, self.alternatives)
 
     @property
     def n(self) -> int:

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .games import GameForm, Outcomes, StrategicGame, _code_dtype
-from .models import IntensionalModel, extension
+from .models import IntensionalModel, valid_in_model
 from .properties import dictator
 from .syntax import Signature
 
@@ -478,7 +478,7 @@ def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
             table.form, [(fid, table.form) for fid in ids], worlds, outcomes
         )
         for voter in sorted(candidates):
-            if not extension(model, formulas[voter]).all():
+            if not valid_in_model(model, formulas[voter]):
                 candidates.discard(voter)
     return frozenset(candidates)
 

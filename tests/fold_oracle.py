@@ -5,7 +5,8 @@ oracle for the compiled plan runner.
 left to right, and combines each node's children's masks; a subtree already
 in the per-call `done` dict (by structural equality) is combined once.  So
 the first error it raises is the one the left-to-right post-order meets
-first.  Programs go through `models.pre`, as in the runner.
+first.  Programs go through `models.pre`, as in the runner, and atoms
+through `models.extension`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from stratlogic.models import EvalError, pre
+from stratlogic.models import EvalError, extension as atom_mask, pre
 from stratlogic.syntax import (
     And,
     Box,
@@ -67,10 +68,8 @@ def _subformulas(f) -> tuple:
 def _connective(model, f, *sub: np.ndarray) -> np.ndarray:
     if isinstance(f, Top):
         return np.ones(model.size, dtype=bool)
-    if isinstance(f, VectorAtom):
-        return model._vector_atom_mask(f.vector)
-    if isinstance(f, (Winner, UtilEq, Label)):
-        return model._atom_mask(f)
+    if isinstance(f, (VectorAtom, Winner, UtilEq, Label)):
+        return atom_mask(model, f)
     if isinstance(f, Not):
         return ~sub[0]
     if isinstance(f, And):

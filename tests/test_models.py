@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from stratlogic import (
     ADV,
+    AxiomInstance,
     GameError,
     CUR,
     And,
@@ -50,6 +51,7 @@ from stratlogic import (
     restrict,
     satisfies,
     valid_in_model,
+    validity_report,
 )
 from stratlogic import models, properties
 from stratlogic.models import compile_plan, confusion_model, pre, run_plan
@@ -241,6 +243,15 @@ def test_seq_choice_star_test_semantics():
     rel = relation_via_pre(model, guard)
     mask = extension(model, UtilEq(1, 0))
     assert np.array_equal(rel, np.diag(mask))
+
+
+@pytest.mark.parametrize("kind", ["flat", "sparse"])
+def test_pre_rejects_a_target_of_the_wrong_length(kind):
+    model = _random_model(kind, random.Random(7))
+    program = Vec(Vector([ADV] * model.n))
+    for size in (model.size - 1, model.size + 1, model.size + 8):
+        with pytest.raises(ValueError):
+            pre(model, program, np.ones(size, dtype=bool))
 
 
 def test_agent_programs_require_intensional_model():
@@ -842,9 +853,66 @@ def test_runner_matches_the_fold_oracle(kind, seed):
             run_plan(fresh, plan)
         assert str(exc.value) == errors[0]
     else:
-        masks = run_plan(fresh, plan)
+        sets = run_plan(fresh, plan)
         for slot, expected in zip(plan.roots, want):
-            assert np.array_equal(masks[slot], expected)
+            assert np.array_equal(fresh.mask(sets[slot]), expected)
+
+
+@given(st.sampled_from(("sparse", "confusion")), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_the_first_falsifying_world_is_first_in_enumeration_order(kind, seed):
+    """On a shuffled subset of profiles, or a restricted form joined to the
+    full one, a world's place in the enumeration is not its cell in the
+    profile grid: `counterexample` and `validity_report` must still name
+    the first falsifying world in enumeration order."""
+    rng = random.Random(seed)
+    model = _random_model(kind, rng)
+    sig = model_signature(model)
+    pools = dict(values=sig.util_range, labels=tuple(sorted(model.outcomes.labels)))
+    formulas = [random_formula(rng, sig, 3, **pools) for _ in range(6)]
+    want = []
+    for formula in formulas:
+        bad = np.flatnonzero(~fold_oracle.extension(model, formula))
+        want.append(model.state_key(int(bad[0])) if len(bad) else None)
+    assert [counterexample(model, formula) for formula in formulas] == want
+    instances = [AxiomInstance("random", formula, "") for formula in formulas]
+    report = validity_report([("m", model)], instances)
+    assert [res.counterexamples for res in report] == [
+        () if key is None else (("m", key),) for key in want
+    ]
+    assert [res.valid for res in report] == [key is None for key in want]
+
+
+def test_single_axis_vectors_on_an_uneven_grid_match_the_dense_oracle():
+    """A 4x5x6x7 grid (840 profiles): every vector that is `??` at one
+    position and `!!` elsewhere, Concrete at one position and `!!`
+    elsewhere, or `!!` at one position and `??` elsewhere.  The axis
+    strides (210, 42, 7, 1) leave no axis aligned to a machine word."""
+    form = GameForm([tuple("abcdefg"[:size]) for size in (4, 5, 6, 7)])
+    game = from_outcomes(
+        form, {s: OutcomeRecord(form.profile_key(s), [0] * 4) for s in all_profiles(form)}
+    )
+    model = MaslModel(game)
+    assert model.size == 840
+    vectors = []
+    for pos, names in enumerate(form.strategy_sets):
+        for inner, outer in ((ADV, CUR), (CUR, ADV)):
+            vectors.append(Vector([inner if k == pos else outer for k in range(4)]))
+        for name in names:
+            vectors.append(Vector([Concrete(name) if k == pos else CUR for k in range(4)]))
+    assert len(vectors) == 30
+    rng = random.Random(840)
+    targets = [
+        np.array([rng.random() < 0.02 for _ in range(840)]),
+        np.array([rng.random() < 0.5 for _ in range(840)]),
+        np.arange(840) == rng.randrange(840),
+        np.zeros(840, dtype=bool),
+        np.ones(840, dtype=bool),
+    ]
+    for vector in vectors:
+        rel = vector_relation(model, vector)
+        for target in targets:
+            assert np.array_equal(pre(model, Vec(vector), target), compose(rel, target))
 
 
 def test_a_formula_is_compiled_once_across_models(monkeypatch):
@@ -922,11 +990,14 @@ def test_nash_and_star_memory_is_linear_at_7776_profiles():
 
 
 @pytest.mark.parametrize("values", [10, 25, 55])
-def test_nash_here_evaluates_each_distinct_subformula_once(values, monkeypatch):
+def test_nash_here_evaluates_each_distinct_subformula_once(values):
     """The |U| ladder, counted rather than timed: on 27 profiles the
-    extension of `nashHere` computes one mask per distinct subformula, and
-    each distinct subformula is one object, so every cache hit is by
-    identity."""
+    extension of `nashHere` computes one set per distinct subformula (the
+    model's cache grows by one entry per computed set), and each distinct
+    subformula is one object, so every cache hit is by identity.  The one
+    exception is Python's: it keeps a single object for each small int
+    (at most 256), so two connectives of one kind whose children's sets
+    are the same small ints share a computed set."""
     form = GameForm([("a", "b", "c")] * 3)
     cells = iter(range(81))
     game = from_outcomes(
@@ -943,16 +1014,31 @@ def test_nash_here_evaluates_each_distinct_subformula_once(values, monkeypatch):
     formula = build_property("nashHere", model_signature(model))
     subformulas = [node for node in node_objects(formula) if isinstance(node, Formula)]
     assert len(dict.fromkeys(subformulas)) == len(subformulas)
-    computed = []
-    connective = models._connective
-
-    def counted(model, f, *sub):
-        computed.append(f)
-        return connective(model, f, *sub)
-
-    monkeypatch.setattr(models, "_connective", counted)
+    cached = len(model._ext_cache)
     nash = extension(model, formula)
-    assert len(computed) == len(subformulas)
+    computed = len(model._ext_cache) - cached
+
+    # The expected cache keys, by class: a subformula's class is its own
+    # for a leaf, else (kind, program, its children's sets), where a child's
+    # set is its small-int value or else its subformula's class.
+    classes: dict = {}
+    memo: dict[int, int] = {}
+
+    def set_of(child):
+        # On a game's model, bit k of a set is world k.
+        value = sum(1 << int(k) for k in np.flatnonzero(extension(model, child)))
+        return ("int", value) if value <= 256 else ("class", class_of(child))
+
+    def class_of(f) -> int:
+        if id(f) not in memo:
+            children = [getattr(f, name) for name in ("left", "right", "body") if hasattr(f, name)]
+            key = (type(f), getattr(f, "program", None), *map(set_of, children)) if children else f
+            memo[id(f)] = classes.setdefault(key, len(classes))
+        return memo[id(f)]
+
+    for f in subformulas:
+        class_of(f)
+    assert computed == len(classes) <= len(subformulas)
     assert {model.states[int(i)] for i in np.flatnonzero(nash)} == nash_set(game)
 
 

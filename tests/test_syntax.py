@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -125,6 +127,21 @@ def test_signature_from_voting_game():
 def test_signature_from_form_has_no_valuation_data():
     sig = bare_signature(prisoners_dilemma().form)
     assert sig.util_range is None and sig.alternatives is None
+
+
+def test_signature_hash_is_computed_once_and_not_pickled(monkeypatch):
+    sig = Signature.from_game(vote3_game())
+    fields = (sig.strategy_sets, sig.util_range, sig.alternatives)
+    h = hash(sig)
+    assert h == hash(fields)
+    # The kept hash answers without touching the utility range again.
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: pytest.fail("rehashed"))
+    assert hash(sig) == h
+    monkeypatch.undo()
+    back = pickle.loads(pickle.dumps(sig))
+    assert back._h is None
+    assert back == sig and hash(back) == h
+    assert replace(sig, alternatives=None)._h is None
 
 
 # --------------------------------------------------------------------------
