@@ -241,8 +241,7 @@ def intensional_to_dict(model: IntensionalModel) -> dict:
     relations = {}
     for player in model.ambient.players:
         src, dst = model.agent_edges(player)
-        pairs = sorted(set(zip(src.tolist(), dst.tolist())))
-        relations[str(player)] = [list(pair) for pair in pairs]
+        relations[str(player)] = list(map(list, zip(src.tolist(), dst.tolist())))
     return {
         "forms": forms,
         "worlds": [
@@ -313,7 +312,7 @@ def intensional_from_dict(data: Mapping) -> IntensionalModel:
     relations_raw = data.get("relations", {})
     if not isinstance(relations_raw, Mapping):
         raise FormatError("model: relations must be an object")
-    edges: dict[int, list[tuple[int, int]]] = {}
+    edges: dict[int, list[list[int]]] = {}
     for key, pairs in relations_raw.items():
         try:
             player = int(key)
@@ -323,16 +322,15 @@ def intensional_from_dict(data: Mapping) -> IntensionalModel:
             raise FormatError(f"model: bad agent key {key!r}") from None
         if not isinstance(pairs, list):
             raise FormatError(f"model: relation for agent {key} must be a list")
-        cleaned = []
         for pair in pairs:
             if not (
                 isinstance(pair, list)
                 and len(pair) == 2
-                and all(type(x) is int for x in pair)
+                and type(pair[0]) is int
+                and type(pair[1]) is int
             ):
                 raise FormatError(f"model: bad relation pair {json.dumps(pair, default=repr)}")
-            cleaned.append((pair[0], pair[1]))
-        edges[player] = cleaned
+        edges[player] = pairs
     try:
         return IntensionalModel(ambient, forms, worlds, table, edges)
     except GameError as exc:

@@ -6,9 +6,9 @@ form, all of its profiles and no agents.  No relation is ever materialised:
 formula extensions are bit sets (Python ints whose bit k is the world in
 grid slot k), computed bottom-up with per-model caching, and every modality
 is a predecessor computation on them (`pre`).  A vector acts by shifts
-along the axes of the profile grid, agent relations are stored as (source,
-target) edge arrays, and iteration is a least fixpoint grown from its
-frontier.  The public functions take and return bool masks over the
+along the axes of the profile grid, an agent relation is a list of
+(sources, targets) bit-set blocks, and iteration is a least fixpoint grown
+from its frontier.  The public functions take and return bool masks over the
 worlds, in enumeration order.
 """
 from __future__ import annotations
@@ -73,10 +73,11 @@ class IntensionalModel:
     This is the one model class.  A strategic game's model (`MaslModel`) is
     the special case with one unnamed form, every profile as a world and no
     agent mapping.  Profiles are stored with ambient strategy indices, and
-    vector moves never cross between forms.  Each agent's relation is kept
-    as (source, target) arrays of world indices.  A set of worlds is an int
+    vector moves never cross between forms.  A set of worlds is an int
     whose bit k is slot k, form index * grid size + grid cell; `full` is
     the set of every world, and `mask` turns a set into a bool array.
+    An agent's relation is a list of (sources, targets) blocks of such sets,
+    each relating all its sources to all its targets; no two share a source.
 
     `worlds` lists (form index, profile) pairs, or is an integer array of
     (form index, *profile) rows; `outcomes` has one row per world.  A form
@@ -163,14 +164,15 @@ class IntensionalModel:
         if outcomes.codes.shape[1] != n:
             label = outcomes.labels[outcomes.label_codes[0]]
             raise GameError(f"outcome {label!r} has wrong utility count for {n} players")
-        self._edges = None if agent_edges is None else {}
+        self._grid = (len(self.forms), ambient.strategy_sets)
+        self._width = int(slots.max()) + 1  # no set has a higher bit
+        self.full = (1 << m) - 1 if self._dense else self._pack(np.ones(m, dtype=bool))
+        self._blocks = None if agent_edges is None else {}
         for player, edges in (agent_edges or {}).items():
             if not 1 <= player <= n:
                 raise GameError(f"accessibility given for unknown player {player}")
-            if not isinstance(edges, np.ndarray):
-                edges = list(edges)
             try:
-                pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+                pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
             except (OverflowError, TypeError, ValueError):
                 raise GameError(
                     f"accessibility for player {player} must be integer pairs"
@@ -179,10 +181,16 @@ class IntensionalModel:
             if outside.any():
                 i, j = pairs[outside.any(axis=1)][0]
                 raise GameError(f"accessibility edge ({i}, {j}) out of range")
-            self._edges[player] = (_frozen(pairs[:, 0]), _frozen(pairs[:, 1]))
-        self._grid = (len(self.forms), ambient.strategy_sets)
-        self._width = int(slots.max()) + 1  # no set has a higher bit
-        self.full = (1 << m) - 1 if self._dense else self._pack(np.ones(m, dtype=bool))
+            # Group by source; sources with equal target sets share a block.
+            src, dst = pairs[np.argsort(pairs[:, 0], kind="stable")].T
+            starts = np.flatnonzero(np.diff(src, prepend=-1))
+            hit, merged = np.zeros(m, dtype=bool), {}
+            for source, targets in zip(slots[src[starts]].tolist(), np.split(dst, starts[1:])):
+                hit[targets] = True
+                bits = self._pack(hit)
+                hit[targets] = False
+                merged[bits] = merged.get(bits, 0) | 1 << source
+            self._blocks[player] = [(sources, bits) for bits, sources in merged.items()]
         # Bit sets by `run_plan` key, compiled vectors, and the masks handed out.
         self._ext_cache: dict = {}
         self._steps: dict[Vector, _Steps | None] = {}
@@ -253,17 +261,26 @@ class IntensionalModel:
                 return state
         raise EvalError(f"no world {where!r} in this model")
 
-    def agent_edges(self, player: int) -> tuple[np.ndarray, np.ndarray]:
-        """The player's accessibility relation as (source, target) arrays,
-        in the order the edges were given."""
-        if self._edges is None:
+    def _relation(self, player: int) -> list[tuple[int, int]]:
+        """The player's (sources, targets) blocks."""
+        if self._blocks is None:
             raise EvalError("agent programs need a model with agent relations")
         if not 1 <= player <= self.n:
             raise EvalError(f"no player {player} in this model")
-        if player not in self._edges:
-            empty = _frozen(np.zeros(0, dtype=np.int64))
-            return empty, empty
-        return self._edges[player]
+        return self._blocks.get(player, [])
+
+    def agent_edges(self, player: int) -> tuple[np.ndarray, np.ndarray]:
+        """The player's relation as read-only (source, target) arrays of world
+        indices, sorted by source, then target; sources lie in one block each."""
+        blocks = self._relation(player)
+        owner = np.full(self.size, -1)  # the block of each source
+        for k, (sources, _) in enumerate(blocks):
+            owner[self._unpack(sources)] = k
+        targets = [np.flatnonzero(self._unpack(bits)) for _, bits in blocks]
+        sources = np.flatnonzero(owner >= 0)
+        rows = [targets[k] for k in owner[sources].tolist()]
+        src = np.repeat(sources, [row.size for row in rows])
+        return _frozen(src), _frozen(np.concatenate([sources[:0], *rows]))
 
     def _pack(self, mask: np.ndarray) -> int:
         """The bit set of a bool mask over the worlds: bit k is slot k."""
@@ -493,12 +510,13 @@ def _pre(model: IntensionalModel, program: Program, target: int) -> int:
                 steps += (step, step.body)
             else:
                 masks.append(step.reached)
-        elif isinstance(step, Agent):
-            src, dst = model.agent_edges(step.player)
-            masks.append(_sources(model, src, dst, masks.pop()))
-        elif isinstance(step, AgentConv):
-            src, dst = model.agent_edges(step.player)
-            masks.append(_sources(model, dst, src, masks.pop()))
+        elif isinstance(step, (Agent, AgentConv)):
+            # The sources of the blocks whose targets meet the set; `^` swaps sides.
+            side, bits, reach = isinstance(step, AgentConv), masks.pop(), 0
+            for block in model._relation(step.player):
+                if block[1 - side] & bits:
+                    reach |= block[side]
+            masks.append(reach)
         else:
             raise EvalError(f"not a program: {step!r}")
     return masks[0]
@@ -517,13 +535,6 @@ class _StarRound:
 
     def __init__(self, body: Program, reached: int):
         self.body, self.reached = body, reached
-
-
-def _sources(model: IntensionalModel, src: np.ndarray, dst: np.ndarray, target: int) -> int:
-    """The sources of the edges that end in `target`."""
-    out = np.zeros(model.size, dtype=bool)
-    out[src[model._unpack(target)[dst]]] = True
-    return model._pack(out)
 
 
 def extension(model: IntensionalModel, formula: Formula) -> np.ndarray:
@@ -680,25 +691,21 @@ def counterexample(model: IntensionalModel, formula: Formula) -> str | None:
 # epistemic constructions
 
 
-def _same_class_edges(classes: np.ndarray) -> np.ndarray:
-    """Every (i, j) pair of worlds with equal (non-negative) class labels,
-    as an (E, 2) array sorted by i, then j; never a pass over all pairs."""
-    order = np.argsort(classes, kind="stable")
-    counts = np.bincount(classes)
-    per_world = counts[classes]
-    src = np.repeat(np.arange(classes.size), per_world)
-    # The k-th partner of world i is the k-th member of i's class.
-    rank = np.arange(src.size) - np.repeat(np.cumsum(per_world) - per_world, per_world)
-    first = (np.cumsum(counts) - counts)[classes]
-    return np.column_stack((src, order[np.repeat(first, per_world) + rank]))
+def _partitioned(model: IntensionalModel, classes: np.ndarray) -> IntensionalModel:
+    """The model with player i's relation "same class label", from column
+    i - 1 of non-negative `classes`: a (class, class) block per non-empty class."""
+    for player, labels in enumerate(classes.T, 1):
+        blocks = (model._pack(labels == c) for c in range(int(labels.max()) + 1))
+        model._blocks[player] = [(bits, bits) for bits in blocks if bits]
+    return model
 
 
 def epistemic_lift(game: StrategicGame) -> IntensionalModel:
     """All profiles as worlds; each player can tell worlds apart exactly by
     their own coordinate."""
     worlds = _grid_worlds(game.form)
-    edges = {player: _same_class_edges(worlds[:, player]) for player in game.form.players}
-    return IntensionalModel(game.form, (("G", game.form),), worlds, game.outcomes, edges)
+    model = IntensionalModel(game.form, (("G", game.form),), worlds, game.outcomes, {})
+    return _partitioned(model, worlds[:, 1:])
 
 
 def restrict(form: GameForm, subsets: Mapping[int, Iterable[str]]) -> GameForm:
@@ -747,12 +754,9 @@ def confusion_model(
     full = _grid_worlds(ambient)
     full[:, 0] = 1
     worlds = np.vstack([[(0, *s) for s in inner], full])
-    edges = {}
-    for player in ambient.players:
-        own = worlds[:, player]
-        if player not in confused_set:
-            own = worlds[:, 0] * len(ambient.strategy_sets[player - 1]) + own
-        edges[player] = _same_class_edges(own)
+    # A player's class is their own strategy, and also the form unless confused.
+    weights = [len(s) * (p not in confused_set) for p, s in enumerate(ambient.strategy_sets, 1)]
+    classes = worlds[:, 1:] + np.outer(worlds[:, 0], weights)
     # The rows of every profile are included, so the game's value, label and
     # alternative tables stay exact for the joined model.
     table = game.outcomes
@@ -763,4 +767,5 @@ def confusion_model(
         label_codes=table.label_codes[rows],
         winners=None if table.winners is None else table.winners[rows],
     )
-    return IntensionalModel(ambient, (("Gr", restricted), ("G", ambient)), worlds, outcomes, edges)
+    model = IntensionalModel(ambient, (("Gr", restricted), ("G", ambient)), worlds, outcomes, {})
+    return _partitioned(model, classes)

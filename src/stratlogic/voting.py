@@ -426,7 +426,7 @@ def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
 
     The games are checked in batches.  A batch is one model whose forms are
     the induced games of the ballot profiles that share the ballots of
-    voters 1 to n-2; each form is named by its ballot profile.  Each
+    voters 1 to n-2; each form is named by its index in the batch.  Each
     candidate's `dictator` formula is evaluated once per batch, over the
     union U of the batch's utility ranges, and a candidate it fails for
     anywhere in the batch is dropped before the next batch.  The last two
@@ -445,20 +445,20 @@ def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
     the formula over R does.
     """
     table = _payoff_table(rule, n_voters)
-    names = [str(ballot) for ballot in table.ballots]
-    forms = len(names) ** 2
+    ballots = len(table.ballots)
+    forms = [(str(k), table.form) for k in range(ballots**2)]
     # Per batch, only the utilities change: worlds are the forms' full grids
     # in order, and each cell's label and winners are the payoff table's.
-    shape = (forms,) + (len(rule.alternatives),) * n_voters
+    shape = (len(forms),) + (len(rule.alternatives),) * n_voters
     worlds = np.indices(shape).reshape(n_voters + 1, -1).T
-    label_codes = np.tile(table.cell_sets, forms)
-    winners = np.tile(table.winners[table.cell_sets], (forms, 1))
-    profiles = np.empty((forms, n_voters), dtype=np.int64)
-    profiles[:, -2:] = list(product(range(len(names)), repeat=2))
+    label_codes = np.tile(table.cell_sets, len(forms))
+    winners = np.tile(table.winners[table.cell_sets], (len(forms), 1))
+    profiles = np.empty((len(forms), n_voters), dtype=np.int64)
+    profiles[:, -2:] = list(product(range(ballots), repeat=2))
     sig = Signature(table.form.strategy_sets, table.values, table.alternatives)
     candidates = set(range(1, n_voters + 1))
     formulas = {voter: dictator(sig, voter) for voter in candidates}
-    for head in product(range(len(names)), repeat=n_voters - 2):
+    for head in product(range(ballots), repeat=n_voters - 2):
         if not candidates:
             break
         profiles[:, :-2] = head
@@ -473,10 +473,7 @@ def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
             table.alternatives,
             winners,
         )
-        ids = [" ".join(names[b] for b in profile) for profile in profiles.tolist()]
-        model = IntensionalModel(
-            table.form, [(fid, table.form) for fid in ids], worlds, outcomes
-        )
+        model = IntensionalModel(table.form, forms, worlds, outcomes)
         for voter in sorted(candidates):
             if not valid_in_model(model, formulas[voter]):
                 candidates.discard(voter)

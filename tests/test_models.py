@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -67,7 +68,7 @@ from stratlogic.syntax import (
     Vec,
 )
 from stratlogic.jsonio import intensional_from_dict, intensional_to_dict
-from stratlogic.properties import build_property, knowledge
+from stratlogic.properties import build_property, dictator, knowing_dictator, knowledge
 from stratlogic.catalog import (
     commitment_confusion,
     prisoners_dilemma,
@@ -662,9 +663,9 @@ def test_agent_edges_are_validated_arrays():
         agent_edges={1: [(3, 1), (0, 2), (3, 1), (0, 0)]},
     )
     src, dst = model.agent_edges(1)
-    assert list(zip(src.tolist(), dst.tolist())) == [(3, 1), (0, 2), (3, 1), (0, 0)]
+    # read back sorted by (source, target) and free of duplicates, as serialised
+    assert list(zip(src.tolist(), dst.tolist())) == [(0, 0), (0, 2), (3, 1)]
     assert not src.flags.writeable and not dst.flags.writeable
-    # serialised relations are sorted and free of duplicates
     assert intensional_to_dict(model)["relations"] == {
         "1": [[0, 0], [0, 2], [3, 1]],
         "2": [],
@@ -683,19 +684,60 @@ def test_agent_edges_are_validated_arrays():
 
 
 def test_confusion_edges_match_pairwise_definition():
+    """The confusion model (player 2 confused) and the epistemic lift, read
+    back through `agent_edges` and `pre`: i sees j iff they agree on the
+    player's own coordinate and, unless the player is confused, the form."""
     game = vote3_game()
     restricted = restrict(game.form, {1: ["a"], 3: ["b", "c"]})
-    model = confusion_model(game, restricted, [2])
-    for player in game.form.players:
-        pos = player - 1
-        want = [
-            (i, j)
-            for i, (fi, s) in enumerate(model.worlds)
-            for j, (fj, t) in enumerate(model.worlds)
-            if s[pos] == t[pos] and (player == 2 or fi == fj)
-        ]
+    for model in (confusion_model(game, restricted, [2]), epistemic_lift(game)):
+        for player in game.form.players:
+            pos = player - 1
+            want = [
+                (i, j)
+                for i, (fi, s) in enumerate(model.worlds)
+                for j, (fj, t) in enumerate(model.worlds)
+                if s[pos] == t[pos] and (player == 2 or fi == fj)
+            ]
+            src, dst = model.agent_edges(player)
+            assert list(zip(src.tolist(), dst.tolist())) == want
+            rel = np.zeros((model.size, model.size), dtype=bool)
+            rel[tuple(np.array(want).T)] = True
+            assert np.array_equal(relation_via_pre(model, Agent(player)), rel)
+
+
+@given(st.sampled_from(("sparse", "forms")), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_agent_relations_match_the_given_pairs(kind, seed):
+    """Pair lists with repeats, self-loops and no order, and some players
+    given none: `agent_edges` reads back the distinct pairs in (source,
+    target) order, and `pre` of `ag i`, `ag i^` and `(ag i + ag i^)*`
+    matches the dense relation built here from the pairs themselves."""
+    rng = random.Random(seed)
+    base = _random_model(kind, rng)
+    m = base.size
+    given_pairs = {}
+    for player in base.ambient.players:
+        if rng.random() < 0.25:
+            continue
+        pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(0, 2 * m))]
+        pairs += [(i, i) for i in rng.sample(range(m), rng.randint(0, m))]
+        pairs += rng.sample(pairs, len(pairs) // 3)
+        rng.shuffle(pairs)
+        given_pairs[player] = pairs
+    model = IntensionalModel(base.ambient, base.forms, base.worlds, base.outcomes, given_pairs)
+    for player in base.ambient.players:
+        pairs = given_pairs.get(player, [])
         src, dst = model.agent_edges(player)
-        assert list(zip(src.tolist(), dst.tolist())) == want
+        assert list(zip(src.tolist(), dst.tolist())) == sorted(set(pairs))
+        rel = np.zeros((m, m), dtype=bool)
+        for i, j in pairs:
+            rel[i, j] = True
+        for program, want in [
+            (Agent(player), rel),
+            (AgentConv(player), rel.T),
+            (knowledge(player), rtc(rel | rel.T)),
+        ]:
+            assert np.array_equal(relation_via_pre(model, program), want)
 
 
 # --------------------------------------------------------------------------
@@ -959,16 +1001,21 @@ def test_a_compiled_plan_hashes_no_connective_on_a_fresh_model(monkeypatch):
 # Memory stays linear in the number of profiles
 
 
-def test_nash_and_star_memory_is_linear_at_7776_profiles():
-    rng = random.Random(41)
+def _game_7776(seed: int):
+    """A random 6x6x6x6x6 game with utilities 0 to 3."""
+    rng = random.Random(seed)
     form = GameForm([("a", "b", "c", "d", "e", "f")] * 5)
-    game = from_outcomes(
+    return from_outcomes(
         form,
         {
             s: OutcomeRecord(form.profile_key(s), [rng.randint(0, 3) for _ in range(5)])
             for s in all_profiles(form)
         },
     )
+
+
+def test_nash_and_star_memory_is_linear_at_7776_profiles():
+    game = _game_7776(41)
     star = Star(
         Choice(Vec(Vector([ADV, CUR, CUR, CUR, CUR])), Vec(Vector([CUR, ADV, CUR, CUR, CUR])))
     )
@@ -987,6 +1034,35 @@ def test_nash_and_star_memory_is_linear_at_7776_profiles():
     grid = extension(model, UtilEq(1, 0)).reshape([6] * 5)
     want = np.broadcast_to(grid.any(axis=(0, 1), keepdims=True), grid.shape)
     assert np.array_equal(reach, want.reshape(-1))
+
+
+def test_knowing_dictator_on_a_7776_world_lift_stays_small_and_fast():
+    """Each player's relation on the lift of a 6^5 game is six classes of
+    1 296 worlds; as edges it would be about 50 M pairs (roughly 800 MB)."""
+    game = _game_7776(43)
+    sig = Signature.from_game(game)
+    start = time.perf_counter()
+    know = extension(epistemic_lift(game), knowing_dictator(sig, 1))
+    seconds = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        lift = epistemic_lift(game)
+        extension(lift, knowing_dictator(sig, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert seconds < 0.5, f"{seconds:.2f} s"
+    # player 1 knows a fact iff it holds wherever their own strategy is played
+    grid = extension(lift, dictator(sig, 1)).reshape([6] * 5)
+    want = np.broadcast_to(grid.all(axis=(1, 2, 3, 4), keepdims=True), grid.shape)
+    assert np.array_equal(know, want.reshape(-1))
+    # labels are profile keys, so one label is one world
+    here = Label("a,b,c,d,e")
+    player1 = np.array([s[0] == 0 for s in lift.states])
+    player2 = np.array([s[1] == 1 for s in lift.states])
+    assert np.array_equal(extension(lift, Diamond(knowledge(1), here)), player1)
+    assert np.array_equal(extension(lift, Box(knowledge(2), Not(here))), ~player2)
 
 
 @pytest.mark.parametrize("values", [10, 25, 55])
