@@ -54,6 +54,7 @@ from .models import (
     epistemic_lift,
     extension,
     model_signature,
+    pre,
     restrict,
     satisfies,
     valid_in_model,

@@ -72,13 +72,9 @@ class InstanceResult:
     """(model label, first falsifying state) per failing model."""
 
 
-def enumerate_vectors(sig: Signature) -> list[Vector]:
-    """All-Concrete vectors, then one-position wildcard variants, then
-    one-position Current variants."""
-    return _enumerate_vectors(sig, _terms(sig))
-
-
 def _enumerate_vectors(sig: Signature, terms: dict[str, Concrete]) -> list[Vector]:
+    """All-Concrete vectors, then one-position wildcard variants, then
+    one-position Current variants, over the given `Concrete` terms."""
     sets = [[terms[name] for name in names] for names in sig.strategy_sets]
     out = [Vector(c) for c in product(*sets)]
     for special in (ADV, CUR):

@@ -67,6 +67,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+# `worlds` for the dense models this package builds: every form's full grid
+# in order, given without rows; each form must offer every ambient strategy.
+_GRID = object()
+
+
 class IntensionalModel:
     """Worlds are (form, profile) pairs; agents get accessibility relations.
 
@@ -75,7 +80,10 @@ class IntensionalModel:
     agent mapping.  Profiles are stored with ambient strategy indices, and
     vector moves never cross between forms.  A set of worlds is an int
     whose bit k is slot k, form index * grid size + grid cell; `full` is
-    the set of every world, and `mask` turns a set into a bool array.
+    the set of every world, and `mask` turns a set into a bool array.  A
+    dense model (full copies of the ambient grid, form by form in order)
+    holds no per-world rows: world k is slot k, and keys and profiles come
+    from slot arithmetic when asked.  Other models keep each world's slot.
     An agent's relation is a list of (sources, targets) blocks of such sets,
     each relating all its sources to all its targets; no two share a source.
 
@@ -99,36 +107,40 @@ class IntensionalModel:
         self.n = n = ambient.n
         self.forms = tuple(forms)
         self._shape = shape = tuple(len(names) for names in ambient.strategy_sets)
+        self._total = total = math.prod(shape)
         if not self.forms:
             raise GameError("an intensional model needs at least one form")
         ids = [fid for fid, _ in self.forms]
         if len(set(ids)) != len(ids):
             raise GameError("form ids must be distinct")
-        try:
-            if not isinstance(worlds, np.ndarray):
-                worlds = [(form_idx, *profile) for form_idx, profile in worlds]
-            table = np.asarray(worlds, dtype=np.int64).reshape(len(worlds), n + 1)
-        except (OverflowError, TypeError, ValueError):
-            raise GameError(f"worlds must be (form index, {n}-player profile) pairs") from None
-        m = len(table)
-        if not m:
-            raise GameError("an intensional model needs at least one world")
-        # Every check runs on whole columns; a failure names its first world.
-        form_col, coords = table[:, 0], table[:, 1:]
-        outside = (table < 0) | (table >= (len(self.forms), *shape))
-        if outside.any():
-            row = outside.any(axis=1).argmax()
-            if outside[row, 0]:
-                raise GameError(f"world references unknown form index {form_col[row]}")
-            raise GameError(
-                f"profile {tuple(coords[row].tolist())!r} is out of range "
-                f"at player {outside[row, 1:].argmax() + 1}"
-            )
+        # The slot of each world; None when the worlds are dense.
+        self._slots = table = None
+        m = len(self.forms) * total
+        if worlds is not _GRID:
+            try:
+                if not isinstance(worlds, np.ndarray):
+                    worlds = [(form_idx, *profile) for form_idx, profile in worlds]
+                table = np.asarray(worlds, dtype=np.int64).reshape(len(worlds), n + 1)
+            except (OverflowError, TypeError, ValueError):
+                raise GameError(f"worlds must be (form index, {n}-player profile) pairs") from None
+            m = len(table)
+            if not m:
+                raise GameError("an intensional model needs at least one world")
+            # Every check runs on whole columns; a failure names its first world.
+            outside = (table < 0) | (table >= (len(self.forms), *shape))
+            if outside.any():
+                row = outside.any(axis=1).argmax()
+                if outside[row, 0]:
+                    raise GameError(f"world references unknown form index {table[row, 0]}")
+                raise GameError(
+                    f"profile {tuple(table[row, 1:].tolist())!r} is out of range "
+                    f"at player {outside[row, 1:].argmax() + 1}"
+                )
         for form_idx, (fid, form) in enumerate(self.forms):
-            if form.n != n:
-                raise GameError(f"form {fid!r} has a different player count")
             if form.strategy_sets == ambient.strategy_sets:
                 continue
+            if form.n != n:
+                raise GameError(f"form {fid!r} has a different player count")
             for pos, names in enumerate(ambient.strategy_sets):
                 offered = [name in form.strategy_sets[pos] for name in names]
                 if tuple(compress(names, offered)) != form.strategy_sets[pos]:
@@ -138,26 +150,21 @@ class IntensionalModel:
                     )
                 if all(offered):
                     continue
-                rows = np.flatnonzero(form_col == form_idx)
-                absent = rows[~np.take(offered, coords[rows, pos])]
+                rows = np.flatnonzero(table[:, 0] == form_idx)
+                absent = rows[~np.take(offered, table[rows, pos + 1])]
                 if absent.size:
-                    key = ambient.profile_key(tuple(coords[absent[0]].tolist()))
+                    key = ambient.profile_key(tuple(table[absent[0], 1:].tolist()))
                     raise GameError(f"world profile {key!r} is not available in form {fid!r}")
-        self._total = total = math.prod(shape)
-        weights = [total] + [math.prod(shape[pos + 1 :]) for pos in range(n)]
-        # A world's slot is its form index * total + its ambient grid cell.
-        self._slots = slots = table @ np.array(weights)
-        self._form_col, self._coords = form_col, coords
-        # Dense when the worlds are full copies of the ambient grid, form by
-        # form in enumeration order (so none repeats).
-        self._dense = m % total == 0 and np.array_equal(slots, np.arange(m))
-        if not self._dense:
-            dup = self._lookup[slots] != np.arange(m)
-            if dup.any():
-                row = dup.argmax()
-                raise GameError(
-                    f"duplicate world {(int(form_col[row]), tuple(coords[row].tolist()))!r}"
-                )
+        if table is not None:
+            slots = table @ np.array([total] + [math.prod(shape[pos + 1 :]) for pos in range(n)])
+            # Rows that hold every form's full grid in order are dense: drop them.
+            if m % total or not np.array_equal(slots, np.arange(m)):
+                self._slots = slots
+                row = int((self._lookup[slots] != np.arange(m)).argmax())
+                if self._lookup[slots[row]] != row:
+                    world = (int(table[row, 0]), tuple(table[row, 1:].tolist()))
+                    raise GameError(f"duplicate world {world!r}")
+        self.size = m
         self.outcomes = outcomes
         if len(outcomes) != m:
             raise GameError("need exactly one outcome record per world")
@@ -165,8 +172,9 @@ class IntensionalModel:
             label = outcomes.labels[outcomes.label_codes[0]]
             raise GameError(f"outcome {label!r} has wrong utility count for {n} players")
         self._grid = (len(self.forms), ambient.strategy_sets)
-        self._width = int(slots.max()) + 1  # no set has a higher bit
-        self.full = (1 << m) - 1 if self._dense else self._pack(np.ones(m, dtype=bool))
+        dense = self._slots is None
+        self._width = m if dense else int(self._slots.max()) + 1  # no set has a higher bit
+        self.full = (1 << m) - 1 if dense else self._pack(np.ones(m, dtype=bool))
         self._blocks = None if agent_edges is None else {}
         for player, edges in (agent_edges or {}).items():
             if not 1 <= player <= n:
@@ -184,8 +192,9 @@ class IntensionalModel:
             # Group by source; sources with equal target sets share a block.
             src, dst = pairs[np.argsort(pairs[:, 0], kind="stable")].T
             starts = np.flatnonzero(np.diff(src, prepend=-1))
+            owners = src[starts] if dense else self._slots[src[starts]]
             hit, merged = np.zeros(m, dtype=bool), {}
-            for source, targets in zip(slots[src[starts]].tolist(), np.split(dst, starts[1:])):
+            for source, targets in zip(owners.tolist(), np.split(dst, starts[1:])):
                 hit[targets] = True
                 bits = self._pack(hit)
                 hit[targets] = False
@@ -195,10 +204,6 @@ class IntensionalModel:
         self._ext_cache: dict = {}
         self._steps: dict[Vector, _Steps | None] = {}
         self._arrays: dict[int, np.ndarray] = {}
-
-    @property
-    def size(self) -> int:
-        return len(self._slots)
 
     @cached_property
     def _signature(self) -> Signature:
@@ -220,20 +225,30 @@ class IntensionalModel:
         lookup[self._slots] = np.arange(len(self._slots))
         return lookup
 
-    @cached_property
-    def states(self) -> list[Profile]:
-        """Each world's profile, in ambient strategy indices."""
-        return list(map(tuple, self._coords.tolist()))
+    def _slot(self, idx: int) -> int:
+        return int(idx if self._slots is None else self._slots[idx])
 
     @cached_property
     def worlds(self) -> list[tuple[int, Profile]]:
         """Each world as a (form index, profile) pair."""
-        return list(zip(self._form_col.tolist(), self.states))
+        slots = np.arange(self.size) if self._slots is None else self._slots
+        form, *profile = np.unravel_index(slots, (len(self.forms), *self._shape))
+        return list(zip(form.tolist(), zip(*(axis.tolist() for axis in profile))))
+
+    @cached_property
+    def states(self) -> list[Profile]:
+        """Each world's profile, in ambient strategy indices."""
+        return [profile for _, profile in self.worlds]
 
     def state_key(self, idx: int) -> str:
         """``c,d`` for a world of an unnamed form, ``G:c,d`` for one of form G."""
-        form_id = self.forms[self._form_col[idx]][0]
-        key = self.ambient.profile_key(tuple(self._coords[idx].tolist()))
+        form_idx, cell = divmod(self._slot(idx), self._total)
+        names = []
+        for strategies in reversed(self.ambient.strategy_sets):
+            cell, strategy = divmod(cell, len(strategies))
+            names.append(strategies[strategy])
+        key = ",".join(reversed(names))
+        form_id = self.forms[form_idx][0]
         return key if form_id is None else f"{form_id}:{key}"
 
     def index(self, where: int | str | tuple) -> int:
@@ -255,8 +270,8 @@ class IntensionalModel:
         form_idx, profile = where
         self.ambient.validate_profile(profile)
         if 0 <= form_idx < len(self.forms):
-            cell = np.ravel_multi_index(profile, self._shape)
-            state = int(self._lookup[form_idx * self._total + cell])
+            slot = form_idx * self._total + int(np.ravel_multi_index(profile, self._shape))
+            state = slot if self._slots is None else int(self._lookup[slot])
             if state >= 0:
                 return state
         raise EvalError(f"no world {where!r} in this model")
@@ -284,7 +299,7 @@ class IntensionalModel:
 
     def _pack(self, mask: np.ndarray) -> int:
         """The bit set of a bool mask over the worlds: bit k is slot k."""
-        if not self._dense:
+        if self._slots is not None:
             grid = np.zeros(self._width, dtype=bool)
             grid[self._slots] = mask
             mask = grid
@@ -294,7 +309,7 @@ class IntensionalModel:
         """A new bool mask over the worlds from a bit set."""
         raw = np.frombuffer(bits.to_bytes(-(-self._width // 8), "little"), dtype=np.uint8)
         grid = np.unpackbits(raw, count=self._width, bitorder="little").view(bool)
-        return grid if self._dense else grid[self._slots]
+        return grid if self._slots is None else grid[self._slots]
 
     def mask(self, bits: int) -> np.ndarray:
         """The read-only bool mask over the worlds of a bit set, made once
@@ -372,7 +387,7 @@ class IntensionalModel:
         for shift in steps.spread:
             bits |= bits << shift
         # Spreading stays inside the grid, so only gaps can need clearing.
-        return bits if self._dense else bits & self.full
+        return bits if self._slots is None else bits & self.full
 
 
 class _Steps(NamedTuple):
@@ -439,19 +454,10 @@ def _zeros(shape: tuple[int, ...], axes: tuple[int, ...]) -> int:
     return bits
 
 
-def _grid_worlds(form: GameForm) -> np.ndarray:
-    """Every profile of the form as a world of form 0: (form index, *profile)
-    rows in `all_profiles` order."""
-    shape = (1, *(len(names) for names in form.strategy_sets))
-    return np.indices(shape).reshape(len(shape), -1).T
-
-
 def MaslModel(game: StrategicGame) -> IntensionalModel:
     """A strategic game read as a Kripke model over its profiles: one unnamed
     form, every profile a world in `all_profiles` order, and no agents."""
-    return IntensionalModel(
-        game.form, ((None, game.form),), _grid_worlds(game.form), game.outcomes
-    )
+    return IntensionalModel(game.form, ((None, game.form),), _GRID, game.outcomes)
 
 
 def model_signature(model: IntensionalModel) -> Signature:
@@ -674,8 +680,7 @@ def run_plan(model: IntensionalModel, plan: Plan) -> list[int]:
 
 def satisfies(model: IntensionalModel, where, formula: Formula) -> bool:
     """Truth at one state, given as anything `IntensionalModel.index` takes."""
-    bits = _bits(model, formula)
-    return bool(bits >> int(model._slots[model.index(where)]) & 1)
+    return bool(_bits(model, formula) >> model._slot(model.index(where)) & 1)
 
 
 def valid_in_model(model: IntensionalModel, formula: Formula) -> bool:
@@ -691,21 +696,16 @@ def counterexample(model: IntensionalModel, formula: Formula) -> str | None:
 # epistemic constructions
 
 
-def _partitioned(model: IntensionalModel, classes: np.ndarray) -> IntensionalModel:
-    """The model with player i's relation "same class label", from column
-    i - 1 of non-negative `classes`: a (class, class) block per non-empty class."""
-    for player, labels in enumerate(classes.T, 1):
-        blocks = (model._pack(labels == c) for c in range(int(labels.max()) + 1))
-        model._blocks[player] = [(bits, bits) for bits in blocks if bits]
-    return model
-
-
 def epistemic_lift(game: StrategicGame) -> IntensionalModel:
     """All profiles as worlds; each player can tell worlds apart exactly by
     their own coordinate."""
-    worlds = _grid_worlds(game.form)
-    model = IntensionalModel(game.form, (("G", game.form),), worlds, game.outcomes, {})
-    return _partitioned(model, worlds[:, 1:])
+    model = IntensionalModel(game.form, (("G", game.form),), _GRID, game.outcomes, {})
+    shape = model._shape
+    for player, size in enumerate(shape, 1):
+        # Player i's class c: the slots whose coordinate i is c.
+        stride, zero = math.prod(shape[player:]), _zeros(shape, (player - 1,))
+        model._blocks[player] = [(zero << c * stride,) * 2 for c in range(size)]
+    return model
 
 
 def restrict(form: GameForm, subsets: Mapping[int, Iterable[str]]) -> GameForm:
@@ -751,9 +751,7 @@ def confusion_model(
     for player in confused_set:
         ambient._check_player(player)
     inner = [ambient.profile_from_names(restricted.names(s)) for s in all_profiles(restricted)]
-    full = _grid_worlds(ambient)
-    full[:, 0] = 1
-    worlds = np.vstack([[(0, *s) for s in inner], full])
+    worlds = np.array([(0, *s) for s in inner] + [(1, *s) for s in all_profiles(ambient)])
     # A player's class is their own strategy, and also the form unless confused.
     weights = [len(s) * (p not in confused_set) for p, s in enumerate(ambient.strategy_sets, 1)]
     classes = worlds[:, 1:] + np.outer(worlds[:, 0], weights)
@@ -768,4 +766,8 @@ def confusion_model(
         winners=None if table.winners is None else table.winners[rows],
     )
     model = IntensionalModel(ambient, (("Gr", restricted), ("G", ambient)), worlds, outcomes, {})
-    return _partitioned(model, classes)
+    # Player i's relation is "same class": a (class, class) block per non-empty class.
+    for player, labels in enumerate(classes.T, 1):
+        blocks = (model._pack(labels == c) for c in range(int(labels.max()) + 1))
+        model._blocks[player] = [(bits, bits) for bits in blocks if bits]
+    return model

@@ -342,5 +342,3 @@ def build_property(name: str, sig: Signature, **params):
 def _built(name: str, sig: Signature, *args):
     return _PROPERTIES[name][0](sig, *args)
 
-
-PROPERTY_NAMES = tuple(_PROPERTIES)

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .games import GameForm, Outcomes, StrategicGame, _code_dtype
-from .models import IntensionalModel, valid_in_model
+from .models import _GRID, IntensionalModel, valid_in_model
 from .properties import dictator
 from .syntax import Signature
 
@@ -447,33 +447,31 @@ def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
     table = _payoff_table(rule, n_voters)
     ballots = len(table.ballots)
     forms = [(str(k), table.form) for k in range(ballots**2)]
-    # Per batch, only the utilities change: worlds are the forms' full grids
-    # in order, and each cell's label and winners are the payoff table's.
-    shape = (len(forms),) + (len(rule.alternatives),) * n_voters
-    worlds = np.indices(shape).reshape(n_voters + 1, -1).T
+    # Per batch, only the utilities change: the worlds are the forms' full
+    # grids in order, and each cell's label and winners are the payoff table's.
     label_codes = np.tile(table.cell_sets, len(forms))
     winners = np.tile(table.winners[table.cell_sets], (len(forms), 1))
-    profiles = np.empty((len(forms), n_voters), dtype=np.int64)
-    profiles[:, -2:] = list(product(range(ballots), repeat=2))
+    # codes[i, f, c]: cell c's payoff code for voter i in form f, whose last two
+    # voters cast ballot pair f; voter-major, so each voter's column is contiguous.
+    cell_codes = table.codes[table.cell_sets]  # (cells, ballots)
+    codes = np.empty((n_voters, len(forms), len(cell_codes)), dtype=cell_codes.dtype)
+    codes[-2:] = cell_codes[:, list(product(range(ballots), repeat=2))].T
     sig = Signature(table.form.strategy_sets, table.values, table.alternatives)
     candidates = set(range(1, n_voters + 1))
     formulas = {voter: dictator(sig, voter) for voter in candidates}
     for head in product(range(ballots), repeat=n_voters - 2):
         if not candidates:
             break
-        profiles[:, :-2] = head
-        # codes[f, c, i]: the payoff code of cell c's winner set under
-        # voter i's ballot in profile f.
-        codes = table.codes[table.cell_sets[None, :, None], profiles[:, None, :]]
+        codes[:-2] = cell_codes[:, list(head)].T[:, None, :]
         outcomes = Outcomes(
             table.values,
-            codes.reshape(len(worlds), n_voters),
+            codes.reshape(n_voters, -1).T,
             table.labels,
             label_codes,
             table.alternatives,
             winners,
         )
-        model = IntensionalModel(table.form, forms, worlds, outcomes)
+        model = IntensionalModel(table.form, forms, _GRID, outcomes)
         for voter in sorted(candidates):
             if not valid_in_model(model, formulas[voter]):
                 candidates.discard(voter)

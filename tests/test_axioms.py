@@ -34,7 +34,6 @@ from stratlogic.axioms import (
     AxiomInstance,
     InstanceResult,
     default_pool,
-    enumerate_vectors,
     instantiate_many,
 )
 from stratlogic.syntax import Agent, Not, Winner, render
@@ -72,7 +71,10 @@ def test_unknown_schema_rejected():
 
 
 def test_enumerate_vectors_families_and_order():
-    vecs = enumerate_vectors(PD_SIG)
+    vecs = axiom_oracle.enumerate_vectors(PD_SIG)
+    # Effectivity has one instance per vector, in the enumeration's order.
+    effectivity = instantiate_many(["Effectivity"], PD_SIG)
+    assert [inst.formula.program.vector for inst in effectivity] == vecs
     shapes = [
         tuple("?" if t is ADV else ("!" if t is not ADV and not isinstance(t, Concrete) else t.name) for t in v.terms)
         for v in vecs

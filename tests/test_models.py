@@ -4,6 +4,7 @@ epistemic constructions."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 import sys
 import time
@@ -39,6 +40,7 @@ from stratlogic import (
     OutcomeRecord,
     Outcomes,
     Signature,
+    StrategicGame,
     Top,
     UtilEq,
     Vector,
@@ -741,6 +743,112 @@ def test_agent_relations_match_the_given_pairs(kind, seed):
 
 
 # --------------------------------------------------------------------------
+# Dense models hold no world rows
+
+
+def _dense_model(kind: str, rng: random.Random):
+    """A dense model (every form's full grid, in order) and its forms, built
+    the package's way: a game's model, its epistemic lift, or ("frame")
+    several copies of one form with winners, as the dictator check batches
+    induced games."""
+    game = random_game(rng, size_range=(1, 3))
+    if kind == "game":
+        return MaslModel(game)
+    if kind == "lift":
+        return epistemic_lift(game)
+    copies = rng.randint(2, 4)
+    records = [
+        OutcomeRecord(
+            rng.choice("xyz"),
+            [rng.randint(0, 3) for _ in range(game.form.n)],
+            rng.choice([None, ["a"], ["a", "b"]]),
+        )
+        for _ in range(copies * len(game.outcomes))
+    ]
+    forms = [(str(k), game.form) for k in range(copies)]
+    return IntensionalModel(
+        game.form, forms, models._GRID, Outcomes.from_records(records, game.form.n)
+    )
+
+
+@given(st.sampled_from(("game", "lift", "frame")), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_dense_models_match_their_rebuild_from_rows(kind, seed, shuffled):
+    """Each dense model agrees with the model built from its worlds as
+    explicit (form, profile) rows, and the lift's relations as pairs.  In
+    order, the rows are dense again; shuffled, the rebuild keeps each
+    world's slot, and its world j is the dense model's world order[j]."""
+    rng = random.Random(seed)
+    model = _dense_model(kind, rng)
+    profiles = all_profiles(model.ambient)
+    rows = [(k, s) for k in range(len(model.forms)) for s in profiles]
+    order = list(range(len(rows)))
+    if shuffled:
+        rng.shuffle(order)
+    place = {old: new for new, old in enumerate(order)}
+    edges = None
+    if kind == "lift":
+        edges = {
+            player: [
+                (place[i], place[j])
+                for i, s in enumerate(profiles)
+                for j, t in enumerate(profiles)
+                if s[player - 1] == t[player - 1]
+            ]
+            for player in model.ambient.players
+        }
+    table = model.outcomes
+    outcomes = dataclasses.replace(
+        table,
+        codes=table.codes[order],
+        label_codes=table.label_codes[order],
+        winners=None if table.winners is None else table.winners[order],
+    )
+    again = IntensionalModel(
+        model.ambient, model.forms, [rows[k] for k in order], outcomes, edges
+    )
+    assert (again._slots is None) == (not shuffled or order == sorted(order))
+
+    assert model.size == again.size == len(rows)
+    assert model.worlds == rows and model.states == [s for _, s in rows]
+    assert again.worlds == [rows[k] for k in order]
+    assert again.states == [rows[k][1] for k in order]
+    for j, k in enumerate(order):
+        form_id, (form_idx, profile) = model.forms[rows[k][0]][0], rows[k]
+        key = model.ambient.profile_key(profile)
+        key = key if form_id is None else f"{form_id}:{key}"
+        assert model.state_key(k) == again.state_key(j) == key
+        assert model.index(key) == k and again.index(key) == j
+        where = profile if form_id is None else (form_idx, profile)
+        assert model.index(where) == k and again.index(where) == j
+
+    sig = model_signature(model)
+    leaves = [Top(), *(Label(label) for label in table.labels)]
+    leaves += [UtilEq(p, v) for p in model.ambient.players for v in sig.util_range]
+    leaves += [Winner(a) for a in sig.alternatives or ()]
+    leaves += [VectorAtom(random_vector(rng, sig)) for _ in range(3)]
+    pools = dict(values=sig.util_range, labels=table.labels, agents=kind == "lift")
+    formulas = leaves + [random_formula(rng, sig, 3, **pools) for _ in range(4)]
+    for f in formulas:
+        mask, other = extension(model, f), extension(again, f)
+        assert np.array_equal(mask[order], other)
+        for m, got in ((model, mask), (again, other)):
+            first = None if got.all() else m.state_key(int(got.argmin()))
+            assert counterexample(m, f) == first
+        for j, k in enumerate(order):
+            assert satisfies(model, k, f) == satisfies(again, j, f) == bool(mask[k])
+
+    for player in model.ambient.players if kind == "lift" else ():
+        src, dst = model.agent_edges(player)
+        want = sorted((place[i], place[j]) for i, j in zip(src.tolist(), dst.tolist()))
+        src, dst = again.agent_edges(player)
+        assert list(zip(src.tolist(), dst.tolist())) == want == sorted(edges[player])
+    if kind != "lift":
+        with pytest.raises(EvalError):
+            again.agent_edges(1)
+
+
+# --------------------------------------------------------------------------
 # Predecessors against the dense oracle on random programs
 
 
@@ -1063,6 +1171,27 @@ def test_knowing_dictator_on_a_7776_world_lift_stays_small_and_fast():
     player2 = np.array([s[1] == 1 for s in lift.states])
     assert np.array_equal(extension(lift, Diamond(knowledge(1), here)), player1)
     assert np.array_equal(extension(lift, Box(knowledge(2), Not(here))), ~player2)
+
+
+def test_dense_models_of_a_279936_profile_game_build_without_world_rows():
+    """A 6^7 game's model and its lift hold no per-world rows: 279 936 int64
+    (form, *profile) rows alone would take 17.9 MB."""
+    form = GameForm([("a", "b", "c", "d", "e", "f")] * 7)
+    rng = np.random.default_rng(7)
+    codes = rng.integers(0, 4, size=(6**7, 7), dtype=np.uint8)
+    values = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3))
+    game = StrategicGame(form, Outcomes(values, codes, ("x",), np.zeros(6**7, dtype=np.uint8)))
+    for build in (MaslModel, epistemic_lift):
+        tracemalloc.start()
+        try:
+            model = build(game)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{build.__name__}: peak {peak / 2**20:.1f} MB"
+        assert model.size == 6**7
+        assert model.state_key(6**7 - 1).endswith("f,f,f,f,f,f,f")
+        del model
 
 
 @pytest.mark.parametrize("values", [10, 25, 55])

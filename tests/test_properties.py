@@ -34,7 +34,6 @@ from stratlogic import (
     satisfies,
 )
 from stratlogic.properties import (
-    PROPERTY_NAMES,
     knowledge,
     nash_here,
     payoff_geq,
@@ -318,7 +317,7 @@ def test_tit_for_tat_one_step_copies_opponent():
 
 
 def test_property_names_and_dispatch():
-    assert set(PROPERTY_NAMES) == {
+    assert set(property_oracle.PROPERTIES) == {
         "nashHere",
         "gameIsNash",
         "weakDominance",
@@ -330,7 +329,12 @@ def test_property_names_and_dispatch():
         "knowingDictator",
         "titForTat",
     }
-    with pytest.raises(Exception):
+    # two players (for titForTat) and winner data (for the voting properties)
+    sig = Signature((("a", "b"),) * 2, PD_SIG.util_range, ("a", "b"))
+    args = {"player": 1, "strategy": "a"}
+    for name, (_, wanted) in property_oracle.PROPERTIES.items():
+        build_property(name, sig, **{key: args[key] for key in wanted})
+    with pytest.raises(GameError, match="unknown property 'noSuch'"):
         build_property("noSuch", PD_SIG)
     with pytest.raises(Exception):
         build_property("dictator", PD_SIG)  # player missing
@@ -439,8 +443,7 @@ def _signatures(draw) -> Signature:
 def test_builders_match_the_compositional_oracle_with_shared_nodes(sig):
     moves = [(i, a) for i in sig.players for a in sig.strategies(i)]
     params = {(): [()], ("player",): [(i,) for i in sig.players], ("player", "strategy"): moves}
-    for name in PROPERTY_NAMES:
-        oracle, wanted = property_oracle.PROPERTIES[name]
+    for name, (oracle, wanted) in property_oracle.PROPERTIES.items():
         for args in params[wanted]:
             _same_build(
                 lambda: build_property(name, sig, **dict(zip(wanted, args))),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 
@@ -24,6 +24,7 @@ from stratlogic import (
     Signature,
     StrategicGame,
     VotingError,
+    VotingRule,
     all_profiles,
     apply_rule,
     audit_rule,
@@ -464,6 +465,28 @@ def _per_profile_dictators(rule, n_voters: int) -> frozenset[int]:
 def test_batched_dictators_match_the_per_profile_loop(name, n_voters):
     rule = _RULES[name]
     assert rule_dictators(rule, n_voters) == _per_profile_dictators(rule, n_voters)
+
+
+@dataclass(frozen=True)
+class _FirstUnlessSecondSaysA(VotingRule):
+    """Voter 1's top wins, unless voter 2 casts `a`: then `a` wins."""
+
+    alternatives: tuple[str, ...]
+
+    def winners(self, tops):
+        return frozenset({"a" if tops[1] == "a" else tops[0]})
+
+    def describe(self) -> str:
+        return "first-unless-second-says-a"
+
+
+def test_batched_dictators_see_every_ballot_of_the_head_voters():
+    """Voter 1 is a dictator in exactly the games where their true ballot
+    ranks `a` first, as the first ballot does: a batch that kept voter 1 at
+    the first ballot would find voter 1 a dictator."""
+    rule = _FirstUnlessSecondSaysA(ALTS)
+    assert all_ballots(ALTS)[0].top == "a"
+    assert rule_dictators(rule, 3) == _per_profile_dictators(rule, 3) == frozenset()
 
 
 def test_induced_game_matches_cell_by_cell_scoring():
