@@ -326,9 +326,10 @@ class IntensionalModel:
             return None
         return self.state_key(int(self._unpack(bits).argmin()))
 
-    def _leaf(self, f: Formula) -> int:
+    def _leaf(self, f: Formula, keep_column: bool = False) -> int:
         """The bit set of an atomic formula, packed once from the outcome
-        store's columns."""
+        store's columns.  With `keep_column`, a column read from the store
+        also becomes the set's mask, so `mask` need not unpack it."""
         table = self.outcomes
         if isinstance(f, Top):
             return self.full
@@ -358,7 +359,10 @@ class IntensionalModel:
             column = table.label_codes == code
         else:
             raise EvalError(f"not a formula: {f!r}")
-        return self._pack(column)
+        bits = self._pack(column)
+        if keep_column and bits not in self._arrays:
+            self._arrays[bits] = _frozen(column)
+        return bits
 
     def _vector_steps(self, vector: Vector) -> _Steps | None:
         try:
@@ -548,6 +552,12 @@ def extension(model: IntensionalModel, formula: Formula) -> np.ndarray:
 
     The result is kept on the model and read-only; copy before mutating.
     """
+    if _OPS.get(type(formula)) == _LEAF:
+        # A lone atom needs no plan, and its column serves as its mask.
+        bits = model._ext_cache.get(formula)
+        if bits is None:
+            bits = model._ext_cache[formula] = model._leaf(formula, keep_column=True)
+        return model.mask(bits)
     return model.mask(_bits(model, formula))
 
 

@@ -57,25 +57,40 @@ class ParseError(ValueError):
 _PAYOFF_NAME = re.compile(r"u([0-9]+)\Z")
 _AGENT_NAME = re.compile(r"ag([0-9]+)\Z")
 
-# Each match is (leading blanks, token).  Multi-character operators come
-# before the single characters they start with; the last alternatives take a
-# stray character, a lone '"' (an unterminated string) and the end of input,
-# so the matches cover the whole text.
-_TOKEN = re.compile(
-    r"""([ \t\r\n]*)
-    ("[^"]*"
-    |<->|\?\?|!!|->|>=|[()\[\]{}<>,;+*?~&|=^/-]
-    |[A-Za-z_][A-Za-z0-9_]*
+# Each match is (leading blanks, token).  In `_FINE`, the fine tokens,
+# multi-character operators come before the single characters they start
+# with; the last alternatives take a stray character, a lone '"' (an
+# unterminated string) and the end of input, so the matches cover the text.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_FINE = rf"""
+    "[^"]*"
+    |<->|\?\?|!!|->|>=|[()\[\]{{}}<>,;+*?~&|=^/-]
+    |{_NAME}
     |[0-9]+
-    |.|\Z)""",
+    |.|\Z"""
+# `_TOKEN` first tries two whole tokens, spelled without blanks as
+# `syntax.render` writes them: a strategy vector of two or more terms, and a
+# payoff atom u<i>=<value> that no '/', digit or name character continues.
+# Each stands for a run of fine tokens, and the parser maps its text to one
+# node (`_Parser._spell`).  `_FINE_TOKEN` reads fine tokens alone.
+_TERM = rf"(?:{_NAME}|\?\?|!!)"
+_TOKEN = re.compile(
+    rf"""([ \t\r\n]*)
+    (\({_TERM}(?:,{_TERM})+\)
+    |u[0-9]+=-?[0-9]+(?:/[0-9]+)?(?![/0-9A-Za-z_])
+    |{_FINE})""",
     re.VERBOSE,
 )
+_FINE_TOKEN = re.compile(rf"([ \t\r\n]*)({_FINE})", re.VERBOSE)
 _OPERATORS = frozenset("<-> ?? !! -> >= ( ) [ ] { } < > , ; + * ? ~ & | = ^ / -".split())
-# A token's kind by its first character; a stray character has none.
+# A token's kind by its first character; a stray character has none.  A lone
+# '(' is an operator, so a token that starts with one is a whole vector, and
+# a name that holds '=' is a whole payoff atom.
 _KIND_BY_FIRST = {
     **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "NAME"),
     **dict.fromkeys("0123456789", "INT"),
     '"': "STRING",
+    "(": "VECTOR",
     "": "EOF",
 }
 
@@ -83,18 +98,23 @@ _KIND_BY_FIRST = {
 _Token = tuple[str, str, int]
 
 
-def _tokenize(text: str) -> tuple[list[_Token], list[tuple[str, str]]]:
+def _tokenize(
+    text: str, lexer: re.Pattern = _TOKEN
+) -> tuple[list[_Token], list[tuple[str, str]]]:
     """The (kind, text, index) tokens of `text`, ending with one EOF, and the
     (blanks, token) matches they index, from which `_position` recovers a
     token's line and column."""
-    matches = _TOKEN.findall(text)
+    matches = lexer.findall(text)
     tokens = []
     for index, (_, tok) in enumerate(matches):
         if tok in _OPERATORS:
             tokens.append((tok, tok, index))
             continue
         kind = _KIND_BY_FIRST.get(tok[:1])
-        if kind == "STRING":
+        if kind == "NAME":
+            if "=" in tok:
+                kind = "PAYOFF"
+        elif kind == "STRING":
             if tok == '"':
                 raise ParseError("unterminated string", *_position(matches, index))
             tok = tok[1:-1]
@@ -135,10 +155,14 @@ def _apply_prefixes(prefixes: list, node):
 
 
 class _Parser:
-    def __init__(self, text: str, signature: Signature):
-        self.tokens, self._matches = _tokenize(text)
+    def __init__(self, text: str, signature: Signature, lexer: re.Pattern = _TOKEN):
+        self.tokens, self._matches = _tokenize(text, lexer)
         self.pos = 0
         self.sig = signature
+        self.spelled = signature._spelled
+        if self.spelled is None:
+            self.spelled = {}
+            object.__setattr__(signature, "_spelled", self.spelled)
 
     # -- token plumbing ----------------------------------------------------
     #
@@ -179,6 +203,16 @@ class _Parser:
         if tok[0] != "EOF":
             raise self._error(f"unexpected trailing input {tok[1]!r}", tok)
         return result
+
+    def run(self, kind: str):
+        """The whole text as a 'formula', a 'program' or a 'cl' formula."""
+        if kind == "formula":
+            return self._finish(self.formula())
+        if kind == "program":
+            return self._finish(self.program())
+        if kind == "cl":
+            return self._finish(self.cl_formula())
+        raise ValueError(f"unknown parse kind {kind!r}")
 
     # -- shared pieces -----------------------------------------------------
 
@@ -223,6 +257,17 @@ class _Parser:
             return False
         self.pos += 1
         return True
+
+    def _spell(self, text: str):
+        """Add a whole vector or payoff token's node to the signature's table
+        of spellings.  It is read from the token's fine tokens by `_vector`
+        or `_atom`, which check it as they check a spaced spelling.  A failed
+        check raises here, and `parse` then reads the text again token by
+        token, for the error's message and place."""
+        fine = _Parser(text, self.sig, _FINE_TOKEN)
+        node = fine._vector() if text[0] == "(" else fine._atom(_FORMULA_ATOMS)
+        self.spelled[text] = node
+        return node
 
     def _vector(self) -> Vector:
         # Entered only once `_vector_ahead` has seen "(" term ("," term)+ ")",
@@ -337,6 +382,12 @@ class _Parser:
 
     def _atom(self, atoms: _Atoms):
         tok = kind, text, _ = self._peek()
+        if kind == "PAYOFF":
+            self.pos += 1
+            return atoms.wrap(self.spelled.get(text) or self._spell(text))
+        if kind == "VECTOR" and atoms.vector is not None:
+            self.pos += 1
+            return atoms.vector(self.spelled.get(text) or self._spell(text))
         if kind == "NAME":
             if text == "T":
                 self._next()
@@ -395,6 +446,9 @@ class _Parser:
             if type(body) is _Group:
                 body = self._infix(self._formula_unary, _FORMULA_OPS, body)
             return Test(body)
+        if kind == "VECTOR":
+            self.pos += 1
+            return Vec(self.spelled.get(text) or self._spell(text))
         if kind == "(":
             return Vec(self._vector())
         if kind == "NAME":
@@ -482,13 +536,15 @@ _CL_ATOMS = _Atoms("coalition formula", CLTop, CLAtom, _cl_payoff_compare, None)
 
 
 def parse(text: str, signature: Signature, kind: str = "formula"):
-    """Parse concrete syntax; `kind` is 'formula', 'program', or 'cl'."""
-    parser = _Parser(text, signature)
-    if kind == "formula":
-        return parser._finish(parser.formula())
-    if kind == "program":
-        return parser._finish(parser.program())
-    if kind == "cl":
-        return parser._finish(parser.cl_formula())
-    raise ValueError(f"unknown parse kind {kind!r}")
+    """Parse concrete syntax; `kind` is 'formula', 'program', or 'cl'.
+
+    The text is read with whole vector and payoff tokens first.  Where that
+    read fails, at a whole token out of place or with a failed check, or at
+    any other fault, the text is read again from fine tokens alone, which
+    gives the tree or the `ParseError` (message, line, column) it always
+    had: up to its first failing token the whole read takes the same steps."""
+    try:
+        return _Parser(text, signature).run(kind)
+    except ParseError:
+        return _Parser(text, signature, _FINE_TOKEN).run(kind)
 

@@ -331,6 +331,10 @@ class Signature:
     # The hash, computed on first use: hashing the `Fraction`s of the range
     # costs microseconds, and the property memo hashes at every build.
     _h: int | None = field(default=None, init=False, repr=False, compare=False)
+    # The parser's table from each whole vector or payoff spelling it read
+    # under this signature to its node, made on first use (see `parser`).
+    # Like the hash, it is no part of the signature's value.
+    _spelled: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         if self._h is None:

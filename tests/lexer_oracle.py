@@ -3,7 +3,9 @@ reference for its flat-token lexer.
 
 It matches one token class per regex alternative and tracks the line and
 column of every token as it goes, so positions here are computed by an
-independent walk over the text.
+independent walk over the text.  `merge_whole` joins its tokens into the
+parser's whole vector and payoff tokens by walking the token list, not the
+text.
 """
 from __future__ import annotations
 
@@ -58,3 +60,74 @@ def tokenize(text: str) -> list[Token]:
         raise ParseError(f"stray character {text[pos]!r}", line, pos - line_start + 1)
     tokens.append(Token("EOF", "", line, pos - line_start + 1))
     return tokens
+
+
+def _abut(a: Token, b: Token) -> bool:
+    """No blank lies between token `a` and the token `b` after it.  (Never
+    asked of a string literal, whose text lacks its quotes.)"""
+    return a.line == b.line and a.col + len(a.text) == b.col
+
+
+def _vector_run(tokens: list[Token], i: int) -> int:
+    """The length of the run at `i` spelling "(" term ("," term)+ ")" with
+    no blank inside, or 0."""
+    if tokens[i].kind != "(":
+        return 0
+    j, terms = i + 1, 0
+    while tokens[j].kind in ("NAME", "??", "!!") and _abut(tokens[j - 1], tokens[j]):
+        terms += 1
+        j += 1
+        if not _abut(tokens[j - 1], tokens[j]):
+            return 0
+        if tokens[j].kind == ")":
+            return j + 1 - i if terms >= 2 else 0
+        if tokens[j].kind != ",":
+            return 0
+        j += 1
+    return 0
+
+
+def _payoff_run(tokens: list[Token], i: int) -> int:
+    """The length of the run at `i` spelling u<digits> "=" ["-"] INT
+    ["/" INT] with no blank inside, or 0, also when a '/', a number or a
+    name follows it with no blank between."""
+
+    def glued(j: int, kind: str) -> bool:
+        return tokens[j].kind == kind and _abut(tokens[j - 1], tokens[j])
+
+    if tokens[i].kind != "NAME" or not re.fullmatch(r"u[0-9]+", tokens[i].text):
+        return 0
+    j = i + 1
+    if not glued(j, "="):
+        return 0
+    j += 1
+    if glued(j, "-"):
+        j += 1
+    if not glued(j, "INT"):
+        return 0
+    j += 1
+    if glued(j, "/") and glued(j + 1, "INT"):
+        j += 2
+    if any(glued(j, kind) for kind in ("/", "INT", "NAME")):
+        return 0
+    return j - i
+
+
+def merge_whole(tokens: list[Token]) -> list[Token]:
+    """The tokens with each blank-free vector of two or more terms and each
+    blank-free payoff atom joined into one VECTOR or PAYOFF token, placed at
+    its first token."""
+    out: list[Token] = []
+    i = 0
+    while i < len(tokens):
+        run = _vector_run(tokens, i) or _payoff_run(tokens, i)
+        if run:
+            first = tokens[i]
+            kind = "VECTOR" if first.kind == "(" else "PAYOFF"
+            text = "".join(t.text for t in tokens[i : i + run])
+            out.append(Token(kind, text, first.line, first.col))
+            i += run
+        else:
+            out.append(tokens[i])
+            i += 1
+    return out

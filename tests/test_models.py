@@ -350,6 +350,23 @@ def test_extensions_are_cached_and_frozen():
     assert not reach.flags.writeable
 
 
+def test_a_lone_atom_mask_is_its_column_never_unpacked(monkeypatch):
+    cases = [
+        (pd_model(), [UtilEq(1, 3), UtilEq(2, 0), Label("cd")]),
+        (commitment_confusion()[0], [UtilEq(1, 2), Label("cd")]),
+        (MaslModel(vote3_game()), [Winner("a"), Winner("b"), UtilEq(3, 1)]),
+    ]
+    monkeypatch.setattr(
+        IntensionalModel, "_unpack", lambda self, bits: pytest.fail("unpacked")
+    )
+    for model, atoms in cases:
+        for atom in atoms:
+            mask = extension(model, atom)
+            assert not mask.flags.writeable
+            assert mask.tolist() == [satisfies(model, i, atom) for i in range(model.size)]
+            assert extension(model, atom) is mask
+
+
 def test_state_index_forms():
     model = pd_model()
     assert model.index("d,c") == model.index((1, 0)) == model.index(2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -220,7 +221,8 @@ def test_unbalanced_and_stray_tokens():
 
 # Token fragments for random texts: names, numbers and every operator of the
 # three grammars, blanks, newlines inside and outside string literals, stray
-# characters and unterminated strings.
+# characters and unterminated strings, and whole vector and payoff tokens,
+# well formed or failing a check or out of place.
 _FRAGMENTS = (
     "a", "b", "c", "d", "x_1", "u1", "u2", "u3", "ag1", "ag2", "win", "label", "T", "C",
     "0", "1", "12", "<->", "->", "??", "!!", ">=", "(", ")", "[", "]", "{", "}",
@@ -228,6 +230,8 @@ _FRAGMENTS = (
     " ", "  ", "\t", "\r", "\n", " \n\t", "\r\n",
     '"a b"', '""', '"x\ny"', '"\n\n"', '"', '"open', '"o\np',
     "$", "\f", "#", ".", "\u00e9", "\v",
+    "(c,d)", "(a,b,c)", "(??,!!)", "u1=1/2", "u2=-1", "u3=0",
+    "(a,zz)", "(c,d,c)", "u9=1", "u1=1/0", "u1=2/", "win(a,b)", "[C{1}](c,d)",
 )
 _BLANKS = (" ", "\n", "\t\n", "\r\n", " \n ")
 
@@ -272,9 +276,7 @@ class _OracleLexedParser(parser_module._Parser):
 
 
 def _parse_with_oracle_lexer(text, signature, kind):
-    p = _OracleLexedParser(text, signature)
-    entry = {"formula": p.formula, "program": p.program, "cl": p.cl_formula}[kind]
-    return p._finish(entry())
+    return _OracleLexedParser(text, signature).run(kind)
 
 
 @given(_texts())
@@ -287,9 +289,10 @@ def test_lexer_matches_the_token_by_token_oracle(case):
         assert got == want
         return
     tokens, matches = got[1]
-    assert [t[:2] for t in tokens] == [(t.kind, t.text) for t in want[1]]
+    merged = lexer_oracle.merge_whole(want[1])
+    assert [t[:2] for t in tokens] == [(t.kind, t.text) for t in merged]
     positions = [parser_module._position(matches, t[2]) for t in tokens]
-    assert positions == [(t.line, t.col) for t in want[1]]
+    assert positions == [(t.line, t.col) for t in merged]
     for kind in ("formula", "program", "cl"):
         assert _outcome(lambda: parse(text, sig, kind)) == _outcome(
             lambda: _parse_with_oracle_lexer(text, sig, kind)
@@ -299,6 +302,41 @@ def test_lexer_matches_the_token_by_token_oracle(case):
 def test_zero_denominator_rejected():
     with pytest.raises(ParseError):
         parse("u1=1/0", PD, "formula")
+
+
+def test_whole_tokens_are_kept_per_signature():
+    sig = Signature.from_game(vote3_game())
+    text = "[(a,??,!!)] u1=1/2 & <(a,??,!!)*> (b,c,a) | u1=1/2"
+    first = parse(text, sig, "formula")
+    second = parse(text, sig, "formula")
+    assert second == first
+    leaves = lambda f: (
+        f.left.left.program.vector,
+        f.left.left.body,
+        f.left.right.program.body.vector,
+        f.left.right.body.vector,
+        f.right,
+    )
+    assert all(a is b for a, b in zip(leaves(first), leaves(second)))
+    assert leaves(first)[0] is leaves(first)[2] and leaves(first)[1] is leaves(first)[4]
+    table = dict(sig._spelled)
+    assert set(table) == {"(a,??,!!)", "u1=1/2", "(b,c,a)"}
+    parse(text, sig, "formula")
+    assert sig._spelled == table
+    # The table is no part of the signature's value.
+    fresh = Signature.from_game(vote3_game())
+    assert fresh == sig and hash(fresh) == hash(sig)
+    back = pickle.loads(pickle.dumps(sig))
+    assert back == sig and hash(back) == hash(sig) and back._spelled is None
+    assert parse(text, fresh, "formula") == first
+    assert parse(text, fresh, "formula").right is not first.right
+    # A spelling valid under one signature is checked again under another.
+    fewer = Signature((("a", "b"),) * 3, sig.util_range, sig.alternatives)
+    with pytest.raises(ParseError, match=r"player 2 has no strategy named 'c' \(line 1, column 6\)"):
+        parse("~ (b,c,a)", fewer, "formula")
+    assert "(b,c,a)" not in fewer._spelled
+    with pytest.raises(ParseError, match=r"no player 3 in scope \(line 1, column 1\)"):
+        parse("u3=1", PD, "formula")
 
 
 def test_thousand_nested_groups_parse_at_the_default_recursion_limit():
