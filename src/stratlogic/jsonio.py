@@ -192,11 +192,16 @@ def voting_spec_from_dict(data: Mapping) -> tuple[VotingRule, BallotProfile]:
     ballots_raw = _need(data, "ballots", "voting spec")
     if not isinstance(ballots_raw, list) or not ballots_raw:
         raise FormatError("voting spec: ballots must be a non-empty list")
+    if not all(isinstance(b, str) for b in ballots_raw):
+        raise FormatError("voting spec: each ballot must be a string")
+    tiebreak = data.get("tiebreak")
+    if tiebreak is not None and not isinstance(tiebreak, str):
+        raise FormatError("voting spec: tiebreak must be a string or null")
     try:
         ballots = tuple(Ballot.parse(b, alternatives) for b in ballots_raw)
         rule = _rule_from_name(_need(data, "rule", "voting spec"), alternatives)
-        if "tiebreak" in data and data["tiebreak"] is not None:
-            rule = ResoluteWrap(rule, Ballot.parse(data["tiebreak"], alternatives))
+        if tiebreak is not None:
+            rule = ResoluteWrap(rule, Ballot.parse(tiebreak, alternatives))
     except VotingError as exc:
         raise FormatError(f"voting spec: {exc}") from exc
     return rule, ballots

@@ -263,9 +263,20 @@ class _Parser:
         of spellings.  It is read from the token's fine tokens by `_vector`
         or `_atom`, which check it as they check a spaced spelling.  A failed
         check raises here, and `parse` then reads the text again token by
-        token, for the error's message and place."""
+        token, for the error's message and place.
+
+        A payoff node is kept only under its canonical spelling and for a
+        value of the utility range, so the table holds at most players × |U|
+        payoff entries however many spellings of a value are read."""
         fine = _Parser(text, self.sig, _FINE_TOKEN)
-        node = fine._vector() if text[0] == "(" else fine._atom(_FORMULA_ATOMS)
+        if text[0] == "(":
+            node = fine._vector()
+        else:
+            node = fine._atom(_FORMULA_ATOMS)
+            if text != f"u{node.player}={node.value}" or node.value not in (
+                self.sig.util_range or ()
+            ):
+                return node
         self.spelled[text] = node
         return node
 

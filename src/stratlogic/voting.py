@@ -19,9 +19,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .games import GameForm, Outcomes, StrategicGame, _code_dtype
-from .models import _GRID, IntensionalModel, valid_in_model
-from .properties import dictator
-from .syntax import Signature
 
 
 class VotingError(ValueError):
@@ -424,58 +421,31 @@ def find_manipulation(rule: VotingRule, n_voters: int) -> Manipulation | None:
 def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
     """Voters whose dictatorship formula holds in every induced game.
 
-    The games are checked in batches.  A batch is one model whose forms are
-    the induced games of the ballot profiles that share the ballots of
-    voters 1 to n-2; each form is named by its index in the batch.  Each
-    candidate's `dictator` formula is evaluated once per batch, over the
-    union U of the batch's utility ranges, and a candidate it fails for
-    anywhere in the batch is dropped before the next batch.  The last two
-    voters hold every ballot somewhere in a batch, so U is the whole payoff
-    range of the rule, the same for every batch.
-
-    This gives each game's own verdict.  In a game with range R ⊆ U, the
-    disjunct for a value v says that no other voter ever gets more than v
-    while the candidate can always switch to at least v; atoms for values
-    outside R are false there, so it means that for any rational v.  If it
-    holds for some v in U but not in R, let r be the least value of R that
-    is at least v.  Other voters get at most v <= r, and a utility of at
-    least v is one of at least r, so the disjunct holds for r too.  If no
-    value of R is at least v, no switch reaches a utility of v and the
-    disjunct fails everywhere.  So the formula over U holds exactly where
-    the formula over R does.
+    It is read off the payoff table.  In one induced game, `dictator(i)`
+    holds iff some value v has top <= v <= secure, where top is the most any
+    other voter is ever paid and secure is the least payoff, over profiles,
+    of voter i's best switch.  Both are payoffs of the game, so such a v
+    exists iff top <= secure.  A voter's payoff at a cell depends only on
+    that voter's own ballot, and over all ballot profiles voter i's ballot
+    and another voter's range over every ballot independently.  So the
+    formula holds in every induced game iff the most paid at any cell under
+    any ballot is at most the least, over ballots and the other voters'
+    casts, of the most voter i can reach by casting: on the
+    (alternatives,)*n + (ballots,) grid of payoff codes, `paid.max() <=
+    grid.max(axis=i - 1).min()`.  Codes index the sorted payoff range, so
+    they compare as the payoffs do.
     """
+    if n_voters < 2:
+        raise VotingError("a dictator needs at least two voters")
     table = _payoff_table(rule, n_voters)
-    ballots = len(table.ballots)
-    forms = [(str(k), table.form) for k in range(ballots**2)]
-    # Per batch, only the utilities change: the worlds are the forms' full
-    # grids in order, and each cell's label and winners are the payoff table's.
-    label_codes = np.tile(table.cell_sets, len(forms))
-    winners = np.tile(table.winners[table.cell_sets], (len(forms), 1))
-    # codes[i, f, c]: cell c's payoff code for voter i in form f, whose last two
-    # voters cast ballot pair f; voter-major, so each voter's column is contiguous.
-    cell_codes = table.codes[table.cell_sets]  # (cells, ballots)
-    codes = np.empty((n_voters, len(forms), len(cell_codes)), dtype=cell_codes.dtype)
-    codes[-2:] = cell_codes[:, list(product(range(ballots), repeat=2))].T
-    sig = Signature(table.form.strategy_sets, table.values, table.alternatives)
-    candidates = set(range(1, n_voters + 1))
-    formulas = {voter: dictator(sig, voter) for voter in candidates}
-    for head in product(range(ballots), repeat=n_voters - 2):
-        if not candidates:
-            break
-        codes[:-2] = cell_codes[:, list(head)].T[:, None, :]
-        outcomes = Outcomes(
-            table.values,
-            codes.reshape(n_voters, -1).T,
-            table.labels,
-            label_codes,
-            table.alternatives,
-            winners,
-        )
-        model = IntensionalModel(table.form, forms, _GRID, outcomes)
-        for voter in sorted(candidates):
-            if not valid_in_model(model, formulas[voter]):
-                candidates.discard(voter)
-    return frozenset(candidates)
+    paid = table.codes[table.cell_sets]  # (cells, ballots)
+    grid = paid.reshape((len(rule.alternatives),) * n_voters + (len(table.ballots),))
+    top = paid.max()
+    return frozenset(
+        voter
+        for voter in range(1, n_voters + 1)
+        if top <= grid.max(axis=voter - 1).min()
+    )
 
 
 def audit_rule(rule: VotingRule, n_voters: int) -> AuditReport:

@@ -100,6 +100,14 @@ def _cases() -> dict[str, list[str]]:
         path = str(INPUTS / f"{spec}.spec.json")
         cases[f"voting-game-{spec}"] = ["voting", "game", "--spec", path]
         cases[f"voting-audit-{spec}"] = ["voting", "audit", "--spec", path]
+    # The Gibbard-Satterthwaite rung at four alternatives and four voters.
+    d44 = str(INPUTS / "dictator1_4x4.spec.json")
+    cases["voting-audit-dictator1_4x4"] = ["voting", "audit", "--spec", d44]
+    # A ballot or a tie-break that is no string exits 2.
+    for bad in ("bad-ballot", "bad-tiebreak"):
+        path = str(INPUTS / f"{bad}.spec.json")
+        cases[f"voting-game-{bad}"] = ["voting", "game", "--spec", path]
+        cases[f"voting-audit-{bad}"] = ["voting", "audit", "--spec", path]
     for demo in ("pd", "vote3", "vote3tb", "confusion"):
         cases[f"demo-{demo}"] = ["demo", demo]
     return cases

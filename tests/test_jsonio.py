@@ -374,6 +374,22 @@ def test_voting_spec_errors():
         voting_spec_from_dict({"alternatives": ["a", "b"], "rule": "plurality"})
 
 
+@pytest.mark.parametrize("ballot", [5, ["a", "b", "c"], {"a": 1, "b": 2, "c": 3}, None])
+def test_voting_spec_ballots_must_be_strings(ballot):
+    # A list or an object of the alternatives once read as a ballot.
+    data = {**_spec("plurality"), "ballots": [ballot, "abc"]}
+    with pytest.raises(FormatError, match="each ballot must be a string"):
+        voting_spec_from_dict(data)
+
+
+@pytest.mark.parametrize("tiebreak", [3, ["a", "b", "c"], False])
+def test_voting_spec_tiebreak_must_be_a_string_or_null(tiebreak):
+    with pytest.raises(FormatError, match="tiebreak must be a string or null"):
+        voting_spec_from_dict({**_spec("plurality"), "tiebreak": tiebreak})
+    rule, _ = voting_spec_from_dict({**_spec("plurality"), "tiebreak": None})
+    assert rule == Plurality(("a", "b", "c"))
+
+
 def test_load_voting_spec(tmp_path):
     path = tmp_path / "vote.json"
     path.write_text(json.dumps(_spec("plurality", tiebreak="abc")))

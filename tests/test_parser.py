@@ -306,7 +306,7 @@ def test_zero_denominator_rejected():
 
 def test_whole_tokens_are_kept_per_signature():
     sig = Signature.from_game(vote3_game())
-    text = "[(a,??,!!)] u1=1/2 & <(a,??,!!)*> (b,c,a) | u1=1/2"
+    text = "[(a,??,!!)] u1=2 & <(a,??,!!)*> (b,c,a) | u1=2"
     first = parse(text, sig, "formula")
     second = parse(text, sig, "formula")
     assert second == first
@@ -320,7 +320,7 @@ def test_whole_tokens_are_kept_per_signature():
     assert all(a is b for a, b in zip(leaves(first), leaves(second)))
     assert leaves(first)[0] is leaves(first)[2] and leaves(first)[1] is leaves(first)[4]
     table = dict(sig._spelled)
-    assert set(table) == {"(a,??,!!)", "u1=1/2", "(b,c,a)"}
+    assert set(table) == {"(a,??,!!)", "u1=2", "(b,c,a)"}
     parse(text, sig, "formula")
     assert sig._spelled == table
     # The table is no part of the signature's value.
@@ -337,6 +337,26 @@ def test_whole_tokens_are_kept_per_signature():
     assert "(b,c,a)" not in fewer._spelled
     with pytest.raises(ParseError, match=r"no player 3 in scope \(line 1, column 1\)"):
         parse("u3=1", PD, "formula")
+
+
+def test_payoff_spellings_kept_are_bounded_by_the_range():
+    # PD's range is 0, 1, 2, 3; `u1=k/k` spells 1 in a new way for every k,
+    # and `u2=k` names a value outside the range for k > 3.
+    sig = Signature.from_game(prisoners_dilemma())
+    for k in range(1, 20_001):
+        assert parse(f"u1={k}/{k}", sig, "formula") == UtilEq(1, 1)
+        assert parse(f"u2={k}", sig, "formula") == UtilEq(2, k)
+    payoffs = [text for text in sig._spelled if text[0] != "("]
+    assert len(payoffs) <= sig.n * len(sig.util_range)
+    assert set(payoffs) == {"u2=1", "u2=2", "u2=3"}
+    # Only the canonical spelling is kept, and a kept node is shared.
+    assert parse("u1=1", sig, "formula") is parse("u1=1", sig, "formula")
+    assert parse("u1=01", sig, "formula") == UtilEq(1, 1)
+    assert "u1=01" not in sig._spelled and "u1=1" in sig._spelled
+    # Without a known range no payoff spelling is kept.
+    bare = Signature(sig.strategy_sets)
+    assert parse("u1=1", bare, "formula") == UtilEq(1, 1)
+    assert not bare._spelled
 
 
 def test_thousand_nested_groups_parse_at_the_default_recursion_limit():

@@ -16,13 +16,9 @@ from hypothesis import strategies as st
 
 from stratlogic import (
     Ballot,
-    GameForm,
     IntensionalModel,
     MaslModel,
-    OutcomeRecord,
-    Outcomes,
     Signature,
-    StrategicGame,
     VotingError,
     VotingRule,
     all_profiles,
@@ -418,7 +414,7 @@ def test_rule_dictators_two_voters():
 
 
 # --------------------------------------------------------------------------
-# The batched dictatorship check against the per-profile loop
+# The dictatorship check read off the payoff table against the per-profile loop
 
 _RULES = {
     "plurality": plurality3(),
@@ -430,41 +426,11 @@ _RULES = {
 }
 
 
-def _scored_game(rule, ballots, cells) -> StrategicGame:
-    """An induced game scored cell by cell and voter by voter with
-    `outcome_payoff`; `cells` lists (cast votes, winner set) pairs."""
-    form = GameForm([rule.alternatives] * len(ballots))
-    records = [
-        OutcomeRecord(winners_label(rule, won), [outcome_payoff(won, b) for b in ballots], won)
-        for _, won in cells
-    ]
-    return StrategicGame(form, Outcomes.from_records(records, form.n))
-
-
-def _per_profile_dictators(rule, n_voters: int) -> frozenset[int]:
-    """The loop that batching replaced: one induced game, model and
-    `dictator` formula per ballot profile, candidates dropped as they fail."""
-    cells = [
-        (names, apply_rule(rule, names))
-        for names in product(rule.alternatives, repeat=n_voters)
-    ]
-    candidates = set(range(1, n_voters + 1))
-    for profile in all_ballot_profiles(rule.alternatives, n_voters):
-        if not candidates:
-            break
-        model = MaslModel(_scored_game(rule, profile, cells))
-        sig = model_signature(model)
-        for voter in sorted(candidates):
-            if not extension(model, dictator(sig, voter)).all():
-                candidates.discard(voter)
-    return frozenset(candidates)
-
-
 @pytest.mark.parametrize("n_voters", [2, 3, 4])
 @pytest.mark.parametrize("name", sorted(_RULES))
 def test_batched_dictators_match_the_per_profile_loop(name, n_voters):
     rule = _RULES[name]
-    assert rule_dictators(rule, n_voters) == _per_profile_dictators(rule, n_voters)
+    assert rule_dictators(rule, n_voters) == voting_oracle.rule_dictators(rule, n_voters)
 
 
 @dataclass(frozen=True)
@@ -482,11 +448,71 @@ class _FirstUnlessSecondSaysA(VotingRule):
 
 def test_batched_dictators_see_every_ballot_of_the_head_voters():
     """Voter 1 is a dictator in exactly the games where their true ballot
-    ranks `a` first, as the first ballot does: a batch that kept voter 1 at
+    ranks `a` first, as the first ballot does: a check that kept voter 1 at
     the first ballot would find voter 1 a dictator."""
     rule = _FirstUnlessSecondSaysA(ALTS)
     assert all_ballots(ALTS)[0].top == "a"
-    assert rule_dictators(rule, 3) == _per_profile_dictators(rule, 3) == frozenset()
+    assert rule_dictators(rule, 3) == voting_oracle.rule_dictators(rule, 3) == frozenset()
+
+
+@dataclass(frozen=True)
+class _TableRule(VotingRule):
+    """Elects the winner set its table lists for each vector of cast tops,
+    cells in `product` order."""
+
+    alternatives: tuple[str, ...]
+    table: tuple[frozenset[str], ...]
+
+    def winners(self, tops):
+        cell = 0
+        for name in tops:
+            cell = cell * len(self.alternatives) + self.alternatives.index(name)
+        return self.table[cell]
+
+    def describe(self) -> str:
+        return "table"
+
+
+@st.composite
+def _table_rules(draw):
+    """A random winner table, or a dictator rule perturbed in a few cells.
+    A perturbation puts a random winner set in a cell, or swaps the winners
+    of two cells that differ only in the dictator's cast; swaps alone keep
+    the dictator able to elect any alternative."""
+    alternatives, n_voters = draw(st.sampled_from([(ALTS, 2), (ALTS, 3), (ALTS4, 2)]))
+    cells = list(product(alternatives, repeat=n_voters))
+    winner_sets = st.frozensets(st.sampled_from(alternatives), min_size=1)
+    if draw(st.booleans()):
+        table = draw(st.lists(winner_sets, min_size=len(cells), max_size=len(cells)))
+        return _TableRule(alternatives, tuple(table)), n_voters
+    voter = draw(st.integers(1, n_voters))
+    table = [frozenset({names[voter - 1]}) for names in cells]
+    for _ in range(draw(st.integers(0, 3))):
+        cell = draw(st.integers(0, len(cells) - 1))
+        if draw(st.booleans()):
+            table[cell] = draw(winner_sets)
+        else:
+            names = list(cells[cell])
+            names[voter - 1] = draw(st.sampled_from(alternatives))
+            other = cells.index(tuple(names))
+            table[cell], table[other] = table[other], table[cell]
+    return _TableRule(alternatives, tuple(table)), n_voters
+
+
+def test_dictators_on_random_winner_tables_match_the_per_profile_loop():
+    verdicts = set()
+
+    @given(_table_rules())
+    @settings(max_examples=40, deadline=None)
+    def check(drawn):
+        rule, n_voters = drawn
+        found = rule_dictators(rule, n_voters)
+        assert found == voting_oracle.rule_dictators(rule, n_voters)
+        verdicts.add(bool(found))
+
+    check()
+    # Both rules with a dictator and rules without one were drawn.
+    assert verdicts == {True, False}
 
 
 def test_induced_game_matches_cell_by_cell_scoring():
@@ -499,7 +525,9 @@ def test_induced_game_matches_cell_by_cell_scoring():
                 for names in product(ALTS, repeat=n_voters)
             ]
             profile = [rng.choice(ballots) for _ in range(n_voters)]
-            game, scored = induced_game(rule, profile), _scored_game(rule, profile, cells)
+            game, scored = induced_game(rule, profile), voting_oracle.scored_game(
+                rule, profile, cells
+            )
             assert game == scored
             # The whole store, down to the code dtypes, is the one
             # `Outcomes.from_records` encodes from the scored records.
@@ -514,8 +542,9 @@ def test_induced_game_matches_cell_by_cell_scoring():
 )
 @settings(max_examples=60, deadline=None)
 def test_dictator_over_a_wider_range_has_the_same_extension(seed, extra):
-    # The lemma behind batching: `dictator` built over any superset of a
-    # game's utility range holds exactly where it holds over the range.
+    # The lemma the batched check rested on: `dictator` built over any
+    # superset of a game's utility range holds exactly where it holds over
+    # the range.
     rng = random.Random(seed)
     if rng.random() < 0.5:
         game = random_game(rng, size_range=(1, 3))
@@ -547,8 +576,8 @@ def test_five_voter_dictator_audit_memory_is_per_batch():
     finally:
         tracemalloc.stop()
     assert found == frozenset({1})
-    # A batch is 36 games of 243 profiles.  All 7 776 games in one model
-    # would be 1.9 M worlds, whose (form, *profile) rows alone take 91 MB.
+    # The payoff table is 243 cells by 6 ballots.  All 7 776 games in one
+    # model would be 1.9 M worlds, whose (form, *profile) rows alone take 91 MB.
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
