@@ -1,9 +1,10 @@
 """Concrete syntax for the strategy logic.
 
-Formula connectives, loosest first: ``<->``, ``->`` (right-associative),
-``|``, ``&``, then unary (``~``, ``[p]``, ``<p>``) and atoms.  Program
-operators, loosest first: ``+``, ``;``, then postfix ``*`` and primaries.
-Tests and modal operators bind to the following unary formula.
+Formula connectives, loosest first: ``<->`` and ``->`` (both
+right-associative), ``|``, ``&``, then unary (``~``, ``[p]``, ``<p>``) and
+atoms.  Program operators, loosest first: ``+``, ``;``, then postfix ``*``
+and primaries.  Tests and modal operators bind to the following unary
+formula.
 
 A parenthesized comma-free expression is a grouped formula/program; with
 commas it is a strategy vector such as ``(c,??,!!)``.
@@ -68,15 +69,20 @@ _FINE = rf"""
     |{_NAME}
     |[0-9]+
     |.|\Z"""
-# `_TOKEN` first tries two whole tokens, spelled without blanks as
-# `syntax.render` writes them: a strategy vector of two or more terms, and a
-# payoff atom u<i>=<value> that no '/', digit or name character continues.
-# Each stands for a run of fine tokens, and the parser maps its text to one
-# node (`_Parser._spell`).  `_FINE_TOKEN` reads fine tokens alone.
+# `_TOKEN` first tries three whole tokens, spelled without blanks as
+# `syntax.render` writes them: a modal prefix `[p]` or `<p>` whose program is
+# a vector or an agent `ag<i>` with an optional '^' (a '>' that no '='
+# continues, which would make it '>='), a strategy vector of two or more
+# terms, and a payoff atom u<i>=<value> that no '/', digit or name character
+# continues.  Each stands for a run of fine tokens, and the parser maps its
+# text to one node (`_Parser._spell`).  `_FINE_TOKEN` reads fine tokens alone.
 _TERM = rf"(?:{_NAME}|\?\?|!!)"
+_VECTOR = rf"\({_TERM}(?:,{_TERM})+\)"
+_MODAL_PROGRAM = rf"(?:{_VECTOR}|ag[0-9]+\^?)"
 _TOKEN = re.compile(
     rf"""([ \t\r\n]*)
-    (\({_TERM}(?:,{_TERM})+\)
+    (\[{_MODAL_PROGRAM}\]|<{_MODAL_PROGRAM}>(?!=)
+    |{_VECTOR}
     |u[0-9]+=-?[0-9]+(?:/[0-9]+)?(?![/0-9A-Za-z_])
     |{_FINE})""",
     re.VERBOSE,
@@ -84,13 +90,16 @@ _TOKEN = re.compile(
 _FINE_TOKEN = re.compile(rf"([ \t\r\n]*)({_FINE})", re.VERBOSE)
 _OPERATORS = frozenset("<-> ?? !! -> >= ( ) [ ] { } < > , ; + * ? ~ & | = ^ / -".split())
 # A token's kind by its first character; a stray character has none.  A lone
-# '(' is an operator, so a token that starts with one is a whole vector, and
-# a name that holds '=' is a whole payoff atom.
+# '(', '[' or '<' is an operator, so a token that starts with one is a whole
+# vector, box or diamond prefix, and a name that holds '=' is a whole payoff
+# atom.
 _KIND_BY_FIRST = {
     **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "NAME"),
     **dict.fromkeys("0123456789", "INT"),
     '"': "STRING",
     "(": "VECTOR",
+    "[": "BOX",
+    "<": "DIAMOND",
     "": "EOF",
 }
 
@@ -217,16 +226,18 @@ class _Parser:
     # -- shared pieces -----------------------------------------------------
 
     def _rational(self) -> Fraction:
-        negative = self._accept("-") is not None
-        num = int(self._expect("INT", "a number")[1])
-        den = 1
+        sign = "-" if self._accept("-") else ""
+        tok = self._expect("INT", "a number")
         if self._accept("/"):
-            tok = self._expect("INT", "a denominator")
-            den = int(tok[1])
-            if den == 0:
-                raise self._error("zero denominator", tok)
-        value = Fraction(num, den)
-        return -value if negative else value
+            den = self._expect("INT", "a denominator")
+            return self._quotient(sign + tok[1], den[1], den)
+        return self._quotient(sign + tok[1], "1", tok)
+
+    def _quotient(self, num: str, den: str, tok: _Token) -> Fraction:
+        """The value num/den of a payoff atom, or an error at `tok`."""
+        if int(den) == 0:
+            raise self._error("zero denominator", tok)
+        return Fraction(int(num), int(den))
 
     def _name_or_string(self, what: str) -> str:
         if self._peek()[0] in ("NAME", "STRING"):
@@ -258,57 +269,77 @@ class _Parser:
         self.pos += 1
         return True
 
-    def _spell(self, text: str):
-        """Add a whole vector or payoff token's node to the signature's table
-        of spellings.  It is read from the token's fine tokens by `_vector`
-        or `_atom`, which check it as they check a spaced spelling.  A failed
-        check raises here, and `parse` then reads the text again token by
-        token, for the error's message and place.
+    def _spell(self, tok: _Token):
+        """The node of a whole token, added to the signature's table of
+        spellings: a `Vector`, a `UtilEq`, or the program of a box or diamond
+        prefix.  It is read straight from the token's text and checked as a
+        spaced spelling is, by `_checked_vector`, `_player_number` and
+        `_quotient`.  A failed check raises at the token, and `parse` then
+        reads the text again token by token, for the error's message and
+        place.
 
-        A payoff node is kept only under its canonical spelling and for a
-        value of the utility range, so the table holds at most players × |U|
-        payoff entries however many spellings of a value are read."""
-        fine = _Parser(text, self.sig, _FINE_TOKEN)
-        if text[0] == "(":
-            node = fine._vector()
-        else:
-            node = fine._atom(_FORMULA_ATOMS)
+        A node is kept only under its canonical spelling, as `render` writes
+        it: a vector has no other, a payoff atom is kept only for a value of
+        the utility range, and an agent's number has no leading zero.  A
+        modal entry's vector is a vector entry too, so the table holds at
+        most players × |U| payoff entries, and at most
+        2 × (vector entries + 2 × players) modal ones, however many
+        spellings of a value or an agent are read."""
+        kind, text, _ = tok
+        if kind == "VECTOR":
+            names = text[1:-1].split(",")
+            node = self._checked_vector(names, [tok] * len(names), tok)
+        elif kind == "PAYOFF":
+            head, _, value = text.partition("=")
+            num, _, den = value.partition("/")
+            node = UtilEq(self._player_number(head[1:], tok), self._quotient(num, den or "1", tok))
             if text != f"u{node.player}={node.value}" or node.value not in (
                 self.sig.util_range or ()
             ):
                 return node
+        else:  # BOX or DIAMOND
+            program = text[1:-1]
+            if program[0] == "(":
+                node = Vec(self.spelled.get(program) or self._spell(("VECTOR", program, tok[2])))
+            else:
+                converse = program[-1] == "^"
+                player = self._player_number(program[2 : len(program) - converse], tok)
+                node = AgentConv(player) if converse else Agent(player)
+                if program != f"ag{player}{'^' * converse}":
+                    return node
         self.spelled[text] = node
         return node
 
     def _vector(self) -> Vector:
         # Entered only once `_vector_ahead` has seen "(" term ("," term)+ ")",
-        # so every other token is a term and the others are "," up to ")".
-        tokens, pos = self.tokens, self.pos
+        # so every other token is a term up to the ")".
+        tokens, start = self.tokens, self.pos
+        end = start + 2
+        while tokens[end][0] != ")":
+            end += 2
+        self.pos = end + 1
+        terms = tokens[start + 1 : end : 2]
+        return self._checked_vector([tok[1] for tok in terms], terms, tokens[start])
+
+    def _checked_vector(self, names: list[str], at: list[_Token], start: _Token) -> Vector:
+        """The vector of the term spellings `names`, checked against the
+        signature.  A failed check raises at the term's token in `at`, or at
+        `start` for a vector too short."""
         n, strategy_sets = self.sig.n, self.sig.strategy_sets
         terms = []
-        while True:
-            pos += 1
-            tok = kind, name, _ = tokens[pos]
+        for name, tok in zip(names, at):
             if len(terms) == n:
                 raise self._error(f"vector has more than {n} positions", tok)
-            if kind == "??":
+            if name == "??":
                 terms.append(ADV)
-            elif kind == "!!":
+            elif name == "!!":
                 terms.append(CUR)
-            else:
-                if name not in strategy_sets[len(terms)]:
-                    raise self._error(
-                        f"player {len(terms) + 1} has no strategy named {name!r}", tok
-                    )
+            elif name in strategy_sets[len(terms)]:
                 terms.append(Concrete(name))
-            pos += 1
-            if tokens[pos][0] == ")":
-                break
+            else:
+                raise self._error(f"player {len(terms) + 1} has no strategy named {name!r}", tok)
         if len(terms) != n:
-            raise self._error(
-                f"vector has {len(terms)} positions for {n} players", tokens[self.pos]
-            )
-        self.pos = pos + 1
+            raise self._error(f"vector has {len(terms)} positions for {n} players", start)
         return Vector(terms)
 
     def _player_number(self, digits: str, tok: _Token) -> int:
@@ -375,10 +406,15 @@ class _Parser:
         # Prefixes are collected in a loop and applied innermost first, so
         # long prefix runs never recurse.
         prefixes = []
-        while (kind := self.tokens[self.pos][0]) in ("~", "[", "<"):
+        while (tok := self.tokens[self.pos])[0] in _PREFIXES:
             self.pos += 1
+            kind = tok[0]
             if kind == "~":
                 prefixes.append(Not)
+            elif kind == "BOX":
+                prefixes.append(partial(Box, self.spelled.get(tok[1]) or self._spell(tok)))
+            elif kind == "DIAMOND":
+                prefixes.append(partial(Diamond, self.spelled.get(tok[1]) or self._spell(tok)))
             elif kind == "[":
                 prefixes.append(partial(Box, self.program()))
                 self._expect("]", "']'")
@@ -395,10 +431,10 @@ class _Parser:
         tok = kind, text, _ = self._peek()
         if kind == "PAYOFF":
             self.pos += 1
-            return atoms.wrap(self.spelled.get(text) or self._spell(text))
+            return atoms.wrap(self.spelled.get(text) or self._spell(tok))
         if kind == "VECTOR" and atoms.vector is not None:
             self.pos += 1
-            return atoms.vector(self.spelled.get(text) or self._spell(text))
+            return atoms.vector(self.spelled.get(text) or self._spell(tok))
         if kind == "NAME":
             if text == "T":
                 self._next()
@@ -459,7 +495,7 @@ class _Parser:
             return Test(body)
         if kind == "VECTOR":
             self.pos += 1
-            return Vec(self.spelled.get(text) or self._spell(text))
+            return Vec(self.spelled.get(text) or self._spell(tok))
         if kind == "(":
             return Vec(self._vector())
         if kind == "NAME":
@@ -509,6 +545,8 @@ class _Parser:
         return _apply_prefixes(prefixes, self._atom(_CL_ATOMS))
 
 
+# The kinds of token that start a prefix of a unary formula.
+_PREFIXES = frozenset(("~", "[", "<", "BOX", "DIAMOND"))
 # Binary operators: token -> (binding strength, node, right-associative).
 _FORMULA_OPS = {
     "<->": (0, Iff, True),
@@ -549,11 +587,12 @@ _CL_ATOMS = _Atoms("coalition formula", CLTop, CLAtom, _cl_payoff_compare, None)
 def parse(text: str, signature: Signature, kind: str = "formula"):
     """Parse concrete syntax; `kind` is 'formula', 'program', or 'cl'.
 
-    The text is read with whole vector and payoff tokens first.  Where that
-    read fails, at a whole token out of place or with a failed check, or at
-    any other fault, the text is read again from fine tokens alone, which
-    gives the tree or the `ParseError` (message, line, column) it always
-    had: up to its first failing token the whole read takes the same steps."""
+    The text is read with whole modal prefix, vector and payoff tokens
+    first.  Where that read fails, at a whole token out of place or with a
+    failed check, or at any other fault, the text is read again from fine
+    tokens alone, which gives the tree or the `ParseError` (message, line,
+    column) it always had: up to its first failing token the whole read
+    takes the same steps."""
     try:
         return _Parser(text, signature).run(kind)
     except ParseError:

@@ -117,9 +117,14 @@ CUR = Current()
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Vector(Node):
-    """One strategy term per player; doubles as an atom and as a program."""
+    """One strategy term per player; doubles as an atom and as a program.
+
+    The `_text` slot holds the vector's spelling, made by `render` on first
+    use (None until then).  Like the hash, it is no part of the vector's
+    value, and pickles and copies do not carry it."""
 
     terms: tuple[Term, ...]
+    _text: str | None = field(default=None, init=False, repr=False)
 
     def __init__(self, terms: Iterable[Term]):
         terms = tuple(terms)
@@ -130,6 +135,7 @@ class Vector(Node):
                 raise GameError(f"not a strategy term: {t!r}")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_h", None)
+        object.__setattr__(self, "_text", None)
 
     @property
     def n(self) -> int:
@@ -434,7 +440,11 @@ def _render_term(t: Term) -> str:
 
 
 def _render_vector(v: Vector) -> str:
-    return "(" + ",".join(_render_term(t) for t in v.terms) + ")"
+    text = v._text
+    if text is None:
+        text = "(" + ",".join(_render_term(t) for t in v.terms) + ")"
+        object.__setattr__(v, "_text", text)
+    return text
 
 
 def _render_rational(q: Fraction) -> str:
@@ -449,6 +459,18 @@ def _render_label_arg(text: str) -> str:
     return f'"{text}"'
 
 
+def _modal(f: Box | Diamond, opening: str, closing: str) -> list:
+    """A box or diamond: its program between the brackets, then its body.
+    A program that is spelled as one string, a vector or an agent, is
+    joined with its brackets into one prefix string."""
+    rule = _PROGRAMS.rules.get(type(f.program))
+    program = rule(f.program, _CHOICE) if rule else [(_PROGRAMS, f.program, _CHOICE)]
+    body = (_FORMULAS, f.body, _UNARY)
+    if type(program) is str:
+        return [opening + program + closing, body]
+    return [opening, *program, closing, body]
+
+
 _FORMULAS = Layout("formula", {
     Top: lambda f, c: "T",
     VectorAtom: lambda f, c: _render_vector(f.vector),
@@ -456,12 +478,8 @@ _FORMULAS = Layout("formula", {
     UtilEq: lambda f, c: f"u{f.player}={_render_rational(f.value)}",
     Label: lambda f, c: f"label({_render_label_arg(f.text)})",
     Not: lambda f, c: ["~", (_FORMULAS, f.body, _UNARY)],
-    Box: lambda f, c: [
-        "[", (_PROGRAMS, f.program, _CHOICE), "] ", (_FORMULAS, f.body, _UNARY)
-    ],
-    Diamond: lambda f, c: [
-        "<", (_PROGRAMS, f.program, _CHOICE), "> ", (_FORMULAS, f.body, _UNARY)
-    ],
+    Box: lambda f, c: _modal(f, "[", "] "),
+    Diamond: lambda f, c: _modal(f, "<", "> "),
     And: lambda f, c: infix(_FORMULAS, f, " & ", _AND, c),
     Or: lambda f, c: infix(_FORMULAS, f, " | ", _OR, c),
     Implies: lambda f, c: infix(_FORMULAS, f, " -> ", _IMPLIES, c, right_assoc=True),

@@ -4,8 +4,8 @@ reference for its flat-token lexer.
 It matches one token class per regex alternative and tracks the line and
 column of every token as it goes, so positions here are computed by an
 independent walk over the text.  `merge_whole` joins its tokens into the
-parser's whole vector and payoff tokens by walking the token list, not the
-text.
+parser's whole modal prefix, vector and payoff tokens by walking the token
+list, not the text.
 """
 from __future__ import annotations
 
@@ -113,17 +113,43 @@ def _payoff_run(tokens: list[Token], i: int) -> int:
     return j - i
 
 
+def _modal_run(tokens: list[Token], i: int) -> int:
+    """The length of the run at `i` spelling "[" program "]" or "<" program
+    ">" with no blank inside, where the program is a vector run or
+    ag<digits> with an optional "^", or 0."""
+    closing = {"[": "]", "<": ">"}.get(tokens[i].kind)
+    if closing is None or not _abut(tokens[i], tokens[i + 1]):
+        return 0
+    j = i + 1
+    vector = _vector_run(tokens, j)
+    if vector:
+        j += vector
+    elif tokens[j].kind == "NAME" and re.fullmatch(r"ag[0-9]+", tokens[j].text):
+        j += 1
+        if tokens[j].kind == "^" and _abut(tokens[j - 1], tokens[j]):
+            j += 1
+    else:
+        return 0
+    if tokens[j].kind == closing and _abut(tokens[j - 1], tokens[j]):
+        return j + 1 - i
+    return 0
+
+
+_WHOLE_KIND = {"[": "BOX", "<": "DIAMOND", "(": "VECTOR"}
+
+
 def merge_whole(tokens: list[Token]) -> list[Token]:
-    """The tokens with each blank-free vector of two or more terms and each
-    blank-free payoff atom joined into one VECTOR or PAYOFF token, placed at
-    its first token."""
+    """The tokens with each blank-free modal prefix over a vector or an
+    agent, each blank-free vector of two or more terms and each blank-free
+    payoff atom joined into one BOX, DIAMOND, VECTOR or PAYOFF token, placed
+    at its first token."""
     out: list[Token] = []
     i = 0
     while i < len(tokens):
-        run = _vector_run(tokens, i) or _payoff_run(tokens, i)
+        run = _modal_run(tokens, i) or _vector_run(tokens, i) or _payoff_run(tokens, i)
         if run:
             first = tokens[i]
-            kind = "VECTOR" if first.kind == "(" else "PAYOFF"
+            kind = _WHOLE_KIND.get(first.kind, "PAYOFF")
             text = "".join(t.text for t in tokens[i : i + run])
             out.append(Token(kind, text, first.line, first.col))
             i += run

@@ -221,8 +221,8 @@ def test_unbalanced_and_stray_tokens():
 
 # Token fragments for random texts: names, numbers and every operator of the
 # three grammars, blanks, newlines inside and outside string literals, stray
-# characters and unterminated strings, and whole vector and payoff tokens,
-# well formed or failing a check or out of place.
+# characters and unterminated strings, and whole modal prefix, vector and
+# payoff tokens, well formed or failing a check or out of place.
 _FRAGMENTS = (
     "a", "b", "c", "d", "x_1", "u1", "u2", "u3", "ag1", "ag2", "win", "label", "T", "C",
     "0", "1", "12", "<->", "->", "??", "!!", ">=", "(", ")", "[", "]", "{", "}",
@@ -232,6 +232,8 @@ _FRAGMENTS = (
     "$", "\f", "#", ".", "\u00e9", "\v",
     "(c,d)", "(a,b,c)", "(??,!!)", "u1=1/2", "u2=-1", "u3=0",
     "(a,zz)", "(c,d,c)", "u9=1", "u1=1/0", "u1=2/", "win(a,b)", "[C{1}](c,d)",
+    "[(c,d)]", "<(a,??,!!)>", "[ag1]", "<ag2^>", "[ag01^]", "<(c,d)>=", "<ag1>=",
+    "[(a,zz)]", "<(c,d,c)>", "[ag9]", "<ag0^>", "[(c,d)>", "[C{1}][ag1]",
 )
 _BLANKS = (" ", "\n", "\t\n", "\r\n", " \n ")
 
@@ -306,21 +308,27 @@ def test_zero_denominator_rejected():
 
 def test_whole_tokens_are_kept_per_signature():
     sig = Signature.from_game(vote3_game())
-    text = "[(a,??,!!)] u1=2 & <(a,??,!!)*> (b,c,a) | u1=2"
+    text = "[(a,??,!!)] u1=2 & <(a,??,!!)*> (b,c,a) | <ag2^> [ag1] u1=2"
     first = parse(text, sig, "formula")
     second = parse(text, sig, "formula")
     assert second == first
+    assert first.right == Diamond(AgentConv(2), Box(Agent(1), UtilEq(1, 2)))
     leaves = lambda f: (
         f.left.left.program.vector,
         f.left.left.body,
         f.left.right.program.body.vector,
         f.left.right.body.vector,
-        f.right,
+        f.right.body.body,
+        f.left.left.program,
+        f.right.program,
+        f.right.body.program,
     )
     assert all(a is b for a, b in zip(leaves(first), leaves(second)))
     assert leaves(first)[0] is leaves(first)[2] and leaves(first)[1] is leaves(first)[4]
     table = dict(sig._spelled)
-    assert set(table) == {"(a,??,!!)", "u1=2", "(b,c,a)"}
+    assert set(table) == {
+        "(a,??,!!)", "u1=2", "(b,c,a)", "[(a,??,!!)]", "<ag2^>", "[ag1]"
+    }
     parse(text, sig, "formula")
     assert sig._spelled == table
     # The table is no part of the signature's value.
@@ -357,6 +365,78 @@ def test_payoff_spellings_kept_are_bounded_by_the_range():
     bare = Signature(sig.strategy_sets)
     assert parse("u1=1", bare, "formula") == UtilEq(1, 1)
     assert not bare._spelled
+
+
+def test_modal_spellings_kept_are_canonical_and_bounded():
+    # 20 000 spellings of agents 1 and 2 with leading zeros, under one
+    # signature: each reads as its agent, and none is kept.
+    sig = Signature.from_game(prisoners_dilemma())
+    for zeros in range(1, 2_501):
+        digits = "0" * zeros
+        for player in (1, 2):
+            assert parse(f"[ag{digits}{player}] T", sig) == Box(Agent(player), Top())
+            assert parse(f"<ag{digits}{player}^> T", sig) == Diamond(AgentConv(player), Top())
+            assert parse(f"[ag{digits}{player}^] T", sig) == Box(AgentConv(player), Top())
+            assert parse(f"<ag{digits}{player}> T", sig) == Diamond(Agent(player), Top())
+    assert not [text for text in sig._spelled if text[0] in "[<"]
+    # Canonical spellings are kept, and a kept program is shared.
+    for player in (1, 2):
+        for text in (f"[ag{player}]", f"<ag{player}^>", f"[ag{player}^]", f"<ag{player}>"):
+            assert parse(f"{text} T", sig).program is parse(f"{text} T", sig).program
+    for text in ("[(c,d)]", "<(c,d)>", "[(d,??)]", "<(!!,c)>"):
+        assert parse(f"{text} T", sig).program is parse(f"{text} T", sig).program
+    modal = [text for text in sig._spelled if text[0] in "[<"]
+    vectors = [text for text in sig._spelled if text[0] == "("]
+    assert len(modal) == 12 and len(vectors) == 3
+    assert len(modal) <= 2 * (len(vectors) + 2 * sig.n)
+    assert "[ag01]" not in sig._spelled and "[ag1]" in sig._spelled
+
+
+def test_whole_token_misses_are_read_without_a_second_parser(monkeypatch):
+    text = "[(c,d)] u1=1 & <ag1^> (c,??) | [ag2] <(c,??)> u2=6/2"
+    want = parser_module._Parser(
+        text, Signature.from_game(prisoners_dilemma()), parser_module._FINE_TOKEN
+    ).run("formula")
+    made = []
+    init = parser_module._Parser.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(parser_module._Parser, "__init__", counted)
+    sig = Signature.from_game(prisoners_dilemma())
+    assert parse(text, sig, "formula") == want
+    assert len(made) == 1
+    assert set(sig._spelled) == {
+        "(c,d)", "[(c,d)]", "u1=1", "<ag1^>", "(c,??)", "[ag2]", "<(c,??)>"
+    }
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("[(c,x)] T", "formula"),
+        ("T &\n  <(c,??,d)> T", "formula"),
+        ("~[ag9] T", "formula"),
+        ("<ag0^> T", "formula"),
+        ("?[ag3^] T", "program"),
+        ("[(c,d)] u1=1/0", "formula"),
+        ("<ag1> u9=1", "formula"),
+        ("[C{1}] [ag1] u1=0", "cl"),
+        ("[C{1}] <(c,d)> T", "cl"),
+        ("[ag1]", "program"),
+        ("<ag1>=1", "formula"),
+    ],
+)
+def test_bad_whole_tokens_fail_as_the_fine_token_read_does(text, kind):
+    got = _outcome(lambda: parse(text, Signature.from_game(prisoners_dilemma()), kind))
+    want = _outcome(
+        lambda: parser_module._Parser(
+            text, Signature.from_game(prisoners_dilemma()), parser_module._FINE_TOKEN
+        ).run(kind)
+    )
+    assert got[0] == "error" and got == want
 
 
 def test_thousand_nested_groups_parse_at_the_default_recursion_limit():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratlogic import (
     ADV,
@@ -45,6 +48,8 @@ from stratlogic.syntax import (
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
 from builders import bare_signature, choice, seq
+from gens import random_formula, random_program, random_vector
+import render_oracle
 
 
 def _pd_sig() -> Signature:
@@ -250,9 +255,38 @@ def test_vector_as_formula_and_program_render_alike():
 
 def test_render_is_deterministic():
     rng = random.Random(3)
-    from gens import random_formula
-
     sig = Signature.from_game(vote3_game())
     for _ in range(50):
         f = random_formula(rng, sig, 4)
         assert render(f) == render(f)
+
+
+# --------------------------------------------------------------------------
+# Rendering against the plain recursive renderer
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([_pd_sig(), Signature.from_game(vote3_game())]))
+@settings(max_examples=40, deadline=None)
+def test_render_matches_the_recursive_oracle(seed, sig):
+    rng = random.Random(seed)
+    for tree in (random_formula(rng, sig, 6), random_program(rng, sig, 6)):
+        assert render(tree) == render_oracle.render(tree)
+    # One vector object under a box, a diamond, an atom and a test: its
+    # spelling is made once and reused, and a pickled or copied vector
+    # carries none and makes its own.
+    vec = random_vector(rng, sig)
+    body = random_formula(rng, sig, 2)
+
+    def sharing(v):
+        return And(
+            Box(Vec(v), VectorAtom(v)),
+            Diamond(Seq(ProgTest(VectorAtom(v)), Star(Vec(v))), Box(Vec(v), body)),
+        )
+
+    assert vec._text is None
+    assert render(sharing(vec)) == render_oracle.render(sharing(vec))
+    assert vec._text == render_oracle.vector(vec)
+    for other in (pickle.loads(pickle.dumps(vec)), copy.copy(vec)):
+        assert other == vec and other._text is None
+        assert render(sharing(other)) == render(sharing(vec))
+        assert other._text == vec._text
