@@ -126,7 +126,7 @@ def _check(model, args, where: str) -> int:
     code = 0
     at = getattr(args, where)
     if at is not None:
-        holds = satisfies(model, at, formula)
+        holds = bool(mask[model.index(at)])
         data[where] = at
         data["holdsAt"] = holds
         code = 0 if holds else 1

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
@@ -43,8 +44,13 @@ def _no_duplicate_keys(pairs):
 def loads(text: str) -> Any:
     try:
         return json.loads(text, object_pairs_hook=_no_duplicate_keys)
+    except FormatError:  # a duplicate key
+        raise
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    except ValueError:  # an integer longer than `int` converts
+        limit = sys.get_int_max_str_digits()
+        raise FormatError(f"not valid JSON: an integer has more than {limit} digits") from None
     except RecursionError:
         raise FormatError("not valid JSON: nesting too deep") from None
 

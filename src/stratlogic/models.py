@@ -4,12 +4,12 @@ A model is a set of (form, profile) worlds with optional per-agent
 accessibility relations on top; a strategic game's model is the case of one
 form, all of its profiles and no agents.  No relation is ever materialised:
 formula extensions are bit sets (Python ints whose bit k is the world in
-grid slot k), computed bottom-up with per-model caching, and every modality
-is a predecessor computation on them (`pre`).  A vector acts by shifts
-along the axes of the profile grid, an agent relation is a list of
-(sources, targets) bit-set blocks, and iteration is a least fixpoint grown
-from its frontier.  The public functions take and return bool masks over the
-worlds, in enumeration order.
+grid slot k), computed bottom-up with only the atoms' sets kept per model,
+and every modality is a predecessor computation on them (`pre`).  A vector
+acts by shifts along the axes of the profile grid, an agent relation is a
+list of (sources, targets) bit-set blocks, and iteration is a least
+fixpoint grown from its frontier.  The public functions take and return
+bool masks over the worlds, in enumeration order.
 """
 from __future__ import annotations
 
@@ -200,7 +200,7 @@ class IntensionalModel:
                 hit[targets] = False
                 merged[bits] = merged.get(bits, 0) | 1 << source
             self._blocks[player] = [(sources, bits) for bits, sources in merged.items()]
-        # Bit sets by `run_plan` key, compiled vectors, and the masks handed out.
+        # Leaf bit sets by leaf, compiled vectors, and the masks handed out.
         self._ext_cache: dict = {}
         self._steps: dict[Vector, _Steps | None] = {}
         self._arrays: dict[int, np.ndarray] = {}
@@ -485,17 +485,23 @@ def _pre(model: IntensionalModel, program: Program, target: int) -> int:
     """`pre` on bit sets.  The program is run from an explicit stack of
     steps, each taking its input set from the top of a set stack and leaving
     its output there, so long sequences and choices never reach the
-    recursion limit."""
+    recursion limit.  A test's set is computed once per call, and kept by
+    the `id` of its `Test` node, which the program keeps alive, so a `*`
+    does not recompute it every round."""
     if isinstance(program, Vec):
         return model._pre_vector(program.vector, target)
     masks = [target]
     steps: list = [program]
+    tests: dict[int, int] = {}
     while steps:
         step = steps.pop()
         if isinstance(step, Vec):
             masks.append(model._pre_vector(step.vector, masks.pop()))
         elif isinstance(step, Test):
-            masks.append(_bits(model, step.body) & masks.pop())
+            bits = tests.get(id(step))
+            if bits is None:
+                bits = tests[id(step)] = _bits(model, step.body)
+            masks.append(bits & masks.pop())
         elif isinstance(step, Seq):
             steps += (step.left, step.right)
         elif isinstance(step, Choice):
@@ -602,7 +608,9 @@ def compile_plan(roots: Iterable[Formula]) -> Plan:
 
     Nodes are told apart by identity alone, so compiling never calls
     `Node.__hash__` or `__eq__`; an equal but distinct subtree gets entries
-    of its own, and the model cache's keys make it share their sets.
+    of its own and is computed on its own.  The property builders and the
+    axiom schemas build each shared subformula once, so sharing is by
+    identity.
     """
     plan = Plan(bytearray(), [], [], [], [])
     slots: dict[int, int] = {}
@@ -641,50 +649,35 @@ def compile_plan(roots: Iterable[Formula]) -> Plan:
 def run_plan(model: IntensionalModel, plan: Plan) -> list[int]:
     """Every entry's bit set on the model, slot by slot.
 
-    Sets are cached on the model under keys made from child results: a leaf
-    under itself, a connective under (operation, id of each child's set), a
-    modality under (operation, program, id of the body's set).  The cache
-    keeps every set alive, so equal ids mean equal sets (Python's shared
-    small ints are equal too), and a connective's value depends on nothing
-    else.  Equal subformulas therefore share one set within and across
-    plans, found by C-level tuple hashing alone.  A complement is an XOR
-    with `model.full`, so it never sets a slot without a world.
+    A connective or modality is computed from its children's sets once per
+    run, and only leaf sets are kept on the model, under the leaf, so what
+    a model keeps grows with its atoms, not with the plans run on it.  A
+    complement is an XOR with `model.full`, so it never sets a slot
+    without a world.
     """
     cache, full = model._ext_cache, model.full
     out: list[int] = []
     push = out.append
     for op, node, a, b in zip(plan.ops, plan.nodes, plan.left, plan.right):
-        if op >= _AND:
-            x, y = out[a], out[b]
-            key = (op, id(x), id(y))
+        if op == _AND:
+            push(out[a] & out[b])
+        elif op == _OR:
+            push(out[a] | out[b])
         elif op == _NOT:
-            x = out[a]
-            key = (op, id(x))
-        elif op:
-            x = out[a]
-            key = (op, node.program, id(x))
+            push(out[a] ^ full)
+        elif op == _LEAF:
+            bits = cache.get(node)
+            if bits is None:
+                bits = cache[node] = model._leaf(node)
+            push(bits)
+        elif op == _IMPLIES:
+            push(out[a] ^ full | out[b])
+        elif op == _IFF:
+            push(out[a] ^ out[b] ^ full)
+        elif op == _DIAMOND:
+            push(_pre(model, node.program, out[a]))
         else:
-            key = node
-        bits = cache.get(key)
-        if bits is None:
-            if op == _AND:
-                bits = x & y
-            elif op == _OR:
-                bits = x | y
-            elif op == _NOT:
-                bits = x ^ full
-            elif op == _IMPLIES:
-                bits = x ^ full | y
-            elif op == _IFF:
-                bits = x ^ y ^ full
-            elif op == _DIAMOND:
-                bits = _pre(model, node.program, x)
-            elif op == _BOX:
-                bits = _pre(model, node.program, x ^ full) ^ full
-            else:
-                bits = model._leaf(node)
-            cache[key] = bits
-        push(bits)
+            push(_pre(model, node.program, out[a] ^ full) ^ full)
     return out
 
 

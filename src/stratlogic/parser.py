@@ -228,16 +228,27 @@ class _Parser:
     def _rational(self) -> Fraction:
         sign = "-" if self._accept("-") else ""
         tok = self._expect("INT", "a number")
+        num = self._number(sign + tok[1], tok)
         if self._accept("/"):
             den = self._expect("INT", "a denominator")
-            return self._quotient(sign + tok[1], den[1], den)
-        return self._quotient(sign + tok[1], "1", tok)
+            return self._quotient(num, self._number(den[1], den), den)
+        return Fraction(num)
 
-    def _quotient(self, num: str, den: str, tok: _Token) -> Fraction:
+    def _quotient(self, num: int, den: int, tok: _Token) -> Fraction:
         """The value num/den of a payoff atom, or an error at `tok`."""
-        if int(den) == 0:
+        if den == 0:
             raise self._error("zero denominator", tok)
-        return Fraction(int(num), int(den))
+        return Fraction(num, den)
+
+    def _number(self, numeral: str, tok: _Token) -> int:
+        """A numeral's value, or an error at `tok` if it has more digits than
+        `int` converts (4 300 unless the interpreter is told otherwise).
+        Leading zeros count: a numeral is refused by its spelling."""
+        try:
+            return int(numeral)
+        except ValueError:
+            digits = len(numeral.lstrip("-"))
+            raise self._error(f"numeral of {digits} digits is too long", tok) from None
 
     def _name_or_string(self, what: str) -> str:
         if self._peek()[0] in ("NAME", "STRING"):
@@ -292,7 +303,8 @@ class _Parser:
         elif kind == "PAYOFF":
             head, _, value = text.partition("=")
             num, _, den = value.partition("/")
-            node = UtilEq(self._player_number(head[1:], tok), self._quotient(num, den or "1", tok))
+            quotient = self._quotient(self._number(num, tok), self._number(den or "1", tok), tok)
+            node = UtilEq(self._player_number(head[1:], tok), quotient)
             if text != f"u{node.player}={node.value}" or node.value not in (
                 self.sig.util_range or ()
             ):
@@ -343,7 +355,7 @@ class _Parser:
         return Vector(terms)
 
     def _player_number(self, digits: str, tok: _Token) -> int:
-        player = int(digits)
+        player = self._number(digits, tok)
         if not 1 <= player <= self.sig.n:
             raise self._error(f"no player {player} in scope", tok)
         return player

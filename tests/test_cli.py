@@ -87,6 +87,25 @@ def test_check_parse_error_exits_2(pd_file, capsys):
     assert "line 1" in err
 
 
+_LONG = "0" * 5000 + "1"
+
+
+@pytest.mark.parametrize(
+    "command, formula, col",
+    [
+        ("check", f"u1={_LONG}", 4),
+        ("check", f"[ag{_LONG}] T", 2),
+        ("check", f"u1 >= {_LONG}", 7),
+        ("cl check", f"[C {{{_LONG}}}] T", 5),
+    ],
+)
+def test_a_numeral_longer_than_int_converts_exits_2(pd_file, capsys, command, formula, col):
+    argv = [*command.split(), "--game", pd_file, "--formula", formula]
+    assert main(argv) == 2
+    error = f"error: numeral of 5001 digits is too long (line 1, column {col})\n"
+    assert capsys.readouterr() == ("", error)
+
+
 def test_parse_canonical_and_ast(pd_file, capsys):
     assert main(["parse", "--game", pd_file, "[(c,??)+(d,??)]win(a)"]) == 2
     capsys.readouterr()  # win() undefined for PD: usage error

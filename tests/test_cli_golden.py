@@ -88,7 +88,11 @@ def _cases() -> dict[str, list[str]]:
     cases["mixed-check"] = [
         "check", *mixed, "--formula", "(u2>=1/2 & ~win(q)) | label(top)", "--state", "a,x,k"
     ]
-    for bad in ("bad-name", "missing-profile", "true-util", "float-players"):
+    # A numeral of more digits than `int` converts, leading zeros included.
+    cases["pd-check-error-long-numeral"] = [
+        "check", *pd, "--formula", "u1=" + "0" * 5000 + "1", "--state", "c,c"
+    ]
+    for bad in ("bad-name", "missing-profile", "true-util", "float-players", "long-int"):
         cases[f"{bad}-nash"] = ["nash", "--game", str(INPUTS / f"{bad}.json")]
     # A relation pair of JSON booleans is no pair of world numbers.
     cases["bool-pair-echeck"] = [

@@ -91,6 +91,15 @@ def test_loads_rejects_bad_json():
         loads("{nope")
 
 
+def test_an_integer_longer_than_int_converts_is_a_format_error():
+    long = "1" + "0" * 5000
+    with pytest.raises(FormatError, match="^not valid JSON: an integer has more than 4300 digits$"):
+        loads(f'{{"utils": [{long}, 2]}}')
+    # The duplicate-key hook raises a FormatError too; its message stands.
+    with pytest.raises(FormatError, match="^duplicate key 'a'$"):
+        loads(f'[{{"a": 1, "a": 2}}, {long}]')
+
+
 def test_over_deep_json_is_a_format_error(tmp_path):
     # 100 000 levels, far past the default recursion limit
     path = tmp_path / "deep.json"

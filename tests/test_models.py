@@ -1101,8 +1101,8 @@ def test_a_formula_is_compiled_once_across_models(monkeypatch):
 
 def test_a_compiled_plan_hashes_no_connective_on_a_fresh_model(monkeypatch):
     """Compiling tells nodes apart by identity and hashes none; running
-    keys connectives by their children's masks, not by the node, so only
-    leaves, and the programs of modalities, are hashed."""
+    computes a connective from its children's sets and keeps no set under
+    it, so only leaves, and the vectors of modalities, are hashed."""
     game = vote3_game()
     sig = Signature.from_game(game)
     nash = build_property("nashHere", sig)
@@ -1212,14 +1212,12 @@ def test_dense_models_of_a_279936_profile_game_build_without_world_rows():
 
 
 @pytest.mark.parametrize("values", [10, 25, 55])
-def test_nash_here_evaluates_each_distinct_subformula_once(values):
-    """The |U| ladder, counted rather than timed: on 27 profiles the
-    extension of `nashHere` computes one set per distinct subformula (the
-    model's cache grows by one entry per computed set), and each distinct
-    subformula is one object, so every cache hit is by identity.  The one
-    exception is Python's: it keeps a single object for each small int
-    (at most 256), so two connectives of one kind whose children's sets
-    are the same small ints share a computed set."""
+def test_nash_here_evaluates_each_distinct_subformula_once(values, monkeypatch):
+    """The |U| ladder, counted rather than timed: on 27 profiles each
+    distinct subformula of `nashHere` is one object, so its plan has one
+    entry per subformula and computes each once.  The model's cache grows
+    by exactly the formula's distinct leaves, and `_pre` runs once per box
+    or diamond entry of the plan."""
     form = GameForm([("a", "b", "c")] * 3)
     cells = iter(range(81))
     game = from_outcomes(
@@ -1236,32 +1234,76 @@ def test_nash_here_evaluates_each_distinct_subformula_once(values):
     formula = build_property("nashHere", model_signature(model))
     subformulas = [node for node in node_objects(formula) if isinstance(node, Formula)]
     assert len(dict.fromkeys(subformulas)) == len(subformulas)
-    cached = len(model._ext_cache)
+    plan = compile_plan([formula])
+    assert len(plan.nodes) == len(subformulas)
+    modal = sum(op in (models._BOX, models._DIAMOND) for op in plan.ops)
+    leaves = {f for f in subformulas if models._OPS[type(f)] == models._LEAF}
+    calls = []
+    pre_once = models._pre
+
+    def counted(model, program, target):
+        calls.append(program)
+        return pre_once(model, program, target)
+
+    monkeypatch.setattr(models, "_pre", counted)
+    cached = set(model._ext_cache)
     nash = extension(model, formula)
-    computed = len(model._ext_cache) - cached
-
-    # The expected cache keys, by class: a subformula's class is its own
-    # for a leaf, else (kind, program, its children's sets), where a child's
-    # set is its small-int value or else its subformula's class.
-    classes: dict = {}
-    memo: dict[int, int] = {}
-
-    def set_of(child):
-        # On a game's model, bit k of a set is world k.
-        value = sum(1 << int(k) for k in np.flatnonzero(extension(model, child)))
-        return ("int", value) if value <= 256 else ("class", class_of(child))
-
-    def class_of(f) -> int:
-        if id(f) not in memo:
-            children = [getattr(f, name) for name in ("left", "right", "body") if hasattr(f, name)]
-            key = (type(f), getattr(f, "program", None), *map(set_of, children)) if children else f
-            memo[id(f)] = classes.setdefault(key, len(classes))
-        return memo[id(f)]
-
-    for f in subformulas:
-        class_of(f)
-    assert computed == len(classes) <= len(subformulas)
+    assert set(model._ext_cache) - cached == leaves
+    assert len(calls) == modal > 0
     assert {model.states[int(i)] for i in np.flatnonzero(nash)} == nash_set(game)
+
+
+def test_a_wide_formula_leaves_only_its_leaves_on_the_model():
+    """`nashHere` on a 6^5 game with 20 utility values is a plan of about
+    2 450 entries; a set is about 1 KB.  Once the call returns, the model
+    keeps the sets of its payoff atoms and of `T`, and the mask handed
+    out: a set kept for every entry would take about 2.5 MB."""
+    form = GameForm([tuple("abcdef")] * 5)
+    rng = np.random.default_rng(20)
+    codes = rng.integers(0, 20, size=(6**5, 5), dtype=np.uint8)
+    codes[:20, 0] = np.arange(20)
+    values = tuple(Fraction(v, 2) for v in range(20))
+    game = StrategicGame(form, Outcomes(values, codes, ("x",), np.zeros(6**5, dtype=np.uint8)))
+    formula = build_property("nashHere", Signature.from_game(game))
+    extension(MaslModel(game), formula)  # compiles the plan onto the formula
+    tracemalloc.start()
+    try:
+        model = MaslModel(game)
+        built, _ = tracemalloc.get_traced_memory()
+        nash = extension(model, formula)
+        kept = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    assert len(formula._plan.nodes) > 2000
+    assert {type(f) for f in model._ext_cache} == {UtilEq, Top}
+    assert len(model._ext_cache) <= 5 * 20 + 1
+    assert kept < 2**19, f"kept {kept / 2**20:.2f} MB"
+    assert {model.states[int(i)] for i in np.flatnonzero(nash)} == nash_set(game)
+
+
+def test_a_star_runs_its_compound_test_once_per_pre_call(monkeypatch):
+    """`<(?~nashHere; (??,!!,!!) + ...)*> u1=0` applies the test in each
+    round of the star; the test's set is computed once per `_pre` call.
+    Without that, every round would run the test's plan again."""
+    game = vote3_game()
+    sig = Signature.from_game(game)
+    test = ProgTest(Not(build_property("nashHere", sig)))
+    moves = [seq(test, Vec(Vector([ADV if k == i else CUR for k in range(3)]))) for i in range(3)]
+    formula = Diamond(Star(choice(*moves)), UtilEq(1, 0))
+    want = fold_oracle.extension(MaslModel(game), formula)
+    runs = []
+    run_once = models.run_plan
+
+    def counted(model, plan):
+        runs.append(plan)
+        return run_once(model, plan)
+
+    monkeypatch.setattr(models, "run_plan", counted)
+    model = MaslModel(game)
+    assert np.array_equal(extension(model, formula), want)
+    assert len(runs) == 2  # the formula's plan, then the test's
+    assert runs[1] is test.body._plan
+    assert not want.all() and want.sum() > extension(model, UtilEq(1, 0)).sum()
 
 
 # --------------------------------------------------------------------------
