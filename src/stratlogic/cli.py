@@ -489,6 +489,10 @@ def main(argv: list[str] | None = None) -> int:
         kind = type(exc).__name__
         print(f"error: input too large to process ({kind})", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 means "false": a fault of the program is no verdict.
+        print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

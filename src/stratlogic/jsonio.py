@@ -213,6 +213,17 @@ def voting_spec_from_dict(data: Mapping) -> tuple[VotingRule, BallotProfile]:
     return rule, ballots
 
 
+def _canonical_int(text: str) -> int | None:
+    """The integer that `text` spells when it is that integer's own spelling,
+    as a voter or agent number must be: no blanks, `+`, leading zeros or
+    digit separators; else None."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if str(value) == text else None
+
+
 def _rule_from_name(name, alternatives: tuple[str, ...]) -> VotingRule:
     if not isinstance(name, str):
         raise FormatError("voting spec: rule must be a string")
@@ -222,10 +233,10 @@ def _rule_from_name(name, alternatives: tuple[str, ...]) -> VotingRule:
         return AbsoluteMajority(alternatives)
     kind, _, arg = name.partition(":")
     if kind == "dictator" and arg:
-        try:
-            return DictatorRule(alternatives, int(arg))
-        except ValueError:
-            raise FormatError(f"voting spec: bad voter number {arg!r}") from None
+        voter = _canonical_int(arg)
+        if voter is None:
+            raise FormatError(f"voting spec: bad voter number {arg!r}")
+        return DictatorRule(alternatives, voter)
     if kind == "constant" and arg:
         return ConstantRule(alternatives, arg)
     raise FormatError(f"voting spec: unknown rule {name!r}")
@@ -325,12 +336,9 @@ def intensional_from_dict(data: Mapping) -> IntensionalModel:
         raise FormatError("model: relations must be an object")
     edges: dict[int, list[list[int]]] = {}
     for key, pairs in relations_raw.items():
-        try:
-            player = int(key)
-            if str(player) != key:
-                raise ValueError
-        except ValueError:
-            raise FormatError(f"model: bad agent key {key!r}") from None
+        player = _canonical_int(key)
+        if player is None:
+            raise FormatError(f"model: bad agent key {key!r}")
         if not isinstance(pairs, list):
             raise FormatError(f"model: relation for agent {key} must be a list")
         for pair in pairs:

@@ -10,6 +10,7 @@ from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, product
+from typing import Iterable
 
 from .games import GameError, to_fraction
 from .syntax import (
@@ -26,6 +27,7 @@ from .syntax import (
     Formula,
     Implies,
     Not,
+    Or,
     Program,
     Seq,
     Signature,
@@ -45,9 +47,11 @@ from .syntax import (
 # vectors and modality abbreviations
 #
 # Each property builder makes every subformula that recurs in its tree one
-# object: the strategy terms, vector programs and payoff levels are built
-# once per call.  The trees equal the plain compositions of the abbreviations,
-# and the evaluator's caches then find each repeat by identity, not by comparing
+# object.  The strategy terms and, per player, the switch and commitment
+# programs and the payoff levels are built once per signature, in a table
+# kept on the signature, so every property of one vocabulary shares them.
+# The trees equal the plain compositions of the abbreviations, and the
+# evaluator's caches then find each repeat by identity, not by comparing
 # equal trees node by node.
 
 
@@ -60,25 +64,47 @@ def all_adversary(sig: Signature) -> Vector:
     return Vector(ADV for _ in sig.players)
 
 
+def _shared(sig: Signature, key, build):
+    """The entry `key` of the signature's node table, built on first use.
+    The table lives on the signature, so it goes when the signature does."""
+    table = sig._nodes
+    if table is None:
+        table = {}
+        object.__setattr__(sig, "_nodes", table)
+    try:
+        return table[key]
+    except KeyError:
+        value = table[key] = build()
+        return value
+
+
 def _terms(sig: Signature) -> dict[str, Concrete]:
-    """One `Concrete` term per strategy name, for one call's vectors to share."""
-    return {name: Concrete(name) for names in sig.strategy_sets for name in names}
+    """One `Concrete` term per strategy name, for the signature's vectors to
+    share."""
+    return _shared(
+        sig,
+        "terms",
+        lambda: {name: Concrete(name) for names in sig.strategy_sets for name in names},
+    )
 
 
-def _moves(
-    sig: Signature, player: int, rest: Term, terms: dict[str, Concrete]
-) -> list[Vec]:
+def _moves(sig: Signature, player: int, rest: Term) -> tuple[Vec, ...]:
     """One program per strategy of `player`, in declared order: the vector
     fixing `player` to it with everyone else at `rest` (`CUR` for the
     own-strategy switches, `ADV` for the commitments)."""
-    return [Vec(_vector(sig, player, terms[a], rest)) for a in sig.strategies(player)]
+
+    def build() -> tuple[Vec, ...]:
+        terms = _terms(sig)
+        return tuple(Vec(_vector(sig, player, terms[a], rest)) for a in sig.strategies(player))
+
+    return _shared(sig, (player, rest), build)
 
 
-def _box_each(programs: list[Vec], body: Formula) -> Formula:
+def _box_each(programs: Iterable[Vec], body: Formula) -> Formula:
     return conj(Box(program, body) for program in programs)
 
 
-def _diamond_some(programs: list[Vec], body: Formula) -> Formula:
+def _diamond_some(programs: Iterable[Vec], body: Formula) -> Formula:
     return disj(Diamond(program, body) for program in programs)
 
 
@@ -105,15 +131,22 @@ def payoff_gt(sig: Signature, player: int, value) -> Formula:
     return disj(UtilEq(player, w) for w in _util_range(sig) if w > value)
 
 
-def _levels(sig: Signature, player: int) -> list[tuple[Fraction, Formula, Formula]]:
+def _levels(sig: Signature, player: int) -> tuple[tuple[Fraction, Formula, Formula], ...]:
     """``(v, payoff_geq(v), payoff_gt(v))`` for each value v of the utility
-    range (ascending and distinct, as every game's range is), built over one
-    `UtilEq` atom per value: ``payoff_gt(v)`` is the very object that is
-    ``payoff_geq`` of the next value, and `BOT` at the top one."""
-    values = _util_range(sig)
-    atoms = [UtilEq(player, w) for w in values]
-    at_least = [disj(atoms[k:]) for k in range(len(values))]
-    return list(zip(values, at_least, at_least[1:] + [BOT]))
+    range (ascending and distinct, as every game's range is), with the
+    disjuncts in descending order: one chain built from the top, in which
+    ``payoff_geq(v)`` is ``Or(payoff_gt(v), UtilEq(player, v))`` and
+    ``payoff_gt(v)`` the very object that is ``payoff_geq`` of the next
+    value (`BOT` at the top one), so a player's levels hold |U| - 1 `Or`s."""
+
+    def build() -> tuple[tuple[Fraction, Formula, Formula], ...]:
+        values = _util_range(sig)
+        sig.strategies(player)  # player range check
+        chain = list(accumulate((UtilEq(player, w) for w in reversed(values)), Or))
+        at_least = chain[::-1]
+        return tuple(zip(values, at_least, at_least[1:] + [BOT]))
+
+    return _shared(sig, (player, "levels"), build)
 
 
 _NOT_BOT = Not(BOT)
@@ -138,10 +171,9 @@ def _alternatives(sig: Signature) -> tuple[str, ...]:
 def nash_here(sig: Signature) -> Formula:
     """The current profile is a pure Nash equilibrium: every player sits at
     some utility level no own switch strictly exceeds."""
-    terms = _terms(sig)
 
     def settled(i: int) -> Formula:
-        switches = _moves(sig, i, CUR, terms)
+        switches = _moves(sig, i, CUR)
         return disj(
             And(geq, _box_each(switches, _not(gt))) for _, geq, gt in _levels(sig, i)
         )
@@ -157,15 +189,13 @@ def game_is_nash(sig: Signature) -> Formula:
 def weak_dominance(sig: Signature, player: int, name: str) -> Formula:
     """`name` weakly dominates for `player`: whatever level any alternative
     strategy reaches against a block, switching to `name` reaches it too."""
-    if name not in sig.strategies(player):
+    names = sig.strategies(player)
+    if name not in names:
         raise GameError(f"player {player} has no strategy named {name!r}")
-    terms = _terms(sig)
-    to_name = Vec(_vector(sig, player, terms[name], CUR))
-    blocks = [
-        Vec(_vector(sig, player, terms[b], ADV))
-        for b in sig.strategies(player)
-        if b != name
-    ]
+    k = names.index(name)
+    to_name = _moves(sig, player, CUR)[k]
+    commitments = _moves(sig, player, ADV)
+    blocks = commitments[:k] + commitments[k + 1 :]
     return conj(
         _box_each(blocks, Implies(geq, Diamond(to_name, geq)))
         for _, geq, _ in _levels(sig, player)
@@ -176,12 +206,11 @@ def weak_dominance(sig: Signature, player: int, name: str) -> Formula:
 # voting properties
 
 
-def _plurality_vectors(
-    sig: Signature, alternative: str, terms: dict[str, Concrete]
-) -> list[Vector]:
+def _plurality_vectors(sig: Signature, alternative: str) -> list[Vector]:
     alts = _alternatives(sig)
     if alternative not in alts:
         raise GameError(f"unknown alternative {alternative!r}")
+    terms = _terms(sig)
     out = []
     for names in product(*sig.strategy_sets):
         counts = Counter(names)
@@ -193,11 +222,10 @@ def _plurality_vectors(
 
 def plurality_rule(sig: Signature) -> Formula:
     """Whenever some alternative has a strict plurality of votes, it wins."""
-    terms = _terms(sig)
 
     def elects(x: str) -> Formula:
         win = Winner(x)
-        return conj(Box(Vec(c), win) for c in _plurality_vectors(sig, x, terms))
+        return conj(Box(Vec(c), win) for c in _plurality_vectors(sig, x))
 
     return conj(elects(x) for x in _alternatives(sig))
 
@@ -218,10 +246,9 @@ def resolute(sig: Signature) -> Formula:
 
 def strategy_proof_inner(sig: Signature) -> Formula:
     """No player can strictly raise their utility by an own-strategy switch."""
-    terms = _terms(sig)
 
     def truthful(i: int) -> Formula:
-        switches = _moves(sig, i, CUR, terms)
+        switches = _moves(sig, i, CUR)
         return disj(
             And(geq, Not(_diamond_some(switches, gt))) for _, geq, gt in _levels(sig, i)
         )
@@ -256,7 +283,7 @@ def dictator(sig: Signature, player: int) -> Formula:
         raise GameError("a dictator needs at least one other player")
     levels = _levels(sig, player)
     everyone = Vec(all_adversary(sig))
-    switches = _moves(sig, player, CUR, _terms(sig))
+    switches = _moves(sig, player, CUR)
     # Per level, each other player's cap (no more than that value).  At the
     # top value every cap is the one Not(BOT), so one Box serves them all.
     capped = zip(*([_not(gt) for _, _, gt in _levels(sig, j)] for j in others))
@@ -286,18 +313,17 @@ def tit_for_tat(sig: Signature, player: int) -> Program:
     """Copy the opponent's previous move, iterated (two players only)."""
     if sig.n != 2:
         raise GameError("tit-for-tat is defined for two-player games")
-    sig.strategies(player)  # player range check
+    mine = sig.strategies(player)  # player range check
     opp = 3 - player
-    terms = _terms(sig)
+    commitments = _moves(sig, player, ADV)
     branches: list[Program] = []
-    for x in sig.strategies(opp):
-        if x not in sig.strategies(player):
+    for x, guard in zip(sig.strategies(opp), _moves(sig, opp, CUR)):
+        if x not in mine:
             raise GameError(
                 f"tit-for-tat needs strategy {x!r} to be playable by player {player}"
             )
-        guard = _vector(sig, opp, terms[x], CUR)
-        play = _vector(sig, player, terms[x], ADV)
-        branches.append(Seq(Test(VectorAtom(guard)), Vec(play)))
+        play = commitments[mine.index(x)]
+        branches.append(Seq(Test(VectorAtom(guard.vector)), play))
     out: Program = branches[0]
     for branch in branches[1:]:
         out = Choice(out, branch)

@@ -341,6 +341,9 @@ class Signature:
     # under this signature to its node, made on first use (see `parser`).
     # Like the hash, it is no part of the signature's value.
     _spelled: dict | None = field(default=None, init=False, repr=False, compare=False)
+    # The property builders' table of shared nodes, made on first use (see
+    # `properties._shared`), and no part of the signature's value either.
+    _nodes: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         if self._h is None:

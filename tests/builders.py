@@ -32,7 +32,6 @@ from stratlogic.properties import (
     _diamond_some,
     _moves,
     _plurality_vectors,
-    _terms,
     _vector,
     diamond_any_state,
     payoff_geq,
@@ -99,23 +98,23 @@ def vec_any(sig: Signature, player: int, name: str) -> Vector:
 
 def box_switch(sig: Signature, player: int, body: Formula) -> Formula:
     """After any own-strategy switch by `player`, `body` holds."""
-    return _box_each(_moves(sig, player, CUR, _terms(sig)), body)
+    return _box_each(_moves(sig, player, CUR), body)
 
 
 def diamond_switch(sig: Signature, player: int, body: Formula) -> Formula:
     """Some own-strategy switch by `player` reaches `body`."""
-    return _diamond_some(_moves(sig, player, CUR, _terms(sig)), body)
+    return _diamond_some(_moves(sig, player, CUR), body)
 
 
 def box_any(sig: Signature, player: int, body: Formula) -> Formula:
     """However `player` commits and the others respond, `body` holds."""
-    return _box_each(_moves(sig, player, ADV, _terms(sig)), body)
+    return _box_each(_moves(sig, player, ADV), body)
 
 
 def plurality_winner_vectors(sig: Signature, alternative: str) -> list[Vector]:
     """All-Concrete vectors in which `alternative` gets strictly more votes
     than every other alternative."""
-    return _plurality_vectors(sig, alternative, _terms(sig))
+    return _plurality_vectors(sig, alternative)
 
 
 def node_objects(root: Node) -> list[Node]:

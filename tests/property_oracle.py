@@ -4,11 +4,19 @@ Each builder composes the modality and payoff helpers, which build fresh
 nodes at every use, so these trees repeat equal subformulas as distinct
 objects.  `stratlogic.properties` must build trees equal to these, with
 each distinct subformula as one object.
+
+The builders that use payoff levels take them as a pair of helpers:
+`ASCENDING` (the default, `payoff_geq` and `payoff_gt`) gives the plain
+abbreviations, and `DESCENDING` the same disjunctions in descending order of
+value, which is how `stratlogic.properties` chains them from the top.
+`PROPERTIES` builds the first trees and `CHAINED` the second.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+import inspect
 from itertools import product
 
 from stratlogic.games import GameError, to_fraction
@@ -110,6 +118,21 @@ def payoff_gt(sig: Signature, player: int, value) -> Formula:
     return disj(UtilEq(player, w) for w in _util_range(sig) if w > value)
 
 
+def descending_geq(sig: Signature, player: int, value) -> Formula:
+    """`payoff_geq` with its disjuncts from the top value down."""
+    value = to_fraction(value)
+    return disj(UtilEq(player, w) for w in reversed(_util_range(sig)) if w >= value)
+
+
+def descending_gt(sig: Signature, player: int, value) -> Formula:
+    value = to_fraction(value)
+    return disj(UtilEq(player, w) for w in reversed(_util_range(sig)) if w > value)
+
+
+ASCENDING = (payoff_geq, payoff_gt)
+DESCENDING = (descending_geq, descending_gt)
+
+
 def _alternatives(sig: Signature) -> tuple[str, ...]:
     if sig.alternatives is None:
         raise GameError("this property needs a signature with alternatives")
@@ -120,14 +143,15 @@ def _alternatives(sig: Signature) -> tuple[str, ...]:
 # equilibrium and dominance
 
 
-def nash_here(sig: Signature) -> Formula:
+def nash_here(sig: Signature, levels=ASCENDING) -> Formula:
     """The current profile is a pure Nash equilibrium: every player sits at
     some utility level no own switch strictly exceeds."""
+    geq, gt = levels
     return conj(
         disj(
             And(
-                payoff_geq(sig, i, v),
-                box_switch(sig, i, Not(payoff_gt(sig, i, v))),
+                geq(sig, i, v),
+                box_switch(sig, i, Not(gt(sig, i, v))),
             )
             for v in _util_range(sig)
         )
@@ -135,23 +159,24 @@ def nash_here(sig: Signature) -> Formula:
     )
 
 
-def game_is_nash(sig: Signature) -> Formula:
+def game_is_nash(sig: Signature, levels=ASCENDING) -> Formula:
     """Somewhere in the game there is a pure Nash equilibrium."""
-    return diamond_any_state(sig, nash_here(sig))
+    return diamond_any_state(sig, nash_here(sig, levels))
 
 
-def weak_dominance(sig: Signature, player: int, name: str) -> Formula:
+def weak_dominance(sig: Signature, player: int, name: str, levels=ASCENDING) -> Formula:
     """`name` weakly dominates for `player`: whatever level any alternative
     strategy reaches against a block, switching to `name` reaches it too."""
     if name not in sig.strategies(player):
         raise GameError(f"player {player} has no strategy named {name!r}")
+    geq = levels[0]
     return conj(
         conj(
             Box(
                 Vec(vec_any(sig, player, b)),
                 Implies(
-                    payoff_geq(sig, player, v),
-                    Diamond(Vec(vec_switch(sig, player, name)), payoff_geq(sig, player, v)),
+                    geq(sig, player, v),
+                    Diamond(Vec(vec_switch(sig, player, name)), geq(sig, player, v)),
                 ),
             )
             for b in sig.strategies(player)
@@ -199,13 +224,14 @@ def resolute(sig: Signature) -> Formula:
     return Box(Vec(all_adversary(sig)), single)
 
 
-def strategy_proof_inner(sig: Signature) -> Formula:
+def strategy_proof_inner(sig: Signature, levels=ASCENDING) -> Formula:
     """No player can strictly raise their utility by an own-strategy switch."""
+    geq, gt = levels
     return conj(
         disj(
             And(
-                payoff_geq(sig, i, v),
-                Not(diamond_switch(sig, i, payoff_gt(sig, i, v))),
+                geq(sig, i, v),
+                Not(diamond_switch(sig, i, gt(sig, i, v))),
             )
             for v in _util_range(sig)
         )
@@ -213,8 +239,8 @@ def strategy_proof_inner(sig: Signature) -> Formula:
     )
 
 
-def strategy_proof(sig: Signature) -> Formula:
-    return Box(Vec(all_adversary(sig)), strategy_proof_inner(sig))
+def strategy_proof(sig: Signature, levels=ASCENDING) -> Formula:
+    return Box(Vec(all_adversary(sig)), strategy_proof_inner(sig, levels))
 
 
 def non_imposed(sig: Signature) -> Formula:
@@ -230,19 +256,20 @@ def non_imposed(sig: Signature) -> Formula:
     )
 
 
-def dictator(sig: Signature, player: int) -> Formula:
+def dictator(sig: Signature, player: int, levels=ASCENDING) -> Formula:
     """Some utility level bounds everyone else while `player` can always
     reach it: the mark of a dictator."""
     others = [j for j in sig.players if j != player]
     if not others:
         raise GameError("a dictator needs at least one other player")
+    geq, gt = levels
     return disj(
         conj(
             Box(
                 Vec(all_adversary(sig)),
                 And(
-                    Not(payoff_gt(sig, j, v)),
-                    diamond_switch(sig, player, payoff_geq(sig, player, v)),
+                    Not(gt(sig, j, v)),
+                    diamond_switch(sig, player, geq(sig, player, v)),
                 ),
             )
             for j in others
@@ -257,8 +284,8 @@ def knowledge(player: int) -> Program:
     return Star(Choice(Agent(player), AgentConv(player)))
 
 
-def knowing_dictator(sig: Signature, player: int) -> Formula:
-    return Box(knowledge(player), dictator(sig, player))
+def knowing_dictator(sig: Signature, player: int, levels=ASCENDING) -> Formula:
+    return Box(knowledge(player), dictator(sig, player, levels))
 
 
 # --------------------------------------------------------------------------
@@ -302,4 +329,14 @@ PROPERTIES = {
     "dictator": (dictator, ("player",)),
     "knowingDictator": (knowing_dictator, ("player",)),
     "titForTat": (tit_for_tat, ("player",)),
+}
+
+# The same builders over the `DESCENDING` levels: the trees that
+# `stratlogic.properties` builds.
+CHAINED = {
+    name: (
+        partial(build, levels=DESCENDING) if "levels" in inspect.signature(build).parameters else build,
+        wanted,
+    )
+    for name, (build, wanted) in PROPERTIES.items()
 }

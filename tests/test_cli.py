@@ -346,6 +346,30 @@ def test_relation_key_must_be_a_canonical_player_number(tmp_path, capsys, key):
     assert capsys.readouterr() == ("", f"error: model: bad agent key {key!r}\n")
 
 
+@pytest.mark.parametrize("voter", [" 0_1 ", "+1", "01", "1.0", "\u0661"])
+def test_a_dictator_voter_must_be_a_canonical_number(tmp_path, capsys, voter):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps({"alternatives": ["a", "b"], "ballots": ["ab", "ba"], "rule": f"dictator:{voter}"})
+    )
+    assert main(["voting", "audit", "--spec", str(spec)]) == 2
+    assert capsys.readouterr() == ("", f"error: voting spec: bad voter number {voter!r}\n")
+
+
+def test_an_unexpected_exception_exits_2_with_one_error_line(pd_file, capsys, monkeypatch):
+    """A fault of the program is no verdict: not exit 1, and no traceback."""
+    import stratlogic.cli
+
+    def broken(name, sig, **params):
+        raise NameError("name 'levels' is not defined")
+
+    monkeypatch.setattr(stratlogic.cli, "build_property", broken)
+    assert main(["nash", "--game", pd_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: internal error (NameError): name 'levels' is not defined\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -107,8 +107,9 @@ def _cases() -> dict[str, list[str]]:
     # The Gibbard-Satterthwaite rung at four alternatives and four voters.
     d44 = str(INPUTS / "dictator1_4x4.spec.json")
     cases["voting-audit-dictator1_4x4"] = ["voting", "audit", "--spec", d44]
-    # A ballot or a tie-break that is no string exits 2.
-    for bad in ("bad-ballot", "bad-tiebreak"):
+    # A ballot or a tie-break that is no string, or a voter number in any
+    # spelling but its own, exits 2.
+    for bad in ("bad-ballot", "bad-tiebreak", "bad-voter"):
         path = str(INPUTS / f"{bad}.spec.json")
         cases[f"voting-game-{bad}"] = ["voting", "game", "--spec", path]
         cases[f"voting-audit-{bad}"] = ["voting", "audit", "--spec", path]

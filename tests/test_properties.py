@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -19,13 +21,16 @@ from stratlogic import (
     CUR,
     Diamond,
     GameError,
+    GameForm,
     MaslModel,
     Not,
     Or,
+    OutcomeRecord,
     Signature,
     UtilEq,
     Vector,
     VectorAtom,
+    all_profiles,
     build_property,
     render,
     epistemic_lift,
@@ -41,7 +46,9 @@ from stratlogic.properties import (
     strategy_proof_inner,
     tit_for_tat,
 )
-from stratlogic.syntax import BOT, Agent, AgentConv, Choice, Seq, Star, Vec
+from stratlogic import models
+from stratlogic.models import EvalError, compile_plan
+from stratlogic.syntax import BOT, Agent, AgentConv, Choice, Formula, Node, Seq, Star, Vec
 from stratlogic.voting import ConstantRule, DictatorRule, induced_game
 from stratlogic.catalog import (
     prisoners_dilemma,
@@ -53,7 +60,7 @@ from stratlogic.catalog import (
 
 from dense_oracle import program_relation, relation_via_pre
 import builders
-from builders import expand, node_objects
+from builders import expand, from_outcomes, node_objects
 from game_oracle import nash_set, weakly_dominant
 from gens import random_game
 import property_oracle
@@ -443,7 +450,7 @@ def _signatures(draw) -> Signature:
 def test_builders_match_the_compositional_oracle_with_shared_nodes(sig):
     moves = [(i, a) for i in sig.players for a in sig.strategies(i)]
     params = {(): [()], ("player",): [(i,) for i in sig.players], ("player", "strategy"): moves}
-    for name, (oracle, wanted) in property_oracle.PROPERTIES.items():
+    for name, (oracle, wanted) in property_oracle.CHAINED.items():
         for args in params[wanted]:
             _same_build(
                 lambda: build_property(name, sig, **dict(zip(wanted, args))),
@@ -479,6 +486,198 @@ def test_shared_node_counts_on_a_three_by_three_by_three_signature():
         return sum(len(node_objects(f)) for f in formulas)
 
     assert objects(property_oracle.weak_dominance(sig, *args) for args in weak) == 1305
-    assert objects(properties.weak_dominance(sig, *args) for args in weak) == 396
+    built = [properties.weak_dominance(sig, *args) for args in weak]
+    assert objects(built) == 369
+    # Across the nine builds the terms, programs and levels are one set of
+    # objects: 269 distinct nodes in all.
+    assert len({id(node) for f in built for node in node_objects(f)}) == 269
     assert objects([property_oracle.nash_here(sig)]) == 281
-    assert objects([properties.nash_here(sig)]) == 147
+    assert objects([properties.nash_here(sig)]) == 138
+
+
+# --------------------------------------------------------------------------
+# The per-signature node table
+
+
+def test_weak_dominance_builds_of_one_player_share_vectors_and_levels():
+    sig = Signature((("a", "b", "c"),) * 3, (0, 1, 2, 3))
+    first, second = (properties.weak_dominance(sig, 2, name) for name in ("a", "b"))
+
+    def objects(f, kind=object):
+        return {id(node) for node in node_objects(f) if isinstance(node, kind)}
+
+    # Dominance by a blocks with the commitments to b and c, by b with those
+    # to a and c: the two share the commitment to c, and no switch.
+    to_c = properties._moves(sig, 2, ADV)[2]
+    assert objects(first, Vec) & objects(second, Vec) == {id(to_c)}
+    assert properties._moves(sig, 2, CUR)[0].vector == Vector([CUR, Concrete("a"), CUR])
+    assert id(properties._moves(sig, 2, CUR)[0]) in objects(first, Vec)
+    levels = {id(geq) for _, geq, _ in properties._levels(sig, 2)}
+    assert len(levels) == 4
+    assert levels <= objects(first) & objects(second)
+
+
+def _params(sig: Signature) -> dict[tuple, list[tuple]]:
+    """Every argument tuple of each parameter list of the property table."""
+    return {
+        (): [()],
+        ("player",): [(i,) for i in sig.players],
+        ("player", "strategy"): [(i, a) for i in sig.players for a in sig.strategies(i)],
+    }
+
+
+def _build_all(sig: Signature) -> list:
+    """Every property of `sig` with every argument, each built afresh."""
+    return [
+        build(sig, *args)
+        for build, wanted in properties._PROPERTIES.values()
+        for args in _params(sig)[wanted]
+    ]
+
+
+def _two_voter_game():
+    """Two voters over a, b and c, the first one's vote winning: a game
+    that every property accepts."""
+    form = GameForm([("a", "b", "c")] * 2)
+    rng = random.Random(5)
+    return from_outcomes(
+        form,
+        {
+            s: OutcomeRecord(
+                form.profile_key(s),
+                [rng.randint(0, 2), rng.randint(0, 2)],
+                [form.profile_key(s).split(",")[0]],
+            )
+            for s in all_profiles(form)
+        },
+    )
+
+
+def test_the_node_table_holds_terms_and_three_entries_per_player():
+    sig = Signature.from_game(_two_voter_game())
+    _build_all(sig)
+    table = sig._nodes
+    assert len(table) == 1 + 3 * sig.n
+    assert sum(isinstance(entry, dict) for entry in table.values()) == 1
+    with pytest.raises(GameError):
+        properties.dictator(sig, 9)
+    assert len(table) == 1 + 3 * sig.n
+    # The table is no part of the signature's value.
+    assert sig == Signature.from_game(_two_voter_game())
+    assert "_nodes" not in repr(sig)
+
+
+def test_weak_dominance_checks_compare_no_nodes(monkeypatch):
+    """Every `weakDominance` of a 3x3x3 game checked on one model: each
+    vector is one object across the builds, so neither the model's step
+    table nor the compiled-vector cache compares two equal vectors node by
+    node.  With a vector per build, this made 96 calls."""
+    form = GameForm([("a", "b", "c")] * 3)
+    rng = random.Random(3)
+    game = from_outcomes(
+        form,
+        {
+            s: OutcomeRecord(form.profile_key(s), [rng.randint(0, 3) for _ in range(3)])
+            for s in all_profiles(form)
+        },
+    )
+    model = MaslModel(game)
+    sig = models.model_signature(model)
+    properties._built.cache_clear()
+    models._compile_vector.cache_clear()
+    calls = []
+    equal = Node.__eq__
+
+    def counted(self, other):
+        calls.append(self)
+        return equal(self, other)
+
+    monkeypatch.setattr(Node, "__eq__", counted)
+    for i in sig.players:
+        for a in sig.strategies(i):
+            extension(model, build_property("weakDominance", sig, player=i, strategy=a))
+    assert calls == []
+
+
+def test_the_node_table_keeps_no_signature_alive():
+    """Reference counting alone frees a signature that every property was
+    built and checked under: no module-level cache holds it."""
+    game = _two_voter_game()
+    lift = epistemic_lift(game)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sig = Signature.from_game(game)
+        ref = weakref.ref(sig)
+        for f in _build_all(sig):
+            if isinstance(f, Formula):
+                extension(lift, f)
+        build_property("weakDominance", sig, player=1, strategy="a")
+        properties._built.cache_clear()
+        del sig, f
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+_LEVELLED = ("nashHere", "gameIsNash", "weakDominance", "strategyProof", "dictator", "knowingDictator")
+
+
+@st.composite
+def _level_games(draw):
+    """2–3 players with 1–3 strategies each, and utilities drawn from 1–12
+    exact values, fractions included."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    values = draw(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    form = GameForm(tuple("abc"[:k]) for k in sizes)
+    profiles = all_profiles(form)
+    picks = draw(
+        st.lists(
+            st.sampled_from(values),
+            min_size=len(profiles) * form.n,
+            max_size=len(profiles) * form.n,
+        )
+    )
+    return from_outcomes(
+        form,
+        {
+            s: OutcomeRecord(form.profile_key(s), picks[k * form.n : (k + 1) * form.n])
+            for k, s in enumerate(profiles)
+        },
+    )
+
+
+@given(_level_games())
+@settings(max_examples=25, deadline=None)
+def test_chained_levels_agree_with_the_old_trees_on_models_and_lifts(game):
+    """Each builder over payoff levels has the extension of the old trees,
+    whose levels are fresh ascending disjunctions, on the game and on its
+    epistemic lift; and its plan grows with players x values x strategies,
+    not with the square of the values."""
+    sig = Signature.from_game(game)
+    params = _params(sig)
+    size = sig.n * len(sig.util_range) * max(map(len, sig.strategy_sets))
+    kripke = (MaslModel(game), epistemic_lift(game))
+
+    def verdict(model, f):
+        # A game has no agents, so `knowingDictator` fails there, alike.
+        try:
+            return extension(model, f).tolist()
+        except EvalError as exc:
+            return str(exc)
+
+    for name in _LEVELLED:
+        old, wanted = property_oracle.PROPERTIES[name]
+        for args in params[wanted]:
+            f = build_property(name, sig, **dict(zip(wanted, args)))
+            assert len(compile_plan([f]).nodes) <= 8 * size + 8
+            for model in kripke:
+                assert verdict(model, f) == verdict(model, old(sig, *args))
