@@ -558,20 +558,20 @@ def extension(model: IntensionalModel, formula: Formula) -> np.ndarray:
 
     The result is kept on the model and read-only; copy before mutating.
     """
+    return model.mask(_bits(model, formula, keep_column=True))
+
+
+def _bits(model: IntensionalModel, formula: Formula, keep_column: bool = False) -> int:
+    """The formula's bit set on the model.  A lone atom's is the leaf set the
+    model keeps, and with `keep_column` its column serves as its mask.  Any
+    other formula is compiled into a `Plan` on first use, kept on the
+    formula, so evaluating it on further models does not walk it again.
+    Neither step recurses, so depth is not bounded by the recursion limit."""
     if _OPS.get(type(formula)) == _LEAF:
-        # A lone atom needs no plan, and its column serves as its mask.
         bits = model._ext_cache.get(formula)
         if bits is None:
-            bits = model._ext_cache[formula] = model._leaf(formula, keep_column=True)
-        return model.mask(bits)
-    return model.mask(_bits(model, formula))
-
-
-def _bits(model: IntensionalModel, formula: Formula) -> int:
-    """The formula's bit set on the model.  The formula is compiled into a
-    `Plan` on first use and the plan is kept on the formula, so evaluating
-    it on further models does not walk it again.  Neither step recurses, so
-    formula depth is not bounded by the recursion limit."""
+            bits = model._ext_cache[formula] = model._leaf(formula, keep_column)
+        return bits
     try:
         plan = formula._plan
     except AttributeError:
@@ -583,9 +583,11 @@ def _bits(model: IntensionalModel, formula: Formula) -> int:
 
 class Plan(NamedTuple):
     """The distinct nodes of some formulas in post-order, children left to
-    right, one entry per slot: its operation, its node and the slots of its
-    first and second child (-1 where there is none).  The entries are stored
-    as columns, with no tuple per entry; `roots` holds each formula's slot."""
+    right, one entry per slot: its operation, what `run_plan` reads of its
+    node (a leaf, a modality's program, or None) and the slots of its first
+    and second child (-1 where there is none), stored as columns; `roots`
+    holds each formula's slot.  No entry is a formula that keeps the plan,
+    so a kept plan makes no reference cycle."""
 
     ops: bytearray
     nodes: list
@@ -614,6 +616,7 @@ def compile_plan(roots: Iterable[Formula]) -> Plan:
     """
     plan = Plan(bytearray(), [], [], [], [])
     slots: dict[int, int] = {}
+    roots = list(roots)  # alive while their nodes' `id`s are slot keys
     for root in roots:
         stack = [root]
         while stack:
@@ -624,6 +627,7 @@ def compile_plan(roots: Iterable[Formula]) -> Plan:
                     a, b = slots[id(node.left)], slots[id(node.right)]
                 else:
                     a, b = slots[id(node.body)], -1
+                entry = node.program if op in (_DIAMOND, _BOX) else None
             elif id(node) in slots:  # a subtree that occurs more than once
                 continue
             else:
@@ -636,10 +640,10 @@ def compile_plan(roots: Iterable[Formula]) -> Plan:
                 if op != _LEAF:
                     stack += (op, node, _CHILDREN_DONE, node.body)
                     continue
-                a = b = -1
+                a, b, entry = -1, -1, node
             slots[id(node)] = len(plan.nodes)
             plan.ops.append(op)
-            plan.nodes.append(node)
+            plan.nodes.append(entry)
             plan.left.append(a)
             plan.right.append(b)
         plan.roots.append(slots[id(root)])
@@ -675,9 +679,9 @@ def run_plan(model: IntensionalModel, plan: Plan) -> list[int]:
         elif op == _IFF:
             push(out[a] ^ out[b] ^ full)
         elif op == _DIAMOND:
-            push(_pre(model, node.program, out[a]))
+            push(_pre(model, node, out[a]))
         else:
-            push(_pre(model, node.program, out[a] ^ full) ^ full)
+            push(_pre(model, node, out[a] ^ full) ^ full)
     return out
 
 

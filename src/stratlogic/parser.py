@@ -58,24 +58,16 @@ class ParseError(ValueError):
 _PAYOFF_NAME = re.compile(r"u([0-9]+)\Z")
 _AGENT_NAME = re.compile(r"ag([0-9]+)\Z")
 
-# Each match is (leading blanks, token).  In `_FINE`, the fine tokens,
-# multi-character operators come before the single characters they start
-# with; the last alternatives take a stray character, a lone '"' (an
+# Each match is (leading blanks, token).  `_TOKEN` first tries three whole
+# tokens, spelled without blanks as `syntax.render` writes them: a modal
+# prefix `[p]` or `<p>` whose program is a vector or an agent `ag<i>` with an
+# optional '^' (a '>' that no '=' continues, which would make it '>='), a
+# strategy vector of two or more terms, and a payoff atom u<i>=<value> that
+# no '/', digit or name character continues.  Each stands for a run of fine
+# tokens, its pieces.  Then come the fine tokens, multi-character operators
+# first; the last alternatives take a stray character, a lone '"' (an
 # unterminated string) and the end of input, so the matches cover the text.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_FINE = rf"""
-    "[^"]*"
-    |<->|\?\?|!!|->|>=|[()\[\]{{}}<>,;+*?~&|=^/-]
-    |{_NAME}
-    |[0-9]+
-    |.|\Z"""
-# `_TOKEN` first tries three whole tokens, spelled without blanks as
-# `syntax.render` writes them: a modal prefix `[p]` or `<p>` whose program is
-# a vector or an agent `ag<i>` with an optional '^' (a '>' that no '='
-# continues, which would make it '>='), a strategy vector of two or more
-# terms, and a payoff atom u<i>=<value> that no '/', digit or name character
-# continues.  Each stands for a run of fine tokens, and the parser maps its
-# text to one node (`_Parser._spell`).  `_FINE_TOKEN` reads fine tokens alone.
 _TERM = rf"(?:{_NAME}|\?\?|!!)"
 _VECTOR = rf"\({_TERM}(?:,{_TERM})+\)"
 _MODAL_PROGRAM = rf"(?:{_VECTOR}|ag[0-9]+\^?)"
@@ -84,10 +76,16 @@ _TOKEN = re.compile(
     (\[{_MODAL_PROGRAM}\]|<{_MODAL_PROGRAM}>(?!=)
     |{_VECTOR}
     |u[0-9]+=-?[0-9]+(?:/[0-9]+)?(?![/0-9A-Za-z_])
-    |{_FINE})""",
+    |"[^"]*"
+    |<->|\?\?|!!|->|>=|[()\[\]{{}}<>,;+*?~&|=^/-]
+    |{_NAME}
+    |[0-9]+
+    |.|\Z)""",
     re.VERBOSE,
 )
-_FINE_TOKEN = re.compile(rf"([ \t\r\n]*)({_FINE})", re.VERBOSE)
+# A whole payoff atom's pieces, and their kinds; a piece may be empty.
+_PAYOFF_PIECES = re.compile(r"(u[0-9]+)(=)(-?)([0-9]+)(/?)([0-9]*)")
+_PAYOFF_KINDS = ("NAME", "=", "-", "INT", "/", "INT")
 _OPERATORS = frozenset("<-> ?? !! -> >= ( ) [ ] { } < > , ; + * ? ~ & | = ^ / -".split())
 # A token's kind by its first character; a stray character has none.  A lone
 # '(', '[' or '<' is an operator, so a token that starts with one is a whole
@@ -104,20 +102,19 @@ _KIND_BY_FIRST = {
 }
 
 
-_Token = tuple[str, str, int]
+# (kind, text, match index, offset in the match's token; non-zero for a piece)
+_Token = tuple[str, str, int, int]
 
 
-def _tokenize(
-    text: str, lexer: re.Pattern = _TOKEN
-) -> tuple[list[_Token], list[tuple[str, str]]]:
-    """The (kind, text, index) tokens of `text`, ending with one EOF, and the
-    (blanks, token) matches they index, from which `_position` recovers a
-    token's line and column."""
-    matches = lexer.findall(text)
+def _tokenize(text: str) -> tuple[list[_Token], list[tuple[str, str]]]:
+    """The tokens of `text`, ending with one EOF, and the (blanks, token)
+    matches they index, from which `_position` recovers a token's line and
+    column."""
+    matches = _TOKEN.findall(text)
     tokens = []
     for index, (_, tok) in enumerate(matches):
         if tok in _OPERATORS:
-            tokens.append((tok, tok, index))
+            tokens.append((tok, tok, index, 0))
             continue
         kind = _KIND_BY_FIRST.get(tok[:1])
         if kind == "NAME":
@@ -129,9 +126,37 @@ def _tokenize(
             tok = tok[1:-1]
         elif kind is None:
             raise ParseError(f"stray character {tok!r}", *_position(matches, index))
-        tokens.append((kind, tok, index))
+        tokens.append((kind, tok, index, 0))
         if kind == "EOF":
             return tokens, matches
+
+
+def _pieces(tok: _Token) -> list[_Token]:
+    """The fine tokens that whole token `tok` spans; a modal prefix's vector
+    stays one VECTOR piece, so that it is read through the table too."""
+    kind, text, index, at = tok
+    if kind == "VECTOR":
+        pieces, mark = [], "("
+        for name in text[1:-1].split(","):
+            term = name if name in _OPERATORS else "NAME"  # '??', '!!' or a name
+            pieces += ((mark, mark, index, at), (term, name, index, at + 1))
+            at += len(name) + 1
+            mark = ","
+        pieces.append((")", ")", index, at))
+        return pieces
+    if kind == "PAYOFF":
+        pieces = []
+        for kind, piece in zip(_PAYOFF_KINDS, _PAYOFF_PIECES.match(text).groups()):
+            if piece:
+                pieces.append((kind, piece, index, at))
+                at += len(piece)
+        return pieces
+    # A box or diamond: a whole vector, or an agent's name and its '^', in brackets.
+    program, end = text[1:-1], at + len(text) - 1
+    inner = [(_KIND_BY_FIRST[program[0]], program.rstrip("^"), index, at + 1)]
+    if program[-1] == "^":
+        inner.append(("^", "^", index, end - 1))
+    return [(text[0], text[0], index, at), *inner, (text[-1], text[-1], index, end)]
 
 
 def _position(matches: list[tuple[str, str]], index: int) -> tuple[int, int]:
@@ -164,63 +189,69 @@ def _apply_prefixes(prefixes: list, node):
 
 
 class _Parser:
-    def __init__(self, text: str, signature: Signature, lexer: re.Pattern = _TOKEN):
-        self.tokens, self._matches = _tokenize(text, lexer)
+    def __init__(self, text: str, signature: Signature):
+        self.tokens, self._matches = _tokenize(text)
         self.pos = 0
         self.sig = signature
-        self.spelled = signature._spelled
-        if self.spelled is None:
-            self.spelled = {}
-            object.__setattr__(signature, "_spelled", self.spelled)
+        self.parsed = signature._parsed
+        if self.parsed is None:
+            self.parsed = {}
+            object.__setattr__(signature, "_parsed", self.parsed)
 
     # -- token plumbing ----------------------------------------------------
     #
-    # A token is a (kind, text, index) tuple; `_error` turns its index into
-    # a line and column.
-
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def _next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    # A whole token met where the grammar takes none is replaced by its
+    # pieces (`_peel`), and the parse goes on as a read of fine tokens would.
 
     def _accept(self, kind: str) -> _Token | None:
         tok = self.tokens[self.pos]
         if tok[0] == kind:
             self.pos += 1
             return tok
+        if tok[1][:1] == kind and self._peel():
+            return self._accept(kind)
         return None
 
     def _expect(self, kind: str, what: str) -> _Token:
         tok = self.tokens[self.pos]
         if tok[0] != kind:
+            if self._peel():
+                return self._expect(kind, what)
             found = tok[1] or "end of input"
             raise self._error(f"expected {what}, found {found!r}", tok)
         self.pos += 1
         return tok
 
+    def _peel(self) -> bool:
+        """Replace the token at `pos` by its pieces if it is a whole token."""
+        tok = self.tokens[self.pos]
+        if tok[0] not in ("VECTOR", "PAYOFF", "BOX", "DIAMOND"):
+            return False
+        self.tokens[self.pos : self.pos + 1] = _pieces(tok)
+        return True
+
     def _error(self, message: str, tok: _Token) -> ParseError:
-        return ParseError(message, *_position(self._matches, tok[2]))
+        line, col = _position(self._matches, tok[2])
+        return ParseError(message, line, col + tok[3])
 
     def _fail(self, message: str):
-        raise self._error(message, self._peek())
+        raise self._error(message, self.tokens[self.pos])
 
     def _finish(self, result):
-        tok = self._peek()
-        if tok[0] != "EOF":
+        if self.tokens[self.pos][0] != "EOF":
+            self._peel()
+            tok = self.tokens[self.pos]
             raise self._error(f"unexpected trailing input {tok[1]!r}", tok)
         return result
 
     def run(self, kind: str):
         """The whole text as a 'formula', a 'program' or a 'cl' formula."""
         if kind == "formula":
-            return self._finish(self.formula())
+            return self._finish(self._infix(self._formula_unary, _FORMULA_OPS))
         if kind == "program":
             return self._finish(self.program())
         if kind == "cl":
-            return self._finish(self.cl_formula())
+            return self._finish(self._infix(self._cl_unary, _CL_OPS))
         raise ValueError(f"unknown parse kind {kind!r}")
 
     # -- shared pieces -----------------------------------------------------
@@ -230,15 +261,12 @@ class _Parser:
         tok = self._expect("INT", "a number")
         num = self._number(sign + tok[1], tok)
         if self._accept("/"):
-            den = self._expect("INT", "a denominator")
-            return self._quotient(num, self._number(den[1], den), den)
+            tok = self._expect("INT", "a denominator")
+            den = self._number(tok[1], tok)
+            if den == 0:
+                raise self._error("zero denominator", tok)
+            return Fraction(num, den)
         return Fraction(num)
-
-    def _quotient(self, num: int, den: int, tok: _Token) -> Fraction:
-        """The value num/den of a payoff atom, or an error at `tok`."""
-        if den == 0:
-            raise self._error("zero denominator", tok)
-        return Fraction(num, den)
 
     def _number(self, numeral: str, tok: _Token) -> int:
         """A numeral's value, or an error at `tok` if it has more digits than
@@ -251,95 +279,74 @@ class _Parser:
             raise self._error(f"numeral of {digits} digits is too long", tok) from None
 
     def _name_or_string(self, what: str) -> str:
-        if self._peek()[0] in ("NAME", "STRING"):
-            return self._next()[1]
+        tok = self.tokens[self.pos]
+        if tok[0] in ("NAME", "STRING"):
+            self.pos += 1
+            return tok[1]
+        if self._peel():
+            return self._name_or_string(what)
         self._fail(f"expected {what}")
 
-    def _vector_ahead(self) -> bool:
-        # A vector is "(" term ("," term)+ ")" with terms that are names,
-        # ??, or !!; anything else after "(" is a grouped expression.
-        tokens, i = self.tokens, self.pos
-        if tokens[i][0] != "(":
-            return False
-        i += 1
-        commas = 0
-        while True:
-            if tokens[i][0] not in ("NAME", "??", "!!"):
-                return False
-            i += 1
-            if tokens[i][0] == ",":
-                commas += 1
-                i += 1
-                continue
-            return tokens[i][0] == ")" and commas >= 1
-
     def _group_ahead(self) -> bool:
-        """Read the '(' of a parenthesized group, if one comes next."""
-        if self.tokens[self.pos][0] != "(" or self._vector_ahead():
+        """Read the '(' at `pos` if it opens a parenthesized group.  A '('
+        that starts a vector, "(" term ("," term)+ ")" with terms that are
+        names, ?? or !!, opens none."""
+        tokens, i = self.tokens, self.pos
+        while tokens[i + 1][0] in ("NAME", "??", "!!") and tokens[i + 2][0] == ",":
+            i += 2
+        if i > self.pos and tokens[i + 1][0] in ("NAME", "??", "!!") and tokens[i + 2][0] == ")":
             return False
         self.pos += 1
         return True
 
-    def _spell(self, tok: _Token):
-        """The node of a whole token, added to the signature's table of
-        spellings: a `Vector`, a `UtilEq`, or the program of a box or diamond
-        prefix.  It is read straight from the token's text and checked as a
-        spaced spelling is, by `_checked_vector`, `_player_number` and
-        `_quotient`.  A failed check raises at the token, and `parse` then
-        reads the text again token by token, for the error's message and
-        place.
-
-        A node is kept only under its canonical spelling, as `render` writes
-        it: a vector has no other, a payoff atom is kept only for a value of
-        the utility range, and an agent's number has no leading zero.  A
-        modal entry's vector is a vector entry too, so the table holds at
-        most players × |U| payoff entries, and at most
-        2 × (vector entries + 2 × players) modal ones, however many
-        spellings of a value or an agent are read."""
-        kind, text, _ = tok
+    def _missed(self, tok: _Token):
+        """The node of whole token `tok`, just read, that the signature's
+        table of spellings lacks: a `Vector`, a `UtilEq`, or the program of a
+        box or diamond prefix, read from the token's pieces by the routines
+        that read a spaced spelling.  It is kept only under its canonical
+        spelling, as `render` writes it: a payoff atom only for a value of
+        the utility range, an agent only without leading zeros.  A modal
+        entry's vector is a vector entry too, so the table holds at most
+        players × |U| payoff and 2 × (vector entries + 2 × players) modal
+        entries, however many spellings of a value or an agent are read."""
+        kind, text, _, _ = tok
+        self.pos -= 1
+        self.tokens[self.pos : self.pos + 1] = _pieces(tok)
         if kind == "VECTOR":
-            names = text[1:-1].split(",")
-            node = self._checked_vector(names, [tok] * len(names), tok)
+            node = self._vector()
         elif kind == "PAYOFF":
-            head, _, value = text.partition("=")
-            num, _, den = value.partition("/")
-            quotient = self._quotient(self._number(num, tok), self._number(den or "1", tok), tok)
-            node = UtilEq(self._player_number(head[1:], tok), quotient)
-            if text != f"u{node.player}={node.value}" or node.value not in (
+            # The value runs on past the token in `u1=1 /2`, and is then
+            # not the token's.
+            name = self.tokens[self.pos]
+            player = self._player_number(name[1][1:], name)
+            self.pos += 2  # the name and the '='
+            node = UtilEq(player, self._rational())
+            if text != f"u{player}={node.value}" or node.value not in (
                 self.sig.util_range or ()
             ):
                 return node
         else:  # BOX or DIAMOND
-            program = text[1:-1]
-            if program[0] == "(":
-                node = Vec(self.spelled.get(program) or self._spell(("VECTOR", program, tok[2])))
-            else:
-                converse = program[-1] == "^"
-                player = self._player_number(program[2 : len(program) - converse], tok)
-                node = AgentConv(player) if converse else Agent(player)
-                if program != f"ag{player}{'^' * converse}":
-                    return node
-        self.spelled[text] = node
+            self.pos += 1  # the '[' or '<'
+            node = self._program_primary()
+            self.pos += 1  # the ']' or '>'
+            if type(node) is not Vec and text[3] == "0":  # as in `[ag01]`
+                return node
+        self.parsed[text] = node
         return node
 
     def _vector(self) -> Vector:
-        # Entered only once `_vector_ahead` has seen "(" term ("," term)+ ")",
-        # so every other token is a term up to the ")".
+        """The vector at `pos`, checked against the signature.  Entered only
+        where `_group_ahead` found "(" term ("," term)+ ")", or at a whole
+        vector's pieces, so every other token is a term up to the ")"."""
         tokens, start = self.tokens, self.pos
         end = start + 2
         while tokens[end][0] != ")":
             end += 2
         self.pos = end + 1
-        terms = tokens[start + 1 : end : 2]
-        return self._checked_vector([tok[1] for tok in terms], terms, tokens[start])
-
-    def _checked_vector(self, names: list[str], at: list[_Token], start: _Token) -> Vector:
-        """The vector of the term spellings `names`, checked against the
-        signature.  A failed check raises at the term's token in `at`, or at
-        `start` for a vector too short."""
         n, strategy_sets = self.sig.n, self.sig.strategy_sets
         terms = []
-        for name, tok in zip(names, at):
+        for tok in tokens[start + 1 : end : 2]:
+            name = tok[1]
             if len(terms) == n:
                 raise self._error(f"vector has more than {n} positions", tok)
             if name == "??":
@@ -351,7 +358,7 @@ class _Parser:
             else:
                 raise self._error(f"player {len(terms) + 1} has no strategy named {name!r}", tok)
         if len(terms) != n:
-            raise self._error(f"vector has {len(terms)} positions for {n} players", start)
+            raise self._error(f"vector has {len(terms)} positions for {n} players", tokens[start])
         return Vector(terms)
 
     def _player_number(self, digits: str, tok: _Token) -> int:
@@ -359,17 +366,6 @@ class _Parser:
         if not 1 <= player <= self.sig.n:
             raise self._error(f"no player {player} in scope", tok)
         return player
-
-    def _winner_name(self) -> str:
-        self._expect("(", "'('")
-        tok = self._peek()
-        name = self._name_or_string("an alternative name")
-        if self.sig.alternatives is None:
-            raise self._error("this game has no winner vocabulary", tok)
-        if name not in self.sig.alternatives:
-            raise self._error(f"unknown alternative {name!r}", tok)
-        self._expect(")", "')'")
-        return name
 
     # -- formulas ----------------------------------------------------------
 
@@ -411,9 +407,6 @@ class _Parser:
                 out[-1] = pending.pop()[1](out[-1], right)
             pending.append(op)
 
-    def formula(self) -> Formula:
-        return self._infix(self._formula_unary, _FORMULA_OPS)
-
     def _formula_unary(self) -> Formula | _Group:
         # Prefixes are collected in a loop and applied innermost first, so
         # long prefix runs never recurse.
@@ -424,63 +417,71 @@ class _Parser:
             if kind == "~":
                 prefixes.append(Not)
             elif kind == "BOX":
-                prefixes.append(partial(Box, self.spelled.get(tok[1]) or self._spell(tok)))
+                prefixes.append(partial(Box, self.parsed.get(tok[1]) or self._missed(tok)))
             elif kind == "DIAMOND":
-                prefixes.append(partial(Diamond, self.spelled.get(tok[1]) or self._spell(tok)))
+                prefixes.append(partial(Diamond, self.parsed.get(tok[1]) or self._missed(tok)))
             elif kind == "[":
                 prefixes.append(partial(Box, self.program()))
                 self._expect("]", "']'")
             else:
                 prefixes.append(partial(Diamond, self.program()))
                 self._expect(">", "'>'")
-        if self._group_ahead():
+        if tok[0] == "(" and self._group_ahead():
             return _Group(partial(_apply_prefixes, prefixes))
         return _apply_prefixes(prefixes, self._atom(_FORMULA_ATOMS))
 
     # -- atoms, shared by the formula and coalition grammars ---------------
 
     def _atom(self, atoms: _Atoms):
-        tok = kind, text, _ = self._peek()
+        tok = kind, text, _, _ = self.tokens[self.pos]
         if kind == "PAYOFF":
             self.pos += 1
-            return atoms.wrap(self.spelled.get(text) or self._spell(tok))
+            node = self.parsed.get(text)
+            if node is None or self.tokens[self.pos][0] == "/":  # as in `u1=1 /2`
+                node = self._missed(tok)
+            return atoms.wrap(node)
         if kind == "VECTOR" and atoms.vector is not None:
             self.pos += 1
-            return atoms.vector(self.spelled.get(text) or self._spell(tok))
+            return atoms.vector(self.parsed.get(text) or self._missed(tok))
         if kind == "NAME":
             if text == "T":
-                self._next()
+                self.pos += 1
                 return atoms.top()
             if text == "win":
-                self._next()
-                return atoms.wrap(Winner(self._winner_name()))
+                self.pos += 1
+                self._expect("(", "'('")
+                tok = self.tokens[self.pos]
+                text = self._name_or_string("an alternative name")
+                if self.sig.alternatives is None:
+                    raise self._error("this game has no winner vocabulary", tok)
+                if text not in self.sig.alternatives:
+                    raise self._error(f"unknown alternative {text!r}", tok)
+                self._expect(")", "')'")
+                return atoms.wrap(Winner(text))
             if text == "label":
-                self._next()
+                self.pos += 1
                 self._expect("(", "'('")
                 text = self._name_or_string("a label")
                 self._expect(")", "')'")
                 return atoms.wrap(Label(text))
             m = _PAYOFF_NAME.match(text)
-            if m:
-                self._next()
-                player = self._player_number(m.group(1), tok)
-                return self._payoff_tail(atoms, player, tok)
-            self._fail(f"unexpected name {text!r} in a {atoms.noun}")
+            if not m:
+                self._fail(f"unexpected name {text!r} in a {atoms.noun}")
+            self.pos += 1
+            player = self._player_number(m.group(1), tok)
+            op = self.tokens[self.pos][0]
+            if op == "=":
+                self.pos += 1
+                return atoms.wrap(UtilEq(player, self._rational()))
+            if op in (">=", ">"):
+                self.pos += 1
+                if self.sig.util_range is None:
+                    raise self._error("utility comparisons need a known utility range", tok)
+                return atoms.compare(self.sig, player, op, self._rational())
+            self._fail("expected '=', '>=' or '>' after a payoff atom")
         if kind == "(" and atoms.vector is not None:
             return atoms.vector(self._vector())
         self._fail(f"expected a {atoms.noun}")
-
-    def _payoff_tail(self, atoms: _Atoms, player: int, start: _Token):
-        op = self._peek()[0]
-        if op == "=":
-            self._next()
-            return atoms.wrap(UtilEq(player, self._rational()))
-        if op in (">=", ">"):
-            self._next()
-            if self.sig.util_range is None:
-                raise self._error("utility comparisons need a known utility range", start)
-            return atoms.compare(self.sig, player, op, self._rational())
-        self._fail("expected '=', '>=' or '>' after a payoff atom")
 
     # -- programs ----------------------------------------------------------
 
@@ -488,7 +489,7 @@ class _Parser:
         return self._infix(self._program_unary, _PROGRAM_OPS)
 
     def _program_unary(self) -> Program | _Group:
-        if self._group_ahead():
+        if self.tokens[self.pos][0] == "(" and self._group_ahead():
             return _Group(self._stars)
         return self._stars(self._program_primary())
 
@@ -498,33 +499,32 @@ class _Parser:
         return out
 
     def _program_primary(self) -> Program:
-        tok = kind, text, _ = self._peek()
+        tok = kind, text, _, _ = self.tokens[self.pos]
         if kind == "?":
-            self._next()
+            self.pos += 1
             body = self._formula_unary()
             if type(body) is _Group:
                 body = self._infix(self._formula_unary, _FORMULA_OPS, body)
             return Test(body)
         if kind == "VECTOR":
             self.pos += 1
-            return Vec(self.spelled.get(text) or self._spell(tok))
+            return Vec(self.parsed.get(text) or self._missed(tok))
         if kind == "(":
             return Vec(self._vector())
         if kind == "NAME":
             m = _AGENT_NAME.match(text)
             if m:
-                self._next()
+                self.pos += 1
                 player = self._player_number(m.group(1), tok)
                 if self._accept("^"):
                     return AgentConv(player)
                 return Agent(player)
             self._fail(f"unexpected name {text!r} in a program")
+        if self._peel():
+            return self._program_primary()
         self._fail("expected a program")
 
     # -- coalition logic ---------------------------------------------------
-
-    def cl_formula(self) -> CLFormula:
-        return self._infix(self._cl_unary, _CL_OPS)
 
     def _cl_unary(self) -> CLFormula | _Group:
         prefixes = []
@@ -539,16 +539,15 @@ class _Parser:
                 raise self._error("expected 'C' to open a coalition", name)
             self._expect("{", "'{'")
             members: list[int] = []
-            if self._peek()[0] != "}":
+            if self.tokens[self.pos][0] != "}":
                 while True:
                     tok = self._expect("INT", "a player number")
                     player = self._player_number(tok[1], tok)
                     if player in members:
                         raise self._error(f"duplicate coalition member {player}", tok)
                     members.append(player)
-                    if self._accept(","):
-                        continue
-                    break
+                    if not self._accept(","):
+                        break
             self._expect("}", "'}'")
             self._expect("]", "']'")
             prefixes.append(partial(CLBox, frozenset(members)))
@@ -599,14 +598,10 @@ _CL_ATOMS = _Atoms("coalition formula", CLTop, CLAtom, _cl_payoff_compare, None)
 def parse(text: str, signature: Signature, kind: str = "formula"):
     """Parse concrete syntax; `kind` is 'formula', 'program', or 'cl'.
 
-    The text is read with whole modal prefix, vector and payoff tokens
-    first.  Where that read fails, at a whole token out of place or with a
-    failed check, or at any other fault, the text is read again from fine
-    tokens alone, which gives the tree or the `ParseError` (message, line,
-    column) it always had: up to its first failing token the whole read
-    takes the same steps."""
-    try:
-        return _Parser(text, signature).run(kind)
-    except ParseError:
-        return _Parser(text, signature, _FINE_TOKEN).run(kind)
+    The text is read once, with whole modal prefix, vector and payoff
+    tokens.  A whole token that the signature's table lacks, or that stands
+    where the grammar takes none, is read from its pieces, so the tree and
+    any `ParseError` (message, line, column) are those of a read from fine
+    tokens alone."""
+    return _Parser(text, signature).run(kind)
 

@@ -337,10 +337,10 @@ class Signature:
     # The hash, computed on first use: hashing the `Fraction`s of the range
     # costs microseconds, and the property memo hashes at every build.
     _h: int | None = field(default=None, init=False, repr=False, compare=False)
-    # The parser's table from each whole vector or payoff spelling it read
-    # under this signature to its node, made on first use (see `parser`).
+    # The parser's table from each whole vector, payoff or modal spelling it
+    # read under this signature to its node, made on first use (see `parser`).
     # Like the hash, it is no part of the signature's value.
-    _spelled: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _parsed: dict | None = field(default=None, init=False, repr=False, compare=False)
     # The property builders' table of shared nodes, made on first use (see
     # `properties._shared`), and no part of the signature's value either.
     _nodes: dict | None = field(default=None, init=False, repr=False, compare=False)

@@ -77,6 +77,10 @@ def _cases() -> dict[str, list[str]]:
     cases["pd-parse-error-unknown-strategy"] = ["parse", *pd, "u1=1 &\n  [(c,zz)] u1=1"]
     cases["pd-parse-error-long-vector"] = ["parse", *pd, "<(c,d,c)> T"]
     cases["pd-parse-error-unterminated"] = ["parse", *pd, 'T & label("open']
+    # A whole vector or payoff token where the grammar takes none is read
+    # from its pieces: the error names the piece and its column.
+    cases["pd-parse-error-win-vector"] = ["parse", *pd, "win(a,b)"]
+    cases["pd-parse-error-payoff-in-program"] = ["parse", *pd, "--kind", "program", "u1=1"]
     cases["pd-parse-error-stray-after-string"] = ["parse", *pd, 'label("a\nb") & $']
     cases["pd-check-error-stray-tab-line"] = [
         "check", *pd, "--formula", "T\n\t&\r T #", "--state", "c,c"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import random
 import sys
 import time
@@ -56,7 +57,7 @@ from stratlogic import (
     valid_in_model,
     validity_report,
 )
-from stratlogic import models, properties
+from stratlogic import models, parse, properties
 from stratlogic.models import compile_plan, confusion_model, pre, run_plan
 from stratlogic.syntax import (
     Agent,
@@ -1251,6 +1252,27 @@ def test_nash_here_evaluates_each_distinct_subformula_once(values, monkeypatch):
     assert set(model._ext_cache) - cached == leaves
     assert len(calls) == modal > 0
     assert {model.states[int(i)] for i in np.flatnonzero(nash)} == nash_set(game)
+
+
+def test_evaluating_a_formula_makes_no_reference_cycle():
+    """A plan keeps the leaves and programs it reads, not the formula it is
+    kept on, and a lone atom gets no plan: reference counting alone frees
+    what evaluating a formula made."""
+    model = MaslModel(prisoners_dilemma())
+    sig = model_signature(model)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for text in ("u1=1 & <(c,??)> u2=2", "<(c,??)> u2=2", "~u1=1"):
+            formula = parse(text, sig)
+            extension(model, formula)
+            satisfies(model, "c,c", formula)
+            del formula
+            assert gc.collect() == 0, text
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_wide_formula_leaves_only_its_leaves_on_the_model():

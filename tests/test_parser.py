@@ -105,6 +105,11 @@ def test_parse_top_and_atoms():
 def test_parse_rationals():
     assert parse("u1=3/2", VOTE, "formula") == UtilEq(1, Fraction(3, 2))
     assert parse("u2=-2/3", VOTE, "formula") == UtilEq(2, Fraction(-2, 3))
+    # A denominator after blanks still belongs to the value.
+    assert parse("u1=1 /2", VOTE, "formula") == UtilEq(1, Fraction(1, 2))
+    assert parse("u1=1\n/ 2", VOTE, "formula") == UtilEq(1, Fraction(1, 2))
+    with pytest.raises(ParseError, match="unexpected trailing input '/'"):
+        parse("u1=1/2 /3", VOTE, "formula")
 
 
 def test_payoff_comparisons_expand_over_util_range():
@@ -264,11 +269,12 @@ def _outcome(call):
 
 
 class _OracleLexedParser(parser_module._Parser):
-    """The parser reading the oracle lexer's tokens and positions."""
+    """The parser reading the oracle lexer's fine tokens and positions: the
+    read of a text from fine tokens alone, which `parse` must match."""
 
     def __init__(self, text, signature):
         self._oracle = lexer_oracle.tokenize(text)
-        self.tokens = [(t.kind, t.text, i) for i, t in enumerate(self._oracle)]
+        self.tokens = [(t.kind, t.text, i, 0) for i, t in enumerate(self._oracle)]
         self.pos = 0
         self.sig = signature
 
@@ -325,24 +331,24 @@ def test_whole_tokens_are_kept_per_signature():
     )
     assert all(a is b for a, b in zip(leaves(first), leaves(second)))
     assert leaves(first)[0] is leaves(first)[2] and leaves(first)[1] is leaves(first)[4]
-    table = dict(sig._spelled)
+    table = dict(sig._parsed)
     assert set(table) == {
         "(a,??,!!)", "u1=2", "(b,c,a)", "[(a,??,!!)]", "<ag2^>", "[ag1]"
     }
     parse(text, sig, "formula")
-    assert sig._spelled == table
+    assert sig._parsed == table
     # The table is no part of the signature's value.
     fresh = Signature.from_game(vote3_game())
     assert fresh == sig and hash(fresh) == hash(sig)
     back = pickle.loads(pickle.dumps(sig))
-    assert back == sig and hash(back) == hash(sig) and back._spelled is None
+    assert back == sig and hash(back) == hash(sig) and back._parsed is None
     assert parse(text, fresh, "formula") == first
     assert parse(text, fresh, "formula").right is not first.right
     # A spelling valid under one signature is checked again under another.
     fewer = Signature((("a", "b"),) * 3, sig.util_range, sig.alternatives)
     with pytest.raises(ParseError, match=r"player 2 has no strategy named 'c' \(line 1, column 6\)"):
         parse("~ (b,c,a)", fewer, "formula")
-    assert "(b,c,a)" not in fewer._spelled
+    assert "(b,c,a)" not in fewer._parsed
     with pytest.raises(ParseError, match=r"no player 3 in scope \(line 1, column 1\)"):
         parse("u3=1", PD, "formula")
 
@@ -354,17 +360,17 @@ def test_payoff_spellings_kept_are_bounded_by_the_range():
     for k in range(1, 20_001):
         assert parse(f"u1={k}/{k}", sig, "formula") == UtilEq(1, 1)
         assert parse(f"u2={k}", sig, "formula") == UtilEq(2, k)
-    payoffs = [text for text in sig._spelled if text[0] != "("]
+    payoffs = [text for text in sig._parsed if text[0] != "("]
     assert len(payoffs) <= sig.n * len(sig.util_range)
     assert set(payoffs) == {"u2=1", "u2=2", "u2=3"}
     # Only the canonical spelling is kept, and a kept node is shared.
     assert parse("u1=1", sig, "formula") is parse("u1=1", sig, "formula")
     assert parse("u1=01", sig, "formula") == UtilEq(1, 1)
-    assert "u1=01" not in sig._spelled and "u1=1" in sig._spelled
+    assert "u1=01" not in sig._parsed and "u1=1" in sig._parsed
     # Without a known range no payoff spelling is kept.
     bare = Signature(sig.strategy_sets)
     assert parse("u1=1", bare, "formula") == UtilEq(1, 1)
-    assert not bare._spelled
+    assert not bare._parsed
 
 
 def test_modal_spellings_kept_are_canonical_and_bounded():
@@ -378,25 +384,27 @@ def test_modal_spellings_kept_are_canonical_and_bounded():
             assert parse(f"<ag{digits}{player}^> T", sig) == Diamond(AgentConv(player), Top())
             assert parse(f"[ag{digits}{player}^] T", sig) == Box(AgentConv(player), Top())
             assert parse(f"<ag{digits}{player}> T", sig) == Diamond(Agent(player), Top())
-    assert not [text for text in sig._spelled if text[0] in "[<"]
+    assert not [text for text in sig._parsed if text[0] in "[<"]
     # Canonical spellings are kept, and a kept program is shared.
     for player in (1, 2):
         for text in (f"[ag{player}]", f"<ag{player}^>", f"[ag{player}^]", f"<ag{player}>"):
             assert parse(f"{text} T", sig).program is parse(f"{text} T", sig).program
     for text in ("[(c,d)]", "<(c,d)>", "[(d,??)]", "<(!!,c)>"):
         assert parse(f"{text} T", sig).program is parse(f"{text} T", sig).program
-    modal = [text for text in sig._spelled if text[0] in "[<"]
-    vectors = [text for text in sig._spelled if text[0] == "("]
+    modal = [text for text in sig._parsed if text[0] in "[<"]
+    vectors = [text for text in sig._parsed if text[0] == "("]
     assert len(modal) == 12 and len(vectors) == 3
     assert len(modal) <= 2 * (len(vectors) + 2 * sig.n)
-    assert "[ag01]" not in sig._spelled and "[ag1]" in sig._spelled
+    assert "[ag01]" not in sig._parsed and "[ag1]" in sig._parsed
 
 
 def test_whole_token_misses_are_read_without_a_second_parser(monkeypatch):
     text = "[(c,d)] u1=1 & <ag1^> (c,??) | [ag2] <(c,??)> u2=6/2"
-    want = parser_module._Parser(
-        text, Signature.from_game(prisoners_dilemma()), parser_module._FINE_TOKEN
-    ).run("formula")
+    want = _parse_with_oracle_lexer(text, Signature.from_game(prisoners_dilemma()), "formula")
+    failing = {
+        bad: _outcome(lambda: _parse_with_oracle_lexer(bad, PD, "formula"))
+        for bad in ("win(a,b)", "[(c,x)] T")
+    }
     made = []
     init = parser_module._Parser.__init__
 
@@ -408,9 +416,14 @@ def test_whole_token_misses_are_read_without_a_second_parser(monkeypatch):
     sig = Signature.from_game(prisoners_dilemma())
     assert parse(text, sig, "formula") == want
     assert len(made) == 1
-    assert set(sig._spelled) == {
+    assert set(sig._parsed) == {
         "(c,d)", "[(c,d)]", "u1=1", "<ag1^>", "(c,??)", "[ag2]", "<(c,??)>"
     }
+    # A text that fails is read once too.
+    for bad, outcome in failing.items():
+        made.clear()
+        assert outcome[0] == "error" and _outcome(lambda: parse(bad, sig, "formula")) == outcome
+        assert len(made) == 1
 
 
 @pytest.mark.parametrize(
@@ -427,14 +440,27 @@ def test_whole_token_misses_are_read_without_a_second_parser(monkeypatch):
         ("[C{1}] <(c,d)> T", "cl"),
         ("[ag1]", "program"),
         ("<ag1>=1", "formula"),
+        ("win(a,b)", "formula"),
+        ("label(a,b)", "formula"),
+        ("T (c,d)", "formula"),
+        ("T u1=1", "formula"),
+        ("T [(c,d)] T", "formula"),
+        ("u1=1/0", "formula"),
+        ("u1 = (c,d)", "formula"),
+        ("<(c,c,c)> T", "formula"),
+        ("(c,d)", "cl"),
+        ("((c,d))", "cl"),
+        ("[ag1] T", "cl"),
+        ("[(c,d)] T", "cl"),
+        ("[C(c,d)] T", "cl"),
+        ("[(c,x)] T", "cl"),
+        ("u1=1", "program"),
     ],
 )
 def test_bad_whole_tokens_fail_as_the_fine_token_read_does(text, kind):
     got = _outcome(lambda: parse(text, Signature.from_game(prisoners_dilemma()), kind))
     want = _outcome(
-        lambda: parser_module._Parser(
-            text, Signature.from_game(prisoners_dilemma()), parser_module._FINE_TOKEN
-        ).run(kind)
+        lambda: _parse_with_oracle_lexer(text, Signature.from_game(prisoners_dilemma()), kind)
     )
     assert got[0] == "error" and got == want
 
