@@ -5,6 +5,7 @@ import json
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -341,15 +342,24 @@ def intensional_from_dict(data: Mapping) -> IntensionalModel:
             raise FormatError(f"model: bad agent key {key!r}")
         if not isinstance(pairs, list):
             raise FormatError(f"model: relation for agent {key} must be a list")
-        for pair in pairs:
-            if not (
-                isinstance(pair, list)
-                and len(pair) == 2
-                and type(pair[0]) is int
-                and type(pair[1]) is int
-            ):
-                raise FormatError(f"model: bad relation pair {json.dumps(pair, default=repr)}")
-        edges[player] = pairs
+        # The model reads one flat list of ints.  Whole-list passes check it;
+        # only when one fails are the pairs walked, to name the first bad one.
+        flat = (
+            list(chain.from_iterable(pairs))
+            if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            else None
+        )
+        if flat is None or not set(map(type, flat)) <= {int}:
+            for pair in pairs:
+                if not (
+                    isinstance(pair, list)
+                    and len(pair) == 2
+                    and type(pair[0]) is int
+                    and type(pair[1]) is int
+                ):
+                    raise FormatError(f"model: bad relation pair {json.dumps(pair, default=repr)}")
+            flat = list(chain.from_iterable(pairs))
+        edges[player] = flat
     try:
         return IntensionalModel(ambient, forms, worlds, table, edges)
     except GameError as exc:

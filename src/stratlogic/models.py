@@ -92,7 +92,9 @@ class IntensionalModel:
     id of None leaves a form unnamed: its worlds' keys are bare profile keys
     such as ``c,d``, not ``G:c,d``.
     Without an `agent_edges` mapping agent programs raise `EvalError`; with
-    one, a player the mapping leaves out has the empty relation.
+    one, a player the mapping leaves out has the empty relation.  A player's
+    entry lists (source, target) world indices, as pairs or as one flat
+    sequence of ints, source then target.
     """
 
     def __init__(
@@ -101,7 +103,7 @@ class IntensionalModel:
         forms: Sequence[tuple[str | None, GameForm]],
         worlds: Sequence[tuple[int, Profile]] | np.ndarray,
         outcomes: Outcomes,
-        agent_edges: Mapping[int, Iterable[tuple[int, int]]] | None = None,
+        agent_edges: Mapping[int, Iterable[tuple[int, int]] | Iterable[int]] | None = None,
     ):
         self.ambient = ambient
         self.n = n = ambient.n

@@ -10,7 +10,6 @@ from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Iterable
 
 from .games import GameError, to_fraction
 from .syntax import (
@@ -46,22 +45,27 @@ from .syntax import (
 # --------------------------------------------------------------------------
 # vectors and modality abbreviations
 #
+# A `??` in a vector ranges over the player's whole strategy set, so one
+# modality quantifies over every strategy at once: AdversaryPower,
+# ``[c[i:=??]]φ ↔ ⋀_a [c[i:=a]]φ`` (and dually ``<c[i:=??]>φ ↔ ⋁_a
+# <c[i:=a]>φ``), is valid in every model, restricted forms included, since a
+# move never leaves its form and `??` offers exactly the form's strategies.
+# So the builders quantify over a player's switches with one deviation
+# vector `(…!!, ??, !!…)`, and over whole blocks with the all-`??` vector,
+# instead of a conjunction or disjunction of one modality per strategy; the
+# plans then grow with players and values, not with strategy counts.
+#
 # Each property builder makes every subformula that recurs in its tree one
-# object.  The strategy terms and, per player, the switch and commitment
-# programs and the payoff levels are built once per signature, in a table
-# kept on the signature, so every property of one vocabulary shares them.
-# The trees equal the plain compositions of the abbreviations, and the
-# evaluator's caches then find each repeat by identity, not by comparing
-# equal trees node by node.
+# object.  The strategy terms, the all-`??` program and, per player, the
+# switch, commitment and deviation programs and the payoff levels are built
+# once per signature, in a table kept on the signature, so every property of
+# one vocabulary shares them.  The evaluator's caches then find each repeat
+# by identity, not by comparing equal trees node by node.
 
 
 def _vector(sig: Signature, player: int, term: Term, rest: Term) -> Vector:
     """`player` at `term`, everyone else at `rest`."""
     return Vector(term if p == player else rest for p in sig.players)
-
-
-def all_adversary(sig: Signature) -> Vector:
-    return Vector(ADV for _ in sig.players)
 
 
 def _shared(sig: Signature, key, build):
@@ -100,17 +104,25 @@ def _moves(sig: Signature, player: int, rest: Term) -> tuple[Vec, ...]:
     return _shared(sig, (player, rest), build)
 
 
-def _box_each(programs: Iterable[Vec], body: Formula) -> Formula:
-    return conj(Box(program, body) for program in programs)
+def _deviations(sig: Signature, player: int) -> Vec:
+    """Every own-strategy switch of `player` as one program: `player` at
+    `??`, everyone else staying put."""
+
+    def build() -> Vec:
+        sig.strategies(player)  # player range check
+        return Vec(_vector(sig, player, ADV, CUR))
+
+    return _shared(sig, (player, "deviations"), build)
 
 
-def _diamond_some(programs: Iterable[Vec], body: Formula) -> Formula:
-    return disj(Diamond(program, body) for program in programs)
+def _everyone(sig: Signature) -> Vec:
+    """The all-`??` program: every profile of the current form."""
+    return _shared(sig, "everyone", lambda: Vec(Vector(ADV for _ in sig.players)))
 
 
 def diamond_any_state(sig: Signature, body: Formula) -> Formula:
     """`body` holds somewhere in the model (the all-wildcard modality)."""
-    return Diamond(Vec(all_adversary(sig)), body)
+    return Diamond(_everyone(sig), body)
 
 
 def _util_range(sig: Signature) -> tuple[Fraction, ...]:
@@ -173,10 +185,8 @@ def nash_here(sig: Signature) -> Formula:
     some utility level no own switch strictly exceeds."""
 
     def settled(i: int) -> Formula:
-        switches = _moves(sig, i, CUR)
-        return disj(
-            And(geq, _box_each(switches, _not(gt))) for _, geq, gt in _levels(sig, i)
-        )
+        deviate = _deviations(sig, i)
+        return disj(And(geq, Box(deviate, _not(gt))) for _, geq, gt in _levels(sig, i))
 
     return conj(settled(i) for i in sig.players)
 
@@ -187,18 +197,17 @@ def game_is_nash(sig: Signature) -> Formula:
 
 
 def weak_dominance(sig: Signature, player: int, name: str) -> Formula:
-    """`name` weakly dominates for `player`: whatever level any alternative
-    strategy reaches against a block, switching to `name` reaches it too."""
+    """`name` weakly dominates for `player`: at every profile, whatever
+    level the strategy played reaches, switching to `name` reaches it too.
+    (Where `name` is played the switch stays put, so those profiles hold
+    trivially.)"""
     names = sig.strategies(player)
     if name not in names:
         raise GameError(f"player {player} has no strategy named {name!r}")
-    k = names.index(name)
-    to_name = _moves(sig, player, CUR)[k]
-    commitments = _moves(sig, player, ADV)
-    blocks = commitments[:k] + commitments[k + 1 :]
-    return conj(
-        _box_each(blocks, Implies(geq, Diamond(to_name, geq)))
-        for _, geq, _ in _levels(sig, player)
+    to_name = _moves(sig, player, CUR)[names.index(name)]
+    return Box(
+        _everyone(sig),
+        conj(Implies(geq, Diamond(to_name, geq)) for _, geq, _ in _levels(sig, player)),
     )
 
 
@@ -241,29 +250,27 @@ def resolute(sig: Signature) -> Formula:
         And(win, conj(prefixes[k - 1 : k] + loses[k + 1 :]))
         for k, win in enumerate(wins)
     )
-    return Box(Vec(all_adversary(sig)), single)
+    return Box(_everyone(sig), single)
 
 
 def strategy_proof_inner(sig: Signature) -> Formula:
     """No player can strictly raise their utility by an own-strategy switch."""
 
     def truthful(i: int) -> Formula:
-        switches = _moves(sig, i, CUR)
-        return disj(
-            And(geq, Not(_diamond_some(switches, gt))) for _, geq, gt in _levels(sig, i)
-        )
+        deviate = _deviations(sig, i)
+        return disj(And(geq, Not(Diamond(deviate, gt))) for _, geq, gt in _levels(sig, i))
 
     return conj(truthful(i) for i in sig.players)
 
 
 def strategy_proof(sig: Signature) -> Formula:
-    return Box(Vec(all_adversary(sig)), strategy_proof_inner(sig))
+    return Box(_everyone(sig), strategy_proof_inner(sig))
 
 
 def non_imposed(sig: Signature) -> Formula:
     """At least three different alternatives can each come out as winners."""
     alts = _alternatives(sig)
-    everyone = Vec(all_adversary(sig))
+    everyone = _everyone(sig)
     possible = {x: Diamond(everyone, Winner(x)) for x in alts}
 
     def with_third(a: str, b: str) -> list[Formula]:
@@ -282,14 +289,14 @@ def dictator(sig: Signature, player: int) -> Formula:
     if not others:
         raise GameError("a dictator needs at least one other player")
     levels = _levels(sig, player)
-    everyone = Vec(all_adversary(sig))
-    switches = _moves(sig, player, CUR)
+    everyone = _everyone(sig)
+    deviate = _deviations(sig, player)
     # Per level, each other player's cap (no more than that value).  At the
     # top value every cap is the one Not(BOT), so one Box serves them all.
     capped = zip(*([_not(gt) for _, _, gt in _levels(sig, j)] for j in others))
     disjuncts = []
     for (_, geq, _), caps in zip(levels, capped):
-        reach = _diamond_some(switches, geq)
+        reach = Diamond(deviate, geq)
         bounded = {cap: Box(everyone, And(cap, reach)) for cap in caps}
         disjuncts.append(conj(bounded[cap] for cap in caps))
     return disj(disjuncts)

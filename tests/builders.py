@@ -28,8 +28,6 @@ from stratlogic import (
     all_profiles,
 )
 from stratlogic.properties import (
-    _box_each,
-    _diamond_some,
     _moves,
     _plurality_vectors,
     _vector,
@@ -37,7 +35,7 @@ from stratlogic.properties import (
     payoff_geq,
     payoff_gt,
 )
-from stratlogic.syntax import Node, Vec
+from stratlogic.syntax import Node, Vec, conj, disj
 
 
 def seq(first: Program, *rest: Program) -> Program:
@@ -79,6 +77,14 @@ def from_outcomes(form: GameForm, outcomes: Mapping[Profile, OutcomeRecord]) -> 
 
 
 # The abbreviations below share nodes the way the property builders do.
+
+
+def _box_each(programs: Iterable[Vec], body: Formula) -> Formula:
+    return conj(Box(program, body) for program in programs)
+
+
+def _diamond_some(programs: Iterable[Vec], body: Formula) -> Formula:
+    return disj(Diamond(program, body) for program in programs)
 
 
 def vec_switch(sig: Signature, player: int, name: str) -> Vector:

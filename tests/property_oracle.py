@@ -8,8 +8,11 @@ each distinct subformula as one object.
 The builders that use payoff levels take them as a pair of helpers:
 `ASCENDING` (the default, `payoff_geq` and `payoff_gt`) gives the plain
 abbreviations, and `DESCENDING` the same disjunctions in descending order of
-value, which is how `stratlogic.properties` chains them from the top.
-`PROPERTIES` builds the first trees and `CHAINED` the second.
+value, which is how `stratlogic.properties` chains them from the top.  They
+also take `quantify`: False (the default) quantifies over a player's
+strategies with one modality per strategy, True with one modality over a
+`??` vector, as `stratlogic.properties` does.  `PROPERTIES` builds the
+first trees, the semantic oracle, and `QUANTIFIED` the second.
 """
 from __future__ import annotations
 
@@ -88,6 +91,24 @@ def diamond_switch(sig: Signature, player: int, body: Formula) -> Formula:
     )
 
 
+def vec_deviate(sig: Signature, player: int) -> Vector:
+    """The vector letting `player` take any strategy while everyone else
+    stays put."""
+    sig.strategies(player)  # player range check
+    return Vector(ADV if p == player else CUR for p in sig.players)
+
+
+def box_deviate(sig: Signature, player: int, body: Formula) -> Formula:
+    """`box_switch` as one box: after any own-strategy switch by `player`,
+    `body` holds."""
+    return Box(Vec(vec_deviate(sig, player)), body)
+
+
+def diamond_deviate(sig: Signature, player: int, body: Formula) -> Formula:
+    """`diamond_switch` as one diamond."""
+    return Diamond(Vec(vec_deviate(sig, player)), body)
+
+
 def box_any(sig: Signature, player: int, body: Formula) -> Formula:
     """However `player` commits and the others respond, `body` holds."""
     return conj(
@@ -143,15 +164,16 @@ def _alternatives(sig: Signature) -> tuple[str, ...]:
 # equilibrium and dominance
 
 
-def nash_here(sig: Signature, levels=ASCENDING) -> Formula:
+def nash_here(sig: Signature, levels=ASCENDING, quantify=False) -> Formula:
     """The current profile is a pure Nash equilibrium: every player sits at
     some utility level no own switch strictly exceeds."""
     geq, gt = levels
+    box = box_deviate if quantify else box_switch
     return conj(
         disj(
             And(
                 geq(sig, i, v),
-                box_switch(sig, i, Not(gt(sig, i, v))),
+                box(sig, i, Not(gt(sig, i, v))),
             )
             for v in _util_range(sig)
         )
@@ -159,17 +181,32 @@ def nash_here(sig: Signature, levels=ASCENDING) -> Formula:
     )
 
 
-def game_is_nash(sig: Signature, levels=ASCENDING) -> Formula:
+def game_is_nash(sig: Signature, levels=ASCENDING, quantify=False) -> Formula:
     """Somewhere in the game there is a pure Nash equilibrium."""
-    return diamond_any_state(sig, nash_here(sig, levels))
+    return diamond_any_state(sig, nash_here(sig, levels, quantify))
 
 
-def weak_dominance(sig: Signature, player: int, name: str, levels=ASCENDING) -> Formula:
+def weak_dominance(
+    sig: Signature, player: int, name: str, levels=ASCENDING, quantify=False
+) -> Formula:
     """`name` weakly dominates for `player`: whatever level any alternative
-    strategy reaches against a block, switching to `name` reaches it too."""
+    strategy reaches against a block, switching to `name` reaches it too.
+    Quantified, the blocks are every profile, those at `name` included,
+    where the switch stays put."""
     if name not in sig.strategies(player):
         raise GameError(f"player {player} has no strategy named {name!r}")
     geq = levels[0]
+    if quantify:
+        return Box(
+            Vec(all_adversary(sig)),
+            conj(
+                Implies(
+                    geq(sig, player, v),
+                    Diamond(Vec(vec_switch(sig, player, name)), geq(sig, player, v)),
+                )
+                for v in _util_range(sig)
+            ),
+        )
     return conj(
         conj(
             Box(
@@ -224,14 +261,15 @@ def resolute(sig: Signature) -> Formula:
     return Box(Vec(all_adversary(sig)), single)
 
 
-def strategy_proof_inner(sig: Signature, levels=ASCENDING) -> Formula:
+def strategy_proof_inner(sig: Signature, levels=ASCENDING, quantify=False) -> Formula:
     """No player can strictly raise their utility by an own-strategy switch."""
     geq, gt = levels
+    diamond = diamond_deviate if quantify else diamond_switch
     return conj(
         disj(
             And(
                 geq(sig, i, v),
-                Not(diamond_switch(sig, i, gt(sig, i, v))),
+                Not(diamond(sig, i, gt(sig, i, v))),
             )
             for v in _util_range(sig)
         )
@@ -239,8 +277,8 @@ def strategy_proof_inner(sig: Signature, levels=ASCENDING) -> Formula:
     )
 
 
-def strategy_proof(sig: Signature, levels=ASCENDING) -> Formula:
-    return Box(Vec(all_adversary(sig)), strategy_proof_inner(sig, levels))
+def strategy_proof(sig: Signature, levels=ASCENDING, quantify=False) -> Formula:
+    return Box(Vec(all_adversary(sig)), strategy_proof_inner(sig, levels, quantify))
 
 
 def non_imposed(sig: Signature) -> Formula:
@@ -256,20 +294,21 @@ def non_imposed(sig: Signature) -> Formula:
     )
 
 
-def dictator(sig: Signature, player: int, levels=ASCENDING) -> Formula:
+def dictator(sig: Signature, player: int, levels=ASCENDING, quantify=False) -> Formula:
     """Some utility level bounds everyone else while `player` can always
     reach it: the mark of a dictator."""
     others = [j for j in sig.players if j != player]
     if not others:
         raise GameError("a dictator needs at least one other player")
     geq, gt = levels
+    diamond = diamond_deviate if quantify else diamond_switch
     return disj(
         conj(
             Box(
                 Vec(all_adversary(sig)),
                 And(
                     Not(gt(sig, j, v)),
-                    diamond_switch(sig, player, geq(sig, player, v)),
+                    diamond(sig, player, geq(sig, player, v)),
                 ),
             )
             for j in others
@@ -284,8 +323,8 @@ def knowledge(player: int) -> Program:
     return Star(Choice(Agent(player), AgentConv(player)))
 
 
-def knowing_dictator(sig: Signature, player: int, levels=ASCENDING) -> Formula:
-    return Box(knowledge(player), dictator(sig, player, levels))
+def knowing_dictator(sig: Signature, player: int, levels=ASCENDING, quantify=False) -> Formula:
+    return Box(knowledge(player), dictator(sig, player, levels, quantify))
 
 
 # --------------------------------------------------------------------------
@@ -331,11 +370,13 @@ PROPERTIES = {
     "titForTat": (tit_for_tat, ("player",)),
 }
 
-# The same builders over the `DESCENDING` levels: the trees that
-# `stratlogic.properties` builds.
-CHAINED = {
+# The same builders over the `DESCENDING` levels, quantifying with `??`:
+# the trees that `stratlogic.properties` builds.
+QUANTIFIED = {
     name: (
-        partial(build, levels=DESCENDING) if "levels" in inspect.signature(build).parameters else build,
+        partial(build, levels=DESCENDING, quantify=True)
+        if "levels" in inspect.signature(build).parameters
+        else build,
         wanted,
     )
     for name, (build, wanted) in PROPERTIES.items()

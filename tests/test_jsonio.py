@@ -479,6 +479,54 @@ def test_intensional_from_dict_errors():
 
 
 @pytest.mark.parametrize(
+    "bad, shown",
+    [
+        ([0, True], "[0, true]"),
+        ([False, 1], "[false, 1]"),
+        ([0, 1.0], "[0, 1.0]"),
+        ([0], "[0]"),
+        ([0, 1, 2], "[0, 1, 2]"),
+        ([[0], 1], "[[0], 1]"),
+        ([0, None], "[0, null]"),
+        ("01", '"01"'),
+        ({"0": 1, "1": 0}, '{"0": 1, "1": 0}'),
+        (7, "7"),
+    ],
+)
+def test_a_bad_relation_pair_is_named_first_in_its_list(bad, shown):
+    """The pairs are checked in whole-list passes; whatever fails, the
+    message names the first bad pair of the relation, as a walk over the
+    pairs would."""
+    model, _ = commitment_confusion()
+    data = json.loads(json.dumps(intensional_to_dict(model)))
+    pairs = data["relations"]["2"]
+    pairs[3:3] = [bad, [0, 1.5], "x"]
+    with pytest.raises(FormatError) as exc:
+        intensional_from_dict(data)
+    assert str(exc.value) == f"model: bad relation pair {shown}"
+
+
+def test_relation_pairs_read_alike_as_lists_of_any_kind():
+    """A list subclass is a list: such pairs read as JSON's do."""
+
+    class Pair(list):
+        pass
+
+    model, _ = commitment_confusion()
+    data = json.loads(json.dumps(intensional_to_dict(model)))
+    twin = copy.deepcopy(data)
+    twin["relations"]["2"] = [Pair(pair) for pair in twin["relations"]["2"]]
+    for player in (1, 2):
+        assert np.array_equal(
+            relation_via_pre(intensional_from_dict(twin), Agent(player)),
+            relation_via_pre(intensional_from_dict(data), Agent(player)),
+        )
+    data["relations"]["2"][0] = [0, 2**70]
+    with pytest.raises(FormatError, match="^accessibility for player 2 must be integer pairs$"):
+        intensional_from_dict(data)
+
+
+@pytest.mark.parametrize(
     "breaks, message",
     [
         (

@@ -1276,15 +1276,15 @@ def test_evaluating_a_formula_makes_no_reference_cycle():
 
 
 def test_a_wide_formula_leaves_only_its_leaves_on_the_model():
-    """`nashHere` on a 6^5 game with 30 utility values is a plan of about
+    """`nashHere` on a 6^5 game with 80 utility values is a plan of about
     2 400 entries; a set is about 1 KB.  Once the call returns, the model
     keeps the sets of its payoff atoms and of `T`, and the mask handed
     out: a set kept for every entry would take about 2.4 MB."""
     form = GameForm([tuple("abcdef")] * 5)
     rng = np.random.default_rng(20)
-    codes = rng.integers(0, 30, size=(6**5, 5), dtype=np.uint8)
-    codes[:30, 0] = np.arange(30)
-    values = tuple(Fraction(v, 2) for v in range(30))
+    codes = rng.integers(0, 80, size=(6**5, 5), dtype=np.uint8)
+    codes[:80, 0] = np.arange(80)
+    values = tuple(Fraction(v, 2) for v in range(80))
     game = StrategicGame(form, Outcomes(values, codes, ("x",), np.zeros(6**5, dtype=np.uint8)))
     formula = build_property("nashHere", Signature.from_game(game))
     extension(MaslModel(game), formula)  # compiles the plan onto the formula
@@ -1298,7 +1298,7 @@ def test_a_wide_formula_leaves_only_its_leaves_on_the_model():
         tracemalloc.stop()
     assert len(formula._plan.nodes) > 2000
     assert {type(f) for f in model._ext_cache} == {UtilEq, Top}
-    assert len(model._ext_cache) <= 5 * 30 + 1
+    assert len(model._ext_cache) <= 5 * 80 + 1
     assert kept < 2**19, f"kept {kept / 2**20:.2f} MB"
     assert {model.states[int(i)] for i in np.flatnonzero(nash)} == nash_set(game)
 

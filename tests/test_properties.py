@@ -47,7 +47,7 @@ from stratlogic.properties import (
     tit_for_tat,
 )
 from stratlogic import models
-from stratlogic.models import EvalError, compile_plan
+from stratlogic.models import EvalError, compile_plan, confusion_model, restrict
 from stratlogic.syntax import BOT, Agent, AgentConv, Choice, Formula, Node, Seq, Star, Vec
 from stratlogic.voting import ConstantRule, DictatorRule, induced_game
 from stratlogic.catalog import (
@@ -450,7 +450,7 @@ def _signatures(draw) -> Signature:
 def test_builders_match_the_compositional_oracle_with_shared_nodes(sig):
     moves = [(i, a) for i in sig.players for a in sig.strategies(i)]
     params = {(): [()], ("player",): [(i,) for i in sig.players], ("player", "strategy"): moves}
-    for name, (oracle, wanted) in property_oracle.CHAINED.items():
+    for name, (oracle, wanted) in property_oracle.QUANTIFIED.items():
         for args in params[wanted]:
             _same_build(
                 lambda: build_property(name, sig, **dict(zip(wanted, args))),
@@ -487,12 +487,16 @@ def test_shared_node_counts_on_a_three_by_three_by_three_signature():
 
     assert objects(property_oracle.weak_dominance(sig, *args) for args in weak) == 1305
     built = [properties.weak_dominance(sig, *args) for args in weak]
-    assert objects(built) == 369
+    # One box over the all-`??` program per build, not one per other
+    # strategy: 369 objects when each build boxed per commitment.
+    assert objects(built) == 234
     # Across the nine builds the terms, programs and levels are one set of
-    # objects: 269 distinct nodes in all.
-    assert len({id(node) for f in built for node in node_objects(f)}) == 269
+    # objects: 154 distinct nodes in all (269 with per-commitment boxes).
+    assert len({id(node) for f in built for node in node_objects(f)}) == 154
     assert objects([property_oracle.nash_here(sig)]) == 281
-    assert objects([properties.nash_here(sig)]) == 138
+    # One box over `(…!!, ??, !!…)` per player and level: 138 with a box
+    # per strategy.
+    assert objects([properties.nash_here(sig)]) == 76
 
 
 # --------------------------------------------------------------------------
@@ -506,12 +510,13 @@ def test_weak_dominance_builds_of_one_player_share_vectors_and_levels():
     def objects(f, kind=object):
         return {id(node) for node in node_objects(f) if isinstance(node, kind)}
 
-    # Dominance by a blocks with the commitments to b and c, by b with those
-    # to a and c: the two share the commitment to c, and no switch.
-    to_c = properties._moves(sig, 2, ADV)[2]
-    assert objects(first, Vec) & objects(second, Vec) == {id(to_c)}
+    # Dominance by a and by b both box over the one all-`??` program, and
+    # each reaches its own switch: the two share that program, and no switch.
+    everyone = properties._everyone(sig)
+    assert everyone.vector == Vector([ADV, ADV, ADV])
+    assert objects(first, Vec) & objects(second, Vec) == {id(everyone)}
     assert properties._moves(sig, 2, CUR)[0].vector == Vector([CUR, Concrete("a"), CUR])
-    assert id(properties._moves(sig, 2, CUR)[0]) in objects(first, Vec)
+    assert objects(first, Vec) == {id(everyone), id(properties._moves(sig, 2, CUR)[0])}
     levels = {id(geq) for _, geq, _ in properties._levels(sig, 2)}
     assert len(levels) == 4
     assert levels <= objects(first) & objects(second)
@@ -553,15 +558,23 @@ def _two_voter_game():
     )
 
 
-def test_the_node_table_holds_terms_and_three_entries_per_player():
+def test_the_node_table_holds_terms_the_all_adversary_program_and_four_entries_per_player():
+    """Per player: the switches, the commitments, the deviation program and
+    the levels (before properties quantified with `??`, three entries and no
+    all-`??` program)."""
     sig = Signature.from_game(_two_voter_game())
     _build_all(sig)
     table = sig._nodes
-    assert len(table) == 1 + 3 * sig.n
+    assert len(table) == 2 + 4 * sig.n
     assert sum(isinstance(entry, dict) for entry in table.values()) == 1
+    assert table["everyone"] is properties._everyone(sig)
+    assert {table[i, "deviations"].vector for i in sig.players} == {
+        Vector([ADV, CUR]),
+        Vector([CUR, ADV]),
+    }
     with pytest.raises(GameError):
         properties.dictator(sig, 9)
-    assert len(table) == 1 + 3 * sig.n
+    assert len(table) == 2 + 4 * sig.n
     # The table is no part of the signature's value.
     assert sig == Signature.from_game(_two_voter_game())
     assert "_nodes" not in repr(sig)
@@ -655,17 +668,29 @@ def _level_games(draw):
     )
 
 
-@given(_level_games())
+@given(_level_games(), st.data())
 @settings(max_examples=25, deadline=None)
-def test_chained_levels_agree_with_the_old_trees_on_models_and_lifts(game):
+def test_chained_levels_agree_with_the_old_trees_on_models_and_lifts(game, data):
     """Each builder over payoff levels has the extension of the old trees,
-    whose levels are fresh ascending disjunctions, on the game and on its
-    epistemic lift; and its plan grows with players x values x strategies,
-    not with the square of the values."""
+    whose levels are fresh ascending disjunctions and whose quantifiers over
+    a player's strategies are one modality per strategy: on the game, on its
+    epistemic lift, and on a confusion model that restricts one player to a
+    drawn subset of strategies and confuses a drawn set of players (in the
+    restricted form `??` offers fewer strategies than the ambient ones).
+    Its plan grows with players x values, not with the strategy counts or
+    with the square of the values."""
     sig = Signature.from_game(game)
     params = _params(sig)
-    size = sig.n * len(sig.util_range) * max(map(len, sig.strategy_sets))
-    kripke = (MaslModel(game), epistemic_lift(game))
+    player = data.draw(st.sampled_from(sig.players))
+    kept = data.draw(
+        st.lists(st.sampled_from(sig.strategies(player)), min_size=1, unique=True)
+    )
+    confused = data.draw(st.lists(st.sampled_from(sig.players), unique=True))
+    kripke = (
+        MaslModel(game),
+        epistemic_lift(game),
+        confusion_model(game, restrict(game.form, {player: kept}), confused),
+    )
 
     def verdict(model, f):
         # A game has no agents, so `knowingDictator` fails there, alike.
@@ -678,6 +703,6 @@ def test_chained_levels_agree_with_the_old_trees_on_models_and_lifts(game):
         old, wanted = property_oracle.PROPERTIES[name]
         for args in params[wanted]:
             f = build_property(name, sig, **dict(zip(wanted, args)))
-            assert len(compile_plan([f]).nodes) <= 8 * size + 8
+            assert len(compile_plan([f]).nodes) <= 6 * sig.n * len(sig.util_range) + 8
             for model in kripke:
                 assert verdict(model, f) == verdict(model, old(sig, *args))
