@@ -94,8 +94,10 @@ def _dumps(data) -> str:
     return "".join(out)
 
 
-def _emit(data: dict, output: str | None) -> None:
-    text = _dumps(data)
+def _emit(data: dict, output: str | None, deep: bool = False) -> None:
+    """Write a report as ``json.dumps(data, indent=2)`` does; only `deep`
+    data, a formula's AST, needs `_dumps`."""
+    text = _dumps(data) if deep else json.dumps(data, indent=2)
     if output:
         Path(output).write_text(text + "\n")
     else:
@@ -142,7 +144,8 @@ def _cmd_parse(args) -> int:
     sig = model_signature(MaslModel(load_game(args.game)))
     node = parse(args.text, sig, args.kind)
     canonical = render_cl(node) if args.kind == "cl" else render(node)
-    _emit({"input": args.text, "canonical": canonical, "ast": ast_to_dict(node)}, args.output)
+    data = {"input": args.text, "canonical": canonical, "ast": ast_to_dict(node)}
+    _emit(data, args.output, deep=True)
     return 0
 
 
@@ -339,7 +342,7 @@ def _demo_vote3tb() -> int:
         "tie-breaking should make the rule resolute",
     )
     report = audit_rule(catalog.tiebreak3(), 3)
-    print(_dumps(audit_report_to_dict(report)))
+    print(json.dumps(audit_report_to_dict(report), indent=2))
     _require(report.resolute, "audit should find the rule resolute")
     _require(not report.strategy_proof, "audit should find a manipulation")
     _require(report.manipulation is not None, "audit should exhibit a witness")

@@ -6,8 +6,9 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Iterable, Sequence
+from itertools import chain, islice, product
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -186,6 +187,29 @@ def _code_dtype(count: int) -> np.dtype:
     return np.min_scalar_type(max(count - 1, 0))
 
 
+def _first_unhashable(keys: list) -> int:
+    for at, key in enumerate(keys):
+        try:
+            hash(key)
+        except TypeError:
+            return at
+    raise AssertionError("every key is hashable")
+
+
+def _check_row(name: str, utils: Sequence, winners: Iterable[str] | None, n: int) -> None:
+    """Check one `Outcomes.from_columns` row alone, as a walk over the rows
+    would, raising its first error."""
+    if len(utils) != n:
+        raise GameError(f"outcome {name!r} has wrong utility count for {n} players")
+    for u in utils:
+        try:
+            to_fraction(u)
+        except GameError as exc:
+            raise GameError(f"outcome {name!r}: {exc}") from None
+    if winners is not None and not tuple(winners):
+        raise GameError(f"outcome {name!r}: winner set, when present, must be non-empty")
+
+
 @dataclass(frozen=True, eq=False)
 class Outcomes:
     """A columnar, exact outcome store: one row per world.
@@ -209,97 +233,91 @@ class Outcomes:
     def from_records(cls, records: Sequence[OutcomeRecord], n: int) -> Outcomes:
         """Encode records of `n` utilities each, one row per record; a row's
         name in error messages is its label."""
-        rows = (
-            (row, rec.label, rec.label, rec.utils, rec.winners)
-            for row, rec in enumerate(records)
-        )
-        return cls.from_rows(rows, n, len(records))
+        labels = list(map(attrgetter("label"), records))
+        utils = list(map(attrgetter("utils"), records))
+        return cls.from_columns(labels, labels, utils, list(map(attrgetter("winners"), records)), n)
 
     @classmethod
-    def from_rows(
+    def from_columns(
         cls,
-        rows: Iterable[tuple[int, str, str, Sequence, Iterable[str] | None]],
+        names: Sequence[str],
+        labels: Sequence[str],
+        utils: Sequence[Sequence],
+        winners: Sequence[Iterable[str] | None],
         n: int,
-        count: int,
-        row_key: Callable[[int], str] = str,
+        rows: Sequence[int] | None = None,
     ) -> Outcomes:
-        """Encode `count` rows, each given once in any order, as ``(row,
-        name, label, utilities, winners or None)``.
+        """Encode the columns `labels`, `utils` (`n` utilities a row) and
+        `winners` (None or a non-empty set of names a row); position k is row
+        `rows[k]` of a permutation, or row k, and `names[k]` in messages.
 
-        Each distinct utility spelling, keyed by type and value so that
-        `True` is never taken for `1`, goes through `to_fraction` once, when
-        first seen; the codes are then renumbered by exact value, so ``1``,
-        ``1.0`` and ``"2/2"`` share one.  Labels are coded in order of first
-        occurrence by row and the alternatives are those that win somewhere,
-        sorted, so the store is canonical.  Errors name a row ``outcome
-        <name>`` and come in the order the rows are given; then the first
-        row not given is reported as the profile `row_key(row)`.
+        Each distinct utility spelling goes through `to_fraction` once,
+        keyed by value when only `int`s and `str`s occur and by type and
+        value otherwise, so that `True` is never taken for `1`; the codes
+        are then renumbered by exact value, so ``1``, ``1.0`` and ``"2/2"``
+        share one.  Labels are coded in order of first occurrence by row and
+        the alternatives are those that win somewhere, sorted, so the store
+        is canonical.
+
+        The columns are read in whole-list passes, each cutting the rows
+        before the first position it rejects.  A cut position is checked
+        alone by `_check_row`, which raises its error: the one a walk over
+        the rows in the order given would raise first.
         """
-        first: dict[tuple[type, object], int] = {}  # spelling -> raw code
-        found: list[Fraction] = []  # raw code -> value
-        labels: dict[str, int] = {}
-        sets: dict[tuple[str, ...] | None, int] = {}
-        order: list[int] = []
-        raw: list[int] = []
-        label_raw: list[int] = []
-        set_raw: list[int] = []
-        for row, name, label, utils, winners in rows:
-            if len(utils) != n:
-                raise GameError(f"outcome {name!r} has wrong utility count for {n} players")
-            for u in utils:
-                key = (u.__class__, u)
-                try:
-                    code = first.get(key)
-                except TypeError:  # unhashable, so not a utility
-                    code = None
-                if code is None:
-                    try:
-                        found.append(to_fraction(u))
-                    except GameError as exc:
-                        raise GameError(f"outcome {name!r}: {exc}") from None
-                    code = first[key] = len(found) - 1
-                raw.append(code)
-            key = None if winners is None else tuple(winners)
-            if key == ():
-                raise GameError(f"outcome {name!r}: winner set, when present, must be non-empty")
-            set_raw.append(sets.setdefault(key, len(sets)))
-            label_raw.append(labels.setdefault(label, len(labels)))
-            order.append(row)
-        placed = np.array(order, dtype=np.intp)
-        given = np.zeros(count, dtype=bool)
-        given[placed] = True
-        if not given.all():
-            raise GameError(f"no outcome for profile {row_key(int(given.argmin()))!r}")
-
-        def in_row_order(arrival) -> np.ndarray:
-            out = np.empty((count, *arrival.shape[1:]), dtype=arrival.dtype)
-            out[placed] = arrival
-            return out
-
-        values = sorted(set(found))
-        rank = {v: code for code, v in enumerate(values)}
-        code_table = np.array([rank[v] for v in found], dtype=_code_dtype(len(values)))
-        codes = in_row_order(code_table[np.array(raw, dtype=np.intp).reshape(-1, n)])
-        label_rows = in_row_order(np.array(label_raw, dtype=np.intp))
-        _, seen_at = np.unique(label_rows, return_index=True)
-        by_first = np.argsort(seen_at)
-        relabel = np.empty(len(labels), dtype=_code_dtype(len(labels)))
-        relabel[by_first] = np.arange(len(labels))
-        label_names = list(labels)
-        won = [None if key is None else frozenset(key) for key in sets]
-        alternatives = winners = None
-        if any(w is not None for w in won):
-            alternatives = tuple(sorted(frozenset().union(*filter(None, won))))
-            table = [[w is not None and a in w for a in alternatives] for w in won]
-            winners = in_row_order(np.array(table, dtype=bool)[set_raw])
-        return cls(
-            tuple(values),
-            codes,
-            tuple(label_names[k] for k in by_first),
-            relabel[label_rows],
-            alternatives,
-            winners,
+        end = len(utils)
+        if set(map(len, utils)) - {n}:
+            end = next(k for k, row in enumerate(utils) if len(row) != n)
+        flat = list(chain.from_iterable(islice(utils, end)))
+        plain = set(map(type, flat)) <= {int, str}
+        keys = flat if plain else list(zip(map(type, flat), flat))
+        try:
+            spellings = dict.fromkeys(keys)
+        except TypeError:  # an unhashable spelling, so not a utility
+            end = _first_unhashable(keys) // n
+            del keys[end * n :]
+            spellings = dict.fromkeys(keys)
+        found: list[Fraction] = []
+        try:
+            for key in spellings:
+                found.append(to_fraction(key if plain else key[1]))
+        except GameError:
+            end = keys.index(key) // n
+        sets = None
+        if winners.count(None) < len(winners):
+            sets = [None if won is None else tuple(won) for won in islice(winners, end)]
+            if () in sets:
+                end = sets.index(())
+        if end < len(utils):
+            _check_row(names[end], utils[end], winners[end], n)
+        # Values are ranked as integers over a common denominator, which
+        # hash and compare in C where `Fraction`s do not.
+        common = math.lcm(*map(attrgetter("denominator"), found))
+        scaled = [value.numerator * (common // value.denominator) for value in found]
+        levels = sorted(set(scaled))
+        rank = dict(zip(levels, range(len(levels))))
+        values = tuple(map(dict(zip(scaled, found)).__getitem__, levels))
+        code_of = dict(zip(spellings, map(rank.__getitem__, scaled)))
+        codes = np.fromiter(map(code_of.__getitem__, keys), _code_dtype(len(values)), len(keys))
+        codes = codes.reshape(end, n)
+        flags = alternatives = None
+        if sets is not None:
+            kinds = dict.fromkeys(sets)
+            won = [frozenset(kind or ()) for kind in kinds]
+            alternatives = tuple(sorted(frozenset().union(*won)))
+            table = np.array([[a in w for a in alternatives] for w in won], dtype=bool)
+            flags = table[list(map(dict(zip(kinds, range(len(kinds)))).__getitem__, sets))]
+        if rows is not None:
+            by_row = np.empty(end, dtype=np.intp)
+            by_row[rows] = np.arange(end)
+            codes = codes[by_row]
+            flags = None if flags is None else flags[by_row]
+            labels = list(map(labels.__getitem__, by_row.tolist()))
+        label_names = list(dict.fromkeys(labels))
+        label_of = dict(zip(label_names, range(len(label_names))))
+        label_codes = np.fromiter(
+            map(label_of.__getitem__, labels), _code_dtype(len(label_names)), end
         )
+        return cls(values, codes, tuple(label_names), label_codes, alternatives, flags)
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -5,7 +5,7 @@ import json
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice, product, repeat
 from pathlib import Path
 from typing import Any
 
@@ -103,16 +103,14 @@ def _form_to_dict(form: GameForm, outcomes, ambient: GameForm) -> dict:
     }
 
 
-def _outcome_row(key: str, entry, n: int) -> tuple[str, str, list, list | None]:
-    """Outcome entry `key` as an `Outcomes.from_rows` row without its index.
-    Its JSON shape is checked here, in `_need`'s words; the encoder
-    converts the utilities."""
+def _check_entry(key: str, entry, n: int) -> None:
+    """Check outcome entry `key` alone, raising its first JSON shape error
+    in `_need`'s words; the encoder checks the utilities."""
     if not isinstance(entry, Mapping):
         raise FormatError(f"outcome {key!r} must be a JSON object")
     if "label" not in entry:
         raise FormatError(f"outcome {key!r} is missing 'label'")
-    label = entry["label"]
-    if not isinstance(label, str):
+    if not isinstance(entry["label"], str):
         raise FormatError(f"outcome {key!r}: label must be a string")
     if "utils" not in entry:
         raise FormatError(f"outcome {key!r} is missing 'utils'")
@@ -125,15 +123,54 @@ def _outcome_row(key: str, entry, n: int) -> tuple[str, str, list, list | None]:
             isinstance(w, str) for w in winners
         ):
             raise FormatError(f"outcome {key!r}: winners must be a list of names")
-    return key, label, utils, winners
 
 
-def _encode(rows, n: int, count: int, row_key=str) -> Outcomes:
-    """`Outcomes.from_rows`, its errors raised as `FormatError`s."""
+def _cut(column: list, end: int, kind) -> int:
+    """`end`, or the position of the first of `column[:end]` that is not a
+    `kind` if there is one; a column of `kind`s costs one set of types."""
+    if all(issubclass(t, kind) for t in set(map(type, islice(column, end)))):
+        return end
+    return next((k for k, item in enumerate(column) if not isinstance(item, kind)), end)
+
+
+def _encode(names: list, entries: list, n: int, rows=None, rejected=None) -> Outcomes:
+    """The store of the JSON outcome objects `entries`, named `names` in
+    messages: entry k is row `rows[k]` of a permutation, or row k.
+
+    The entries are typed in whole-list passes, each cutting the list
+    before the first entry it rejects, and `Outcomes.from_columns` reads the
+    entries kept, raising the error of the first row it rejects.  Then the
+    first entry cut is checked alone by `_check_entry`, which raises its
+    error, and last `rejected`, an error the caller found after the
+    entries, is raised: errors come as a walk over the entries gives them.
+    """
+    end = _cut(entries, len(entries), Mapping)
+    get = dict.get if _cut(entries, end, dict) == end else Mapping.get
+    labels = list(map(get, islice(entries, end), repeat("label")))
+    end = _cut(labels, end, str)
+    utils = list(map(get, islice(entries, end), repeat("utils")))
+    end = _cut(utils, end, list)
+    if set(map(len, islice(utils, end))) - {n}:
+        end = next(k for k, row in enumerate(islice(utils, end)) if len(row) != n)
+    winners = list(map(get, islice(entries, end), repeat("winners")))
+    if winners.count(None) < len(winners):
+        end = _cut(winners, end, (list, type(None)))
+        named = chain.from_iterable(filter(None, islice(winners, end)))
+        if not all(issubclass(t, str) for t in set(map(type, named))):
+            kept = enumerate(islice(winners, end))
+            end = next(k for k, won in kept if won and not all(isinstance(w, str) for w in won))
+    cut = end < len(entries)
+    if cut or rejected is not None:
+        rows = None
     try:
-        return Outcomes.from_rows(rows, n, count, row_key)
+        table = Outcomes.from_columns(names, labels[:end], utils[:end], winners[:end], n, rows)
     except GameError as exc:
         raise FormatError(str(exc)) from exc
+    if cut:
+        _check_entry(names[end], entries[end], n)
+    if rejected is not None:
+        raise rejected
+    return table
 
 
 def _form_from_dict(data: Mapping, what: str) -> GameForm:
@@ -164,21 +201,25 @@ def game_from_dict(data: Mapping) -> StrategicGame:
     outcomes = _need(data, "outcomes", "game")
     if not isinstance(outcomes, Mapping):
         raise FormatError("game: outcomes must be an object")
-
-    n = form.n
-
-    def rows():
-        for key, entry in outcomes.items():
+    keys = list(outcomes)
+    profiles = list(map(",".join, product(*form.strategy_sets)))
+    end = len(keys)
+    rows = rejected = None
+    if keys != profiles:  # each key's row, from one table of the form's keys
+        row_of = dict(zip(profiles, range(len(profiles))))
+        rows = list(map(row_of.get, keys))
+        if None in rows:
+            end = rows.index(None)
             try:
-                row = form.row_of_key(key)
+                form.row_of_key(keys[end])
             except GameError as exc:
-                raise FormatError(f"outcome key {key!r}: {exc}") from exc
-            yield (row, *_outcome_row(key, entry, n))
-
-    def row_key(row: int) -> str:
-        return form.profile_key(all_profiles(form)[row])
-
-    return StrategicGame(form, _encode(rows(), n, form.profile_count(), row_key))
+                rejected = FormatError(f"outcome key {keys[end]!r}: {exc}")
+        elif end < len(profiles):
+            missing = next(key for key in profiles if key not in outcomes)
+            rejected = FormatError(f"no outcome for profile {missing!r}")
+    entries = list(islice(outcomes.values(), end))
+    table = _encode(keys, entries, form.n, rows, rejected)
+    return StrategicGame(form, table)
 
 
 def load_game(path: str | Path) -> StrategicGame:
@@ -311,27 +352,37 @@ def intensional_from_dict(data: Mapping) -> IntensionalModel:
         raise FormatError("model: worlds must be a non-empty list")
     worlds: list[tuple[int, tuple[int, ...]]] = []
 
-    def rows():
-        for entry in worlds_raw:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise FormatError(f"model: world {entry!r} must be [form, profile]")
-            fid, key = entry
-            if not isinstance(fid, str) or fid not in by_id:
-                raise FormatError(f"model: world references unknown form {fid!r}")
-            if not isinstance(key, str):
-                raise FormatError(f"world {entry!r}: profile key must be a string")
-            form_idx = by_id[fid]
-            try:
-                profile = ambient.profile_from_key(key)
-            except GameError as exc:
-                raise FormatError(f"world {entry!r}: {exc}") from exc
-            outcomes = form_outcomes[form_idx]
-            if key not in outcomes:
-                raise FormatError(f"form {fid!r} has no outcome for world {key!r}")
-            worlds.append((form_idx, profile))
-            yield (len(worlds) - 1, *_outcome_row(key, outcomes[key], n))
+    def world(entry) -> tuple[int, tuple[int, ...], str]:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise FormatError(f"model: world {entry!r} must be [form, profile]")
+        fid, key = entry
+        if not isinstance(fid, str) or fid not in by_id:
+            raise FormatError(f"model: world references unknown form {fid!r}")
+        if not isinstance(key, str):
+            raise FormatError(f"world {entry!r}: profile key must be a string")
+        try:
+            profile = ambient.profile_from_key(key)
+        except GameError as exc:
+            raise FormatError(f"world {entry!r}: {exc}") from exc
+        if key not in form_outcomes[by_id[fid]]:
+            raise FormatError(f"form {fid!r} has no outcome for world {key!r}")
+        return by_id[fid], profile, key
 
-    table = _encode(rows(), n, len(worlds_raw))
+    # The worlds are walked up to the first bad one; their outcome entries
+    # are then read as a game's are, and its error comes after theirs.
+    keys: list[str] = []
+    entries: list = []
+    rejected = None
+    for entry in worlds_raw:
+        try:
+            form_idx, profile, key = world(entry)
+        except FormatError as exc:
+            rejected = exc
+            break
+        worlds.append((form_idx, profile))
+        keys.append(key)
+        entries.append(form_outcomes[form_idx][key])
+    table = _encode(keys, entries, n, rejected=rejected)
     relations_raw = data.get("relations", {})
     if not isinstance(relations_raw, Mapping):
         raise FormatError("model: relations must be an object")

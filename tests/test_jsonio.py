@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 
@@ -40,7 +41,7 @@ from stratlogic.jsonio import (
     util_to_json,
     voting_spec_from_dict,
 )
-from stratlogic import games
+from stratlogic import games, jsonio
 from stratlogic.syntax import ADV, CUR, Agent, Signature, Star, Vec
 from stratlogic.voting import (
     AbsoluteMajority,
@@ -207,6 +208,89 @@ def test_game_from_dict_equals_the_record_oracle(data):
     _assert_same_store(game.outcomes, want.outcomes)
 
 
+class _Entry(Mapping):
+    """An outcome entry that is a `Mapping` but not a `dict`."""
+
+    def __init__(self, fields):
+        self._fields = dict(fields)
+
+    def __getitem__(self, key):
+        return self._fields[key]
+
+    def __iter__(self):
+        return iter(self._fields)
+
+    def __len__(self):
+        return len(self._fields)
+
+
+class _List(list):
+    pass
+
+
+def test_entries_read_alike_as_mappings_and_list_subclasses():
+    """The row checks take any `Mapping` as an entry and any `list` as a
+    utility or winner list; so do the passes."""
+    data = {
+        "players": 2,
+        "strategies": [["a", "b"], ["x", "y", "z"]],
+        "outcomes": {
+            "b,z": {"label": "p", "utils": [1, "1/2"], "winners": ["v", "u"]},
+            "a,x": {"label": "q", "utils": ["1", 0]},
+            "a,y": {"utils": [1.0, "2/2"], "label": "p", "winners": None},
+            "b,x": {"label": "r", "utils": [0, "-0"], "winners": ["u"]},
+            "a,z": {"label": "q", "utils": ["1/2", 1]},
+            "b,y": {"label": "p", "utils": [0.5, 2], "winners": ["v", "u"]},
+        },
+    }
+    twin = copy.deepcopy(data)
+    for key, entry in twin["outcomes"].items():
+        entry["utils"] = _List(entry["utils"])
+        if entry.get("winners") is not None:
+            entry["winners"] = _List(entry["winners"])
+        twin["outcomes"][key] = _Entry(entry)
+    want = game_from_records(data)
+    for doc in (data, twin):
+        _assert_same_store(game_from_dict(doc).outcomes, want.outcomes)
+    twin["outcomes"]["a,z"] = _Entry({"label": "q", "utils": _List([1])})
+    with pytest.raises(FormatError, match="^outcome 'a,z': need a list of 2 utilities$"):
+        game_from_dict(twin)
+
+
+def test_well_formed_documents_run_no_per_row_check(monkeypatch):
+    """Counted rather than timed: well-formed 6^4 documents, keys in
+    profile order or shuffled, with or without winners and with utilities
+    of one or several types, decode without calling a per-row check; a bad
+    last row calls one."""
+    calls = []
+
+    def counted(check):
+        def call(*args):
+            calls.append(check.__name__)
+            return check(*args)
+
+        return call
+
+    monkeypatch.setattr(games.GameForm, "row_of_key", counted(games.GameForm.row_of_key))
+    monkeypatch.setattr(jsonio, "_check_entry", counted(jsonio._check_entry))
+    monkeypatch.setattr(games, "_check_row", counted(games._check_row))
+    strategies = [list("abcdef")] * 4
+    keys = [",".join(names) for names in product(*strategies)]
+    plain = {key: {"label": f"o{row % 7}", "utils": [row % 3, "1/2", 2, -1]} for row, key in enumerate(keys)}
+    mixed = {
+        key: {"label": "x", "utils": [1.0, 1, "2/2", 0], "winners": ["w"] if row % 2 else None}
+        for row, key in enumerate(keys)
+    }
+    random.Random(5).shuffle(keys)
+    for outcomes in (plain, mixed, {key: plain[key] for key in keys}, {key: mixed[key] for key in keys}):
+        game_from_dict({"players": 4, "strategies": strategies, "outcomes": outcomes})
+    assert calls == []
+    plain["f,f,f,f"] = {"label": 7, "utils": [0, 0, 0, 0]}
+    with pytest.raises(FormatError, match="^outcome 'f,f,f,f': label must be a string$"):
+        game_from_dict({"players": 4, "strategies": strategies, "outcomes": plain})
+    assert calls == ["_check_entry"]
+
+
 def test_each_distinct_utility_spelling_is_converted_once(monkeypatch):
     """Counted rather than timed: a 6^4 game (5 184 utilities) spelled five
     ways converts five values."""
@@ -243,6 +327,13 @@ _SMALL = {
 
 def _rename(table: dict, old: str, new: str) -> None:
     table[new] = table.pop(old)
+
+
+def _rekey(table: dict, old: str, new: str) -> None:
+    """Rename key `old` in place, keeping the key order."""
+    items = [(new if key == old else key, entry) for key, entry in table.items()]
+    table.clear()
+    table.update(items)
 
 
 # (how to break `_SMALL["outcomes"]`, the error message).  The messages and
@@ -319,6 +410,27 @@ _GAME_ERRORS = {
     "a utility seen before breaks a later entry": (
         lambda o: (o["a,x"].update(utils=[True, 0]), o["a,y"].update(utils=[True, 0])),
         "outcome 'a,x': not a utility value: True",
+    ),
+    # Orders a reader that checks one column at a time could get wrong.
+    "bad literal in the first row before an unknown name in the second key": (
+        lambda o: (o["a,x"].update(utils=[1, "1/0"]), _rekey(o, "a,y", "a,z")),
+        "outcome 'a,x': bad rational literal '1/0'",
+    ),
+    "unhashable utility before a later bad literal": (
+        lambda o: (o["a,y"].update(utils=[1, [1]]), o["b,x"].update(utils=["1/0", 1])),
+        "outcome 'a,y': not a utility value: [1]",
+    ),
+    "bad literal before a later unhashable utility": (
+        lambda o: (o["a,y"].update(utils=["1/0", 1]), o["b,x"].update(utils=[1, [1]])),
+        "outcome 'a,y': bad rational literal '1/0'",
+    ),
+    "true after 1 in an earlier row": (
+        lambda o: o["a,y"].update(utils=[True, 1]),
+        "outcome 'a,y': not a utility value: True",
+    ),
+    "empty winners before a later missing label": (
+        lambda o: (o["a,x"].update(winners=[]), o["b,x"].pop("label")),
+        "outcome 'a,x': winner set, when present, must be non-empty",
     ),
 }
 
