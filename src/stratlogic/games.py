@@ -289,14 +289,9 @@ class Outcomes:
                 end = sets.index(())
         if end < len(utils):
             _check_row(names[end], utils[end], winners[end], n)
-        # Values are ranked as integers over a common denominator, which
-        # hash and compare in C where `Fraction`s do not.
-        common = math.lcm(*map(attrgetter("denominator"), found))
-        scaled = [value.numerator * (common // value.denominator) for value in found]
-        levels = sorted(set(scaled))
-        rank = dict(zip(levels, range(len(levels))))
-        values = tuple(map(dict(zip(scaled, found)).__getitem__, levels))
-        code_of = dict(zip(spellings, map(rank.__getitem__, scaled)))
+        values = tuple(sorted(set(found)))
+        rank = dict(zip(values, range(len(values))))
+        code_of = dict(zip(spellings, map(rank.__getitem__, found)))
         codes = np.fromiter(map(code_of.__getitem__, keys), _code_dtype(len(values)), len(keys))
         codes = codes.reshape(end, n)
         flags = alternatives = None

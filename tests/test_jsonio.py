@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
@@ -311,6 +312,35 @@ def test_each_distinct_utility_spelling_is_converted_once(monkeypatch):
     game = game_from_dict({"players": 4, "strategies": strategies, "outcomes": outcomes})
     assert len(calls) == 5
     assert game.outcomes.values == (0, Fraction(1, 2), 1)
+
+
+def test_many_coprime_denominators_decode_in_memory_linear_in_the_values():
+    """A 64x64 game whose utilities are 1/p for 4 096 distinct primes p.
+    Ranking the values over their common denominator would hold 4 096
+    integers of about 7 KB each (some 30 MB); ranked as `Fraction`s they
+    stay small.  Bounded by tracemalloc's peak rather than by time."""
+    primes, n = [], 2
+    while len(primes) < 64 * 64:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    names = [f"s{i}" for i in range(64)]
+    keys = [",".join(pair) for pair in product(names, names)]
+    outcomes = {
+        key: {"label": "x", "utils": [f"1/{p}", 0]} for key, p in zip(keys, primes)
+    }
+    document = {"players": 2, "strategies": [names, names], "outcomes": outcomes}
+    tracemalloc.start()
+    try:
+        game = game_from_dict(document)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    values = game.outcomes.values
+    assert len(values) == 64 * 64 + 1
+    assert values[0] == 0 and values[1] == Fraction(1, primes[-1])
+    assert game.outcomes.codes[0].tolist() == [len(values) - 1, 0]
 
 
 _SMALL = {
