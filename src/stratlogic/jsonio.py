@@ -208,9 +208,11 @@ def game_from_dict(data: Mapping) -> StrategicGame:
     if keys != profiles:  # each key's row, from one table of the form's keys
         row_of = dict(zip(profiles, range(len(profiles))))
         rows = list(map(row_of.get, keys))
-        if None in rows:
+        if None in rows:  # a key that names no profile, and maybe no string
             end = rows.index(None)
             try:
+                if not isinstance(keys[end], str):
+                    raise GameError("not a string")
                 form.row_of_key(keys[end])
             except GameError as exc:
                 rejected = FormatError(f"outcome key {keys[end]!r}: {exc}")

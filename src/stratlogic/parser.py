@@ -57,22 +57,21 @@ class ParseError(ValueError):
 
 _PAYOFF_NAME = re.compile(r"u([0-9]+)\Z")
 _AGENT_NAME = re.compile(r"ag([0-9]+)\Z")
+_NUMERAL = re.compile(r"-?[0-9]+")
 
-# Each match is (leading blanks, token).  `_TOKEN` first tries three whole
-# tokens, spelled without blanks as `syntax.render` writes them: a modal
-# prefix `[p]` or `<p>` whose program is a vector or an agent `ag<i>` with an
-# optional '^' (a '>' that no '=' continues, which would make it '>='), a
-# strategy vector of two or more terms, and a payoff atom u<i>=<value> that
-# no '/', digit or name character continues.  Each stands for a run of fine
-# tokens, its pieces.  Then come the fine tokens, multi-character operators
-# first; the last alternatives take a stray character, a lone '"' (an
-# unterminated string) and the end of input, so the matches cover the text.
+# Each match is one token, after its leading blanks.  First come three whole
+# tokens, spelled as `syntax.render` writes them, each standing for a run of
+# fine tokens, its pieces: a modal prefix `[p]` or `<p>` around a vector or
+# an agent `ag<i>` with an optional '^' (a '>' that no '=' continues), a
+# vector of two or more terms, and a payoff atom u<i>=<value> that no '/',
+# digit or name character continues.  Then come the fine tokens, longest
+# operators first, and last a stray character, a lone '"' and the end.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _TERM = rf"(?:{_NAME}|\?\?|!!)"
 _VECTOR = rf"\({_TERM}(?:,{_TERM})+\)"
 _MODAL_PROGRAM = rf"(?:{_VECTOR}|ag[0-9]+\^?)"
 _TOKEN = re.compile(
-    rf"""([ \t\r\n]*)
+    rf"""[ \t\r\n]*
     (\[{_MODAL_PROGRAM}\]|<{_MODAL_PROGRAM}>(?!=)
     |{_VECTOR}
     |u[0-9]+=-?[0-9]+(?:/[0-9]+)?(?![/0-9A-Za-z_])
@@ -88,47 +87,39 @@ _PAYOFF_PIECES = re.compile(r"(u[0-9]+)(=)(-?)([0-9]+)(/?)([0-9]*)")
 _PAYOFF_KINDS = ("NAME", "=", "-", "INT", "/", "INT")
 _OPERATORS = frozenset("<-> ?? !! -> >= ( ) [ ] { } < > , ; + * ? ~ & | = ^ / -".split())
 # A token's kind by its first character; a stray character has none.  A lone
-# '(', '[' or '<' is an operator, so a token that starts with one is a whole
-# vector, box or diamond prefix, and a name that holds '=' is a whole payoff
-# atom.
+# '(', '[' or '<' is an operator, so a longer token that starts with one is a
+# whole vector, box or diamond prefix; a name that holds '=' is a payoff atom.
 _KIND_BY_FIRST = {
     **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "NAME"),
     **dict.fromkeys("0123456789", "INT"),
-    '"': "STRING",
-    "(": "VECTOR",
-    "[": "BOX",
-    "<": "DIAMOND",
-    "": "EOF",
+    **{'"': "STRING", "(": "VECTOR", "[": "BOX", "<": "DIAMOND", "": "EOF"},
 }
 
 
-# (kind, text, match index, offset in the match's token; non-zero for a piece)
+# (kind, text, token index, offset in the token; non-zero for a piece)
 _Token = tuple[str, str, int, int]
 
 
-def _tokenize(text: str) -> tuple[list[_Token], list[tuple[str, str]]]:
-    """The tokens of `text`, ending with one EOF, and the (blanks, token)
-    matches they index, from which `_position` recovers a token's line and
-    column."""
-    matches = _TOKEN.findall(text)
+def _tokenize(text: str) -> tuple[list[_Token], str]:
+    """The tokens of `text`, ending with one EOF, and the text, from which
+    `_position` recovers a token's line and column."""
     tokens = []
-    for index, (_, tok) in enumerate(matches):
+    for index, tok in enumerate(_TOKEN.findall(text)):
         if tok in _OPERATORS:
             tokens.append((tok, tok, index, 0))
             continue
         kind = _KIND_BY_FIRST.get(tok[:1])
-        if kind == "NAME":
-            if "=" in tok:
-                kind = "PAYOFF"
+        if kind == "NAME" and "=" in tok:
+            kind = "PAYOFF"
         elif kind == "STRING":
             if tok == '"':
-                raise ParseError("unterminated string", *_position(matches, index))
+                raise ParseError("unterminated string", *_position(text, index))
             tok = tok[1:-1]
         elif kind is None:
-            raise ParseError(f"stray character {tok!r}", *_position(matches, index))
+            raise ParseError(f"stray character {tok!r}", *_position(text, index))
         tokens.append((kind, tok, index, 0))
         if kind == "EOF":
-            return tokens, matches
+            return tokens, text
 
 
 def _pieces(tok: _Token) -> list[_Token]:
@@ -159,18 +150,16 @@ def _pieces(tok: _Token) -> list[_Token]:
     return [(text[0], text[0], index, at), *inner, (text[-1], text[-1], index, end)]
 
 
-def _position(matches: list[tuple[str, str]], index: int) -> tuple[int, int]:
-    """The line and column of the token of match `index`.  A column counts
+def _position(text: str, index: int) -> tuple[int, int]:
+    """The line and column of token `index` of `text`.  A column counts
     from the last newline outside a string literal."""
     line, col = 1, 1
-    for blanks, tok in matches[: index + 1]:
-        if "\n" in blanks:
-            line += blanks.count("\n")
-            col = len(blanks) - blanks.rindex("\n")
-        else:
-            col += len(blanks)
+    for _, match in zip(range(index + 1), _TOKEN.finditer(text)):
+        blanks, tok = text[match.start() : match.start(1)], match[1]
+        line += blanks.count("\n")
+        col = len(blanks) - blanks.rindex("\n") if "\n" in blanks else col + len(blanks)
         col += len(tok)
-    return line, col - len(matches[index][1])
+    return line, col - len(tok)
 
 
 class _Group(NamedTuple):
@@ -182,21 +171,22 @@ class _Group(NamedTuple):
 
 
 def _apply_prefixes(prefixes: list, node):
-    """Apply prefix constructors, read outermost first, innermost first."""
-    while prefixes:
-        node = prefixes.pop()(node)
+    """Apply prefixes, read outermost first, innermost first.  Each is a
+    (class, argument) pair, the argument a box's program or a coalition;
+    a negation has none."""
+    for cls, argument in reversed(prefixes):
+        node = cls(node) if argument is None else cls(argument, node)
     return node
 
 
 class _Parser:
     def __init__(self, text: str, signature: Signature):
-        self.tokens, self._matches = _tokenize(text)
+        self.tokens, self._text = _tokenize(text)
         self.pos = 0
         self.sig = signature
+        if signature._parsed is None:
+            object.__setattr__(signature, "_parsed", {})
         self.parsed = signature._parsed
-        if self.parsed is None:
-            self.parsed = {}
-            object.__setattr__(signature, "_parsed", self.parsed)
 
     # -- token plumbing ----------------------------------------------------
     #
@@ -231,28 +221,27 @@ class _Parser:
         return True
 
     def _error(self, message: str, tok: _Token) -> ParseError:
-        line, col = _position(self._matches, tok[2])
+        line, col = _position(self._text, tok[2])
         return ParseError(message, line, col + tok[3])
 
     def _fail(self, message: str):
         raise self._error(message, self.tokens[self.pos])
 
-    def _finish(self, result):
+    def run(self, kind: str):
+        """The whole text as a 'formula', a 'program' or a 'cl' formula."""
+        if kind == "formula":
+            result = self._infix(self._formula_unary, _FORMULA_OPS)
+        elif kind == "program":
+            result = self.program()
+        elif kind == "cl":
+            result = self._infix(self._cl_unary, _CL_OPS)
+        else:
+            raise ValueError(f"unknown parse kind {kind!r}")
         if self.tokens[self.pos][0] != "EOF":
             self._peel()
             tok = self.tokens[self.pos]
             raise self._error(f"unexpected trailing input {tok[1]!r}", tok)
         return result
-
-    def run(self, kind: str):
-        """The whole text as a 'formula', a 'program' or a 'cl' formula."""
-        if kind == "formula":
-            return self._finish(self._infix(self._formula_unary, _FORMULA_OPS))
-        if kind == "program":
-            return self._finish(self.program())
-        if kind == "cl":
-            return self._finish(self._infix(self._cl_unary, _CL_OPS))
-        raise ValueError(f"unknown parse kind {kind!r}")
 
     # -- shared pieces -----------------------------------------------------
 
@@ -300,39 +289,48 @@ class _Parser:
         return True
 
     def _missed(self, tok: _Token):
-        """The node of whole token `tok`, just read, that the signature's
-        table of spellings lacks: a `Vector`, a `UtilEq`, or the program of a
-        box or diamond prefix, read from the token's pieces by the routines
-        that read a spaced spelling.  It is kept only under its canonical
-        spelling, as `render` writes it: a payoff atom only for a value of
-        the utility range, an agent only without leading zeros.  A modal
-        entry's vector is a vector entry too, so the table holds at most
-        players × |U| payoff and 2 × (vector entries + 2 × players) modal
-        entries, however many spellings of a value or an agent are read."""
-        kind, text, _, _ = tok
-        self.pos -= 1
-        self.tokens[self.pos : self.pos + 1] = _pieces(tok)
-        if kind == "VECTOR":
-            node = self._vector()
+        """The `Vector`, `UtilEq` or box or diamond program of whole token
+        `tok`, just read, that the signature's table lacks; None where a
+        check fails or a payoff's value runs on, as in `u1=1 /2`, and the
+        pieces are put back at `pos` to be read as a spaced spelling.  Only
+        a canonical spelling is kept: a payoff for a value of the range, an
+        agent without leading zeros.  So the table holds at most players ×
+        |U| payoff and 2 × (vector entries + 2 × players) modal entries, a
+        modal entry's vector being one too."""
+        kind, text = tok[0], tok[1]
+        # A '/' after the token makes a parse error of all but a payoff.
+        node = None if self.tokens[self.pos][0] == "/" else self._whole(kind, text)
+        if node is None:
+            self.pos -= 1
+            self._peel()
         elif kind == "PAYOFF":
-            # The value runs on past the token in `u1=1 /2`, and is then
-            # not the token's.
-            name = self.tokens[self.pos]
-            player = self._player_number(name[1][1:], name)
-            self.pos += 2  # the name and the '='
-            node = UtilEq(player, self._rational())
-            if text != f"u{player}={node.value}" or node.value not in (
-                self.sig.util_range or ()
-            ):
-                return node
-        else:  # BOX or DIAMOND
-            self.pos += 1  # the '[' or '<'
-            node = self._program_primary()
-            self.pos += 1  # the ']' or '>'
-            if type(node) is not Vec and text[3] == "0":  # as in `[ag01]`
-                return node
-        self.parsed[text] = node
+            if text == f"u{node.player}={node.value}" and node.value in (self.sig.util_range or ()):
+                self.parsed[text] = node
+        elif type(node) not in (Agent, AgentConv) or text[3] != "0":  # not as in `[ag01]`
+            self.parsed[text] = node
         return node
+
+    def _whole(self, kind: str, text: str):
+        """The node of whole token `text`, whose shape the regex has fixed,
+        read with the checks of a read from its pieces; None where one fails."""
+        sig = self.sig
+        if kind == "VECTOR":
+            terms = self._terms(text[1:-1].split(","))
+            return Vector(terms) if text.count(",") + 1 == sig.n and all(terms) else None
+        if text[1] == "(":  # a box or diamond around a vector
+            program = text[1:-1]
+            if vector := self.parsed.get(program) or self._whole("VECTOR", program):
+                self.parsed[program] = vector
+            return vector and Vec(vector)
+        try:  # u<i>=<n>, u<i>=<n>/<d>, or an agent ag<i> with an optional '^'
+            player, *value = map(int, _NUMERAL.findall(text))
+        except ValueError:  # a numeral longer than `int` converts
+            return None
+        if not 1 <= player <= sig.n or value[1:] == [0]:
+            return None
+        if kind == "PAYOFF":
+            return UtilEq(player, Fraction(*value))
+        return AgentConv(player) if text[-2] == "^" else Agent(player)
 
     def _vector(self) -> Vector:
         """The vector at `pos`, checked against the signature.  Entered only
@@ -343,23 +341,24 @@ class _Parser:
         while tokens[end][0] != ")":
             end += 2
         self.pos = end + 1
-        n, strategy_sets = self.sig.n, self.sig.strategy_sets
-        terms = []
-        for tok in tokens[start + 1 : end : 2]:
-            name = tok[1]
-            if len(terms) == n:
-                raise self._error(f"vector has more than {n} positions", tok)
-            if name == "??":
-                terms.append(ADV)
-            elif name == "!!":
-                terms.append(CUR)
-            elif name in strategy_sets[len(terms)]:
-                terms.append(Concrete(name))
-            else:
-                raise self._error(f"player {len(terms) + 1} has no strategy named {name!r}", tok)
-        if len(terms) != n:
-            raise self._error(f"vector has {len(terms)} positions for {n} players", tokens[start])
+        n, found = self.sig.n, tokens[start + 1 : end : 2]
+        terms = self._terms([tok[1] for tok in found])
+        if not all(terms):
+            k = terms.index(False)
+            raise self._error(f"player {k + 1} has no strategy named {found[k][1]!r}", found[k])
+        if len(found) > n:
+            raise self._error(f"vector has more than {n} positions", found[n])
+        if len(found) < n:
+            raise self._error(f"vector has {len(found)} positions for {n} players", tokens[start])
         return Vector(terms)
+
+    def _terms(self, names: list[str]) -> list:
+        """The term that each of the first n `names` spells for its player,
+        or False where it names none of that player's strategies."""
+        return [
+            _WILDCARDS.get(name) or name in strategies and Concrete(name)
+            for name, strategies in zip(names, self.sig.strategy_sets)
+        ]
 
     def _player_number(self, digits: str, tok: _Token) -> int:
         player = self._number(digits, tok)
@@ -411,24 +410,23 @@ class _Parser:
         # Prefixes are collected in a loop and applied innermost first, so
         # long prefix runs never recurse.
         prefixes = []
-        while (tok := self.tokens[self.pos])[0] in _PREFIXES:
+        while (cls := _PREFIXES.get((tok := self.tokens[self.pos])[0])) is not None:
             self.pos += 1
             kind = tok[0]
             if kind == "~":
-                prefixes.append(Not)
-            elif kind == "BOX":
-                prefixes.append(partial(Box, self.parsed.get(tok[1]) or self._missed(tok)))
-            elif kind == "DIAMOND":
-                prefixes.append(partial(Diamond, self.parsed.get(tok[1]) or self._missed(tok)))
-            elif kind == "[":
-                prefixes.append(partial(Box, self.program()))
-                self._expect("]", "']'")
+                prefixes.append((Not, None))
+            elif len(kind) > 1:  # a whole BOX or DIAMOND prefix
+                program = self.parsed.get(tok[1]) or self._missed(tok)
+                if program is not None:  # else its pieces are read next
+                    prefixes.append((cls, program))
             else:
-                prefixes.append(partial(Diamond, self.program()))
-                self._expect(">", "'>'")
+                prefixes.append((cls, self.program()))
+                closing = "]" if kind == "[" else ">"
+                self._expect(closing, f"'{closing}'")
         if tok[0] == "(" and self._group_ahead():
             return _Group(partial(_apply_prefixes, prefixes))
-        return _apply_prefixes(prefixes, self._atom(_FORMULA_ATOMS))
+        node = self._atom(_FORMULA_ATOMS)
+        return _apply_prefixes(prefixes, node) if prefixes else node
 
     # -- atoms, shared by the formula and coalition grammars ---------------
 
@@ -439,10 +437,11 @@ class _Parser:
             node = self.parsed.get(text)
             if node is None or self.tokens[self.pos][0] == "/":  # as in `u1=1 /2`
                 node = self._missed(tok)
-            return atoms.wrap(node)
+            return self._atom(atoms) if node is None else atoms.wrap(node)
         if kind == "VECTOR" and atoms.vector is not None:
             self.pos += 1
-            return atoms.vector(self.parsed.get(text) or self._missed(tok))
+            node = self.parsed.get(text) or self._missed(tok)
+            return self._atom(atoms) if node is None else atoms.vector(node)
         if kind == "NAME":
             if text == "T":
                 self.pos += 1
@@ -508,7 +507,8 @@ class _Parser:
             return Test(body)
         if kind == "VECTOR":
             self.pos += 1
-            return Vec(self.parsed.get(text) or self._missed(tok))
+            node = self.parsed.get(text) or self._missed(tok)
+            return self._program_primary() if node is None else Vec(node)
         if kind == "(":
             return Vec(self._vector())
         if kind == "NAME":
@@ -516,9 +516,7 @@ class _Parser:
             if m:
                 self.pos += 1
                 player = self._player_number(m.group(1), tok)
-                if self._accept("^"):
-                    return AgentConv(player)
-                return Agent(player)
+                return AgentConv(player) if self._accept("^") else Agent(player)
             self._fail(f"unexpected name {text!r} in a program")
         if self._peel():
             return self._program_primary()
@@ -530,7 +528,7 @@ class _Parser:
         prefixes = []
         while True:
             if self._accept("~"):
-                prefixes.append(CLNot)
+                prefixes.append((CLNot, None))
                 continue
             if not self._accept("["):
                 break
@@ -550,14 +548,16 @@ class _Parser:
                         break
             self._expect("}", "'}'")
             self._expect("]", "']'")
-            prefixes.append(partial(CLBox, frozenset(members)))
+            prefixes.append((CLBox, frozenset(members)))
         if self._accept("("):
             return _Group(partial(_apply_prefixes, prefixes))
         return _apply_prefixes(prefixes, self._atom(_CL_ATOMS))
 
 
-# The kinds of token that start a prefix of a unary formula.
-_PREFIXES = frozenset(("~", "[", "<", "BOX", "DIAMOND"))
+# The terms of a vector that name no strategy.
+_WILDCARDS = {"??": ADV, "!!": CUR}
+# The kinds of token that start a prefix of a unary formula, and its class.
+_PREFIXES = {"~": Not, "[": Box, "<": Diamond, "BOX": Box, "DIAMOND": Diamond}
 # Binary operators: token -> (binding strength, node, right-associative).
 _FORMULA_OPS = {
     "<->": (0, Iff, True),
@@ -599,9 +599,9 @@ def parse(text: str, signature: Signature, kind: str = "formula"):
     """Parse concrete syntax; `kind` is 'formula', 'program', or 'cl'.
 
     The text is read once, with whole modal prefix, vector and payoff
-    tokens.  A whole token that the signature's table lacks, or that stands
-    where the grammar takes none, is read from its pieces, so the tree and
-    any `ParseError` (message, line, column) are those of a read from fine
-    tokens alone."""
+    tokens, looked up in the signature's table or read straight from their
+    text.  One that fails a check, or stands where the grammar takes none,
+    is read from its pieces, so the tree and any `ParseError` (message,
+    line, column) are those of a read from fine tokens alone."""
     return _Parser(text, signature).run(kind)
 

@@ -27,14 +27,18 @@ class Node:
     computed on first use and kept in the `_h` slot (None until then), so
     dictionary lookups cost O(1) instead of a walk over the subtree.
 
-    Subclasses are ``@dataclass(frozen=True, slots=True, eq=False)``; their
-    fields, in ``__match_args__`` order, are what is hashed and compared.
-    Both walks use an explicit stack, so arbitrarily deep trees never reach
-    the interpreter's recursion limit.  Pickles and copies rebuild a node
-    from those fields alone, so the hash is recomputed where they are loaded.
+    Subclasses are ``@dataclass(frozen=True, slots=True, eq=False)``, most
+    of them through `_node`; their fields, in ``__match_args__`` order, are
+    what is hashed and compared.  Both walks use an explicit stack, so
+    arbitrarily deep trees never reach the interpreter's recursion limit.
+    Pickles and copies rebuild a node from those fields alone, so the hash
+    is recomputed where they are loaded.
     """
 
     _h: int | None = field(default=None, init=False, repr=False)
+    # The spelling `render` keeps on a node: none here, and a slot on the
+    # kinds that keep one (`Vector` and `_KeptFormula`).
+    _text = None
 
     def __hash__(self) -> int:
         h = self._h
@@ -88,23 +92,48 @@ class Node:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
+def _node(cls):
+    """``@dataclass(frozen=True, slots=True, eq=False)``, with a quicker
+    ``__init__`` unless the class writes its own.  A dataclass's stores
+    each field through ``object.__setattr__``; this one calls each slot's
+    own setter, which the frozen ``__setattr__`` does not stand in front of,
+    and starts `_h` and a `_text` slot at None.  Nodes are built by the
+    hundred thousand, so this halves a large cost.  The dataclass is made
+    with ``init=False``: compiling one only to replace it costs 0.1 MB of
+    `formulas` peak RSS.  Assigning to a field still raises
+    ``FrozenInstanceError``."""
+    own_init = "__init__" in cls.__dict__
+    cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
+    names = cls.__match_args__
+    values = {**dict(zip(names, names)), "_h": "None"}
+    if cls._text is not None:  # a `_text` slot, not `Node`'s None
+        values["_text"] = "None"
+    if not own_init:
+        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in values}
+        body = "".join(f"\n    _set_{name}(self, {value})" for name, value in values.items())
+        exec(f"def __init__(self{''.join(', ' + name for name in names)}):{body}", scope)
+        scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = scope["__init__"]
+    return cls
+
+
 # --------------------------------------------------------------------------
 # strategy terms and vectors
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Concrete(Node):
     """A named strategy; denotes {name} where available, else the empty set."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Adversary(Node):
     """The wildcard term ``??``: denotes the player's whole strategy set."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Current(Node):
     """The term ``!!``: denotes whatever the player plays at the source state."""
 
@@ -115,7 +144,7 @@ ADV = Adversary()
 CUR = Current()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Vector(Node):
     """One strategy term per player; doubles as an atom and as a program.
 
@@ -173,25 +202,36 @@ class Formula(Node):
         return Implies(self, other)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+class _KeptFormula(Formula):
+    """A formula kind whose spelling needs parentheses in no context and
+    costs a walk or a conversion to make, an atom with a name or a value or
+    a negation, and that keeps it.  The `_text` slot holds the
+    spelling once `render` keeps it, and None until then (see `_kept` and
+    `_prefixed`).  Like the hash, it is no part of the node's value, and
+    pickles and copies do not carry it."""
+
+    __slots__ = ("_text",)
+
+
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class VectorAtom(Formula):
     """True at s iff every Concrete position of the vector matches s."""
 
     vector: Vector
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Winner(Formula):
+@_node
+class Winner(_KeptFormula):
     name: str
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class UtilEq(Formula):
+@_node
+class UtilEq(_KeptFormula):
     """``u<player> = value``; the value must be in the game's utility range
     at evaluation time."""
 
@@ -202,49 +242,50 @@ class UtilEq(Formula):
         object.__setattr__(self, "player", player)
         object.__setattr__(self, "value", to_fraction(value))
         object.__setattr__(self, "_h", None)
+        object.__setattr__(self, "_text", None)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Label(Formula):
+@_node
+class Label(_KeptFormula):
     text: str
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Not(Formula):
+@_node
+class Not(_KeptFormula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Box(Formula):
     program: "Program"
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Diamond(Formula):
     program: "Program"
     body: Formula
@@ -281,41 +322,41 @@ class Program(Node):
         return Choice(self, other)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Vec(Program):
     vector: Vector
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Test(Program):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Seq(Program):
     left: Program
     right: Program
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Choice(Program):
     left: Program
     right: Program
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Star(Program):
     body: Program
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Agent(Program):
     """Epistemic accessibility for one agent (intensional models only)."""
 
     player: int
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class AgentConv(Program):
     """The converse of an agent's accessibility relation."""
 
@@ -418,7 +459,7 @@ def render_with(layout: Layout, node, context: int) -> str:
         rule = layout.rules.get(type(node))
         if rule is None:
             raise TypeError(f"cannot render {layout.kind} {node!r}")
-        parts = rule(node, context)
+        parts = node._text or rule(node, context)
         if type(parts) is str:
             out.append(parts)
         else:
@@ -462,27 +503,86 @@ def _render_label_arg(text: str) -> str:
     return f'"{text}"'
 
 
-def _modal(f: Box | Diamond, opening: str, closing: str) -> list:
-    """A box or diamond: its program between the brackets, then its body.
-    A program that is spelled as one string, a vector or an agent, is
-    joined with its brackets into one prefix string."""
-    rule = _PROGRAMS.rules.get(type(f.program))
-    program = rule(f.program, _CHOICE) if rule else [(_PROGRAMS, f.program, _CHOICE)]
-    body = (_FORMULAS, f.body, _UNARY)
-    if type(program) is str:
-        return [opening + program + closing, body]
-    return [opening, *program, closing, body]
+# A prefix's spelling longer than this is not kept, so the text kept along
+# a run of prefixes grows with the run's length, not with its square.
+_KEPT_LIMIT = 64
+
+
+def _kept(node, spellings: dict) -> str | None:
+    """The spelling of `node` if its kind is one of `spellings`' and the
+    spelling is kept or made on the spot, else None.  Taking the table of
+    one category keeps a node of the other out of a run of prefixes, so an
+    ill-typed tree reaches `render_with`'s rule lookup and raises."""
+    spell = spellings.get(type(node))
+    return None if spell is None else node._text or spell(node)
+
+
+def _prefixed(f: Not | Box | Diamond, context: int) -> str | list:
+    """A ``~``, ``[p]`` or ``<p>`` prefix: its head (``~``, ``[p] ``,
+    ``<p> ``), then its body.  The rule walks down the run of such
+    prefixes, with programs spelled as one string, to the first node that
+    is none or has a kept spelling, so one step spells a whole run, however
+    long.  If that node's spelling is kept (an atom's is made on the spot),
+    the run's spellings are made from the bottom up, and each negation
+    keeps its own while it is at most `_KEPT_LIMIT` long.  Boxes and
+    diamonds keep none: most of them stand in one axiom instance only, and
+    the slot would make each of them a size class larger."""
+    run, heads = [], []
+    node = f
+    while (text := _kept(node, _FORMULA_SPELLINGS)) is None:
+        kind = type(node)
+        if kind is Not:
+            head = "~"
+        elif kind is Box or kind is Diamond:
+            program = _kept(node.program, _PROGRAM_SPELLINGS)
+            if program is None:
+                break
+            head = "[" + program + "] " if kind is Box else "<" + program + "> "
+        else:
+            break
+        run.append(node)
+        heads.append(head)
+        node = node.body
+    if text is None:
+        if not run:  # `f` is a box or diamond around a composite program
+            opening, closing = ("[", "] ") if type(f) is Box else ("<", "> ")
+            return [opening, (_PROGRAMS, f.program, _CHOICE), closing, (_FORMULAS, f.body, _UNARY)]
+        return ["".join(heads), (_FORMULAS, node, _UNARY)]
+    k = len(run)
+    while k and len(heads[k - 1]) + len(text) <= _KEPT_LIMIT:
+        k -= 1
+        text = heads[k] + text
+        if heads[k] == "~":
+            object.__setattr__(run[k], "_text", text)
+    return "".join(heads[:k]) + text if k else text
+
+
+def _keep(node: _KeptFormula, text: str) -> str:
+    object.__setattr__(node, "_text", text)
+    return text
+
+
+# The kinds whose spelling needs parentheses in no context, per category,
+# each with the function that makes it.  A vector's spelling is kept on the
+# `Vector`, and a negation's only by `_prefixed`.
+_FORMULA_SPELLINGS = {
+    Top: lambda f: "T",
+    VectorAtom: lambda f: _render_vector(f.vector),
+    Winner: lambda f: _keep(f, f"win({_render_label_arg(f.name)})"),
+    UtilEq: lambda f: _keep(f, f"u{f.player}={_render_rational(f.value)}"),
+    Label: lambda f: _keep(f, f"label({_render_label_arg(f.text)})"),
+    Not: lambda f: None,
+}
+_PROGRAM_SPELLINGS = {
+    Vec: lambda p: _render_vector(p.vector),
+    Agent: lambda p: f"ag{p.player}",
+    AgentConv: lambda p: f"ag{p.player}^",
+}
 
 
 _FORMULAS = Layout("formula", {
-    Top: lambda f, c: "T",
-    VectorAtom: lambda f, c: _render_vector(f.vector),
-    Winner: lambda f, c: f"win({_render_label_arg(f.name)})",
-    UtilEq: lambda f, c: f"u{f.player}={_render_rational(f.value)}",
-    Label: lambda f, c: f"label({_render_label_arg(f.text)})",
-    Not: lambda f, c: ["~", (_FORMULAS, f.body, _UNARY)],
-    Box: lambda f, c: _modal(f, "[", "] "),
-    Diamond: lambda f, c: _modal(f, "<", "> "),
+    **dict.fromkeys((Top, VectorAtom, Winner, UtilEq, Label), lambda f, c: _kept(f, _FORMULA_SPELLINGS)),
+    **dict.fromkeys((Not, Box, Diamond), _prefixed),
     And: lambda f, c: infix(_FORMULAS, f, " & ", _AND, c),
     Or: lambda f, c: infix(_FORMULAS, f, " | ", _OR, c),
     Implies: lambda f, c: infix(_FORMULAS, f, " -> ", _IMPLIES, c, right_assoc=True),
@@ -490,11 +590,9 @@ _FORMULAS = Layout("formula", {
 })
 
 _PROGRAMS = Layout("program", {
-    Vec: lambda p, c: _render_vector(p.vector),
+    **dict.fromkeys((Vec, Agent, AgentConv), lambda p, c: _kept(p, _PROGRAM_SPELLINGS)),
     Test: lambda p, c: ["?", (_FORMULAS, p.body, _UNARY)],
     Star: lambda p, c: [(_PROGRAMS, p.body, _PUNARY), "*"],
-    Agent: lambda p, c: f"ag{p.player}",
-    AgentConv: lambda p, c: f"ag{p.player}^",
     Seq: lambda p, c: infix(_PROGRAMS, p, ";", _SEQ, c),
     Choice: lambda p, c: infix(_PROGRAMS, p, "+", _CHOICE, c),
 })

@@ -462,6 +462,20 @@ _GAME_ERRORS = {
         lambda o: (o["a,x"].update(winners=[]), o["b,x"].pop("label")),
         "outcome 'a,x': winner set, when present, must be non-empty",
     ),
+    # Keys that are no strings, which a Python caller can pass and JSON cannot.
+    "int key": (lambda o: _rekey(o, "a,y", 5), "outcome key 5: not a string"),
+    "tuple key": (
+        lambda o: _rekey(o, "a,y", ("a", "y")),
+        "outcome key ('a', 'y'): not a string",
+    ),
+    "int key before a later bad label": (
+        lambda o: (_rekey(o, "a,y", 5), o["b,x"].update(label=3)),
+        "outcome key 5: not a string",
+    ),
+    "bad label before a later int key": (
+        lambda o: (o["a,x"].update(label=3), _rekey(o, "a,y", 5)),
+        "outcome 'a,x': label must be a string",
+    ),
 }
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pickle
 import random
 import sys
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -142,6 +143,15 @@ def test_nodes_are_slotted():
         assert not hasattr(node, "__dict__"), type(node).__name__
         nodes.extend(getattr(node, name) for name in node.__match_args__
                      if isinstance(getattr(node, name), Node))
+
+
+def test_nodes_are_frozen_and_take_their_fields_by_name():
+    box = Box(program=Vec(Vector((Concrete("c"), ADV))), body=Not(body=Winner(name="a")))
+    assert box == Box(Vec(Vector((Concrete("c"), ADV))), Not(Winner("a")))
+    assert box._h is None and box.body._text is None
+    for node, name in ((box, "body"), (box, "_h"), (box.body, "body"), (box.body.body, "name"), (TOP, "_h")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, None)
 
 
 def test_different_node_kinds_are_unequal():

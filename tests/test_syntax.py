@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ from stratlogic.syntax import (
     conj,
     disj,
 )
+from stratlogic import syntax
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
 from builders import bare_signature, choice, seq
@@ -290,3 +292,106 @@ def test_render_matches_the_recursive_oracle(seed, sig):
         assert other == vec and other._text is None
         assert render(sharing(other)) == render(sharing(vec))
         assert other._text == vec._text
+
+
+# --------------------------------------------------------------------------
+# Kept spellings: atoms, vector and agent programs, and `~`, `[p]`, `<p>`
+
+
+def _shared_tree(rng: random.Random, sig: Signature):
+    """A random formula in which subtrees recur by identity under different
+    parents, and every node of it: each new node is built over earlier
+    ones, as `axioms.instantiate_many` shares its boxes and atoms."""
+    nodes = [random_formula(rng, sig, 1) for _ in range(4)]
+    vector = random_vector(rng, sig)
+    programs = [Vec(vector), Agent(1), AgentConv(2), Star(Vec(vector))]
+    for _ in range(14):
+        a, b = rng.choice(nodes), rng.choice(nodes)
+        roll = rng.random()
+        if roll < 0.25:
+            node = Not(a)
+        elif roll < 0.55:
+            node = rng.choice((Box, Diamond))(rng.choice(programs), a)
+        elif roll < 0.65:
+            node = Box(Seq(ProgTest(b), rng.choice(programs)), a)
+        else:
+            node = rng.choice((And, Or, Implies, Iff))(a, b)
+        nodes.append(node)
+    return nodes[-1], nodes
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([_pd_sig(), Signature.from_game(vote3_game())]))
+@settings(max_examples=25, deadline=None)
+def test_kept_spellings_match_the_oracle_in_any_order_and_context(seed, sig):
+    """Subtrees are rendered first, in random order, alone and under parents
+    that need parentheses around some of them, each twice, so that what the
+    first rendering kept is read back by the second.  Then the whole tree."""
+    rng = random.Random(seed)
+    tree, nodes = _shared_tree(rng, sig)
+    rng.shuffle(nodes)
+    for node in nodes:
+        for parent in (
+            node, Not(node), And(node, TOP), Or(TOP, node), Implies(node, node),
+            Iff(node, TOP), Box(Agent(2), node), Diamond(Star(Agent(1)), node),
+        ):
+            for _ in range(2):
+                assert render(parent) == render_oracle.render(parent)
+    for _ in range(2):
+        assert render(tree) == render_oracle.render(tree)
+
+
+def test_kept_spellings_are_made_once_and_never_copied():
+    vec = Vector([Concrete("c"), Concrete("d")])
+    atom = UtilEq(1, 2)
+    node = Box(Vec(vec), Not(atom))
+    assert (atom._text, vec._text, node.body._text) == (None, None, None)
+    assert render(node) == "[(c,d)] ~u1=2"
+    # An atom, a vector and a negation keep theirs; a box and the `Vec`
+    # program keep none.
+    assert (atom._text, vec._text, node.body._text) == ("u1=2", "(c,d)", "~u1=2")
+    assert node._text is None and node.program._text is None
+    assert not hasattr(node, "__dict__") and not hasattr(node.program, "__dict__")
+    assert render(And(node, node)) == "[(c,d)] ~u1=2 & [(c,d)] ~u1=2"
+    for other in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+        assert other == node and hash(other) == hash(node)
+        assert render(other) == render(node)
+    deep = copy.deepcopy(node.body)
+    assert deep == node.body and deep._text is None and deep.body._text is None
+    assert pickle.loads(pickle.dumps(node.program)).vector._text is None
+
+
+def test_ill_typed_trees_raise_under_kept_spellings():
+    """A program where a formula belongs, or a formula where a program
+    does, raises however much of the tree already keeps a spelling."""
+    vec = Vector([Concrete("c"), Concrete("d")])
+    atom = UtilEq(1, 2)
+    for _ in range(2):  # the second time, `atom` and `vec` keep theirs
+        for bad in (
+            Box(atom, TOP), Box(TOP, atom), Not(Vec(vec)), Box(Vec(vec), Vec(vec)),
+            Not(Not(Vec(vec))), Diamond(Agent(1), Not(Agent(1))), Not(Box(atom, TOP)),
+            Box(Vec(vec), Not(Box(Not(atom), atom))),
+        ):
+            with pytest.raises(TypeError, match="cannot render"):
+                render(bad)
+            assert bad._text is None
+        assert render(Box(Vec(vec), Not(atom))) == "[(c,d)] ~u1=2"
+
+
+def test_a_deep_prefix_chain_renders_and_keeps_text_linear_in_its_length():
+    assert sys.getrecursionlimit() <= 1000
+    program = Vec(Vector([Concrete("c"), Concrete("d")]))
+    node = UtilEq(1, 2)
+    nodes, heads = [node, program], []
+    for k in range(10_000):
+        node = Not(node) if k % 3 else Box(program, node)
+        nodes.append(node)
+        heads.append("~" if k % 3 else "[(c,d)] ")
+    want = "".join(reversed(heads)) + "u1=2"
+    for _ in range(3):
+        assert render(node) == want
+        assert render(Not(And(node, TOP))) == "~(" + want + " & T)"
+    kept = [n._text for n in nodes if n._text]
+    assert sum(map(len, kept)) <= syntax._KEPT_LIMIT * len(nodes)
+    assert max(map(len, kept)) <= syntax._KEPT_LIMIT
+    # The spellings near the foot of the chain are kept.
+    assert nodes[3]._text == want[-len(nodes[3]._text):] and len(nodes[3]._text) > 4
