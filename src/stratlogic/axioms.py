@@ -7,11 +7,10 @@ families) and a formula pool defaulting to all atoms and their negations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .games import GameError
+from .games import GameError, _Frozen, _frozen
 from .models import EvalError, IntensionalModel, compile_plan, extension, run_plan
 from .properties import _terms
 from .syntax import (
@@ -57,15 +56,19 @@ EPISTEMIC_SCHEMAS = (
 ALL_SCHEMAS = VECTOR_SCHEMAS + EPISTEMIC_SCHEMAS
 
 
-@dataclass(frozen=True)
-class AxiomInstance:
+@_frozen
+class AxiomInstance(_Frozen):
+    """One instance of a schema: its formula, and what it is about."""
+
     schema: str
     formula: Formula
     about: str
 
 
-@dataclass(frozen=True)
-class InstanceResult:
+@_frozen
+class InstanceResult(_Frozen):
+    """Whether an instance holds on every model, with counterexamples."""
+
     instance: AxiomInstance
     valid: bool
     counterexamples: tuple[tuple[str, str], ...]

@@ -9,7 +9,6 @@ each other; the grid semantics they encode is the oracle in the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from typing import Iterable, Sequence
@@ -35,6 +34,7 @@ from .syntax import (
     Vec,
     Vector,
     Winner,
+    _node,
     disj,
     infix,
     render,
@@ -48,15 +48,14 @@ class CLFormula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class CLTop(CLFormula):
-    pass
+    """The constant ``T`` of coalition logic."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class CLAtom(CLFormula):
     """An atomic fact, shared vocabulary with the strategy logic."""
-
     atom: Formula
 
     def __post_init__(self) -> None:
@@ -64,21 +63,22 @@ class CLAtom(CLFormula):
             raise GameError(f"not an atomic formula: {self.atom!r}")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class CLNot(CLFormula):
+    """``~body``: negation."""
     body: CLFormula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class CLAnd(CLFormula):
+    """``left & right``: conjunction."""
     left: CLFormula
     right: CLFormula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class CLBox(CLFormula):
     """``[C]body``: coalition C can force `body`."""
-
     coalition: Coalition
     body: CLFormula
 

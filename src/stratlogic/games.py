@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from fractions import Fraction
 from itertools import chain, islice, product
 from operator import attrgetter
@@ -45,11 +45,65 @@ def to_fraction(value: int | str | float | Fraction) -> Fraction:
     raise GameError(f"not a utility value: {value!r}")
 
 
+class _Frozen:
+    """Base of the classes `_frozen` makes: the guards and the repr of a
+    frozen dataclass.  Internal code stores through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = (f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+def _frozen(cls: type, slots: bool = False, blank: tuple[str, ...] = ()) -> type:
+    """Make `cls`, a `_Frozen` subclass, behave as ``@dataclass(frozen=True,
+    slots=slots)`` would, for less import time: `dataclass` only collects
+    the fields, and one `exec` compiles what the class neither writes nor
+    inherits.  ``__init__`` sets each field (an init-less one to its
+    default) and each slot in `blank` to None, through the slot's own setter
+    or, without slots, ``object.__setattr__``, then calls ``__post_init__``.
+    ``__eq__`` and ``__hash__`` take the tuple of the compare fields."""
+    own_init = "__init__" in cls.__dict__
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+    every = fields(cls)
+    scope = {"_set": object.__setattr__, **{f"_d_{f.name}": f.default for f in every}}
+    params, stores = ["self"], [(name, "None") for name in blank]
+    for f in every:
+        if f.init:
+            params.append(f.name if f.default is MISSING else f"{f.name}=_d_{f.name}")
+        if f.init or f.default is not MISSING:
+            stores.append((f.name, f.name if f.init else f"_d_{f.name}"))
+    if slots:
+        scope.update({f"_set_{name}": getattr(cls, name).__set__ for name, _ in stores})
+    body = [f"_set_{n}(self, {v})" if slots else f"_set(self, {n!r}, {v})" for n, v in stores]
+    body += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+    code = [] if own_init else [f"def __init__({', '.join(params)}):\n " + "\n ".join(body)]
+    compared = "".join(f"self.{f.name}," for f in every if f.compare)
+    if cls.__eq__ is object.__eq__:
+        code.append(f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+                    f"  return ({compared}) == ({compared.replace('self.', 'other.')})\n return NotImplemented")
+    if cls.__hash__ is object.__hash__:
+        code.append(f"def __hash__(self):\n return hash(({compared}))")
+    exec("\n".join(code), scope)
+    for name in ("__init__", "__eq__", "__hash__"):
+        if name in scope:
+            scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, scope[name])
+    return cls
+
+
 _STRATEGY_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class GameForm:
+@_frozen
+class GameForm(_Frozen):
     """A game form: n >= 2 players, one finite non-empty strategy set each.
 
     Strategy names are identifiers so that profile keys and the concrete
@@ -157,8 +211,8 @@ def all_profiles(form: GameForm) -> list[Profile]:
     return list(product(*ranges))
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
+@_frozen
+class OutcomeRecord(_Frozen):
     """What the valuation can see at a profile: a label, utilities, and
     optionally the set of winning alternatives."""
 
@@ -166,19 +220,12 @@ class OutcomeRecord:
     utils: tuple[Fraction, ...]
     winners: frozenset[str] | None = None
 
-    def __init__(
-        self,
-        label: str,
-        utils: Iterable[int | str | float | Fraction],
-        winners: Iterable[str] | None = None,
-    ):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "utils", tuple(to_fraction(u) for u in utils))
-        if winners is not None:
-            winners = frozenset(winners)
-            if not winners:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "utils", tuple(to_fraction(u) for u in self.utils))
+        if self.winners is not None:
+            object.__setattr__(self, "winners", frozenset(self.winners))
+            if not self.winners:
                 raise GameError("winner set, when present, must be non-empty")
-        object.__setattr__(self, "winners", winners)
 
 
 def _code_dtype(count: int) -> np.dtype:
@@ -210,8 +257,8 @@ def _check_row(name: str, utils: Sequence, winners: Iterable[str] | None, n: int
         raise GameError(f"outcome {name!r}: winner set, when present, must be non-empty")
 
 
-@dataclass(frozen=True, eq=False)
-class Outcomes:
+@_frozen
+class Outcomes(_Frozen):
     """A columnar, exact outcome store: one row per world.
 
     Utilities are codes into `values`, the utility range ascending and
@@ -340,8 +387,8 @@ class Outcomes:
         )
 
 
-@dataclass(frozen=True)
-class StrategicGame:
+@_frozen
+class StrategicGame(_Frozen):
     """A game form plus its outcomes: one row per profile, in
     `all_profiles` order.  `outcome(s)` is the record view of one row."""
 

@@ -7,11 +7,12 @@ trips preserve structure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, NamedTuple, Union, TYPE_CHECKING
 
-from .games import GameError, to_fraction
+from .games import GameError, _Frozen, _frozen, to_fraction
 
 if TYPE_CHECKING:
     from .games import StrategicGame
@@ -21,18 +22,21 @@ if TYPE_CHECKING:
 # the shared node base
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Node:
+# Nodes are slotted, and their ``__init__`` stores through slot setters.
+_node = partial(_frozen, slots=True)
+
+
+@_node
+class Node(_Frozen):
     """Base of every syntax node: structural equality, and a structural hash
     computed on first use and kept in the `_h` slot (None until then), so
     dictionary lookups cost O(1) instead of a walk over the subtree.
 
-    Subclasses are ``@dataclass(frozen=True, slots=True, eq=False)``, most
-    of them through `_node`; their fields, in ``__match_args__`` order, are
-    what is hashed and compared.  Both walks use an explicit stack, so
-    arbitrarily deep trees never reach the interpreter's recursion limit.
-    Pickles and copies rebuild a node from those fields alone, so the hash
-    is recomputed where they are loaded.
+    Subclasses are made by `_node`, slotted like this class; their fields,
+    in ``__match_args__`` order, are what is hashed and compared.  Both
+    walks use an explicit stack, so arbitrarily deep trees never reach the
+    interpreter's recursion limit.  Pickles and copies rebuild a node from
+    those fields alone, so the hash is recomputed where they are loaded.
     """
 
     _h: int | None = field(default=None, init=False, repr=False)
@@ -92,31 +96,6 @@ class Node:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-def _node(cls):
-    """``@dataclass(frozen=True, slots=True, eq=False)``, with a quicker
-    ``__init__`` unless the class writes its own.  A dataclass's stores
-    each field through ``object.__setattr__``; this one calls each slot's
-    own setter, which the frozen ``__setattr__`` does not stand in front of,
-    and starts `_h` and a `_text` slot at None.  Nodes are built by the
-    hundred thousand, so this halves a large cost.  The dataclass is made
-    with ``init=False``: compiling one only to replace it costs 0.1 MB of
-    `formulas` peak RSS.  Assigning to a field still raises
-    ``FrozenInstanceError``."""
-    own_init = "__init__" in cls.__dict__
-    cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
-    names = cls.__match_args__
-    values = {**dict(zip(names, names)), "_h": "None"}
-    if cls._text is not None:  # a `_text` slot, not `Node`'s None
-        values["_text"] = "None"
-    if not own_init:
-        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in values}
-        body = "".join(f"\n    _set_{name}(self, {value})" for name, value in values.items())
-        exec(f"def __init__(self{''.join(', ' + name for name in names)}):{body}", scope)
-        scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = scope["__init__"]
-    return cls
-
-
 # --------------------------------------------------------------------------
 # strategy terms and vectors
 
@@ -124,7 +103,6 @@ def _node(cls):
 @_node
 class Concrete(Node):
     """A named strategy; denotes {name} where available, else the empty set."""
-
     name: str
 
 
@@ -213,80 +191,89 @@ class _KeptFormula(Formula):
     __slots__ = ("_text",)
 
 
+# A `_KeptFormula` kind's ``__init__`` starts its `_text` slot at None.
+_kept_node = partial(_frozen, slots=True, blank=("_text",))
+
+
 @_node
 class Top(Formula):
-    pass
+    """The constant ``T``, true at every state."""
 
 
 @_node
 class VectorAtom(Formula):
     """True at s iff every Concrete position of the vector matches s."""
-
     vector: Vector
 
 
-@_node
+@_kept_node
 class Winner(_KeptFormula):
+    """``win(name)``: the alternative is among the winners at the state."""
     name: str
 
 
-@_node
+@_kept_node
 class UtilEq(_KeptFormula):
-    """``u<player> = value``; the value must be in the game's utility range
-    at evaluation time."""
+    """``u<player> = value``; the value, any spelling `to_fraction` takes,
+    must be in the game's utility range at evaluation time."""
 
     player: int
     value: Fraction
 
-    def __init__(self, player: int, value: int | str | float | Fraction):
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "value", to_fraction(value))
-        object.__setattr__(self, "_h", None)
-        object.__setattr__(self, "_text", None)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", to_fraction(self.value))
 
 
-@_node
+@_kept_node
 class Label(_KeptFormula):
+    """``label(text)``: the state's outcome carries this label."""
     text: str
 
 
-@_node
+@_kept_node
 class Not(_KeptFormula):
+    """``~body``: negation."""
     body: Formula
 
 
 @_node
 class And(Formula):
+    """``left & right``: conjunction."""
     left: Formula
     right: Formula
 
 
 @_node
 class Or(Formula):
+    """``left | right``: disjunction, evaluated by its own clause."""
     left: Formula
     right: Formula
 
 
 @_node
 class Implies(Formula):
+    """``left -> right``: implication, right-associative."""
     left: Formula
     right: Formula
 
 
 @_node
 class Iff(Formula):
+    """``left <-> right``: equivalence, right-associative."""
     left: Formula
     right: Formula
 
 
 @_node
 class Box(Formula):
+    """``[program] body``: `body` holds after every run of the program."""
     program: "Program"
     body: Formula
 
 
 @_node
 class Diamond(Formula):
+    """``<program> body``: `body` holds after some run of the program."""
     program: "Program"
     body: Formula
 
@@ -324,42 +311,45 @@ class Program(Node):
 
 @_node
 class Vec(Program):
+    """A strategy vector as a program: move to the profiles it allows."""
     vector: Vector
 
 
 @_node
 class Test(Program):
+    """``?body``: stay at the state if `body` holds there."""
     body: Formula
 
 
 @_node
 class Seq(Program):
+    """``left;right``: run `left`, then `right`."""
     left: Program
     right: Program
 
 
 @_node
 class Choice(Program):
+    """``left+right``: run either program."""
     left: Program
     right: Program
 
 
 @_node
 class Star(Program):
+    """``body*``: run the program any number of times, zero included."""
     body: Program
 
 
 @_node
 class Agent(Program):
     """Epistemic accessibility for one agent (intensional models only)."""
-
     player: int
 
 
 @_node
 class AgentConv(Program):
     """The converse of an agent's accessibility relation."""
-
     player: int
 
 
@@ -367,8 +357,8 @@ class AgentConv(Program):
 # signatures: what the parser and the property builders need to know
 
 
-@dataclass(frozen=True)
-class Signature:
+@_frozen
+class Signature(_Frozen):
     """Strategy vocabulary plus, when known, the utility range and the
     alternative set used by payoff and winner atoms."""
 

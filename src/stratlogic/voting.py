@@ -10,7 +10,6 @@ numbers into induced games.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -18,15 +17,15 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .games import GameForm, Outcomes, StrategicGame, _code_dtype
+from .games import GameForm, Outcomes, StrategicGame, _code_dtype, _Frozen, _frozen
 
 
 class VotingError(ValueError):
     """Raised when ballots or rule data are malformed."""
 
 
-@dataclass(frozen=True)
-class Ballot:
+@_frozen
+class Ballot(_Frozen):
     """A strict ranking of the alternatives, best first."""
 
     order: tuple[str, ...]
@@ -117,7 +116,7 @@ def outcome_payoff(xs: Iterable[str], ballot: Ballot) -> Fraction:
 # rules
 
 
-class VotingRule:
+class VotingRule(_Frozen):
     """Maps a vector of cast votes (top choices) to a non-empty winner set."""
 
     alternatives: tuple[str, ...]
@@ -141,8 +140,10 @@ def _check_alternatives(alternatives: tuple[str, ...]) -> None:
         raise VotingError("alternatives must be distinct")
 
 
-@dataclass(frozen=True)
+@_frozen
 class Plurality(VotingRule):
+    """The alternatives with the most votes win."""
+
     alternatives: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -160,7 +161,7 @@ class Plurality(VotingRule):
         return "plurality"
 
 
-@dataclass(frozen=True)
+@_frozen
 class AbsoluteMajority(VotingRule):
     """An alternative with more than half the votes wins; otherwise everyone
     ties."""
@@ -181,8 +182,10 @@ class AbsoluteMajority(VotingRule):
         return "absolute_majority"
 
 
-@dataclass(frozen=True)
+@_frozen
 class DictatorRule(VotingRule):
+    """The top choice of voter `voter` wins."""
+
     alternatives: tuple[str, ...]
     voter: int
 
@@ -201,8 +204,10 @@ class DictatorRule(VotingRule):
         return f"dictator:{self.voter}"
 
 
-@dataclass(frozen=True)
+@_frozen
 class ConstantRule(VotingRule):
+    """`choice` wins, whatever the votes."""
+
     alternatives: tuple[str, ...]
     choice: str
 
@@ -219,7 +224,7 @@ class ConstantRule(VotingRule):
         return f"constant:{self.choice}"
 
 
-@dataclass(frozen=True)
+@_frozen
 class ResoluteWrap(VotingRule):
     """Break a base rule's ties in favour of a fixed ranking."""
 
@@ -345,8 +350,8 @@ def induced_game(rule: VotingRule, true_ballots: Sequence[Ballot]) -> StrategicG
 # audit
 
 
-@dataclass(frozen=True)
-class Manipulation:
+@_frozen
+class Manipulation(_Frozen):
     """A successful strategic lie: `voter` swaps their ballot in `profile`
     for `deviation` and prefers the new outcome on their true ballot."""
 
@@ -357,8 +362,10 @@ class Manipulation:
     after: frozenset[str]
 
 
-@dataclass(frozen=True)
-class AuditReport:
+@_frozen
+class AuditReport(_Frozen):
+    """What `audit_rule` finds about one rule at one number of voters."""
+
     rule: str
     resolute: bool
     strategy_proof: bool

@@ -1,12 +1,20 @@
-"""The summary of `tools/bench_pairs.py`, on made-up runs: no benchmark is
-started."""
+"""`tools/bench_pairs.py`: the summary on made-up runs, the untracked-file
+check on porcelain text, and a probe run on trivial commands.  No benchmark
+is started."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from stratlogic.jsonio import game_from_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pairs  # noqa: E402
@@ -37,3 +45,35 @@ def test_summary_counts_pairs_by_each_metrics_direction():
 def test_quartiles_of_one_run_are_its_value():
     assert bench_pairs.quartiles([2.5]) == (2.5, 2.5, 2.5)
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0])[1] == 3.0
+
+
+def test_untracked_files_are_read_from_porcelain_text():
+    porcelain = " M src/stratlogic/games.py\n?? src/stratlogic/new.py\nA  tests/t.py\n?? tools/x y.py\n"
+    assert bench_pairs.untracked(porcelain) == ["src/stratlogic/new.py", "tools/x y.py"]
+    assert bench_pairs.untracked("") == []
+
+
+def test_a_probe_over_its_limit_is_recorded_as_skipped(tmp_path):
+    argv = [sys.executable, "-c", "import time; time.sleep(30)"]
+    run = bench_pairs.run_probe(argv, tmp_path, dict(os.environ), 0.5, None)
+    assert run == {"skipped": "over its 0.5 s limit"}
+
+
+def test_a_probe_records_wall_time_peak_rss_exit_and_output_digest(tmp_path):
+    out = tmp_path / "out.txt"
+    argv = [sys.executable, "-c", f"open({str(out)!r}, 'w').write('x'); raise SystemExit(1)"]
+    run = bench_pairs.run_probe(argv, tmp_path, dict(os.environ), 30, out)
+    assert run["exit"] == 1 and 0 < run["wall_s"] < 30 and run["peak_rss_mb"] > 1
+    assert run["output_sha256"] == hashlib.sha256(b"x").hexdigest()
+    argv = [sys.executable, "-c", "import sys; sys.stderr.write('boom'); raise SystemExit(3)"]
+    failed = bench_pairs.run_probe(argv, tmp_path, dict(os.environ), 30, out)
+    assert (failed["exit"], failed["error"]) == (3, "boom") and "output_sha256" not in failed
+
+
+def test_probe_games_are_valid_and_fixed_by_the_seed(tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        bench_pairs._write_game(path, random.Random(bench_pairs.PROBE_SEED), 3, 2, bench_pairs.VALUES)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    game = game_from_dict(json.loads(paths[0].read_text()))
+    assert len(game.outcomes) == 8 and set(game.outcomes.values) <= {0, 1, 2, Fraction(1, 2)}

@@ -20,20 +20,47 @@ side's median and quartiles over the pairs, and the number of pairs in
 which the change read better (ties count for neither), with the direction
 of "better" taken from BENCHMARK.json.  Every run's raw numbers and its
 `correct`, `failed` and `attempted` fields are kept too.
+
+Without `--change` it refuses to run while `src`, `tests` or `tools` hold
+untracked files, which `git stash create` would leave out of the change.
+
+Last come the scale probes: CLI commands on inputs far larger than the
+benchmark's, each a subprocess in each checkout with a time limit, in the
+environment the benchmark gives its workers, alternating sides.  Each run
+records its wall time, its peak RSS (from `os.wait4`) and the sha256 of its
+output; a run over its limit is recorded as skipped, with the reason.  The
+inputs are generated from a fixed seed into `.bench_work/inputs`, and their
+sha256 is recorded.
 """
 from __future__ import annotations
 
 import argparse
+import ast
+import hashlib
 import json
 import os
 import platform
+import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import threading
+import time
+from itertools import product
 from pathlib import Path
 
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 300
+PROBE_SEED = 1
+PROBE_RUNS = 3
+COLD_STARTS = 21
+# A game's utilities are drawn from these four values, as in ROADMAP.md's
+# probe table, except where a probe says otherwise.
+VALUES = (0, 1, 2, "1/2")
+ALTERNATIVES = "abcd"
+BALLOTS = ("abcd", "bcda", "cdab", "dabc")
 
 
 def _git(*args: str, cwd: Path) -> str:
@@ -138,6 +165,161 @@ def bench(checkouts: dict, args) -> dict:
     return report
 
 
+# --------------------------------------------------------------------------
+# scale probes
+
+
+def untracked(porcelain: str) -> list[str]:
+    """The paths that `git status --porcelain` text lists as untracked."""
+    return [line[3:] for line in porcelain.splitlines() if line.startswith("?? ")]
+
+
+def _write_game(path: Path, rng: random.Random, players: int, strategies: int, values) -> None:
+    """A game file of `strategies` ** `players` profiles, each utility drawn
+    from `values`, written one outcome at a time."""
+    names = [chr(ord("a") + i) for i in range(strategies)]
+    with path.open("w") as out:
+        out.write(json.dumps({"players": players, "strategies": [names] * players})[:-1])
+        out.write(', "outcomes": {')
+        for idx, profile in enumerate(product(names, repeat=players)):
+            entry = {"label": f"o{idx}", "utils": [rng.choice(values) for _ in range(players)]}
+            out.write(("," if idx else "") + f'\n"{",".join(profile)}": {json.dumps(entry)}')
+        out.write("}}\n")
+
+
+def make_inputs(folder: Path) -> dict[str, Path]:
+    """The probes' input files, generated from PROBE_SEED."""
+    folder.mkdir(parents=True, exist_ok=True)
+    rng = random.Random(PROBE_SEED)
+    paths = {}
+    for name, players, strategies, values in (
+        ("6x6", 6, 6, VALUES),
+        ("6x7", 7, 6, VALUES),
+        ("6x4_999", 4, 6, range(999)),
+        ("4x5", 5, 4, VALUES),
+    ):
+        paths[name] = folder / f"game_{name}.json"
+        _write_game(paths[name], rng, players, strategies, values)
+    for rule, voters in product(("dictator:1", "plurality"), (3, 4)):
+        name = f"{rule.replace(':', '')}_{voters}"
+        paths[name] = folder / f"spec_{name}.json"
+        spec = {"alternatives": list(ALTERNATIVES), "ballots": list(BALLOTS[:voters]), "rule": rule}
+        paths[name].write_text(json.dumps(spec))
+    return paths
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as data:
+        for block in iter(lambda: data.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def run_probe(argv: list[str], cwd: Path, env: dict, limit_s: float, output: Path | None) -> dict:
+    """One probe run: wall time, peak RSS from `os.wait4`, exit code and the
+    sha256 of `output`; or, if it ran past `limit_s` and was killed, a
+    `skipped` reason instead."""
+    with open(os.devnull, "wb") as null, tempfile.TemporaryFile() as errors:
+        start = time.monotonic()
+        proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=null, stderr=errors)
+        timer = threading.Timer(limit_s, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        wall = time.monotonic() - start
+        errors.seek(0)
+        error = errors.read().decode(errors="replace")
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if wall >= limit_s and proc.returncode < 0:
+        return {"skipped": f"over its {limit_s:g} s limit"}
+    run = {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024, "exit": proc.returncode}
+    if proc.returncode not in (0, 1):
+        run["error"] = error[-2000:]
+    elif output is not None:
+        run["output_sha256"] = _sha256(output)
+    return run
+
+
+def _child_env(checkout: Path) -> dict:
+    """The environment `perfbench/run.py` gives its workers: this process's,
+    with the checkout's CHILD_ENV, and the checkout's `src` on the path."""
+    tree = ast.parse((checkout / "perfbench" / "run.py").read_text())
+    child = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "CHILD_ENV" for t in node.targets)
+    )
+    return {**os.environ, **child, "PYTHONPATH": str(checkout / "src")}
+
+
+def _probe_list(inputs: dict[str, Path]) -> list[tuple]:
+    """(name, CLI arguments, time limit in seconds, runs per side, input
+    names, the probe whose output it reads or None).  ``{in}`` in an
+    argument stands for the inputs' folder, and ``{out}`` for the side's
+    output folder."""
+    inputs = {name: "{in}/" + path.name for name, path in inputs.items()}
+    check = ["check", "--game", "tests/golden/inputs/pd.json", "--formula", "[(d,d)] u1=1"]
+    probes = [("cold_start_check", check, 30, COLD_STARTS, (), None)]
+    for name in ("6x6", "6x7", "6x4_999"):
+        probes.append((f"nash_{name}", ["nash", "--game", inputs[name]], 120, PROBE_RUNS, (name,), None))
+    probes += [
+        ("lift_4x5", ["lift", "--game", inputs["4x5"]], 120, PROBE_RUNS, ("4x5",), None),
+        ("echeck_4x5", ["echeck", "--model", "{out}/lift_4x5.json", "--formula", "[ag1] u1=1"],
+         60, PROBE_RUNS, (), "lift_4x5"),
+        ("axioms_4x5", ["axioms", "--game", inputs["4x5"]], 120, PROBE_RUNS, ("4x5",), None),
+    ]
+    for name in ("dictator1_3", "dictator1_4", "plurality_3", "plurality_4"):
+        probes.append((f"audit_{name}", ["voting", "audit", "--spec", inputs[name]], 120, PROBE_RUNS, (name,), None))
+    return probes
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = quartiles(values)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def probe(checkouts: dict, work: Path) -> dict:
+    """Run every probe in both checkouts, alternating the side that goes
+    first from run to run.  A probe other than the cold start writes its
+    report to the side's output folder, and the sides' reports are compared
+    by sha256."""
+    inputs = make_inputs(work / "inputs")
+    envs = {side: _child_env(checkouts[side]) for side in SIDES}
+    report: dict = {"seed": PROBE_SEED}
+    for name, args, limit, runs, used, needs in _probe_list(inputs):
+        entry = {"argv": args, "limit_s": limit, "inputs": {k: _sha256(inputs[k]) for k in used}}
+        for side in SIDES:
+            entry[side] = {"runs": []}
+        for k in range(runs):
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                folder = work / f"out_{side}"
+                folder.mkdir(exist_ok=True)
+                output = None if name == "cold_start_check" else folder / f"{name}.json"
+                argv = [sys.executable, "-m", "stratlogic.cli", *(
+                    a.replace("{in}", str(work / "inputs")).replace("{out}", str(folder)) for a in args)]
+                if needs is not None and not all("wall_s" in r for r in report[needs][side]["runs"]):
+                    run = {"skipped": f"needs every run of {needs}"}
+                else:
+                    argv += [] if output is None else ["--output", str(output)]
+                    run = run_probe(argv, checkouts[side], envs[side], limit, output)
+                entry[side]["runs"].append(run)
+        for side in SIDES:
+            done = [r for r in entry[side]["runs"] if "wall_s" in r]
+            if done:
+                entry[side]["wall_s"] = _spread([r["wall_s"] for r in done])
+                entry[side]["peak_rss_mb"] = _spread([r["peak_rss_mb"] for r in done])
+        if name != "cold_start_check":
+            digests = {r.get("output_sha256") for side in SIDES for r in entry[side]["runs"]}
+            entry["same_output"] = len(digests) == 1 and None not in digests
+        report[name] = entry
+        print(f"probe {name}: " + ", ".join(
+            f"{side} {entry[side].get('wall_s', {}).get('median')}" for side in SIDES), file=sys.stderr)
+    return report
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="the JSON file to write")
@@ -149,6 +331,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     root = Path(_git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
+    if args.change is None:
+        status = _git("status", "--porcelain", "--untracked-files=all", "--", "src", "tests", "tools", cwd=root)
+        if missing := untracked(status):
+            ap.error("untracked files would be left out of the change: " + ", ".join(missing)
+                     + " (git add them, or name a revision with --change)")
     revs = {
         "parent": _git("rev-parse", args.parent, cwd=root),
         "change": _git("rev-parse", args.change, cwd=root) if args.change
@@ -163,11 +350,14 @@ def main(argv: list[str] | None = None) -> int:
         for side, path in checkouts.items():
             _git("worktree", "add", "--detach", str(path), revs[side], cwd=root)
         report = bench(checkouts, args)
+        report["probes"] = probe(checkouts, work)
     finally:
         for path in checkouts.values():
             if path.exists():
                 _git("worktree", "remove", "--force", str(path), cwd=root)
         _git("worktree", "prune", cwd=root)
+        for folder in ("inputs", *(f"out_{side}" for side in SIDES)):
+            shutil.rmtree(work / folder, ignore_errors=True)
         if not any(work.iterdir()):
             work.rmdir()
     report = {
