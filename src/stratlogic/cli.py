@@ -56,48 +56,9 @@ def _require(condition: bool, message: str) -> None:
         raise DemoFailure(message)
 
 
-def _dumps(data) -> str:
-    """``json.dumps(data, indent=2)``, written from an explicit stack, so
-    deeply nested data (the AST of a long formula) never reaches the
-    recursion limit."""
-    out: list[str] = []
-    stack: list = [(data, "")]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        value, indent = item
-        if isinstance(value, dict):
-            # Keys are strings in JSON; `json` spells other scalar keys first.
-            entries = [
-                (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
-                for k, v in value.items()
-            ]
-            brackets = "{}"
-        elif isinstance(value, (list, tuple)):
-            entries = [("", v) for v in value]
-            brackets = "[]"
-        else:
-            out.append(json.dumps(value))
-            continue
-        if not entries:
-            out.append(brackets)
-            continue
-        inner = indent + "  "
-        out.append(brackets[0])
-        stack.append("\n" + indent + brackets[1])
-        for k in range(len(entries) - 1, -1, -1):
-            prefix, child = entries[k]
-            stack.append((child, inner))
-            stack.append(("," if k else "") + "\n" + inner + prefix)
-    return "".join(out)
-
-
-def _emit(data: dict, output: str | None, deep: bool = False) -> None:
-    """Write a report as ``json.dumps(data, indent=2)`` does; only `deep`
-    data, a formula's AST, needs `_dumps`."""
-    text = _dumps(data) if deep else json.dumps(data, indent=2)
+def _emit(data: dict, output: str | None) -> None:
+    """Write a report as ``json.dumps(data, indent=2)`` does."""
+    text = json.dumps(data, indent=2)
     if output:
         Path(output).write_text(text + "\n")
     else:
@@ -145,7 +106,7 @@ def _cmd_parse(args) -> int:
     node = parse(args.text, sig, args.kind)
     canonical = render_cl(node) if args.kind == "cl" else render(node)
     data = {"input": args.text, "canonical": canonical, "ast": ast_to_dict(node)}
-    _emit(data, args.output, deep=True)
+    _emit(data, args.output)
     return 0
 
 

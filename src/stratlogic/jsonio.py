@@ -461,36 +461,44 @@ def audit_report_to_dict(report: AuditReport) -> dict:
 
 def ast_to_dict(node) -> dict:
     """Type-tagged JSON view of a formula, program, vector, term or coalition
-    formula: ``{"node": class name, field: value, ...}`` with the fields in
-    ``__match_args__`` order.  A node becomes a dict and a tuple of nodes a
-    list; a `Fraction` goes through `util_to_json` and a frozenset becomes a
-    sorted list.
-
-    Built top-down from an explicit stack, so deep trees and long chains
-    never reach the recursion limit."""
+    formula, as a table of its distinct subtrees: ``{"root": k, "nodes":
+    [...]}``.  An entry is ``{"node": class name, field: value, ...}`` with
+    the fields in ``__match_args__`` order: a child node is its entry's index
+    and a tuple of nodes a list of indices, a `Fraction` goes through
+    `util_to_json` and a frozenset becomes a sorted list.  Entries come in
+    post-order, children left to right, and equal subtrees share the entry
+    keyed on its spelling, so the table depends on the tree's value alone.
+    The walk keeps an explicit stack, so deep trees never reach the
+    recursion limit."""
     if not isinstance(node, Node):
         raise TypeError(f"cannot serialize {node!r}")
-    root: dict = {}
-    stack = [(node, root)]
+    nodes: list[dict] = []
+    by_spelling: dict[str, int] = {}
+    by_id: dict[int, int] = {}
+    stack = [node]
     while stack:
-        node, out = stack.pop()
-        out["node"] = type(node).__name__
-        for name in node.__match_args__:
-            value = getattr(node, name)
+        top = stack[-1]
+        entry = {"node": type(top).__name__}
+        for name in top.__match_args__:
+            value = getattr(top, name)
             if isinstance(value, Node):
-                value = _ast_child(value, stack)
+                value = by_id.get(id(value), value)
             elif isinstance(value, tuple):
-                value = [_ast_child(item, stack) for item in value]
+                value = [by_id.get(id(item), item) for item in value]
             elif isinstance(value, Fraction):
                 value = util_to_json(value)
             elif isinstance(value, frozenset):
                 value = sorted(value)
-            out[name] = value
-    return root
-
-
-def _ast_child(node: Node, stack: list) -> dict:
-    """An empty dict for a child node, filled in when the stack reaches it."""
-    out: dict = {}
-    stack.append((node, out))
-    return out
+            entry[name] = value
+        # Children not yet in the table: their entries come first.
+        todo = [c for v in entry.values() for c in (v if type(v) is list else [v])]
+        todo = [c for c in todo if isinstance(c, Node)]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        k = by_spelling.setdefault(json.dumps(entry), len(nodes))
+        if k == len(nodes):
+            nodes.append(entry)
+        by_id[id(top)] = k
+    return {"root": by_id[id(node)], "nodes": nodes}

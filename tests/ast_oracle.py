@@ -1,6 +1,8 @@
-"""The per-class AST table that `jsonio.ast_to_dict` replaced with a walk
-over each node's fields, kept as an oracle for it: one branch per node
-class, spelling out its tag and its keys in order."""
+"""The per-class AST view that `jsonio.ast_to_dict` replaced, kept as an
+oracle for it: one branch per node class, spelling out its tag and its keys
+in order, with each child written out as a nested dict.  `jsonio.ast_to_dict`
+writes a table of entries that name their children by index instead;
+`expand` turns such a table back into the nested dicts of this view."""
 
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ def ast_to_dict(node) -> dict:
     stack = [root]
     while stack:
         out = stack.pop()
-        for key in _AST_CHILD_KEYS:
+        for key in CHILD_KEYS:
             if key in out:
                 out[key] = _ast_node(out[key])
                 stack.append(out[key])
@@ -52,7 +54,25 @@ def ast_to_dict(node) -> dict:
 
 
 # The keys under which `_ast_node` leaves a child node to be converted.
-_AST_CHILD_KEYS = ("vector", "body", "left", "right", "program", "atom")
+CHILD_KEYS = ("vector", "body", "left", "right", "program", "atom")
+
+
+def expand(table: dict) -> dict:
+    """The nested dicts of a ``{"root": k, "nodes": [...]}`` table: each
+    child index (under `CHILD_KEYS`, or in a ``terms`` list) replaced
+    by its entry, itself expanded.  Children come before their parents, so
+    one pass in table order expands every entry once; an entry that several
+    parents name becomes one dict that they share."""
+    done: list[dict] = []
+    for entry in table["nodes"]:
+        out = dict(entry)
+        for key in CHILD_KEYS:
+            if key in out:
+                out[key] = done[out[key]]
+        if "terms" in out:
+            out["terms"] = [done[k] for k in out["terms"]]
+        done.append(out)
+    return done[table["root"]]
 
 
 def _ast_node(node) -> dict:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from stratlogic.cli import _build_parser
 from stratlogic.jsonio import game_from_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -77,3 +78,13 @@ def test_probe_games_are_valid_and_fixed_by_the_seed(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     game = game_from_dict(json.loads(paths[0].read_text()))
     assert len(game.outcomes) == 8 and set(game.outcomes.values) <= {0, 1, 2, Fraction(1, 2)}
+
+
+def test_every_probe_argv_is_accepted_by_the_cli(tmp_path, monkeypatch):
+    # Empty inputs: only their names reach the arguments.
+    monkeypatch.setattr(bench_pairs, "_write_game", lambda path, *rest: path.touch())
+    for name, args, *_ in bench_pairs._probe_list(bench_pairs.make_inputs(tmp_path)):
+        argv = [a.replace("{in}", "in").replace("{out}", "out") for a in args]
+        if name != "cold_start_check":
+            argv += ["--output", f"out/{name}.json"]
+        assert _build_parser().parse_args(argv).command == args[0], name

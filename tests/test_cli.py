@@ -9,12 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import stratlogic
 from stratlogic import Signature, epistemic_lift
-from stratlogic.cli import _dumps, main
+from stratlogic.cli import main
 from stratlogic.jsonio import game_to_dict, intensional_from_dict, intensional_to_dict, loads
 from stratlogic.catalog import commitment_confusion, prisoners_dilemma, vote3_game
 
@@ -112,7 +110,8 @@ def test_parse_canonical_and_ast(pd_file, capsys):
     assert main(["parse", "--game", pd_file, "[(c,??)+(d,??)]u1=0"]) == 0
     data = _json_out(capsys)
     assert data["canonical"] == "[(c,??)+(d,??)] u1=0"
-    assert data["ast"]["node"] == "Box"
+    ast = data["ast"]
+    assert ast["nodes"][ast["root"]]["node"] == "Box"
 
 
 def test_parse_program_kind(pd_file, capsys):
@@ -458,43 +457,26 @@ def test_long_programs_and_deep_groups_get_a_verdict(pd_file):
         assert loads(proc.stdout)["holdsAt"] is True
 
 
-def test_parse_of_deep_formulas_writes_the_whole_ast(pd_file):
-    # 1 000 conjuncts and 1 000 negations nest the AST 1 000 levels deep.
-    src = str(Path(stratlogic.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for formula, node, count in (
-        (" & ".join(["u1=1"] * 1000), "And", 999),
-        ("~" * 1000 + "T", "Not", 1000),
+def test_parse_of_deep_formulas_writes_a_table_linear_in_the_input(pd_file):
+    # 1 000 and 10 000 conjuncts or negations nest the AST as deep, at the
+    # default recursion limit; the table holds one entry per distinct subtree.
+    for make, node, fewer, leaf in (
+        (lambda n: " & ".join(["u1=1"] * n), "And", 1, "UtilEq"),
+        (lambda n: "~" * n + "T", "Not", 0, "Top"),
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "stratlogic.cli", "parse", "--game", pd_file, formula],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr[-500:]
-        assert proc.stderr == ""
-        lines = proc.stdout.split("\n", 3)
-        assert lines[2] == f'  "canonical": {json.dumps(formula)},'
-        assert proc.stdout.count(f'"node": "{node}"') == count
-        assert proc.stdout.endswith("\n}\n")
-
-
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(
-        st.text(max_size=3) | st.integers() | st.floats() | st.booleans() | st.none(),
-        inner,
-        max_size=4,
-    ),
-    max_leaves=20,
-)
-
-
-@given(_JSON)
-@settings(max_examples=200, deadline=None)
-def test_dumps_matches_json_dumps_with_indent(data):
-    assert _dumps(data) == json.dumps(data, indent=2)
+        sizes = {}
+        for n in (1_000, 10_000):
+            formula = make(n)
+            proc = _cli_subprocess("parse", "--game", pd_file, formula)
+            assert proc.returncode == 0, proc.stderr[-500:]
+            assert proc.stderr == ""
+            data = json.loads(proc.stdout)
+            assert data["canonical"] == formula
+            kinds = [entry["node"] for entry in data["ast"]["nodes"]]
+            assert sorted(kinds) == [node] * (n - fewer) + [leaf]
+            assert data["ast"]["root"] == len(kinds) - 1
+            sizes[n] = len(proc.stdout.encode())
+        assert sizes[10_000] <= 11 * sizes[1_000]
 
 
 def test_five_voter_audit_reports_the_same_keys(tmp_path):

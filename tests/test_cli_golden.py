@@ -9,13 +9,20 @@ change of output, run ``python tests/test_cli_golden.py`` and review the diff.
 from __future__ import annotations
 
 import io
+import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from stratlogic.cli import main
+from stratlogic import coalition, syntax
+from stratlogic.cli import _build_parser, main
+from stratlogic.jsonio import load_game
+from stratlogic.models import MaslModel, model_signature
+from stratlogic.parser import parse
+
+from ast_oracle import CHILD_KEYS
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -140,6 +147,46 @@ def test_cli_output_matches_golden(case):
 
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+def _rebuild(table: dict):
+    """The node an AST table stands for, built entry by entry: each class
+    looked up by name, each child index replaced by the node built for it."""
+    built = []
+    for entry in table["nodes"]:
+        cls = getattr(syntax, entry["node"], None) or getattr(coalition, entry["node"])
+        args = []
+        for key in cls.__match_args__:
+            value = entry[key]
+            if key == "terms":
+                value = [built[k] for k in value]
+            elif key in CHILD_KEYS:
+                value = built[value]
+            args.append(value)
+        built.append(cls(*args))
+    return built[table["root"]]
+
+
+_AST_CASES = sorted(
+    case
+    for case, argv in CASES.items()
+    if argv[0] == "parse" and (GOLDEN / f"{case}.txt").read_text().startswith("exit 0\n")
+)
+
+
+@pytest.mark.parametrize("case", _AST_CASES)
+def test_golden_ast_table_rebuilds_the_parsed_tree(case):
+    """The table in each `parse` golden stands for what `parse` reads from
+    the case's text: children before parents, the root last, and no entry
+    written twice."""
+    args = _build_parser().parse_args(CASES[case])
+    golden = (GOLDEN / f"{case}.txt").read_text()
+    table = json.loads(golden.split("--- stdout\n")[1].split("--- stderr\n")[0])["ast"]
+    nodes = table["nodes"]
+    assert table["root"] == len(nodes) - 1
+    assert len({json.dumps(entry) for entry in nodes}) == len(nodes)
+    sig = model_signature(MaslModel(load_game(args.game)))
+    assert _rebuild(table) == parse(args.text, sig, args.kind)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from stratlogic import (
     MaslModel,
     UtilEq,
     Vector,
+    VectorAtom,
     extension,
     render,
 )
@@ -746,23 +747,41 @@ def test_load_intensional(tmp_path):
 def test_ast_to_dict_masl():
     f = Box(Star(Vec(Vector([Concrete("c"), ADV]))), UtilEq(1, Fraction(1, 2)))
     data = ast_to_dict(f)
-    assert data["node"] == "Box"
-    assert data["program"]["node"] == "Star"
-    vec = data["program"]["body"]["vector"]
-    assert vec == {
-        "node": "Vector",
-        "terms": [{"node": "Concrete", "name": "c"}, {"node": "Adversary"}],
+    assert data == {
+        "root": 6,
+        "nodes": [
+            {"node": "Concrete", "name": "c"},
+            {"node": "Adversary"},
+            {"node": "Vector", "terms": [0, 1]},
+            {"node": "Vec", "vector": 2},
+            {"node": "Star", "body": 3},
+            {"node": "UtilEq", "player": 1, "value": "1/2"},
+            {"node": "Box", "program": 4, "body": 5},
+        ],
     }
-    assert data["body"] == {"node": "UtilEq", "player": 1, "value": "1/2"}
     json.dumps(data)
 
 
 def test_ast_to_dict_cl():
     f = CLBox(frozenset({2, 1}), CLAtom(UtilEq(1, 0)))
     data = ast_to_dict(f)
-    assert data["node"] == "CLBox"
-    assert data["coalition"] == [1, 2]
+    assert data["nodes"][data["root"]] == {"node": "CLBox", "coalition": [1, 2], "body": 1}
     json.dumps(data)
+
+
+def test_ast_to_dict_writes_equal_subtrees_once():
+    """Equal subtrees share an entry whether or not they are one object, and
+    the table depends on the value alone."""
+    shared = UtilEq(1, 2)
+    twin = UtilEq(1, 2)
+    one = ast_to_dict(shared & (shared | VectorAtom(Vector([ADV, ADV]))))
+    two = ast_to_dict(twin & (UtilEq(1, 2) | VectorAtom(Vector([ADV, ADV]))))
+    assert one == two
+    assert [e["node"] for e in one["nodes"]] == [
+        "UtilEq", "Adversary", "Vector", "VectorAtom", "Or", "And"
+    ]
+    assert one["nodes"][2] == {"node": "Vector", "terms": [1, 1]}
+    assert one["nodes"][5] == {"node": "And", "left": 0, "right": 4}
 
 
 def test_ast_to_dict_rejects_unknown():
@@ -775,8 +794,9 @@ def test_ast_to_dict_rejects_unknown():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_ast_to_dict_matches_the_per_class_table(seed):
-    """Formulas, programs, vectors, terms and coalition formulas: the same
-    dicts as the per-class table, keys in the same order."""
+    """Formulas, programs, vectors, terms and coalition formulas: the table,
+    expanded, gives the same dicts as the per-class view, keys in the same
+    order."""
     rng = random.Random(seed)
     game = vote3_game()
     sig = Signature.from_game(game)
@@ -789,5 +809,7 @@ def test_ast_to_dict_matches_the_per_class_table(seed):
         vector,
         *vector.terms,
     ):
-        got, want = ast_to_dict(node), ast_oracle.ast_to_dict(node)
+        table = ast_to_dict(node)
+        got, want = ast_oracle.expand(table), ast_oracle.ast_to_dict(node)
         assert json.dumps(got) == json.dumps(want)
+        assert table["root"] == len(table["nodes"]) - 1

@@ -59,6 +59,7 @@ from stratlogic.syntax import (
     disj,
 )
 
+from ast_oracle import expand
 from gens import random_cl_formula, random_formula, random_game, random_program
 
 PD = prisoners_dilemma()
@@ -191,13 +192,15 @@ def test_cl_nodes_follow_the_same_contract():
 # long chains and deep nests under the default recursion limit
 
 
-def _left_spine(d: dict) -> list[dict]:
-    """The operands of a left-folded chain's dict, first to last."""
+def _left_spine(table: dict) -> list[int]:
+    """The entries of a left-folded chain's operands in its `ast_to_dict`
+    table, first to last, walked from the root."""
+    nodes, k = table["nodes"], table["root"]
     rights = []
-    while d["node"] in ("And", "Or", "CLAnd"):
-        rights.append(d["right"])
-        d = d["left"]
-    rights.append(d)
+    while nodes[k]["node"] in ("And", "Or", "CLAnd"):
+        rights.append(nodes[k]["right"])
+        k = nodes[k]["left"]
+    rights.append(k)
     return rights[::-1]
 
 
@@ -213,9 +216,11 @@ def test_ten_thousand_operand_chains(default_recursion_limit, fold, reduce):
     assert text.count(" & " if fold is conj else " | ") == CHAIN - 1
     assert parse(text, PD_SIG) == chain
 
-    leaves = _left_spine(ast_to_dict(chain))
+    table = ast_to_dict(chain)
+    leaves = _left_spine(table)
     assert len(leaves) == CHAIN
-    assert leaves[:5] == [ast_to_dict(f) for f in _pd_atoms()]
+    first = [expand({"root": k, "nodes": table["nodes"]}) for k in leaves[:5]]
+    assert first == [expand(ast_to_dict(f)) for f in _pd_atoms()]
 
     model = MaslModel(PD)
     expected = reduce.reduce([extension(model, f) for f in _pd_atoms()])
@@ -247,7 +252,10 @@ def test_ten_thousand_deep_negation_and_box_nest(default_recursion_limit):
             expected = ~pre(model, c_first, ~expected)
     assert np.array_equal(extension(model, deep), expected)
     assert render(deep).count("~") == CHAIN // 2
-    assert ast_to_dict(deep)["node"] == "Not"
+    table = ast_to_dict(deep)
+    # The leaf, the shared program's five entries, then one entry per level.
+    assert len(table["nodes"]) == 5 + CHAIN
+    assert table["nodes"][table["root"]]["node"] == "Not"
 
 
 def test_long_cl_chain_renders(default_recursion_limit):

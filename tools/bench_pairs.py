@@ -270,6 +270,11 @@ def _probe_list(inputs: dict[str, Path]) -> list[tuple]:
         ("echeck_4x5", ["echeck", "--model", "{out}/lift_4x5.json", "--formula", "[ag1] u1=1"],
          60, PROBE_RUNS, (), "lift_4x5"),
         ("axioms_4x5", ["axioms", "--game", inputs["4x5"]], 120, PROBE_RUNS, ("4x5",), None),
+        # `parse` of 3 000 conjuncts.  Against a parent that writes the AST
+        # nested rather than as a node table, `same_output` reads false,
+        # because that format changed on purpose.
+        ("parse_3000", ["parse", "--game", "tests/golden/inputs/pd.json", " & ".join(["u1=1"] * 3000)],
+         60, PROBE_RUNS, (), None),
     ]
     for name in ("dictator1_3", "dictator1_4", "plurality_3", "plurality_4"):
         probes.append((f"audit_{name}", ["voting", "audit", "--spec", inputs[name]], 120, PROBE_RUNS, (name,), None))
