@@ -604,7 +604,6 @@ _OPS = {
     **dict.fromkeys((Top, VectorAtom, Winner, UtilEq, Label), _LEAF),
     **dict(zip((Not, Diamond, Box, And, Or, Implies, Iff), range(_NOT, _IFF + 1))),
 }
-_CHILDREN_DONE = object()
 
 
 def compile_plan(roots: Iterable[Formula]) -> Plan:
@@ -623,27 +622,33 @@ def compile_plan(roots: Iterable[Formula]) -> Plan:
         stack = [root]
         while stack:
             node = stack.pop()
-            if node is _CHILDREN_DONE:  # below it: a connective, then its op
-                node, op = stack.pop(), stack.pop()
-                if op >= _AND:
-                    a, b = slots[id(node.left)], slots[id(node.right)]
-                else:
-                    a, b = slots[id(node.body)], -1
-                entry = node.program if op in (_DIAMOND, _BOX) else None
-            elif id(node) in slots:  # a subtree that occurs more than once
+            key = id(node)
+            if key in slots:  # a subtree that occurs more than once
                 continue
-            else:
-                op = _OPS.get(type(node))
-                if op is None:  # a subclass, or not a formula at all
-                    op = next((o for t, o in _OPS.items() if isinstance(node, t)), _LEAF)
-                if op >= _AND:
-                    stack += (op, node, _CHILDREN_DONE, node.right, node.left)
-                    continue
-                if op != _LEAF:
-                    stack += (op, node, _CHILDREN_DONE, node.body)
-                    continue
+            op = _OPS.get(type(node))
+            if op is None:  # a subclass, or not a formula at all
+                op = next((o for t, o in _OPS.items() if isinstance(node, t)), _LEAF)
+            # A node is emitted once its children have slots; until then it
+            # goes back under them, the left one on top.
+            if op == _LEAF:
                 a, b, entry = -1, -1, node
-            slots[id(node)] = len(plan.nodes)
+            elif op >= _AND:
+                a, b = slots.get(id(node.left)), slots.get(id(node.right))
+                if a is None or b is None:
+                    stack.append(node)
+                    if b is None:
+                        stack.append(node.right)
+                    if a is None:
+                        stack.append(node.left)
+                    continue
+                entry = None
+            else:
+                a, b = slots.get(id(node.body)), -1
+                if a is None:
+                    stack += (node, node.body)
+                    continue
+                entry = node.program if op in (_DIAMOND, _BOX) else None
+            slots[key] = len(plan.nodes)
             plan.ops.append(op)
             plan.nodes.append(entry)
             plan.left.append(a)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from .coalition import CLAnd, CLAtom, CLBox, CLFormula, CLNot, CLTop, cl_disj
@@ -82,9 +81,15 @@ _TOKEN = re.compile(
     |.|\Z)""",
     re.VERBOSE,
 )
-# A whole payoff atom's pieces, and their kinds; a piece may be empty.
-_PAYOFF_PIECES = re.compile(r"(u[0-9]+)(=)(-?)([0-9]+)(/?)([0-9]*)")
-_PAYOFF_KINDS = ("NAME", "=", "-", "INT", "/", "INT")
+# A whole token's pieces, by its first character: a vector's brackets,
+# commas and terms; a payoff's name, '=', '-', numerals and '/'; and a
+# modal prefix's brackets around a whole vector, or an agent and its '^'.
+# Peels are rare, so `re` compiles these on first use.
+_PIECES = {
+    "(": r"[^(),]+|.",
+    "u": r"u?[0-9]+|.",
+    **dict.fromkeys("[<", r"\(.*\)|ag[0-9]+|."),
+}
 _OPERATORS = frozenset("<-> ?? !! -> >= ( ) [ ] { } < > , ; + * ? ~ & | = ^ / -".split())
 # A token's kind by its first character; a stray character has none.  A lone
 # '(', '[' or '<' is an operator, so a longer token that starts with one is a
@@ -96,58 +101,31 @@ _KIND_BY_FIRST = {
 }
 
 
-# (kind, text, token index, offset in the token; non-zero for a piece)
-_Token = tuple[str, str, int, int]
+def _kind(tok: str) -> str | None:
+    """The kind of token `tok`, a spelling `_TOKEN` matched: an operator is
+    its own kind; None for a stray character or a lone '"'."""
+    if tok in _OPERATORS:
+        return tok
+    kind = _KIND_BY_FIRST.get(tok[:1])
+    if kind == "NAME" and "=" in tok:
+        return "PAYOFF"
+    return None if tok == '"' else kind
 
 
-def _tokenize(text: str) -> tuple[list[_Token], str]:
-    """The tokens of `text`, ending with one EOF, and the text, from which
-    `_position` recovers a token's line and column."""
-    tokens = []
-    for index, tok in enumerate(_TOKEN.findall(text)):
-        if tok in _OPERATORS:
-            tokens.append((tok, tok, index, 0))
-            continue
-        kind = _KIND_BY_FIRST.get(tok[:1])
-        if kind == "NAME" and "=" in tok:
-            kind = "PAYOFF"
-        elif kind == "STRING":
-            if tok == '"':
-                raise ParseError("unterminated string", *_position(text, index))
-            tok = tok[1:-1]
-        elif kind is None:
-            raise ParseError(f"stray character {tok!r}", *_position(text, index))
-        tokens.append((kind, tok, index, 0))
-        if kind == "EOF":
-            return tokens, text
+def _shown(tok: str) -> str:
+    """Token `tok` as messages quote it: a string literal without quotes."""
+    return tok[1:-1] if tok[:1] == '"' else tok
 
 
-def _pieces(tok: _Token) -> list[_Token]:
-    """The fine tokens that whole token `tok` spans; a modal prefix's vector
-    stays one VECTOR piece, so that it is read through the table too."""
-    kind, text, index, at = tok
-    if kind == "VECTOR":
-        pieces, mark = [], "("
-        for name in text[1:-1].split(","):
-            term = name if name in _OPERATORS else "NAME"  # '??', '!!' or a name
-            pieces += ((mark, mark, index, at), (term, name, index, at + 1))
-            at += len(name) + 1
-            mark = ","
-        pieces.append((")", ")", index, at))
-        return pieces
-    if kind == "PAYOFF":
-        pieces = []
-        for kind, piece in zip(_PAYOFF_KINDS, _PAYOFF_PIECES.match(text).groups()):
-            if piece:
-                pieces.append((kind, piece, index, at))
-                at += len(piece)
-        return pieces
-    # A box or diamond: a whole vector, or an agent's name and its '^', in brackets.
-    program, end = text[1:-1], at + len(text) - 1
-    inner = [(_KIND_BY_FIRST[program[0]], program.rstrip("^"), index, at + 1)]
-    if program[-1] == "^":
-        inner.append(("^", "^", index, end - 1))
-    return [(text[0], text[0], index, at), *inner, (text[-1], text[-1], index, end)]
+class _Piece(str):
+    """A piece of a whole token, read where the grammar takes no whole
+    token: its spelling and its offset in that token's spelling.  The
+    pieces at offset 0 are the ones that start a token of the text."""
+
+    def __new__(cls, spelling: str, at: int):
+        piece = super().__new__(cls, spelling)
+        piece.at = at
+        return piece
 
 
 def _position(text: str, index: int) -> tuple[int, int]:
@@ -162,26 +140,17 @@ def _position(text: str, index: int) -> tuple[int, int]:
     return line, col - len(tok)
 
 
-class _Group(NamedTuple):
-    """An open parenthesized group: `finish` turns the group's expression
-    into the operand it stands for (applying the prefixes read before the
-    '(', or the postfix stars after the ')')."""
-
-    finish: object
-
-
-def _apply_prefixes(prefixes: list, node):
-    """Apply prefixes, read outermost first, innermost first.  Each is a
-    (class, argument) pair, the argument a box's program or a coalition;
-    a negation has none."""
-    for cls, argument in reversed(prefixes):
-        node = cls(node) if argument is None else cls(argument, node)
-    return node
+# What an operand reader returns after the '(' of a parenthesized group.
+_OPEN = object()
 
 
 class _Parser:
+    """One read of a text: its tokens are the spellings `_TOKEN` finds, and
+    a token's kind is worked out only where the grammar asks for it."""
+
     def __init__(self, text: str, signature: Signature):
-        self.tokens, self._text = _tokenize(text)
+        self.toks = _TOKEN.findall(text)
+        self.text = text
         self.pos = 0
         self.sig = signature
         if signature._parsed is None:
@@ -193,102 +162,105 @@ class _Parser:
     # A whole token met where the grammar takes none is replaced by its
     # pieces (`_peel`), and the parse goes on as a read of fine tokens would.
 
-    def _accept(self, kind: str) -> _Token | None:
-        tok = self.tokens[self.pos]
-        if tok[0] == kind:
+    def _accept(self, kind: str) -> bool:
+        """Read the operator `kind` at `pos`, if it is there."""
+        tok = self.toks[self.pos]
+        if tok == kind or tok[:1] == kind and self._peel():
             self.pos += 1
-            return tok
-        if tok[1][:1] == kind and self._peel():
-            return self._accept(kind)
-        return None
+            return True
+        return False
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            if self._peel():
-                return self._expect(kind, what)
-            found = tok[1] or "end of input"
-            raise self._error(f"expected {what}, found {found!r}", tok)
+    def _expect(self, kind: str, what: str) -> str:
+        while _kind(tok := self.toks[self.pos]) != kind:
+            if not self._peel():
+                found = _shown(tok) or "end of input"
+                raise self._error(f"expected {what}, found {found!r}")
         self.pos += 1
         return tok
 
     def _peel(self) -> bool:
         """Replace the token at `pos` by its pieces if it is a whole token."""
-        tok = self.tokens[self.pos]
-        if tok[0] not in ("VECTOR", "PAYOFF", "BOX", "DIAMOND"):
+        tok = self.toks[self.pos]
+        if _kind(tok) not in ("VECTOR", "PAYOFF", "BOX", "DIAMOND"):
             return False
-        self.tokens[self.pos : self.pos + 1] = _pieces(tok)
+        at = getattr(tok, "at", 0)
+        pieces = []
+        for spelling in re.findall(_PIECES[tok[0]], tok):
+            pieces.append(_Piece(spelling, at))
+            at += len(spelling)
+        self.toks[self.pos : self.pos + 1] = pieces
         return True
 
-    def _error(self, message: str, tok: _Token) -> ParseError:
-        line, col = _position(self._text, tok[2])
-        return ParseError(message, line, col + tok[3])
-
-    def _fail(self, message: str):
-        raise self._error(message, self.tokens[self.pos])
+    def _error(self, message: str, at: int | None = None) -> ParseError:
+        """An error at token `at` of the list, by default at `pos`."""
+        toks = self.toks[: (self.pos if at is None else at) + 1]
+        index = sum(getattr(tok, "at", 0) == 0 for tok in toks) - 1
+        line, col = _position(self.text, index)
+        return ParseError(message, line, col + getattr(toks[-1], "at", 0))
 
     def run(self, kind: str):
-        """The whole text as a 'formula', a 'program' or a 'cl' formula."""
-        if kind == "formula":
-            result = self._infix(self._formula_unary, _FORMULA_OPS)
-        elif kind == "program":
-            result = self.program()
-        elif kind == "cl":
-            result = self._infix(self._cl_unary, _CL_OPS)
-        else:
-            raise ValueError(f"unknown parse kind {kind!r}")
-        if self.tokens[self.pos][0] != "EOF":
-            self._peel()
-            tok = self.tokens[self.pos]
-            raise self._error(f"unexpected trailing input {tok[1]!r}", tok)
-        return result
+        """The whole text as a 'formula', a 'program' or a 'cl' formula.  A
+        stray character or an unterminated string anywhere is the error."""
+        try:
+            ops = _GRAMMARS.get(kind)
+            if ops is None:
+                raise ValueError(f"unknown parse kind {kind!r}")
+            result = self._expr(ops)
+            if self.toks[self.pos]:
+                self._peel()
+                raise self._error(f"unexpected trailing input {_shown(self.toks[self.pos])!r}")
+            return result
+        except Exception:  # any failure, a node's own checks too, yields to a bad token
+            for index, tok in enumerate(_TOKEN.findall(self.text)):
+                if _kind(tok) is None:
+                    message = "unterminated string" if tok == '"' else f"stray character {tok!r}"
+                    raise ParseError(message, *_position(self.text, index)) from None
+            raise
 
     # -- shared pieces -----------------------------------------------------
 
     def _rational(self) -> Fraction:
         sign = "-" if self._accept("-") else ""
-        tok = self._expect("INT", "a number")
-        num = self._number(sign + tok[1], tok)
+        at = self.pos
+        num = self._number(sign + self._expect("INT", "a number"), at)
         if self._accept("/"):
-            tok = self._expect("INT", "a denominator")
-            den = self._number(tok[1], tok)
+            at = self.pos
+            den = self._number(self._expect("INT", "a denominator"), at)
             if den == 0:
-                raise self._error("zero denominator", tok)
+                raise self._error("zero denominator", at)
             return Fraction(num, den)
         return Fraction(num)
 
-    def _number(self, numeral: str, tok: _Token) -> int:
-        """A numeral's value, or an error at `tok` if it has more digits than
-        `int` converts (4 300 unless the interpreter is told otherwise).
+    def _number(self, numeral: str, at: int) -> int:
+        """A numeral's value, or an error at token `at` if it has more digits
+        than `int` converts (4 300 unless the interpreter is told otherwise).
         Leading zeros count: a numeral is refused by its spelling."""
         try:
             return int(numeral)
         except ValueError:
             digits = len(numeral.lstrip("-"))
-            raise self._error(f"numeral of {digits} digits is too long", tok) from None
+            raise self._error(f"numeral of {digits} digits is too long", at) from None
 
     def _name_or_string(self, what: str) -> str:
-        tok = self.tokens[self.pos]
-        if tok[0] in ("NAME", "STRING"):
-            self.pos += 1
-            return tok[1]
-        if self._peel():
-            return self._name_or_string(what)
-        self._fail(f"expected {what}")
+        while _kind(tok := self.toks[self.pos]) not in ("NAME", "STRING"):
+            if not self._peel():
+                raise self._error(f"expected {what}")
+        self.pos += 1
+        return str(_shown(tok))
 
     def _group_ahead(self) -> bool:
         """Read the '(' at `pos` if it opens a parenthesized group.  A '('
         that starts a vector, "(" term ("," term)+ ")" with terms that are
         names, ?? or !!, opens none."""
-        tokens, i = self.tokens, self.pos
-        while tokens[i + 1][0] in ("NAME", "??", "!!") and tokens[i + 2][0] == ",":
+        toks, i = self.toks, self.pos
+        while _kind(toks[i + 1]) in ("NAME", "??", "!!") and toks[i + 2] == ",":
             i += 2
-        if i > self.pos and tokens[i + 1][0] in ("NAME", "??", "!!") and tokens[i + 2][0] == ")":
+        if i > self.pos and _kind(toks[i + 1]) in ("NAME", "??", "!!") and toks[i + 2] == ")":
             return False
         self.pos += 1
         return True
 
-    def _missed(self, tok: _Token):
+    def _missed(self, tok: str):
         """The `Vector`, `UtilEq` or box or diamond program of whole token
         `tok`, just read, that the signature's table lacks; None where a
         check fails or a payoff's value runs on, as in `u1=1 /2`, and the
@@ -297,29 +269,28 @@ class _Parser:
         agent without leading zeros.  So the table holds at most players ×
         |U| payoff and 2 × (vector entries + 2 × players) modal entries, a
         modal entry's vector being one too."""
-        kind, text = tok[0], tok[1]
         # A '/' after the token makes a parse error of all but a payoff.
-        node = None if self.tokens[self.pos][0] == "/" else self._whole(kind, text)
+        node = None if self.toks[self.pos] == "/" else self._whole(tok)
         if node is None:
             self.pos -= 1
             self._peel()
-        elif kind == "PAYOFF":
-            if text == f"u{node.player}={node.value}" and node.value in (self.sig.util_range or ()):
-                self.parsed[text] = node
-        elif type(node) not in (Agent, AgentConv) or text[3] != "0":  # not as in `[ag01]`
-            self.parsed[text] = node
+        elif tok[0] == "u":
+            if tok == f"u{node.player}={node.value}" and node.value in (self.sig.util_range or ()):
+                self.parsed[str(tok)] = node
+        elif type(node) not in (Agent, AgentConv) or tok[3] != "0":  # not as in `[ag01]`
+            self.parsed[str(tok)] = node
         return node
 
-    def _whole(self, kind: str, text: str):
+    def _whole(self, text: str):
         """The node of whole token `text`, whose shape the regex has fixed,
         read with the checks of a read from its pieces; None where one fails."""
         sig = self.sig
-        if kind == "VECTOR":
+        if text[0] == "(":
             terms = self._terms(text[1:-1].split(","))
             return Vector(terms) if text.count(",") + 1 == sig.n and all(terms) else None
         if text[1] == "(":  # a box or diamond around a vector
             program = text[1:-1]
-            if vector := self.parsed.get(program) or self._whole("VECTOR", program):
+            if vector := self.parsed.get(program) or self._whole(program):
                 self.parsed[program] = vector
             return vector and Vec(vector)
         try:  # u<i>=<n>, u<i>=<n>/<d>, or an agent ag<i> with an optional '^'
@@ -328,7 +299,7 @@ class _Parser:
             return None
         if not 1 <= player <= sig.n or value[1:] == [0]:
             return None
-        if kind == "PAYOFF":
+        if text[0] == "u":
             return UtilEq(player, Fraction(*value))
         return AgentConv(player) if text[-2] == "^" else Agent(player)
 
@@ -336,20 +307,19 @@ class _Parser:
         """The vector at `pos`, checked against the signature.  Entered only
         where `_group_ahead` found "(" term ("," term)+ ")", or at a whole
         vector's pieces, so every other token is a term up to the ")"."""
-        tokens, start = self.tokens, self.pos
-        end = start + 2
-        while tokens[end][0] != ")":
-            end += 2
+        toks, start = self.toks, self.pos
+        end = toks.index(")", start)
         self.pos = end + 1
-        n, found = self.sig.n, tokens[start + 1 : end : 2]
-        terms = self._terms([tok[1] for tok in found])
+        n, names = self.sig.n, [*map(str, toks[start + 1 : end : 2])]
+        terms = self._terms(names)
         if not all(terms):
             k = terms.index(False)
-            raise self._error(f"player {k + 1} has no strategy named {found[k][1]!r}", found[k])
-        if len(found) > n:
-            raise self._error(f"vector has more than {n} positions", found[n])
-        if len(found) < n:
-            raise self._error(f"vector has {len(found)} positions for {n} players", tokens[start])
+            message = f"player {k + 1} has no strategy named {names[k]!r}"
+            raise self._error(message, start + 1 + 2 * k)
+        if len(names) > n:
+            raise self._error(f"vector has more than {n} positions", start + 1 + 2 * n)
+        if len(names) < n:
+            raise self._error(f"vector has {len(names)} positions for {n} players", start)
         return Vector(terms)
 
     def _terms(self, names: list[str]) -> list:
@@ -360,136 +330,174 @@ class _Parser:
             for name, strategies in zip(names, self.sig.strategy_sets)
         ]
 
-    def _player_number(self, digits: str, tok: _Token) -> int:
-        player = self._number(digits, tok)
+    def _player_number(self, digits: str, at: int) -> int:
+        player = self._number(digits, at)
         if not 1 <= player <= self.sig.n:
-            raise self._error(f"no player {player} in scope", tok)
+            raise self._error(f"no player {player} in scope", at)
         return player
+
+    # -- the one loop of all three grammars --------------------------------
+
+    def _expr(self, ops: dict, unary: bool = False):
+        """Operands joined by the binary operators of `ops`, which names the
+        grammar, grouped by precedence and by parentheses from explicit
+        stacks, so long chains and deep nesting never recurse.  A formula
+        operand that the signature's table holds is read here, without a
+        call; any other by the grammar's `_operand`.  With `unary`, the read
+        ends after one operand, a parenthesized group read whole."""
+        toks = self.toks
+        formula, program = ops is _FORMULA_OPS, ops is _PROGRAM_OPS
+        parsed = self.parsed if formula else {}
+        negation = (Not if formula else CLNot, None)
+        # Left operands of pending operators; pending operators, and each
+        # open group's prefixes, read before its '('.
+        out: list = []
+        pending: list = []
+        pos = self.pos
+        while True:
+            prefixes: list = []  # (class, program or coalition or None), outermost first
+            while True:
+                tok = toks[pos]
+                node = parsed.get(tok)
+                if node is not None:
+                    first = tok[0]
+                    if first == "u":
+                        if toks[pos + 1] != "/":  # else as in `u1=1 /2`
+                            pos += 1
+                            break
+                    elif first == "(":
+                        node = VectorAtom(node)
+                        pos += 1
+                        break
+                    else:
+                        prefixes.append((Box if first == "[" else Diamond, node))
+                        pos += 1
+                        continue
+                elif tok == "~" and not program:
+                    prefixes.append(negation)
+                    pos += 1
+                    continue
+                self.pos = pos
+                node = (self._formula_operand if formula else
+                        self._program_operand if program else self._cl_operand)(prefixes)
+                pos = self.pos
+                if node is _OPEN:
+                    pending.append(prefixes)
+                    prefixes = []
+                elif node is not None:
+                    break
+            while True:
+                if prefixes:
+                    for cls, argument in reversed(prefixes):
+                        node = cls(node) if argument is None else cls(argument, node)
+                if not pending and unary:
+                    self.pos = pos
+                    return node
+                op = ops.get(toks[pos])
+                if op is not None:
+                    break
+                # The chain ends here: it closes the innermost open group,
+                # or it is the whole expression.
+                while pending and type(pending[-1]) is tuple:
+                    node = pending.pop()[1](out.pop(), node)
+                if not pending:
+                    self.pos = pos
+                    return node
+                self.pos = pos
+                self._expect(")", "')'")
+                prefixes = pending.pop()
+                if program:
+                    node = self._stars(node)
+                pos = self.pos
+            pos += 1
+            # Pending operators that bind tighter, or as tight when `op`
+            # associates to the left, take their operands first.
+            strength = op[0]
+            while pending and type(top := pending[-1]) is tuple and (
+                top[0] > strength or top[0] == strength and not op[2]
+            ):
+                pending.pop()
+                node = top[1](out.pop(), node)
+            out.append(node)
+            pending.append(op)
 
     # -- formulas ----------------------------------------------------------
 
-    def _infix(self, operand, operators: dict, opened: _Group | None = None):
-        """Operands joined by binary operators, grouped by precedence and by
-        parentheses from explicit stacks, so long chains and deep nesting
-        never recurse.  `operators` maps a token to (binding strength, node,
-        right-associative).  `operand` returns a node, or a `_Group` once it
-        has read the '(' of a parenthesized group; the group is then parsed
-        here and finished at its ')'.  With `opened`, a group whose '(' the
-        caller read, the parse ends at that group's ')'."""
-        out: list = []
-        pending: list = [] if opened is None else [opened]
-        while True:
-            item = operand()
-            if type(item) is _Group:
-                pending.append(item)
-                continue
-            out.append(item)
-            while (op := operators.get(self.tokens[self.pos][0])) is None:
-                # The chain ends here: it closes the innermost open group,
-                # or it is the whole expression.
-                while pending and type(pending[-1]) is not _Group:
-                    right = out.pop()
-                    out[-1] = pending.pop()[1](out[-1], right)
-                if not pending:
-                    return out[0]
-                self._expect(")", "')'")
-                out[-1] = pending.pop().finish(out[-1])
-                if opened is not None and not pending:
-                    return out[0]
+    def _formula_operand(self, prefixes: list):
+        """Read what stands at `pos` where a formula's operand starts and
+        the table holds no whole token for it: a prefix, added to
+        `prefixes` (then None), a group's '(' (then `_OPEN`), or an atom.
+        None also where a whole token's pieces were put back to be read."""
+        tok = self.toks[self.pos]
+        kind = _kind(tok)
+        if kind in ("[", "<", "BOX", "DIAMOND"):
             self.pos += 1
-            # Pending operators that bind tighter, or as tight when `op`
-            # associates to the left, take their operands first.
-            while pending and type(pending[-1]) is not _Group and (
-                pending[-1][0] > op[0] or pending[-1][0] == op[0] and not op[2]
-            ):
-                right = out.pop()
-                out[-1] = pending.pop()[1](out[-1], right)
-            pending.append(op)
-
-    def _formula_unary(self) -> Formula | _Group:
-        # Prefixes are collected in a loop and applied innermost first, so
-        # long prefix runs never recurse.
-        prefixes = []
-        while (cls := _PREFIXES.get((tok := self.tokens[self.pos])[0])) is not None:
-            self.pos += 1
-            kind = tok[0]
-            if kind == "~":
-                prefixes.append((Not, None))
-            elif len(kind) > 1:  # a whole BOX or DIAMOND prefix
-                program = self.parsed.get(tok[1]) or self._missed(tok)
-                if program is not None:  # else its pieces are read next
-                    prefixes.append((cls, program))
-            else:
-                prefixes.append((cls, self.program()))
-                closing = "]" if kind == "[" else ">"
-                self._expect(closing, f"'{closing}'")
-        if tok[0] == "(" and self._group_ahead():
-            return _Group(partial(_apply_prefixes, prefixes))
-        node = self._atom(_FORMULA_ATOMS)
-        return _apply_prefixes(prefixes, node) if prefixes else node
+            if len(kind) == 1:
+                program = self._expr(_PROGRAM_OPS)
+                self._expect("]" if kind == "[" else ">", "']'" if kind == "[" else "'>'")
+            elif (program := self._missed(tok)) is None:  # its pieces are read next
+                return None
+            prefixes.append((Box if tok[0] == "[" else Diamond, program))
+        elif kind == "(" and self._group_ahead():
+            return _OPEN
+        else:
+            return self._atom(_FORMULA_ATOMS)
+        return None
 
     # -- atoms, shared by the formula and coalition grammars ---------------
 
     def _atom(self, atoms: _Atoms):
-        tok = kind, text, _, _ = self.tokens[self.pos]
-        if kind == "PAYOFF":
+        at = self.pos
+        tok = self.toks[at]
+        kind = _kind(tok)
+        if kind == "PAYOFF" or kind == "VECTOR" and atoms.vector is not None:
             self.pos += 1
-            node = self.parsed.get(text)
-            if node is None or self.tokens[self.pos][0] == "/":  # as in `u1=1 /2`
+            node = self.parsed.get(tok)
+            if node is None or kind == "PAYOFF" and self.toks[self.pos] == "/":  # as in `u1=1 /2`
                 node = self._missed(tok)
-            return self._atom(atoms) if node is None else atoms.wrap(node)
-        if kind == "VECTOR" and atoms.vector is not None:
-            self.pos += 1
-            node = self.parsed.get(text) or self._missed(tok)
-            return self._atom(atoms) if node is None else atoms.vector(node)
+            if node is None:
+                return self._atom(atoms)
+            return atoms.wrap(node) if kind == "PAYOFF" else atoms.vector(node)
         if kind == "NAME":
-            if text == "T":
+            if tok == "T":
                 self.pos += 1
                 return atoms.top()
-            if text == "win":
+            if tok == "win" or tok == "label":
                 self.pos += 1
                 self._expect("(", "'('")
-                tok = self.tokens[self.pos]
-                text = self._name_or_string("an alternative name")
-                if self.sig.alternatives is None:
-                    raise self._error("this game has no winner vocabulary", tok)
-                if text not in self.sig.alternatives:
-                    raise self._error(f"unknown alternative {text!r}", tok)
+                at = self.pos
+                text = self._name_or_string("an alternative name" if tok == "win" else "a label")
+                if tok == "win":
+                    if self.sig.alternatives is None:
+                        raise self._error("this game has no winner vocabulary", at)
+                    if text not in self.sig.alternatives:
+                        raise self._error(f"unknown alternative {text!r}", at)
                 self._expect(")", "')'")
-                return atoms.wrap(Winner(text))
-            if text == "label":
-                self.pos += 1
-                self._expect("(", "'('")
-                text = self._name_or_string("a label")
-                self._expect(")", "')'")
-                return atoms.wrap(Label(text))
-            m = _PAYOFF_NAME.match(text)
+                return atoms.wrap(Winner(text) if tok == "win" else Label(text))
+            m = _PAYOFF_NAME.match(tok)
             if not m:
-                self._fail(f"unexpected name {text!r} in a {atoms.noun}")
+                raise self._error(f"unexpected name {_shown(tok)!r} in a {atoms.noun}")
             self.pos += 1
-            player = self._player_number(m.group(1), tok)
-            op = self.tokens[self.pos][0]
+            player = self._player_number(m.group(1), at)
+            op = self.toks[self.pos]
             if op == "=":
                 self.pos += 1
                 return atoms.wrap(UtilEq(player, self._rational()))
             if op in (">=", ">"):
                 self.pos += 1
                 if self.sig.util_range is None:
-                    raise self._error("utility comparisons need a known utility range", tok)
+                    raise self._error("utility comparisons need a known utility range", at)
                 return atoms.compare(self.sig, player, op, self._rational())
-            self._fail("expected '=', '>=' or '>' after a payoff atom")
+            raise self._error("expected '=', '>=' or '>' after a payoff atom")
         if kind == "(" and atoms.vector is not None:
             return atoms.vector(self._vector())
-        self._fail(f"expected a {atoms.noun}")
+        raise self._error(f"expected a {atoms.noun}")
 
     # -- programs ----------------------------------------------------------
 
-    def program(self) -> Program:
-        return self._infix(self._program_unary, _PROGRAM_OPS)
-
-    def _program_unary(self) -> Program | _Group:
-        if self.tokens[self.pos][0] == "(" and self._group_ahead():
-            return _Group(self._stars)
+    def _program_operand(self, prefixes: list) -> Program:
+        if self.toks[self.pos] == "(" and self._group_ahead():
+            return _OPEN
         return self._stars(self._program_primary())
 
     def _stars(self, out: Program) -> Program:
@@ -498,66 +506,55 @@ class _Parser:
         return out
 
     def _program_primary(self) -> Program:
-        tok = kind, text, _, _ = self.tokens[self.pos]
+        at = self.pos
+        tok = self.toks[at]
+        kind = _kind(tok)
         if kind == "?":
             self.pos += 1
-            body = self._formula_unary()
-            if type(body) is _Group:
-                body = self._infix(self._formula_unary, _FORMULA_OPS, body)
-            return Test(body)
+            return Test(self._expr(_FORMULA_OPS, unary=True))
         if kind == "VECTOR":
             self.pos += 1
-            node = self.parsed.get(text) or self._missed(tok)
+            node = self.parsed.get(tok) or self._missed(tok)
             return self._program_primary() if node is None else Vec(node)
         if kind == "(":
             return Vec(self._vector())
         if kind == "NAME":
-            m = _AGENT_NAME.match(text)
+            m = _AGENT_NAME.match(tok)
             if m:
                 self.pos += 1
-                player = self._player_number(m.group(1), tok)
+                player = self._player_number(m.group(1), at)
                 return AgentConv(player) if self._accept("^") else Agent(player)
-            self._fail(f"unexpected name {text!r} in a program")
+            raise self._error(f"unexpected name {_shown(tok)!r} in a program")
         if self._peel():
             return self._program_primary()
-        self._fail("expected a program")
+        raise self._error("expected a program")
 
     # -- coalition logic ---------------------------------------------------
 
-    def _cl_unary(self) -> CLFormula | _Group:
-        prefixes = []
-        while True:
-            if self._accept("~"):
-                prefixes.append((CLNot, None))
-                continue
-            if not self._accept("["):
-                break
-            name = self._expect("NAME", "'C'")
-            if name[1] != "C":
-                raise self._error("expected 'C' to open a coalition", name)
+    def _cl_operand(self, prefixes: list) -> CLFormula | None:
+        if self._accept("["):
+            at = self.pos
+            if self._expect("NAME", "'C'") != "C":
+                raise self._error("expected 'C' to open a coalition", at)
             self._expect("{", "'{'")
             members: list[int] = []
-            if self.tokens[self.pos][0] != "}":
-                while True:
-                    tok = self._expect("INT", "a player number")
-                    player = self._player_number(tok[1], tok)
-                    if player in members:
-                        raise self._error(f"duplicate coalition member {player}", tok)
-                    members.append(player)
-                    if not self._accept(","):
-                        break
+            while self.toks[self.pos] != "}" and (not members or self._accept(",")):
+                at = self.pos
+                player = self._player_number(self._expect("INT", "a player number"), at)
+                if player in members:
+                    raise self._error(f"duplicate coalition member {player}", at)
+                members.append(player)
             self._expect("}", "'}'")
             self._expect("]", "']'")
             prefixes.append((CLBox, frozenset(members)))
+            return None
         if self._accept("("):
-            return _Group(partial(_apply_prefixes, prefixes))
-        return _apply_prefixes(prefixes, self._atom(_CL_ATOMS))
+            return _OPEN
+        return self._atom(_CL_ATOMS)
 
 
 # The terms of a vector that name no strategy.
 _WILDCARDS = {"??": ADV, "!!": CUR}
-# The kinds of token that start a prefix of a unary formula, and its class.
-_PREFIXES = {"~": Not, "[": Box, "<": Diamond, "BOX": Box, "DIAMOND": Diamond}
 # Binary operators: token -> (binding strength, node, right-associative).
 _FORMULA_OPS = {
     "<->": (0, Iff, True),
@@ -567,6 +564,7 @@ _FORMULA_OPS = {
 }
 _PROGRAM_OPS = {"+": (0, Choice, False), ";": (1, Seq, False)}
 _CL_OPS = {"|": (0, lambda a, b: cl_disj([a, b]), False), "&": (1, CLAnd, False)}
+_GRAMMARS = {"formula": _FORMULA_OPS, "program": _PROGRAM_OPS, "cl": _CL_OPS}
 
 
 class _Atoms(NamedTuple):
@@ -598,10 +596,10 @@ _CL_ATOMS = _Atoms("coalition formula", CLTop, CLAtom, _cl_payoff_compare, None)
 def parse(text: str, signature: Signature, kind: str = "formula"):
     """Parse concrete syntax; `kind` is 'formula', 'program', or 'cl'.
 
-    The text is read once, with whole modal prefix, vector and payoff
-    tokens, looked up in the signature's table or read straight from their
-    text.  One that fails a check, or stands where the grammar takes none,
-    is read from its pieces, so the tree and any `ParseError` (message,
-    line, column) are those of a read from fine tokens alone."""
+    The text is read once, as the spellings of its tokens, with whole modal
+    prefix, vector and payoff tokens looked up in the signature's table or
+    read straight from their text.  One that fails a check, or stands where
+    the grammar takes none, is read from its pieces, so the tree and any
+    `ParseError` (message, line, column) are those of a read from fine
+    tokens alone."""
     return _Parser(text, signature).run(kind)
-

@@ -79,6 +79,7 @@ from stratlogic.catalog import (
 )
 
 import fold_oracle
+import plan_oracle
 from builders import choice, from_outcomes, node_objects, seq
 from game_oracle import nash_set, util
 from dense_oracle import (
@@ -1024,6 +1025,25 @@ def test_runner_matches_the_fold_oracle(kind, seed):
         sets = run_plan(fresh, plan)
         for slot, expected in zip(plan.roots, want):
             assert np.array_equal(fresh.mask(sets[slot]), expected)
+
+
+@given(st.sampled_from(("flat", "forms", "sparse")), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_compile_plan_matches_the_recursive_compile(kind, seed):
+    """Random formulas, a DAG over their subtrees, an equal but distinct
+    copy of one of them and a root repeated: the plan's columns are the
+    recursive compile's, post-order, children left to right, each node
+    shared by identity once."""
+    rng = random.Random(seed)
+    sig = model_signature(_random_model(kind, rng))
+    first, second = (random_formula(rng, sig, 4) for _ in range(2))
+    subtrees = [node for node in node_objects(first) if isinstance(node, Formula)]
+    dag = _dag(rng, sig, [second, *rng.sample(subtrees, min(3, len(subtrees)))])
+    roots = [And(first, second), Or(copy.deepcopy(first), dag), dag, first, Not(dag)]
+    plan = compile_plan(roots)
+    ops, nodes, left, right, slots = plan_oracle.compile_plan(roots)
+    assert (list(plan.ops), plan.left, plan.right, plan.roots) == (ops, left, right, slots)
+    assert len(plan.nodes) == len(nodes) and all(a is b for a, b in zip(plan.nodes, nodes))
 
 
 @given(st.sampled_from(("sparse", "confusion")), st.integers(0, 2**32 - 1))

@@ -45,13 +45,15 @@ from stratlogic.syntax import (
     Test as ProgTest,
     Vec,
 )
+from stratlogic.axioms import ALL_SCHEMAS, instantiate_many
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
 from stratlogic import parser as parser_module
 
-from builders import bare_signature
+from builders import bare_signature, node_objects
 from gens import random_formula, random_program
 import lexer_oracle
+import parse_oracle
 
 PD = Signature.from_game(prisoners_dilemma())
 VOTE = Signature.from_game(vote3_game())
@@ -268,43 +270,27 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
 
 
-class _OracleLexedParser(parser_module._Parser):
-    """The parser reading the oracle lexer's fine tokens and positions: the
-    read of a text from fine tokens alone, which `parse` must match."""
-
-    def __init__(self, text, signature):
-        self._oracle = lexer_oracle.tokenize(text)
-        self.tokens = [(t.kind, t.text, i, 0) for i, t in enumerate(self._oracle)]
-        self.pos = 0
-        self.sig = signature
-
-    def _error(self, message, tok):
-        where = self._oracle[tok[2]]
-        return ParseError(message, where.line, where.col)
-
-
-def _parse_with_oracle_lexer(text, signature, kind):
-    return _OracleLexedParser(text, signature).run(kind)
-
-
 @given(_texts())
 @settings(max_examples=600, deadline=None)
 def test_lexer_matches_the_token_by_token_oracle(case):
+    """The token list `parse` reads, each token's kind, spelling and place,
+    is the oracle lexer's, its whole tokens merged; and `parse` reads every
+    text as the fine-token parser does, on all three grammars."""
     text, sig = case
     want = _outcome(lambda: lexer_oracle.tokenize(text))
-    got = _outcome(lambda: parser_module._tokenize(text))
-    if want[0] != "ok":
-        assert got == want
-        return
-    tokens, matches = got[1]
-    merged = lexer_oracle.merge_whole(want[1])
-    assert [t[:2] for t in tokens] == [(t.kind, t.text) for t in merged]
-    positions = [parser_module._position(matches, t[2]) for t in tokens]
-    assert positions == [(t.line, t.col) for t in merged]
+    if want[0] == "ok":
+        toks = parser_module._TOKEN.findall(text)
+        toks = toks[: toks.index("") + 1]  # a read ends at the first end of input
+        merged = lexer_oracle.merge_whole(want[1])
+        kinds = [parser_module._kind(tok) for tok in toks]
+        assert list(zip(kinds, map(parser_module._shown, toks))) == [(t.kind, t.text) for t in merged]
+        positions = [parser_module._position(text, index) for index in range(len(toks))]
+        assert positions == [(t.line, t.col) for t in merged]
     for kind in ("formula", "program", "cl"):
-        assert _outcome(lambda: parse(text, sig, kind)) == _outcome(
-            lambda: _parse_with_oracle_lexer(text, sig, kind)
-        )
+        got = _outcome(lambda: parse(text, sig, kind))
+        assert got == _outcome(lambda: parse_oracle.parse(text, sig, kind))
+        if want[0] != "ok":
+            assert got == want
 
 
 def test_zero_denominator_rejected():
@@ -400,9 +386,9 @@ def test_modal_spellings_kept_are_canonical_and_bounded():
 
 def test_whole_token_misses_are_read_without_a_second_parser(monkeypatch):
     text = "[(c,d)] u1=1 & <ag1^> (c,??) | [ag2] <(c,??)> u2=6/2"
-    want = _parse_with_oracle_lexer(text, Signature.from_game(prisoners_dilemma()), "formula")
+    want = parse_oracle.parse(text, Signature.from_game(prisoners_dilemma()), "formula")
     failing = {
-        bad: _outcome(lambda: _parse_with_oracle_lexer(bad, PD, "formula"))
+        bad: _outcome(lambda: parse_oracle.parse(bad, PD, "formula"))
         for bad in ("win(a,b)", "[(c,x)] T")
     }
     made = []
@@ -460,9 +446,55 @@ def test_whole_token_misses_are_read_without_a_second_parser(monkeypatch):
 def test_bad_whole_tokens_fail_as_the_fine_token_read_does(text, kind):
     got = _outcome(lambda: parse(text, Signature.from_game(prisoners_dilemma()), kind))
     want = _outcome(
-        lambda: _parse_with_oracle_lexer(text, Signature.from_game(prisoners_dilemma()), kind)
+        lambda: parse_oracle.parse(text, Signature.from_game(prisoners_dilemma()), kind)
     )
     assert got[0] == "error" and got == want
+
+
+@pytest.mark.parametrize("sets", [(("a", "b", "c"),) * 2, (("a", "b"),) * 3], ids=["3x3", "2x2x2"])
+def test_every_axiom_instance_reads_back_with_a_cold_and_a_warm_table(sets):
+    """The round trip of the axiom sweep, the hot path of `parse`: every
+    instance of every schema rendered, then read under a fresh signature
+    and again under the same one.  On the warm read each payoff atom of the
+    range, each vector and each modal prefix over a vector or an agent is
+    the node the signature's table keeps."""
+    sig = Signature(sets, tuple(map(Fraction, (-1, 0, "1/2", 2))))
+    instances = instantiate_many(ALL_SCHEMAS, sig)
+    texts = [render(instance.formula) for instance in instances]
+    assert sig._parsed is None
+    for _ in ("cold", "warm"):
+        trees = [parse(text, sig) for text in texts]
+        assert trees == [instance.formula for instance in instances]
+    kept = {id(node) for node in sig._parsed.values()}
+    checked = 0
+    for node in (node for tree in trees for node in node_objects(tree)):
+        if type(node) in (Box, Diamond) and type(node.program) in (Vec, Agent, AgentConv):
+            node = node.program
+        elif not (type(node) is Vector or type(node) is UtilEq and node.value in sig.util_range):
+            continue
+        assert id(node) in kept
+        checked += 1
+    assert checked > len(kept)
+
+
+@pytest.mark.parametrize(
+    "text, canonical, kind",
+    [
+        ("u01=1", "u1=1", "formula"),
+        ("u1=02", "u1=2", "formula"),
+        ("u1=1/02", "u1=1/2", "formula"),
+        ("[ag01] T", "[ag1] T", "formula"),
+        ("ag01", "ag1", "program"),
+        ("[C {01}] T", "[C {1}] T", "cl"),
+    ],
+)
+def test_a_formula_numeral_with_leading_zeros_reads_as_its_canonical_spelling(text, canonical, kind):
+    want = parse(canonical, PD, kind)
+    sig = Signature.from_game(prisoners_dilemma())
+    assert parse(text, sig, kind) == want  # with a cold table
+    parse(canonical, sig, kind)
+    assert parse(text, sig, kind) == want  # with the canonical spelling kept
+    assert parse_oracle.parse(text, PD, kind) == want
 
 
 def test_thousand_nested_groups_parse_at_the_default_recursion_limit():

@@ -197,6 +197,7 @@ def make_inputs(folder: Path) -> dict[str, Path]:
         ("6x7", 7, 6, VALUES),
         ("6x4_999", 4, 6, range(999)),
         ("4x5", 5, 4, VALUES),
+        ("6x6_200", 6, 6, range(200)),
     ):
         paths[name] = folder / f"game_{name}.json"
         _write_game(paths[name], rng, players, strategies, values)
@@ -263,7 +264,10 @@ def _probe_list(inputs: dict[str, Path]) -> list[tuple]:
     inputs = {name: "{in}/" + path.name for name, path in inputs.items()}
     check = ["check", "--game", "tests/golden/inputs/pd.json", "--formula", "[(d,d)] u1=1"]
     probes = [("cold_start_check", check, 30, COLD_STARTS, (), None)]
-    for name in ("6x6", "6x7", "6x4_999"):
+    # `nash` evaluates `nashHere`; at 200 utility values on 6x6 its plan has
+    # about 7 200 entries, so the run's peak RSS shows how long the
+    # evaluator keeps the sets of a long plan alive.
+    for name in ("6x6", "6x7", "6x4_999", "6x6_200"):
         probes.append((f"nash_{name}", ["nash", "--game", inputs[name]], 120, PROBE_RUNS, (name,), None))
     probes += [
         ("lift_4x5", ["lift", "--game", inputs["4x5"]], 120, PROBE_RUNS, ("4x5",), None),
