@@ -71,6 +71,13 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 # in order, given without rows; each form must offer every ambient strategy.
 _GRID = object()
 
+# A model packs its utility atoms this many at a time (see `_util_set`), so
+# a block's gathered codes take this many bytes per world with one-byte codes.
+_ATOM_BLOCK = 16
+
+# What `_vector_steps` reads for a vector not yet compiled on the model.
+_UNCOMPILED = object()
+
 
 class IntensionalModel:
     """Worlds are (form, profile) pairs; agents get accessibility relations.
@@ -202,8 +209,11 @@ class IntensionalModel:
                 hit[targets] = False
                 merged[bits] = merged.get(bits, 0) | 1 << source
             self._blocks[player] = [(sources, bits) for bits, sources in merged.items()]
-        # Leaf bit sets by leaf, compiled vectors, and the masks handed out.
+        # Leaf bit sets by leaf, utility atom sets by atom number (a list
+        # made on first use, None where not yet packed), compiled vectors,
+        # and the masks handed out.
         self._ext_cache: dict = {}
+        self._utils: list[int | None] | None = None
         self._steps: dict[Vector, _Steps | None] = {}
         self._arrays: dict[int, np.ndarray] = {}
 
@@ -328,10 +338,41 @@ class IntensionalModel:
             return None
         return self.state_key(int(self._unpack(bits).argmin()))
 
+    def _util_set(self, player: int, code: int) -> int:
+        """The bit set of `u_player = values[code]`.  The model's utility
+        atoms are numbered (player - 1) * |values| + code and packed
+        `_ATOM_BLOCK` at a time, a block on the first request of one of its
+        atoms: one gather of the atoms' code columns, compared in place when
+        codes are one byte, one `packbits`, then one `int.from_bytes` per
+        atom."""
+        codes = self.outcomes.codes
+        count = len(self.outcomes.values)
+        atom = (player - 1) * count + code
+        utils = self._utils
+        if utils is None:
+            utils = self._utils = [None] * (self.n * count)
+        bits = utils[atom]
+        if bits is not None:
+            return bits
+        first = atom - atom % _ATOM_BLOCK
+        block = slice(first, first + _ATOM_BLOCK)
+        columns, wanted = _atom_index(self.n, count, codes.dtype)
+        gathered = codes.T[columns[block]]
+        rows = gathered.view(bool) if gathered.itemsize == 1 else np.empty(gathered.shape, bool)
+        np.equal(gathered, wanted[block], out=rows)
+        if self._slots is not None:
+            grid = np.zeros((len(rows), self._width), dtype=bool)
+            grid[:, self._slots] = rows
+            rows = grid
+        for k, line in enumerate(np.packbits(rows, axis=1, bitorder="little"), first):
+            utils[k] = int.from_bytes(line.tobytes(), "little")
+        return utils[atom]
+
     def _leaf(self, f: Formula, keep_column: bool = False) -> int:
         """The bit set of an atomic formula, packed once from the outcome
         store's columns.  With `keep_column`, a column read from the store
-        also becomes the set's mask, so `mask` need not unpack it."""
+        also becomes the set's mask, so `mask` need not unpack it; without,
+        a utility atom's set is read from its block (`_util_set`)."""
         table = self.outcomes
         if isinstance(f, Top):
             return self.full
@@ -353,6 +394,8 @@ class IntensionalModel:
                 raise EvalError(
                     f"utility value {f.value} is not in the model's range"
                 )
+            if not keep_column:
+                return self._util_set(f.player, code)
             column = table.codes[:, f.player - 1] == code
         elif isinstance(f, Label):
             code = self._label_codes.get(f.text)
@@ -367,10 +410,9 @@ class IntensionalModel:
         return bits
 
     def _vector_steps(self, vector: Vector) -> _Steps | None:
-        try:
-            return self._steps[vector]
-        except KeyError:
-            pass
+        steps = self._steps.get(vector, _UNCOMPILED)
+        if steps is not _UNCOMPILED:
+            return steps
         if vector.n != self.n:
             raise EvalError(
                 f"vector {vector!r} has {vector.n} positions for {self.n} players"
@@ -394,6 +436,14 @@ class IntensionalModel:
             bits |= bits << shift
         # Spreading stays inside the grid, so only gaps can need clearing.
         return bits if self._slots is None else bits & self.full
+
+
+@lru_cache(maxsize=64)
+def _atom_index(n: int, count: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """By utility atom number, for n players and `count` values: the atom's
+    player column, and its value code as a one-element row."""
+    columns = np.repeat(np.arange(n), count)
+    return _frozen(columns), _frozen(np.tile(np.arange(count, dtype=dtype), n)[:, None])
 
 
 class _Steps(NamedTuple):

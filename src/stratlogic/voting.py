@@ -40,23 +40,10 @@ class Ballot(_Frozen):
 
     @classmethod
     def parse(cls, text: str, alternatives: Sequence[str]) -> Ballot:
-        """Read "abc" (single-character alternatives) or "a,b,c"."""
-        if "," in text:
-            parts = text.split(",")
-        elif all(len(a) == 1 for a in alternatives):
-            parts = list(text)
-        else:
-            raise VotingError(
-                f"ballot {text!r} needs commas with multi-character alternatives"
-            )
-        ballot = cls(parts)
-        if set(ballot.order) != set(alternatives) or len(ballot.order) != len(
-            set(alternatives)
-        ):
-            raise VotingError(
-                f"ballot {text!r} is not a permutation of the alternatives"
-            )
-        return ballot
+        """Read "abc" (single-character alternatives) or "a,b,c".  An
+        election repeats a handful of rankings, so parses are kept in a
+        bounded cache and a repeated input returns the same ballot object."""
+        return _parse_ballot(cls, text, tuple(alternatives))
 
     @property
     def top(self) -> str:
@@ -82,6 +69,28 @@ class Ballot(_Frozen):
 
 
 BallotProfile = tuple[Ballot, ...]
+
+
+@lru_cache(maxsize=1024)
+def _parse_ballot(cls: type[Ballot], text: str, alternatives: tuple[str, ...]) -> Ballot:
+    """`Ballot.parse`, kept per input; an error is raised afresh each call,
+    since `lru_cache` keeps only returned values."""
+    if "," in text:
+        parts = text.split(",")
+    elif all(len(a) == 1 for a in alternatives):
+        parts = list(text)
+    else:
+        raise VotingError(
+            f"ballot {text!r} needs commas with multi-character alternatives"
+        )
+    ballot = cls(parts)
+    if set(ballot.order) != set(alternatives) or len(ballot.order) != len(
+        set(alternatives)
+    ):
+        raise VotingError(
+            f"ballot {text!r} is not a permutation of the alternatives"
+        )
+    return ballot
 
 
 def set_better(xs: Iterable[str], ys: Iterable[str], ballot: Ballot) -> bool:
@@ -331,12 +340,15 @@ def induced_game(rule: VotingRule, true_ballots: Sequence[Ballot]) -> StrategicG
     for ballot in true_ballots:
         if ballot not in table.ballots:
             raise VotingError(f"ballot {ballot} does not rank the alternatives")
-    columns = [table.ballots[ballot] for ballot in true_ballots]
-    # Keep only the payoffs this game pays, so its range is its own.
-    used, codes = np.unique(table.codes[:, columns], return_inverse=True)
-    codes = codes.reshape(len(table.labels), len(columns)).astype(_code_dtype(len(used)))
+    paid = table.codes[:, [table.ballots[ballot] for ballot in true_ballots]]
+    # Keep only the payoffs this game pays, so its range is its own: recode
+    # each paid code to its rank among them, which keeps their order.
+    used = np.flatnonzero(np.bincount(paid.ravel()))
+    recode = np.zeros(len(table.values), dtype=_code_dtype(len(used)))
+    recode[used] = np.arange(len(used))
+    codes = recode[paid]
     outcomes = Outcomes(
-        tuple(table.values[code] for code in used),
+        tuple(table.values[code] for code in used.tolist()),
         codes[table.cell_sets],
         table.labels,
         table.cell_sets,

@@ -1,6 +1,6 @@
 """`tools/bench_pairs.py`: the summary on made-up runs, the untracked-file
-check on porcelain text, and a probe run on trivial commands.  No benchmark
-is started."""
+check on porcelain text, probe runs on trivial commands, and the probes'
+rounds and pair summaries on made-up runs.  No benchmark is started."""
 
 from __future__ import annotations
 
@@ -83,8 +83,64 @@ def test_probe_games_are_valid_and_fixed_by_the_seed(tmp_path):
 def test_every_probe_argv_is_accepted_by_the_cli(tmp_path, monkeypatch):
     # Empty inputs: only their names reach the arguments.
     monkeypatch.setattr(bench_pairs, "_write_game", lambda path, *rest: path.touch())
-    for name, args, *_ in bench_pairs._probe_list(bench_pairs.make_inputs(tmp_path)):
+    for name, args, *_ in bench_pairs._probe_list(bench_pairs.make_inputs(tmp_path), 7):
         argv = [a.replace("{in}", "in").replace("{out}", "out") for a in args]
         if name != "cold_start_check":
             argv += ["--output", f"out/{name}.json"]
         assert _build_parser().parse_args(argv).command == args[0], name
+
+
+def test_probe_pairs_are_summarised_like_workload_pairs():
+    parent = [{"wall_s": w, "peak_rss_mb": 50.0} for w in (1.0, 1.2, 1.1, 0.9)]
+    change = [{"wall_s": w, "peak_rss_mb": 49.0} for w in (0.8, 0.9)]
+    change += [{"skipped": "over its 1 s limit"}, {"wall_s": 0.7, "peak_rss_mb": 51.0}]
+    out = bench_pairs.probe_summary({"parent": parent, "change": change})
+    pairs = [{"parent": a, "change": b} for a, b in zip(parent, change) if "wall_s" in b]
+    assert out == bench_pairs.summarise(pairs, {"wall_s": "lower", "peak_rss_mb": "lower"})
+    assert out["wall_s"]["pairs"] == 3 and out["wall_s"]["pairs_better"] == 3
+    assert (out["peak_rss_mb"]["pairs_better"], out["peak_rss_mb"]["pairs_worse"]) == (2, 1)
+
+
+def _fake_probes(monkeypatch, tmp_path):
+    """`probe` with two made-up probes, the second reading the first's
+    output; returns the list of (probe, side) runs it asks for."""
+    calls = []
+
+    def run_probe(argv, cwd, env, limit_s, output):
+        name = Path(output).stem if output else "cold"
+        calls.append((name, cwd.name))
+        if len(calls) == 5:  # the change side of `first` in round two
+            return {"skipped": "over its limit"}
+        return {"wall_s": float(len(calls)), "peak_rss_mb": 1.0, "exit": 0, "output_sha256": "x"}
+
+    monkeypatch.setattr(bench_pairs, "make_inputs", lambda folder: {})
+    monkeypatch.setattr(bench_pairs, "_child_env", lambda checkout: {})
+    monkeypatch.setattr(bench_pairs, "run_probe", run_probe)
+    monkeypatch.setattr(bench_pairs, "_probe_list", lambda inputs, pairs: [
+        ("first", ["nash"], 10, pairs, (), None),
+        ("second", ["echeck"], 10, pairs + 1, (), "first"),
+    ])
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    return calls, checkouts
+
+
+def test_probes_run_in_rounds_of_alternating_pairs(monkeypatch, tmp_path):
+    calls, checkouts = _fake_probes(monkeypatch, tmp_path)
+    report = bench_pairs.probe(checkouts, tmp_path, pairs=3, cap_s=1e9)
+    assert calls[:4] == [("first", "parent"), ("first", "change"), ("second", "parent"), ("second", "change")]
+    # Round two starts with the change; its skipped `first` run skips its `second`.
+    assert calls[4:7] == [("first", "change"), ("first", "parent"), ("second", "parent")]
+    assert calls[-2:] == [("second", "change"), ("second", "parent")]  # a fourth round for `second` only
+    first, second = report["first"], report["second"]
+    assert [len(first[s]["runs"]) for s in bench_pairs.SIDES] == [3, 3]
+    assert [len(second[s]["runs"]) for s in bench_pairs.SIDES] == [4, 4]
+    assert second["change"]["runs"][1] == {"skipped": "needs this round's run of first"}
+    assert first["summary"]["wall_s"]["pairs"] == 2 and second["summary"]["wall_s"]["pairs"] == 3
+    assert first["same_output"] is False and second["same_output"] is False
+
+
+def test_probes_start_no_round_past_their_time_cap(monkeypatch, tmp_path):
+    calls, checkouts = _fake_probes(monkeypatch, tmp_path)
+    report = bench_pairs.probe(checkouts, tmp_path, pairs=7, cap_s=0)
+    assert len(calls) == 4 and report["cap_s"] == 0
+    assert report["first"]["summary"]["wall_s"]["pairs"] == 1

@@ -369,6 +369,75 @@ def test_a_lone_atom_mask_is_its_column_never_unpacked(monkeypatch):
             assert extension(model, atom) is mask
 
 
+def _atom_block_models(kind: str) -> list[IntensionalModel]:
+    """Fresh models whose utility atoms fill one block or several: full
+    grids, a model on a `restrict`ed form (its slots have gaps), confusion
+    models, and games with more atoms than a block, one of them with
+    two-byte codes."""
+    rng = random.Random(31)
+    if kind == "dense":
+        games = [prisoners_dilemma(), vote3_game()]
+        games += [random_game(rng, size_range=(1, 4)) for _ in range(6)]
+        return [MaslModel(game) for game in games] + [epistemic_lift(games[-1])]
+    if kind == "restricted":
+        game = random_game(rng, max_players=3, size_range=(3, 4), util_range=(0, 6))
+        form = game.form
+        small = restrict(form, {1: form.strategy_sets[0][1:], 2: form.strategy_sets[1][::2]})
+        kept = [form.profile_from_names(small.names(s)) for s in all_profiles(small)]
+        table = Outcomes.from_records([game.outcome(s) for s in kept], form.n)
+        model = IntensionalModel(form, [("Gr", small)], [(0, s) for s in kept], table)
+        assert model._slots is not None
+        return [model]
+    if kind == "confusion":
+        game = random_game(rng, max_players=3, size_range=(2, 4), util_range=(0, 7))
+        small = restrict(game.form, {2: game.form.strategy_sets[1][:1]})
+        return [commitment_confusion()[0], confusion_model(game, small, [1])]
+    form = GameForm([("a", "b", "c")] * 3)
+    utils = {s: OutcomeRecord(form.profile_key(s), [rng.randint(0, 8) for _ in range(3)])
+             for s in all_profiles(form)}
+    wide = from_outcomes(form, utils)
+    codes = np.random.default_rng(31).integers(0, 300, size=(20 * 20, 2), dtype=np.uint16)
+    codes[:300, 0] = np.arange(300)
+    values = tuple(Fraction(v, 3) for v in range(300))
+    two_byte = StrategicGame(
+        GameForm([tuple(f"s{k}" for k in range(20))] * 2),
+        Outcomes(values, codes, ("x",), np.zeros(400, dtype=np.uint8)),
+    )
+    wides = [MaslModel(wide), MaslModel(two_byte)]
+    assert all(m.n * len(m.outcomes.values) > models._ATOM_BLOCK for m in wides)
+    return wides
+
+
+@pytest.mark.parametrize("kind", ["dense", "restricted", "confusion", "wide"])
+def test_utility_atom_blocks_equal_one_packed_column_each(kind):
+    for model in _atom_block_models(kind):
+        table = model.outcomes
+        for player in range(1, model.n + 1):
+            for code, value in enumerate(table.values):
+                want = model._pack(table.codes[:, player - 1] == code)
+                assert model._util_set(player, code) == want, (player, value)
+                assert model._leaf(UtilEq(player, value)) == want
+        assert None not in model._utils and len(model._utils) == model.n * len(table.values)
+        with pytest.raises(EvalError, match=f"^no player {model.n + 1} in this model$"):
+            model._leaf(UtilEq(model.n + 1, table.values[0]))
+        outside = max(table.values) + 1
+        with pytest.raises(EvalError, match=f"^utility value {outside} is not in the model's range$"):
+            model._leaf(UtilEq(1, outside))
+
+
+@pytest.mark.parametrize("kind", ["dense", "restricted", "confusion", "wide"])
+def test_a_utility_atom_packs_only_its_own_block(kind):
+    block = models._ATOM_BLOCK
+    for model in _atom_block_models(kind):
+        count = len(model.outcomes.values)
+        atom = model.n * count - 1  # the last atom: its block may be short
+        player, code = divmod(atom, count)
+        model._util_set(player + 1, code)
+        first = atom - atom % block
+        packed = [k for k, bits in enumerate(model._utils) if bits is not None]
+        assert packed == list(range(first, min(first + block, model.n * count)))
+
+
 def test_state_index_forms():
     model = pd_model()
     assert model.index("d,c") == model.index((1, 0)) == model.index(2)

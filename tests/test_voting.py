@@ -80,6 +80,29 @@ def test_ballot_parse_errors():
         Ballot(())
 
 
+def test_equal_ballot_spellings_parse_to_one_object():
+    first = Ballot.parse("bca", ALTS)
+    assert Ballot.parse("bca", ALTS) is first
+    assert Ballot.parse("bca", list(ALTS)) is first  # list and tuple alternatives alike
+    assert Ballot.parse("b,c,a", ALTS) == first
+    assert Ballot.parse("x,yy,z", ["x", "yy", "z"]) == Ballot.parse("x,yy,z", ("x", "yy", "z"))
+
+
+@pytest.mark.parametrize(
+    "text, alternatives, message",
+    [
+        ("ab", ALTS, "'ab' is not a permutation of the alternatives"),
+        ("aba", ALTS, "ranks an alternative twice"),
+        ("xyz", ("x", "yy", "z"), "'xyz' needs commas with multi-character alternatives"),
+    ],
+)
+def test_a_bad_ballot_raises_the_same_error_on_every_call(text, alternatives, message):
+    for _ in range(3):
+        with pytest.raises(VotingError, match=message):
+            Ballot.parse(text, alternatives)
+    assert Ballot.parse("cab", ALTS).order == ("c", "a", "b")
+
+
 def test_ballot_accessors():
     b = Ballot.parse("bca", ALTS)
     assert b.top == "b"
@@ -534,6 +557,23 @@ def test_induced_game_matches_cell_by_cell_scoring():
             assert game.outcomes == scored.outcomes
             for name in ("codes", "label_codes", "winners"):
                 assert getattr(game.outcomes, name).dtype == getattr(scored.outcomes, name).dtype
+
+
+_RECODE_RULES = ("plurality", "absolute_majority", "dictator:1", "dictator:2", "constant")
+
+
+@pytest.mark.parametrize("tiebreak", [False, True])
+@pytest.mark.parametrize("name", _RECODE_RULES)
+def test_induced_game_recodes_payoffs_as_np_unique_does(name, tiebreak):
+    rule = _rule(name, ALTS)
+    if tiebreak:
+        rule = ResoluteWrap(rule, Ballot.parse("bca", ALTS))
+    for profile in all_ballot_profiles(ALTS, 3):
+        game, want = induced_game(rule, profile), voting_oracle.unique_recoded_game(rule, profile)
+        assert game == want
+        assert game.outcomes.values == want.outcomes.values
+        assert np.array_equal(game.outcomes.codes, want.outcomes.codes)
+        assert game.outcomes.codes.dtype == want.outcomes.codes.dtype
 
 
 @given(

@@ -6,13 +6,16 @@ enumeration order and calls `set_better` on each.  `rule_dictators` builds
 one induced game per ballot profile, scored cell by cell with
 `outcome_payoff`, and evaluates the `dictator` formula on its model.  The
 winner sets come from `apply_rule` on every vector of cast tops, never from
-the payoff table.
+the payoff table.  `unique_recoded_game` is `induced_game` as it recoded the
+paid payoffs with `np.unique` before a count and a lookup array replaced it.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from stratlogic import (
     GameForm,
@@ -23,11 +26,14 @@ from stratlogic import (
     extension,
     model_signature,
 )
+from stratlogic.games import _code_dtype
 from stratlogic.properties import dictator
 from stratlogic.voting import (
+    Ballot,
     BallotProfile,
     Manipulation,
     VotingRule,
+    _payoff_table,
     all_ballots,
     apply_rule,
     outcome_payoff,
@@ -94,3 +100,21 @@ def rule_dictators(rule: VotingRule, n_voters: int) -> frozenset[int]:
             if not extension(model, dictator(sig, voter)).all():
                 candidates.discard(voter)
     return frozenset(candidates)
+
+
+def unique_recoded_game(rule: VotingRule, ballots: Sequence[Ballot]) -> StrategicGame:
+    """The induced game with the paid payoffs recoded by `np.unique`: the
+    sorted paid codes, and each code's index among them."""
+    table = _payoff_table(rule, len(ballots))
+    columns = [table.ballots[ballot] for ballot in ballots]
+    used, codes = np.unique(table.codes[:, columns], return_inverse=True)
+    codes = codes.reshape(len(table.labels), len(columns)).astype(_code_dtype(len(used)))
+    outcomes = Outcomes(
+        tuple(table.values[code] for code in used),
+        codes[table.cell_sets],
+        table.labels,
+        table.cell_sets,
+        table.alternatives,
+        table.winners[table.cell_sets],
+    )
+    return StrategicGame(table.form, outcomes)

@@ -26,11 +26,16 @@ untracked files, which `git stash create` would leave out of the change.
 
 Last come the scale probes: CLI commands on inputs far larger than the
 benchmark's, each a subprocess in each checkout with a time limit, in the
-environment the benchmark gives its workers, alternating sides.  Each run
-records its wall time, its peak RSS (from `os.wait4`) and the sha256 of its
-output; a run over its limit is recorded as skipped, with the reason.  The
-inputs are generated from a fixed seed into `.bench_work/inputs`, and their
-sha256 is recorded.
+environment the benchmark gives its workers.  Each probe runs in
+PROBE_PAIRS alternating pairs (the cold start in more), in rounds: round k
+runs pair k of every probe, so a slow phase of the host falls on every
+probe alike.  A round starts only while the probes have run for less than
+PROBE_CAP_S, so the probes end within about that time and one round.  Each
+run records its wall time, its peak RSS (from `os.wait4`) and the sha256 of
+its output; a run over its limit is recorded as skipped, with the reason.
+Each probe's pairs are summarised like the workloads'.  The inputs are
+generated from a fixed seed into `.bench_work/inputs`, and their sha256 is
+recorded.
 """
 from __future__ import annotations
 
@@ -54,8 +59,11 @@ from pathlib import Path
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 300
 PROBE_SEED = 1
-PROBE_RUNS = 3
-COLD_STARTS = 21
+PROBE_PAIRS = 7
+PROBE_CAP_S = 1800
+COLD_START_PAIRS = 21
+# Both probe metrics, read as the workloads' are.
+PROBE_BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
 # A game's utilities are drawn from these four values, as in ROADMAP.md's
 # probe table, except where a probe says otherwise.
 VALUES = (0, 1, 2, "1/2")
@@ -256,76 +264,81 @@ def _child_env(checkout: Path) -> dict:
     return {**os.environ, **child, "PYTHONPATH": str(checkout / "src")}
 
 
-def _probe_list(inputs: dict[str, Path]) -> list[tuple]:
-    """(name, CLI arguments, time limit in seconds, runs per side, input
-    names, the probe whose output it reads or None).  ``{in}`` in an
-    argument stands for the inputs' folder, and ``{out}`` for the side's
-    output folder."""
+def _probe_list(inputs: dict[str, Path], pairs: int) -> list[tuple]:
+    """(name, CLI arguments, time limit in seconds, pairs, input names, the
+    probe whose output it reads or None), in the order a round runs them.
+    ``{in}`` in an argument stands for the inputs' folder, and ``{out}`` for
+    the side's output folder."""
     inputs = {name: "{in}/" + path.name for name, path in inputs.items()}
     check = ["check", "--game", "tests/golden/inputs/pd.json", "--formula", "[(d,d)] u1=1"]
-    probes = [("cold_start_check", check, 30, COLD_STARTS, (), None)]
+    probes = [("cold_start_check", check, 30, max(pairs, COLD_START_PAIRS), (), None)]
     # `nash` evaluates `nashHere`; at 200 utility values on 6x6 its plan has
     # about 7 200 entries, so the run's peak RSS shows how long the
     # evaluator keeps the sets of a long plan alive.
     for name in ("6x6", "6x7", "6x4_999", "6x6_200"):
-        probes.append((f"nash_{name}", ["nash", "--game", inputs[name]], 120, PROBE_RUNS, (name,), None))
+        probes.append((f"nash_{name}", ["nash", "--game", inputs[name]], 120, pairs, (name,), None))
     probes += [
-        ("lift_4x5", ["lift", "--game", inputs["4x5"]], 120, PROBE_RUNS, ("4x5",), None),
+        ("lift_4x5", ["lift", "--game", inputs["4x5"]], 120, pairs, ("4x5",), None),
         ("echeck_4x5", ["echeck", "--model", "{out}/lift_4x5.json", "--formula", "[ag1] u1=1"],
-         60, PROBE_RUNS, (), "lift_4x5"),
-        ("axioms_4x5", ["axioms", "--game", inputs["4x5"]], 120, PROBE_RUNS, ("4x5",), None),
+         60, pairs, (), "lift_4x5"),
+        ("axioms_4x5", ["axioms", "--game", inputs["4x5"]], 120, pairs, ("4x5",), None),
         # `parse` of 3 000 conjuncts.  Against a parent that writes the AST
         # nested rather than as a node table, `same_output` reads false,
         # because that format changed on purpose.
         ("parse_3000", ["parse", "--game", "tests/golden/inputs/pd.json", " & ".join(["u1=1"] * 3000)],
-         60, PROBE_RUNS, (), None),
+         60, pairs, (), None),
     ]
     for name in ("dictator1_3", "dictator1_4", "plurality_3", "plurality_4"):
-        probes.append((f"audit_{name}", ["voting", "audit", "--spec", inputs[name]], 120, PROBE_RUNS, (name,), None))
+        probes.append((f"audit_{name}", ["voting", "audit", "--spec", inputs[name]], 120, pairs, (name,), None))
     return probes
 
 
-def _spread(values: list[float]) -> dict:
-    q1, median, q3 = quartiles(values)
-    return {"median": median, "q1": q1, "q3": q3}
+def probe_summary(runs: dict[str, list[dict]]) -> dict:
+    """`summarise` over a probe's pairs: run k of each side is pair k, and a
+    pair with a skipped run is left out."""
+    pairs = [dict(zip(SIDES, pair)) for pair in zip(*(runs[side] for side in SIDES))]
+    return summarise(pairs, PROBE_BETTER)
 
 
-def probe(checkouts: dict, work: Path) -> dict:
-    """Run every probe in both checkouts, alternating the side that goes
-    first from run to run.  A probe other than the cold start writes its
-    report to the side's output folder, and the sides' reports are compared
-    by sha256."""
+def probe(checkouts: dict, work: Path, pairs: int = PROBE_PAIRS, cap_s: float = PROBE_CAP_S) -> dict:
+    """Run every probe in both checkouts, round by round, alternating the
+    side that goes first from round to round; a round starts only while the
+    probes have run for less than `cap_s`.  A probe other than the cold
+    start writes its report to the side's output folder, and the sides'
+    reports are compared by sha256."""
     inputs = make_inputs(work / "inputs")
     envs = {side: _child_env(checkouts[side]) for side in SIDES}
-    report: dict = {"seed": PROBE_SEED}
-    for name, args, limit, runs, used, needs in _probe_list(inputs):
-        entry = {"argv": args, "limit_s": limit, "inputs": {k: _sha256(inputs[k]) for k in used}}
-        for side in SIDES:
-            entry[side] = {"runs": []}
-        for k in range(runs):
+    probes = _probe_list(inputs, pairs)
+    report: dict = {"seed": PROBE_SEED, "cap_s": cap_s}
+    for name, args, limit, _, used, _ in probes:
+        report[name] = {"argv": args, "limit_s": limit, "inputs": {k: _sha256(inputs[k]) for k in used},
+                        **{side: {"runs": []} for side in SIDES}}
+    start = time.monotonic()
+    for k in range(max(p[3] for p in probes)):
+        if k and time.monotonic() - start >= cap_s:
+            break
+        for name, args, limit, runs, _, needs in probes:
+            if k >= runs:
+                continue
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                 folder = work / f"out_{side}"
                 folder.mkdir(exist_ok=True)
                 output = None if name == "cold_start_check" else folder / f"{name}.json"
                 argv = [sys.executable, "-m", "stratlogic.cli", *(
                     a.replace("{in}", str(work / "inputs")).replace("{out}", str(folder)) for a in args)]
-                if needs is not None and not all("wall_s" in r for r in report[needs][side]["runs"]):
-                    run = {"skipped": f"needs every run of {needs}"}
+                if needs is not None and "wall_s" not in report[needs][side]["runs"][-1]:
+                    run = {"skipped": f"needs this round's run of {needs}"}
                 else:
                     argv += [] if output is None else ["--output", str(output)]
                     run = run_probe(argv, checkouts[side], envs[side], limit, output)
-                entry[side]["runs"].append(run)
-        for side in SIDES:
-            done = [r for r in entry[side]["runs"] if "wall_s" in r]
-            if done:
-                entry[side]["wall_s"] = _spread([r["wall_s"] for r in done])
-                entry[side]["peak_rss_mb"] = _spread([r["peak_rss_mb"] for r in done])
+                report[name][side]["runs"].append(run)
+        print(f"probe round {k + 1}: {time.monotonic() - start:.0f} s", file=sys.stderr)
+    for name, *_ in probes:
+        entry = report[name]
+        entry["summary"] = probe_summary({side: entry[side]["runs"] for side in SIDES})
         if name != "cold_start_check":
             digests = {r.get("output_sha256") for side in SIDES for r in entry[side]["runs"]}
             entry["same_output"] = len(digests) == 1 and None not in digests
-        report[name] = entry
-        print(f"probe {name}: " + ", ".join(
-            f"{side} {entry[side].get('wall_s', {}).get('median')}" for side in SIDES), file=sys.stderr)
     return report
 
 
@@ -377,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
         },
-        "settings": {"pairs": args.pairs, "runs": args.runs},
+        "settings": {"pairs": args.pairs, "runs": args.runs, "probe_pairs": PROBE_PAIRS},
         **report,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
