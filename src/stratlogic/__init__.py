@@ -91,7 +91,6 @@ from .axioms import (
     VECTOR_SCHEMAS,
     AxiomInstance,
     InstanceResult,
-    instantiate,
     validity_report,
 )
 from .jsonio import FormatError

@@ -1,6 +1,6 @@
 """Axiom schemas for vector modalities and agent knowledge.
 
-`instantiate` grounds a schema over a signature with a bounded vector
+`instantiate_many` grounds schemas over a signature with a bounded vector
 enumeration (all-Concrete vectors plus the one-wildcard and one-Current
 families) and a formula pool defaulting to all atoms and their negations.
 `validity_report` then checks every instance on a batch of models.
@@ -157,15 +157,10 @@ class _Shared:
         return row
 
 
-def instantiate(schema: str, sig: Signature) -> list[AxiomInstance]:
-    """All ground instances of one schema.  Vectors that a schema cannot use
-    (e.g. undetermined vectors for Functionality) are skipped."""
-    return instantiate_many([schema], sig)
-
-
 def instantiate_many(schemas: Iterable[str], sig: Signature) -> list[AxiomInstance]:
     """The instances of each schema in turn, over one enumeration of the
-    vectors and the default pool, with each distinct subformula one object."""
+    vectors and the default pool, with each distinct subformula one object;
+    a schema skips the vectors it cannot use."""
     shared = _Shared(sig)
     out: list[AxiomInstance] = []
     for schema in schemas:
@@ -221,22 +216,13 @@ def _instances(schema: str, shared: _Shared, out: list[AxiomInstance]) -> None:
                     picked = shared.atom(shared.switch(player, a))
                     fixed = shared.atom(shared.with_concrete(c, pos, a))
                     add(Implies(picked, Iff(atom, fixed)), f"{about}, a={a}")
-    elif schema == "ConverseA":
+    elif schema in ("ConverseA", "ConverseB"):
         for player in sig.players:
-            agent, converse = shared.agents[player]
+            outer, inner = shared.agents[player]  # ag i, then ag i^
+            if schema == "ConverseB":
+                outer, inner = inner, outer
             for phi, text in zip(pool, shared.texts):
-                add(
-                    Implies(phi, Box(agent, Diamond(converse, phi))),
-                    f"i={player}, phi={text}",
-                )
-    elif schema == "ConverseB":
-        for player in sig.players:
-            agent, converse = shared.agents[player]
-            for phi, text in zip(pool, shared.texts):
-                add(
-                    Implies(phi, Box(converse, Diamond(agent, phi))),
-                    f"i={player}, phi={text}",
-                )
+                add(Implies(phi, Box(outer, Diamond(inner, phi))), f"i={player}, phi={text}")
     elif schema == "OwnActionKnowledge":
         for player in sig.players:
             agent = shared.agents[player][0]

@@ -69,11 +69,27 @@ def _extension_keys(model, mask) -> list[str]:
     return [model.state_key(int(i)) for i in np.flatnonzero(mask)]
 
 
-def _nash_mask(game) -> np.ndarray:
-    """The pure Nash equilibria over the profiles, from best responses
-    alone: an independent check on the `nashHere` formula."""
+def _nash_check(game) -> tuple:
+    """The game's model, its pure Nash equilibria over the profiles from best
+    responses alone, and whether the `nashHere` formula's extension agrees
+    with them: an independent check on the formula."""
+    model = MaslModel(game)
+    mask = extension(model, build_property("nashHere", model_signature(model)))
     grids = [best_response(game, player) for player in game.form.players]
-    return np.logical_and.reduce(grids).reshape(-1)
+    nash = np.logical_and.reduce(grids).reshape(-1)
+    return model, nash, bool(np.array_equal(mask, nash))
+
+
+def _holds_at(data: dict, model, mask, args, where: str) -> bool:
+    """Whether `mask` holds at the state that the optional argument `where`
+    names, reported in `data` next to it; true if no state was given."""
+    at = getattr(args, where)
+    if at is None:
+        return True
+    holds = bool(mask[model.index(at)])
+    data[where] = at
+    data["holdsAt"] = holds
+    return holds
 
 
 # --------------------------------------------------------------------------
@@ -86,15 +102,9 @@ def _check(model, args, where: str) -> int:
     formula = parse(args.formula, model_signature(model), "formula")
     mask = extension(model, formula)
     data = {"formula": render(formula), "extension": _extension_keys(model, mask)}
-    code = 0
-    at = getattr(args, where)
-    if at is not None:
-        holds = bool(mask[model.index(at)])
-        data[where] = at
-        data["holdsAt"] = holds
-        code = 0 if holds else 1
+    holds = _holds_at(data, model, mask, args, where)
     _emit(data, args.output)
-    return code
+    return 0 if holds else 1
 
 
 def _cmd_check(args) -> int:
@@ -111,12 +121,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_nash(args) -> int:
-    game = load_game(args.game)
-    model = MaslModel(game)
-    sig = model_signature(model)
-    mask = extension(model, build_property("nashHere", sig))
-    nash = _nash_mask(game)
-    agree = bool(np.array_equal(mask, nash))
+    model, nash, agree = _nash_check(load_game(args.game))
     data = {"equilibria": _extension_keys(model, nash), "formulaAgrees": agree}
     _emit(data, args.output)
     return 0 if agree else 1
@@ -159,15 +164,9 @@ def _cmd_coalition_check(args) -> int:
         "extension": _extension_keys(model, direct),
         "agreesWithTranslation": agree,
     }
-    code = 0 if agree else 1
-    if args.state is not None:
-        holds = bool(direct[model.index(args.state)])
-        data["state"] = args.state
-        data["holdsAt"] = holds
-        if not holds:
-            code = 1
+    holds = _holds_at(data, model, direct, args, "state")
     _emit(data, args.output)
-    return code
+    return 0 if agree and holds else 1
 
 
 def _cmd_lift(args) -> int:
@@ -215,18 +214,13 @@ def _cmd_axioms(args) -> int:
 
 def _demo_pd() -> int:
     game = catalog.prisoners_dilemma()
-    model = MaslModel(game)
+    model, nash, agree = _nash_check(game)
     sig = model_signature(model)
-    nash = _nash_mask(game)
     equilibria = _extension_keys(model, nash)
     print("prisoner's dilemma states:", [model.state_key(i) for i in range(model.size)])
     print("nash equilibria:", equilibria)
     _require(equilibria == ["d,d"], "expected d,d to be the unique equilibrium")
-    mask = extension(model, build_property("nashHere", sig))
-    _require(
-        np.array_equal(mask, nash),
-        "nashHere formula disagrees with the best-response check",
-    )
+    _require(agree, "nashHere formula disagrees with the best-response check")
     for player in (1, 2):
         formula_ok = valid_in_model(
             model, build_property("weakDominance", sig, player=player, strategy="d")
@@ -249,7 +243,7 @@ def _demo_pd() -> int:
 
 def _demo_vote3() -> int:
     game = catalog.vote3_game()
-    model = MaslModel(game)
+    model, nash, agree = _nash_check(game)
     sig = model_signature(model)
     truthful = game.form.profile_from_key("a,b,c")
     print("truthful vote a,b,c gives payoffs", tuple(map(str, game.outcome(truthful).utils)))
@@ -257,14 +251,9 @@ def _demo_vote3() -> int:
         game.outcome(truthful).utils == (1, 1, 1),
         "the three-way tie should pay 1 to everyone",
     )
-    nash = _nash_mask(game)
     print("equilibrium count:", int(nash.sum()))
     _require(nash[game.profile_index(truthful)], "the truthful profile should be an equilibrium")
-    mask = extension(model, build_property("nashHere", sig))
-    _require(
-        np.array_equal(mask, nash),
-        "nashHere formula disagrees with the best-response check",
-    )
+    _require(agree, "nashHere formula disagrees with the best-response check")
     _require(
         valid_in_model(model, build_property("pluralityRule", sig)),
         "the plurality-rule formula should hold everywhere",

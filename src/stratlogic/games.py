@@ -186,24 +186,6 @@ class GameForm(_Frozen):
     def profile_from_key(self, key: str) -> Profile:
         return self.profile_from_names(key.split(","))
 
-    def row_of_key(self, key: str) -> int:
-        """The position of profile `key` in `all_profiles` order, a
-        mixed-radix number with one digit per player; raises like
-        `profile_from_key`."""
-        names = key.split(",")
-        if len(names) != len(self._index):
-            raise GameError(f"expected {self.n} strategy names, got {len(names)}")
-        row = 0
-        try:
-            for index, name in zip(self._index, names):
-                row = row * len(index) + index[name]
-        except KeyError:
-            player = next(p for p, name in enumerate(names, 1) if name not in self._index[p - 1])
-            raise GameError(
-                f"player {player} has no strategy named {names[player - 1]!r}"
-            ) from None
-        return row
-
 
 def all_profiles(form: GameForm) -> list[Profile]:
     """Every strategy profile, lexicographically with player 1 varying slowest."""

@@ -213,7 +213,7 @@ def game_from_dict(data: Mapping) -> StrategicGame:
             try:
                 if not isinstance(keys[end], str):
                     raise GameError("not a string")
-                form.row_of_key(keys[end])
+                form.profile_from_key(keys[end])
             except GameError as exc:
                 rejected = FormatError(f"outcome key {keys[end]!r}: {exc}")
         elif end < len(profiles):

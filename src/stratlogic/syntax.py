@@ -481,10 +481,6 @@ def _render_vector(v: Vector) -> str:
     return text
 
 
-def _render_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def _render_label_arg(text: str) -> str:
     if _BARE_NAME.match(text):
         return text
@@ -559,7 +555,7 @@ _FORMULA_SPELLINGS = {
     Top: lambda f: "T",
     VectorAtom: lambda f: _render_vector(f.vector),
     Winner: lambda f: _keep(f, f"win({_render_label_arg(f.name)})"),
-    UtilEq: lambda f: _keep(f, f"u{f.player}={_render_rational(f.value)}"),
+    UtilEq: lambda f: _keep(f, f"u{f.player}={f.value}"),
     Label: lambda f: _keep(f, f"label({_render_label_arg(f.text)})"),
     Not: lambda f: None,
 }

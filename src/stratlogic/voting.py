@@ -130,6 +130,14 @@ class VotingRule(_Frozen):
 
     alternatives: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        # Subclasses call this by name, not through `super()`, which fails
+        # in a class outside this hierarchy that borrows their method.
+        if not self.alternatives:
+            raise VotingError("need at least one alternative")
+        if len(set(self.alternatives)) != len(self.alternatives):
+            raise VotingError("alternatives must be distinct")
+
     def winners(self, tops: Sequence[str]) -> frozenset[str]:
         raise NotImplementedError
 
@@ -142,21 +150,11 @@ class VotingRule(_Frozen):
                 raise VotingError(f"vote for unknown alternative {name!r}")
 
 
-def _check_alternatives(alternatives: tuple[str, ...]) -> None:
-    if not alternatives:
-        raise VotingError("need at least one alternative")
-    if len(set(alternatives)) != len(alternatives):
-        raise VotingError("alternatives must be distinct")
-
-
 @_frozen
 class Plurality(VotingRule):
     """The alternatives with the most votes win."""
 
     alternatives: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        _check_alternatives(self.alternatives)
 
     def winners(self, tops: Sequence[str]) -> frozenset[str]:
         self._check_tops(tops)
@@ -177,9 +175,6 @@ class AbsoluteMajority(VotingRule):
 
     alternatives: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        _check_alternatives(self.alternatives)
-
     def winners(self, tops: Sequence[str]) -> frozenset[str]:
         self._check_tops(tops)
         for a in self.alternatives:
@@ -199,7 +194,7 @@ class DictatorRule(VotingRule):
     voter: int
 
     def __post_init__(self) -> None:
-        _check_alternatives(self.alternatives)
+        VotingRule.__post_init__(self)
         if self.voter < 1:
             raise VotingError("voter numbers start at 1")
 
@@ -221,7 +216,7 @@ class ConstantRule(VotingRule):
     choice: str
 
     def __post_init__(self) -> None:
-        _check_alternatives(self.alternatives)
+        VotingRule.__post_init__(self)
         if self.choice not in self.alternatives:
             raise VotingError(f"constant winner {self.choice!r} is not an alternative")
 

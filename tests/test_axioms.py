@@ -26,7 +26,6 @@ from stratlogic import (
     all_profiles,
     counterexample,
     epistemic_lift,
-    instantiate,
     restrict,
     validity_report,
 )
@@ -67,7 +66,7 @@ def test_schema_registry():
 
 def test_unknown_schema_rejected():
     with pytest.raises(Exception):
-        instantiate("NoSuchSchema", PD_SIG)
+        instantiate_many(["NoSuchSchema"], PD_SIG)
 
 
 def test_enumerate_vectors_families_and_order():
@@ -143,7 +142,7 @@ def test_epistemic_schemas_valid_on_pd_lift():
 
 
 def test_functionality_skips_undetermined_vectors():
-    for inst in instantiate("Functionality", PD_SIG):
+    for inst in instantiate_many(["Functionality"], PD_SIG):
         # no instance mentions the adversary wildcard
         assert "??" not in inst.about
 
@@ -155,7 +154,7 @@ def test_undetermined_functionality_counterexample():
     shape = functionality_shape(Vector([Concrete("c"), ADV]), UtilEq(2, 3))
     where = counterexample(model, shape)
     assert where == "c,c"
-    report = validity_report([("pd", model)], instantiate("Functionality", PD_SIG))
+    report = validity_report([("pd", model)], instantiate_many(["Functionality"], PD_SIG))
     assert all(r.valid for r in report)
 
 
@@ -169,7 +168,7 @@ def test_other_action_ignorance_fails_with_singleton_strategies():
     game = from_outcomes(form, records)
     lift = epistemic_lift(game)
     sig = Signature.from_game(game)
-    report = validity_report([("lift", lift)], instantiate("OtherActionIgnorance", sig))
+    report = validity_report([("lift", lift)], instantiate_many(["OtherActionIgnorance"], sig))
     verdicts = {r.instance.about: r.valid for r in report}
     assert verdicts == {"i=1": True, "i=2": False}
     failed = [r for r in report if not r.valid]
@@ -305,7 +304,7 @@ def _signatures(draw) -> Signature:
 def test_instances_match_the_fresh_node_oracle_with_shared_nodes(sig):
     want = []
     for schema in ALL_SCHEMAS:
-        alone = instantiate(schema, sig)
+        alone = instantiate_many([schema], sig)
         oracle = axiom_oracle.instantiate(schema, sig)
         assert alone == oracle  # schema, formula and about, in order
         assert [render(i.formula) for i in alone] == [render(i.formula) for i in oracle]

@@ -4,11 +4,13 @@ rounds and pair summaries on made-up runs.  No benchmark is started."""
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,7 +105,8 @@ def test_probe_pairs_are_summarised_like_workload_pairs():
 
 def _fake_probes(monkeypatch, tmp_path):
     """`probe` with two made-up probes, the second reading the first's
-    output; returns the list of (probe, side) runs it asks for."""
+    output; returns the list of (probe, folder) runs it asks for, and a
+    `place` that keeps each side in a folder named after it."""
     calls = []
 
     def run_probe(argv, cwd, env, limit_s, output):
@@ -121,7 +124,7 @@ def _fake_probes(monkeypatch, tmp_path):
         ("second", ["echeck"], 10, pairs + 1, (), "first"),
     ])
     checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
-    return calls, checkouts
+    return calls, lambda k: checkouts
 
 
 def test_probes_run_in_rounds_of_alternating_pairs(monkeypatch, tmp_path):
@@ -144,3 +147,58 @@ def test_probes_start_no_round_past_their_time_cap(monkeypatch, tmp_path):
     report = bench_pairs.probe(checkouts, tmp_path, pairs=7, cap_s=0)
     assert len(calls) == 4 and report["cap_s"] == 0
     assert report["first"]["summary"]["wall_s"]["pairs"] == 1
+
+
+def _balanced_place(tmp_path):
+    """A `place` over two made-up checkouts, named as the runner names them,
+    each with a BENCHMARK.json that declares `wall_s` alone."""
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"}], "per_layer": []}
+    slots = {path: tmp_path / path for path in bench_pairs.PATHS}
+    for slot in slots.values():
+        slot.mkdir()
+        (slot / "BENCHMARK.json").write_text(json.dumps(spec))
+    return lambda k: {side: slots[path] for side, path in bench_pairs.layout(k).items()}
+
+
+@pytest.mark.parametrize("pairs", [2, 4, 10])
+def test_each_side_runs_from_each_path_equally_often(monkeypatch, tmp_path, pairs):
+    wall = {"a": 1.0, "b": 2.0}  # the path alone sets the made-up time
+
+    def run(checkout, workload, seed, seconds, trace):
+        return {"metrics": {"wall_s": wall[checkout.name]}, "correct": True, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    args = argparse.Namespace(runs=["voting:7,11"], pairs=pairs)
+    report = bench_pairs.bench(_balanced_place(tmp_path), args)
+    for entry in report["workloads"]["voting"].values():
+        runs = entry["runs"]
+        for before, pair in zip(runs, runs[1:]):
+            assert pair["parent"]["path"] == before["change"]["path"] != pair["change"]["path"]
+        for side in bench_pairs.SIDES:
+            assert Counter(pair[side]["path"] for pair in runs) == {"a": pairs // 2, "b": pairs // 2}
+        assert entry["per_path"] == {side: {"a": {"wall_s": 1.0}, "b": {"wall_s": 2.0}}
+                                     for side in bench_pairs.SIDES}
+        # A layout effect falls on both sides alike, so the sides read equal.
+        wall_s = entry["summary"]["wall_s"]
+        assert wall_s["median_change"] == 0 and wall_s["pairs_better"] == wall_s["pairs_worse"]
+    assert report["traced"]["voting"]["paths"] == {"parent": "a", "change": "b"}
+
+
+def test_probe_rounds_swap_the_sides_paths(monkeypatch, tmp_path):
+    calls, _ = _fake_probes(monkeypatch, tmp_path)
+    report = bench_pairs.probe(_balanced_place(tmp_path), tmp_path, pairs=4, cap_s=1e9)
+    assert calls[:2] == [("first", "a"), ("first", "b")]
+    for name, rounds in (("first", 4), ("second", 5)):
+        entry = report[name]
+        for side in bench_pairs.SIDES:
+            # A run that was never started (it needed a skipped run) has no path.
+            paths = [run.get("path") for run in entry[side]["runs"]]
+            assert paths == [None if name == "second" and (side, k) == ("change", 1)
+                             else bench_pairs.layout(k)[side] for k in range(rounds)]
+        assert set(entry["per_path"]["parent"]) == {"a", "b"}
+    assert report["first"]["per_path"]["parent"]["a"] == {"wall_s": 4.5, "peak_rss_mb": 1.0}
+
+
+def test_path_medians_leave_out_a_run_without_the_metric():
+    runs = {"parent": [("a", {"wall_s": 1.0}), ("a", {"wall_s": 3.0}), ("b", {"skipped": "x"})]}
+    assert bench_pairs.path_medians(runs, ["wall_s"]) == {"parent": {"a": {"wall_s": 2.0}, "b": {}}}

@@ -273,7 +273,7 @@ def test_well_formed_documents_run_no_per_row_check(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(games.GameForm, "row_of_key", counted(games.GameForm.row_of_key))
+    monkeypatch.setattr(games.GameForm, "profile_from_key", counted(games.GameForm.profile_from_key))
     monkeypatch.setattr(jsonio, "_check_entry", counted(jsonio._check_entry))
     monkeypatch.setattr(games, "_check_row", counted(games._check_row))
     strategies = [list("abcdef")] * 4

@@ -4,10 +4,17 @@
         [--parent HEAD] [--change REV] [--pairs 10] \
         [--runs formulas:7,11 equilibria:7 voting:7]
 
-Run it from anywhere inside the repository.  It checks the two sides out
-with `git worktree` at paths of equal length, `.bench_work/parent` and
-`.bench_work/change`, so that no path in a traceback or a bytecode cache
-differs in length, and removes both checkouts when it is done.  `--change`
+Run it from anywhere inside the repository.  It makes two `git worktree`
+checkouts at paths of equal length, `.bench_work/a` and `.bench_work/b`, and
+removes both when it is done.  The sides swap paths every pair: the parent
+runs from `a` and the change from `b` in even pairs, the other way round in
+odd ones, each checkout switched to its side's revision before the pair.
+So each side runs from each path equally often, and an effect of the path
+alone (its spelling reaches tracebacks, `sys.path` and hashed strings) falls
+on both sides alike.  Every run records the path it used, and the summary
+adds each side's per-path medians, which show such an effect as one.
+Because the side that goes first also alternates every pair, a side's first
+runs are all at one path.  `--change`
 defaults to the working tree as it stands: tracked files and staged new
 files, taken with `git stash create`, which leaves the tree untouched.
 
@@ -33,7 +40,8 @@ probe alike.  A round starts only while the probes have run for less than
 PROBE_CAP_S, so the probes end within about that time and one round.  Each
 run records its wall time, its peak RSS (from `os.wait4`) and the sha256 of
 its output; a run over its limit is recorded as skipped, with the reason.
-Each probe's pairs are summarised like the workloads'.  The inputs are
+Each probe's pairs are summarised like the workloads', per path too, and its
+rounds swap the sides' paths as the pairs do.  The inputs are
 generated from a fixed seed into `.bench_work/inputs`, and their sha256 is
 recorded.
 """
@@ -57,6 +65,8 @@ from itertools import product
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# The two checkouts' folder names under `.bench_work`, of equal length.
+PATHS = ("a", "b")
 RUN_TIMEOUT_S = 300
 PROBE_SEED = 1
 PROBE_PAIRS = 7
@@ -114,6 +124,28 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def layout(k: int) -> dict[str, str]:
+    """{side: path} for pair (or probe round) k: the sides swap paths every
+    pair."""
+    return dict(zip(SIDES, PATHS if k % 2 == 0 else PATHS[::-1]))
+
+
+def path_medians(runs: dict[str, list[tuple[str, dict]]], names) -> dict:
+    """{side: {path: {metric: median}}} over the runs at each path; `runs`
+    maps a side to its (path, metrics) pairs, and a metric missing from a
+    run is left out of that run's median."""
+    out: dict = {}
+    for side, rows in runs.items():
+        for path in sorted({p for p, _ in rows}):
+            at_path = [m for p, m in rows if p == path]
+            out.setdefault(side, {})[path] = {
+                name: statistics.median(values)
+                for name in names
+                if (values := [m[name] for m in at_path if name in m])
+            }
+    return out
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run in `checkout`: the last line of its output."""
     argv = [
@@ -138,8 +170,10 @@ def _runs(spec: list[str]) -> list[tuple[str, list[int]]]:
     return out
 
 
-def bench(checkouts: dict, args) -> dict:
-    spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+def bench(place, args) -> dict:
+    """The workload pairs and traced runs; `place(k)` puts each side at its
+    path of pair k and returns {side: checkout}."""
+    spec = json.loads((place(0)["parent"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     layers = {m["name"]: m["better"] for m in spec["per_layer"]}
@@ -149,23 +183,31 @@ def bench(checkouts: dict, args) -> dict:
             pairs = []
             for k in range(args.pairs):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
+                checkouts = place(k)
                 pair = {}
                 for side in order:
                     pair[side] = _run(checkouts[side], workload, seed, seconds, 0)
+                    pair[side]["path"] = checkouts[side].name
                 print(f"{workload} seed {seed} pair {k + 1}/{args.pairs}: "
-                      + ", ".join(f"{s} wall_s {pair[s]['metrics'].get('wall_s')}" for s in SIDES),
+                      + ", ".join(f"{s} at {pair[s]['path']} wall_s {pair[s]['metrics'].get('wall_s')}"
+                                  for s in SIDES),
                       file=sys.stderr)
                 pairs.append(pair)
             report["workloads"].setdefault(workload, {})[str(seed)] = {
                 "summary": summarise(
                     [{s: p[s]["metrics"] for s in SIDES} for p in pairs], better
                 ),
+                "per_path": path_medians(
+                    {s: [(p[s]["path"], p[s]["metrics"]) for p in pairs] for s in SIDES}, better
+                ),
                 "all_correct": all(p[s]["correct"] and p[s]["failed"] == 0 for p in pairs for s in SIDES),
                 "runs": pairs,
             }
+        checkouts = place(0)
         traced = {side: _run(checkouts[side], workload, seeds[0], seconds, 1) for side in SIDES}
         report["traced"][workload] = {
             "seed": seeds[0],
+            "paths": {side: checkouts[side].name for side in SIDES},
             **{side: traced[side]["metrics"] for side in SIDES},
             "all_correct": all(t["correct"] and t["failed"] == 0 for t in traced.values()),
             "better": layers,
@@ -300,14 +342,14 @@ def probe_summary(runs: dict[str, list[dict]]) -> dict:
     return summarise(pairs, PROBE_BETTER)
 
 
-def probe(checkouts: dict, work: Path, pairs: int = PROBE_PAIRS, cap_s: float = PROBE_CAP_S) -> dict:
-    """Run every probe in both checkouts, round by round, alternating the
-    side that goes first from round to round; a round starts only while the
-    probes have run for less than `cap_s`.  A probe other than the cold
-    start writes its report to the side's output folder, and the sides'
-    reports are compared by sha256."""
+def probe(place, work: Path, pairs: int = PROBE_PAIRS, cap_s: float = PROBE_CAP_S) -> dict:
+    """Run every probe on both sides, round by round, alternating the side
+    that goes first and, through `place(k)` as in `bench`, the sides' paths
+    from round to round; a round starts only while the probes have run for
+    less than `cap_s`.  A probe other than the cold start writes its report
+    to the side's output folder, and the sides' reports are compared by
+    sha256."""
     inputs = make_inputs(work / "inputs")
-    envs = {side: _child_env(checkouts[side]) for side in SIDES}
     probes = _probe_list(inputs, pairs)
     report: dict = {"seed": PROBE_SEED, "cap_s": cap_s}
     for name, args, limit, _, used, _ in probes:
@@ -317,6 +359,8 @@ def probe(checkouts: dict, work: Path, pairs: int = PROBE_PAIRS, cap_s: float = 
     for k in range(max(p[3] for p in probes)):
         if k and time.monotonic() - start >= cap_s:
             break
+        checkouts = place(k)
+        envs = {side: _child_env(checkouts[side]) for side in SIDES}
         for name, args, limit, runs, _, needs in probes:
             if k >= runs:
                 continue
@@ -331,11 +375,16 @@ def probe(checkouts: dict, work: Path, pairs: int = PROBE_PAIRS, cap_s: float = 
                 else:
                     argv += [] if output is None else ["--output", str(output)]
                     run = run_probe(argv, checkouts[side], envs[side], limit, output)
+                    run["path"] = checkouts[side].name
                 report[name][side]["runs"].append(run)
         print(f"probe round {k + 1}: {time.monotonic() - start:.0f} s", file=sys.stderr)
     for name, *_ in probes:
         entry = report[name]
         entry["summary"] = probe_summary({side: entry[side]["runs"] for side in SIDES})
+        entry["per_path"] = path_medians(
+            {side: [(r["path"], r) for r in entry[side]["runs"] if "path" in r] for side in SIDES},
+            PROBE_BETTER,
+        )
         if name != "cold_start_check":
             digests = {r.get("output_sha256") for side in SIDES for r in entry[side]["runs"]}
             entry["same_output"] = len(digests) == 1 and None not in digests
@@ -364,17 +413,25 @@ def main(argv: list[str] | None = None) -> int:
         else _git("stash", "create", cwd=root) or _git("rev-parse", "HEAD", cwd=root),
     }
     work = root / ".bench_work"
-    checkouts = {side: work / side for side in SIDES}
-    for path in checkouts.values():
+    slots = {path: work / path for path in PATHS}
+    for path in slots.values():
         if path.exists():
             _git("worktree", "remove", "--force", str(path), cwd=root)
+
+    def place(k: int) -> dict[str, Path]:
+        checkouts = {}
+        for side, path in layout(k).items():
+            _git("checkout", "--quiet", "--force", "--detach", revs[side], cwd=slots[path])
+            checkouts[side] = slots[path]
+        return checkouts
+
     try:
-        for side, path in checkouts.items():
-            _git("worktree", "add", "--detach", str(path), revs[side], cwd=root)
-        report = bench(checkouts, args)
-        report["probes"] = probe(checkouts, work)
+        for side, path in layout(0).items():
+            _git("worktree", "add", "--detach", str(slots[path]), revs[side], cwd=root)
+        report = bench(place, args)
+        report["probes"] = probe(place, work)
     finally:
-        for path in checkouts.values():
+        for path in slots.values():
             if path.exists():
                 _git("worktree", "remove", "--force", str(path), cwd=root)
         _git("worktree", "prune", cwd=root)
@@ -390,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
         },
-        "settings": {"pairs": args.pairs, "runs": args.runs, "probe_pairs": PROBE_PAIRS},
+        "settings": {"pairs": args.pairs, "runs": args.runs, "probe_pairs": PROBE_PAIRS, "paths": PATHS},
         **report,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
