@@ -7,6 +7,7 @@ families) and a formula pool defaulting to all atoms and their negations.
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -26,6 +27,7 @@ from .syntax import (
     Formula,
     Iff,
     Implies,
+    Node,
     Not,
     Signature,
     Top,
@@ -56,7 +58,7 @@ EPISTEMIC_SCHEMAS = (
 ALL_SCHEMAS = VECTOR_SCHEMAS + EPISTEMIC_SCHEMAS
 
 
-@_frozen
+@partial(_frozen, slots=True)
 class AxiomInstance(_Frozen):
     """One instance of a schema: its formula, and what it is about."""
 
@@ -64,8 +66,10 @@ class AxiomInstance(_Frozen):
     formula: Formula
     about: str
 
+    __reduce__ = Node.__reduce__
 
-@_frozen
+
+@partial(_frozen, slots=True)
 class InstanceResult(_Frozen):
     """Whether an instance holds on every model, with counterexamples."""
 
@@ -73,6 +77,8 @@ class InstanceResult(_Frozen):
     valid: bool
     counterexamples: tuple[tuple[str, str], ...]
     """(model label, first falsifying state) per failing model."""
+
+    __reduce__ = Node.__reduce__
 
 
 def _enumerate_vectors(sig: Signature, terms: dict[str, Concrete]) -> list[Vector]:
@@ -263,21 +269,21 @@ def validity_report(
     instance by instance, model by model, meets first.
     """
     plan = compile_plan(instance.formula for instance in instances)
-    failures: list[list[tuple[str, str]]] = [[] for _ in instances]
+    # Counterexamples of the failing instances only, by instance index.
+    failures: dict[int, list[tuple[str, str]]] = {}
     try:
         for label, model in models:
-            sets = run_plan(model, plan)
-            for found, slot in zip(failures, plan.roots):
-                key = model.first_outside(sets[slot])
-                if key is not None:
-                    found.append((label, key))
+            sets, full = run_plan(model, plan), model.full
+            for k, slot in enumerate(plan.roots):
+                if sets[slot] != full:
+                    failures.setdefault(k, []).append((label, model.first_outside(sets[slot])))
     except EvalError as exc:
         error = exc
     else:
-        return [
-            InstanceResult(instance, valid=not found, counterexamples=tuple(found))
-            for instance, found in zip(instances, failures)
-        ]
+        results = [InstanceResult(instance, True, ()) for instance in instances]
+        for k, found in failures.items():
+            results[k] = InstanceResult(instances[k], False, tuple(found))
+        return results
     for instance in instances:
         for _, model in models:
             extension(model, instance.formula)

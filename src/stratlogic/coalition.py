@@ -22,68 +22,23 @@ from .syntax import (
     CUR,
     And,
     Box,
+    CLAnd,
+    CLAtom,
+    CLBox,
+    CLFormula,
+    CLNot,
+    CLTop,
     Concrete,
     Diamond,
     Formula,
-    Label,
-    Layout,
-    Node,
     Not,
     Top,
-    UtilEq,
     Vec,
     Vector,
-    Winner,
-    _node,
+    _CL_AND,
+    _write,
     disj,
-    infix,
-    render,
-    render_with,
 )
-
-
-class CLFormula(Node):
-    """Base class for coalition-logic formulas."""
-
-    __slots__ = ()
-
-
-@_node
-class CLTop(CLFormula):
-    """The constant ``T`` of coalition logic."""
-
-
-@_node
-class CLAtom(CLFormula):
-    """An atomic fact, shared vocabulary with the strategy logic."""
-    atom: Formula
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.atom, (Winner, UtilEq, Label)):
-            raise GameError(f"not an atomic formula: {self.atom!r}")
-
-
-@_node
-class CLNot(CLFormula):
-    """``~body``: negation."""
-    body: CLFormula
-
-
-@_node
-class CLAnd(CLFormula):
-    """``left & right``: conjunction."""
-    left: CLFormula
-    right: CLFormula
-
-
-@_node
-class CLBox(CLFormula):
-    """``[C]body``: coalition C can force `body`."""
-    coalition: Coalition
-    body: CLFormula
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coalition", frozenset(self.coalition))
 
 
 def cl_disj(parts: Sequence[CLFormula]) -> CLFormula:
@@ -97,28 +52,8 @@ def cl_disj(parts: Sequence[CLFormula]) -> CLFormula:
     return CLNot(out)
 
 
-# --------------------------------------------------------------------------
-# rendering
-
-_CL_AND, _CL_UNARY = range(2)
-
-
 def render_cl(formula: CLFormula) -> str:
-    return render_with(_CL, formula, _CL_AND)
-
-
-def _render_cl_box(f: CLBox) -> list:
-    members = ",".join(str(i) for i in sorted(f.coalition))
-    return [f"[C {{{members}}}] ", (_CL, f.body, _CL_UNARY)]
-
-
-_CL = Layout("coalition formula", {
-    CLAnd: lambda f, c: infix(_CL, f, " & ", _CL_AND, c),
-    CLTop: lambda f, c: "T",
-    CLAtom: lambda f, c: render(f.atom),
-    CLNot: lambda f, c: ["~", (_CL, f.body, _CL_UNARY)],
-    CLBox: lambda f, c: _render_cl_box(f),
-})
+    return _write(formula, _CL_AND)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Abstract syntax for the strategy logic: terms, vectors, formulas, programs.
+"""Abstract syntax for the strategy logic: terms, vectors, formulas, programs,
+and the coalition formulas written into it.
 
 Derived connectives (Or, Implies, Iff, Diamond) are real nodes, evaluated by
 their defining clauses; they are never rewritten away, so parse/render round
@@ -10,9 +11,9 @@ import re
 from dataclasses import field
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, NamedTuple, Union, TYPE_CHECKING
+from typing import Iterable, Union, TYPE_CHECKING
 
-from .games import GameError, _Frozen, _frozen, to_fraction
+from .games import Coalition, GameError, _Frozen, _frozen, to_fraction
 
 if TYPE_CHECKING:
     from .games import StrategicGame
@@ -183,10 +184,10 @@ class Formula(Node):
 class _KeptFormula(Formula):
     """A formula kind whose spelling needs parentheses in no context and
     costs a walk or a conversion to make, an atom with a name or a value or
-    a negation, and that keeps it.  The `_text` slot holds the
-    spelling once `render` keeps it, and None until then (see `_kept` and
-    `_prefixed`).  Like the hash, it is no part of the node's value, and
-    pickles and copies do not carry it."""
+    a negation, and that keeps it.  The `_text` slot holds the spelling
+    once `render` keeps it, and None until then (see `_write`).  Like the
+    hash, it is no part of the node's value, and pickles and copies do not
+    carry it."""
 
     __slots__ = ("_text",)
 
@@ -354,6 +355,54 @@ class AgentConv(Program):
 
 
 # --------------------------------------------------------------------------
+# coalition formulas (evaluated and translated in `coalition`)
+
+
+class CLFormula(Node):
+    """Base class for coalition-logic formulas."""
+
+    __slots__ = ()
+
+
+@_node
+class CLTop(CLFormula):
+    """The constant ``T`` of coalition logic."""
+
+
+@_node
+class CLAtom(CLFormula):
+    """An atomic fact, shared vocabulary with the strategy logic."""
+    atom: Formula
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.atom, (Winner, UtilEq, Label)):
+            raise GameError(f"not an atomic formula: {self.atom!r}")
+
+
+@_node
+class CLNot(CLFormula):
+    """``~body``: negation."""
+    body: CLFormula
+
+
+@_node
+class CLAnd(CLFormula):
+    """``left & right``: conjunction."""
+    left: CLFormula
+    right: CLFormula
+
+
+@_node
+class CLBox(CLFormula):
+    """``[C]body``: coalition C can force `body`."""
+    coalition: Coalition
+    body: CLFormula
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coalition", frozenset(self.coalition))
+
+
+# --------------------------------------------------------------------------
 # signatures: what the parser and the property builders need to know
 
 
@@ -409,10 +458,33 @@ class Signature(_Frozen):
 
 _BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Formula binding strength, loosest first:  <-> , -> , | , & , unary/atomic.
-_IFF, _IMPLIES, _OR, _AND, _UNARY = range(5)
-# Program binding strength, loosest first:  + , ; , unary/atomic.
-_CHOICE, _SEQ, _PUNARY = range(3)
+# Binding strengths, loosest first, numbered on through the three syntaxes so
+# that a context also names the syntax it takes: formulas ( <-> , -> , | , & ,
+# prefixes and atoms), programs ( + , ; , then * and the primaries) and
+# coalition formulas ( & , prefixes and atoms).
+_IFF, _IMPLIES, _OR, _AND, _UNARY, _CHOICE, _SEQ, _PUNARY, _CL_AND, _CL_UNARY = range(10)
+
+# Each syntax's kinds: a binary kind with its operator, its binding strength
+# and the contexts of its left and right operands (the side it does not
+# associate to needs strictly tighter binding), and every other kind with 0.
+_FORMULA_KINDS = {
+    **dict.fromkeys((Not, Box, Diamond, Top, VectorAtom, Winner, UtilEq, Label), 0),
+    Iff: (" <-> ", _IFF, _IMPLIES, _IFF),
+    Implies: (" -> ", _IMPLIES, _OR, _IMPLIES),
+    Or: (" | ", _OR, _OR, _AND),
+    And: (" & ", _AND, _AND, _UNARY),
+}
+_PROGRAM_KINDS = {**dict.fromkeys((Vec, Agent, AgentConv, Test, Star), 0),
+                  Choice: ("+", _CHOICE, _CHOICE, _SEQ), Seq: (";", _SEQ, _SEQ, _PUNARY)}
+_CL_KINDS = {**dict.fromkeys((CLNot, CLBox, CLAtom, CLTop), 0),
+             CLAnd: (" & ", _CL_AND, _CL_AND, _CL_UNARY)}
+# Per context, the kinds that may stand in it, and the name of their syntax.
+_KINDS = (_FORMULA_KINDS,) * 5 + (_PROGRAM_KINDS,) * 3 + (_CL_KINDS,) * 2
+_SYNTAXES = ("formula",) * 5 + ("program",) * 3 + ("coalition formula",) * 2
+
+# A negation's spelling longer than this is not kept, so the text kept
+# along a run of prefixes grows with the run's length, not with its square.
+_KEPT_LIMIT = 64
 
 
 def render(node: Formula | Program | Vector) -> str:
@@ -420,63 +492,144 @@ def render(node: Formula | Program | Vector) -> str:
     if isinstance(node, Vector):
         return _render_vector(node)
     if isinstance(node, Formula):
-        return render_with(_FORMULAS, node, _IFF)
+        return _write(node, _IFF)
     if isinstance(node, Program):
-        return render_with(_PROGRAMS, node, _CHOICE)
+        return _write(node, _CHOICE)
     raise TypeError(f"cannot render {node!r}")
 
 
-class Layout(NamedTuple):
-    """How one syntactic category is spelled.  ``rules[type(node)](node,
-    context)`` gives the node's text, or a list of strings and
-    ``(layout, child, context)`` triples in output order."""
+def _write(node: Node, context: int) -> str:
+    """The one loop that writes formulas, programs and coalition formulas.
+    Each step writes what it can of a node, told by its kind (one of its
+    context's syntax, or `TypeError`), and goes on to its first child; what
+    follows waits on an explicit stack, so deep trees never recurse.
 
-    kind: str
-    rules: dict
-
-
-def render_with(layout: Layout, node, context: int) -> str:
-    """Render from an explicit stack, so deep trees and long chains never
-    reach the recursion limit."""
+    A run of ``~``, ``[p]`` and ``<p>`` prefixes, each program a vector or
+    an agent spelled as one string, is walked down in one step to the first
+    node that is no such prefix.  If that node's spelling is kept or made on
+    the spot (an atom's, or a negation's kept earlier), the run's spellings
+    are made from the bottom up, and each negation keeps its own while it
+    is at most `_KEPT_LIMIT` long.  Boxes and diamonds keep none: most stand
+    in one axiom instance only, and the slot would make each of them a size
+    class larger."""
     out: list[str] = []
-    stack: list = [(layout, node, context)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        layout, node, context = item
-        rule = layout.rules.get(type(node))
+    write = out.append
+    # What follows the node in hand: texts, and nodes each above its context.
+    stack: list = []
+    pop = stack.pop
+    while True:
+        kind = type(node)
+        rule = _KINDS[context].get(kind)
         if rule is None:
-            raise TypeError(f"cannot render {layout.kind} {node!r}")
-        parts = node._text or rule(node, context)
-        if type(parts) is str:
-            out.append(parts)
+            raise TypeError(f"cannot render {_SYNTAXES[context]} {node!r}")
+        if rule:
+            op, level, left, right = rule
+            if level < context:
+                write("(")
+                stack += (")", right, node.right, op)
+            else:
+                stack += (right, node.right, op)
+            node, context = node.left, left
+            continue
+        if kind is Box or kind is Diamond or kind is Not:
+            body = node.body
+            if kind is not Not and type(node.program) is Vec and body._text is not None \
+                    and type(body) in _FORMULA_KINDS:
+                # The common case: a vector box or diamond over a kept spelling.
+                vector = node.program.vector
+                vector = vector._text or _render_vector(vector)
+                write(("[" + vector + "] " if kind is Box else "<" + vector + "> ") + body._text)
+            else:
+                run: list = []
+                heads: list[str] = []
+                while True:
+                    if kind is Not:
+                        text = node._text
+                        if text is not None:
+                            break
+                        head = "~"
+                    elif kind is Box or kind is Diamond:
+                        program = node.program
+                        head = _spelling(program) if type(program) in _PROGRAM_KINDS else None
+                        if head is None:  # a composite or ill-typed program
+                            text = None
+                            break
+                        head = "[" + head + "] " if kind is Box else "<" + head + "> "
+                    else:
+                        text = _spelling(node) if kind in _FORMULA_KINDS else None
+                        break
+                    run.append(node)
+                    heads.append(head)
+                    node = node.body
+                    kind = type(node)
+                if text is None:
+                    if kind is Box or kind is Diamond:
+                        write("".join(heads) + ("[" if kind is Box else "<"))
+                        stack += (_UNARY, node.body, "] " if kind is Box else "> ")
+                        node, context = node.program, _CHOICE
+                    else:
+                        write("".join(heads))
+                        context = _UNARY
+                    continue
+                k = len(run)
+                while k and len(heads[k - 1]) + len(text) <= _KEPT_LIMIT:
+                    k -= 1
+                    text = heads[k] + text
+                    if heads[k] == "~":
+                        object.__setattr__(run[k], "_text", text)
+                write("".join(heads[:k]) + text if k else text)
+        elif kind is Test or kind is CLNot or kind is CLBox:
+            write("?" if kind is Test else "~" if kind is CLNot
+                  else "[C {" + ",".join(map(str, sorted(node.coalition))) + "}] ")
+            node, context = node.body, _UNARY if kind is Test else _CL_UNARY
+            continue
+        elif kind is Star:
+            stack.append("*")
+            node, context = node.body, _PUNARY
+            continue
+        elif kind is CLAtom:
+            node, context = node.atom, _IFF
+            continue
         else:
-            stack.extend(reversed(parts))
-    return "".join(out)
+            write(_spelling(node))
+        # The node is written: on to the next one that waits, writing the
+        # texts before it, or, with none left, the end.
+        while stack:
+            node = pop()
+            if type(node) is not str:
+                context = pop()
+                break
+            write(node)
+        else:
+            return "".join(out)
 
 
-def infix(layout: Layout, node, op: str, level: int, context: int, right_assoc=False):
-    """A binary node at binding strength `level`: the operand on the side it
-    does not associate to needs strictly tighter binding."""
-    left, right = (level + 1, level) if right_assoc else (level, level + 1)
-    parts = [(layout, node.left, left), op, (layout, node.right, right)]
-    return ["(", *parts, ")"] if level < context else parts
-
-
-def _render_term(t: Term) -> str:
-    if isinstance(t, Concrete):
-        return t.name
-    if isinstance(t, Adversary):
-        return "??"
-    return "!!"
+def _spelling(node: Node) -> str | None:
+    """The spelling of a kind that needs parentheses in no context and is
+    no prefix: an atom, ``T``, or a vector or agent program; None for any
+    other kind.  The atoms with a name or a value keep theirs, made on
+    first use, and a `VectorAtom` or `Vec` reads its vector's."""
+    kind = type(node)
+    if kind is UtilEq or kind is Winner or kind is Label:
+        text = node._text
+        if text is None:
+            text = (f"u{node.player}={node.value}" if kind is UtilEq else
+                    f"win({_render_label_arg(node.name)})" if kind is Winner else
+                    f"label({_render_label_arg(node.text)})")
+            object.__setattr__(node, "_text", text)
+        return text
+    if kind is VectorAtom or kind is Vec:
+        return node.vector._text or _render_vector(node.vector)
+    if kind is Agent or kind is AgentConv:
+        return f"ag{node.player}" if kind is Agent else f"ag{node.player}^"
+    return "T" if kind is Top or kind is CLTop else None
 
 
 def _render_vector(v: Vector) -> str:
     text = v._text
     if text is None:
-        text = "(" + ",".join(_render_term(t) for t in v.terms) + ")"
+        text = "(" + ",".join(t.name if isinstance(t, Concrete) else
+                              "??" if isinstance(t, Adversary) else "!!" for t in v.terms) + ")"
         object.__setattr__(v, "_text", text)
     return text
 
@@ -487,98 +640,3 @@ def _render_label_arg(text: str) -> str:
     if '"' in text:
         raise GameError(f"label text {text!r} cannot be rendered")
     return f'"{text}"'
-
-
-# A prefix's spelling longer than this is not kept, so the text kept along
-# a run of prefixes grows with the run's length, not with its square.
-_KEPT_LIMIT = 64
-
-
-def _kept(node, spellings: dict) -> str | None:
-    """The spelling of `node` if its kind is one of `spellings`' and the
-    spelling is kept or made on the spot, else None.  Taking the table of
-    one category keeps a node of the other out of a run of prefixes, so an
-    ill-typed tree reaches `render_with`'s rule lookup and raises."""
-    spell = spellings.get(type(node))
-    return None if spell is None else node._text or spell(node)
-
-
-def _prefixed(f: Not | Box | Diamond, context: int) -> str | list:
-    """A ``~``, ``[p]`` or ``<p>`` prefix: its head (``~``, ``[p] ``,
-    ``<p> ``), then its body.  The rule walks down the run of such
-    prefixes, with programs spelled as one string, to the first node that
-    is none or has a kept spelling, so one step spells a whole run, however
-    long.  If that node's spelling is kept (an atom's is made on the spot),
-    the run's spellings are made from the bottom up, and each negation
-    keeps its own while it is at most `_KEPT_LIMIT` long.  Boxes and
-    diamonds keep none: most of them stand in one axiom instance only, and
-    the slot would make each of them a size class larger."""
-    run, heads = [], []
-    node = f
-    while (text := _kept(node, _FORMULA_SPELLINGS)) is None:
-        kind = type(node)
-        if kind is Not:
-            head = "~"
-        elif kind is Box or kind is Diamond:
-            program = _kept(node.program, _PROGRAM_SPELLINGS)
-            if program is None:
-                break
-            head = "[" + program + "] " if kind is Box else "<" + program + "> "
-        else:
-            break
-        run.append(node)
-        heads.append(head)
-        node = node.body
-    if text is None:
-        if not run:  # `f` is a box or diamond around a composite program
-            opening, closing = ("[", "] ") if type(f) is Box else ("<", "> ")
-            return [opening, (_PROGRAMS, f.program, _CHOICE), closing, (_FORMULAS, f.body, _UNARY)]
-        return ["".join(heads), (_FORMULAS, node, _UNARY)]
-    k = len(run)
-    while k and len(heads[k - 1]) + len(text) <= _KEPT_LIMIT:
-        k -= 1
-        text = heads[k] + text
-        if heads[k] == "~":
-            object.__setattr__(run[k], "_text", text)
-    return "".join(heads[:k]) + text if k else text
-
-
-def _keep(node: _KeptFormula, text: str) -> str:
-    object.__setattr__(node, "_text", text)
-    return text
-
-
-# The kinds whose spelling needs parentheses in no context, per category,
-# each with the function that makes it.  A vector's spelling is kept on the
-# `Vector`, and a negation's only by `_prefixed`.
-_FORMULA_SPELLINGS = {
-    Top: lambda f: "T",
-    VectorAtom: lambda f: _render_vector(f.vector),
-    Winner: lambda f: _keep(f, f"win({_render_label_arg(f.name)})"),
-    UtilEq: lambda f: _keep(f, f"u{f.player}={f.value}"),
-    Label: lambda f: _keep(f, f"label({_render_label_arg(f.text)})"),
-    Not: lambda f: None,
-}
-_PROGRAM_SPELLINGS = {
-    Vec: lambda p: _render_vector(p.vector),
-    Agent: lambda p: f"ag{p.player}",
-    AgentConv: lambda p: f"ag{p.player}^",
-}
-
-
-_FORMULAS = Layout("formula", {
-    **dict.fromkeys((Top, VectorAtom, Winner, UtilEq, Label), lambda f, c: _kept(f, _FORMULA_SPELLINGS)),
-    **dict.fromkeys((Not, Box, Diamond), _prefixed),
-    And: lambda f, c: infix(_FORMULAS, f, " & ", _AND, c),
-    Or: lambda f, c: infix(_FORMULAS, f, " | ", _OR, c),
-    Implies: lambda f, c: infix(_FORMULAS, f, " -> ", _IMPLIES, c, right_assoc=True),
-    Iff: lambda f, c: infix(_FORMULAS, f, " <-> ", _IFF, c, right_assoc=True),
-})
-
-_PROGRAMS = Layout("program", {
-    **dict.fromkeys((Vec, Agent, AgentConv), lambda p, c: _kept(p, _PROGRAM_SPELLINGS)),
-    Test: lambda p, c: ["?", (_FORMULAS, p.body, _UNARY)],
-    Star: lambda p, c: [(_PROGRAMS, p.body, _PUNARY), "*"],
-    Seq: lambda p, c: infix(_PROGRAMS, p, ";", _SEQ, c),
-    Choice: lambda p, c: infix(_PROGRAMS, p, "+", _CHOICE, c),
-})

@@ -144,18 +144,22 @@ class AuditReport:
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxiomInstance:
     schema: str
     formula: syntax.Formula
     about: str
 
+    __reduce__ = axioms.AxiomInstance.__reduce__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class InstanceResult:
     instance: axioms.AxiomInstance
     valid: bool
     counterexamples: tuple
+
+    __reduce__ = axioms.InstanceResult.__reduce__
 
 
 RECORD_TWINS = {

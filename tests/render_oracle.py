@@ -5,8 +5,10 @@ not from `syntax.py`: formula connectives, loosest first, are ``<->`` and
 ``->`` (both right-associative), ``|`` and ``&`` (both left-associative),
 then the unary prefixes ``~``, ``[p]`` and ``<p>`` and the atoms; program
 operators, loosest first, are ``+`` and ``;`` (both left-associative), then
-postfix ``*`` and the primaries.  A child is put in parentheses only where
-it binds looser than its place needs.  Vectors are spelled term by term on
+postfix ``*`` and the primaries; coalition formulas have ``&``
+(left-associative), then the prefixes ``~`` and ``[C {i,...}]`` and the
+atoms.  A child is put in parentheses only where it binds looser than its
+place needs.  Vectors are spelled term by term on
 every call, so a spelling kept on a `Vector` is never read here.  It
 recurses once per level, so it is for trees of modest depth.
 """
@@ -20,6 +22,12 @@ from stratlogic.syntax import (
     AgentConv,
     And,
     Box,
+    CLAnd,
+    CLAtom,
+    CLBox,
+    CLFormula,
+    CLNot,
+    CLTop,
     Choice,
     Concrete,
     Diamond,
@@ -57,6 +65,8 @@ def render(node) -> str:
         return vector(node)
     if isinstance(node, Formula):
         return formula(node, 0)
+    if isinstance(node, CLFormula):
+        return coalition(node, 0)
     return program(node, 0)
 
 
@@ -127,3 +137,21 @@ def program(p, context: int) -> str:
     if isinstance(p, AgentConv):
         return f"ag{p.player}^"
     raise TypeError(f"not a program: {p!r}")
+
+
+def coalition(f, context: int = 0) -> str:
+    """A coalition formula; `context` is 0 at the top and under ``&``'s
+    left operand, 1 under a prefix and ``&``'s right operand."""
+    if isinstance(f, CLAnd):
+        text = coalition(f.left, 0) + " & " + coalition(f.right, 1)
+        return "(" + text + ")" if context > 0 else text
+    if isinstance(f, CLNot):
+        return "~" + coalition(f.body, 1)
+    if isinstance(f, CLBox):
+        members = ",".join(str(i) for i in sorted(f.coalition))
+        return "[C {" + members + "}] " + coalition(f.body, 1)
+    if isinstance(f, CLTop):
+        return "T"
+    if isinstance(f, CLAtom):
+        return formula(f.atom, 0)
+    raise TypeError(f"not a coalition formula: {f!r}")

@@ -4,6 +4,7 @@ grid-semantics oracle they must both agree with."""
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
 
 import numpy as np
@@ -21,11 +22,13 @@ from stratlogic import (
     Outcomes,
     Signature,
     UtilEq,
+    Winner,
     all_profiles,
     cl_extension,
     coalition_vectors,
     epistemic_lift,
     extension,
+    render,
     satisfies,
     translate,
 )
@@ -34,6 +37,7 @@ from stratlogic.syntax import CUR, Box, Diamond, Not, Or, Top, Vec, Vector
 from stratlogic.catalog import commitment_confusion, prisoners_dilemma, vote3_game
 
 import coalition_oracle
+import render_oracle
 from game_oracle import util
 from gens import random_cl_formula, random_game
 
@@ -65,6 +69,39 @@ def test_cl_disj_shape():
     assert cl_disj([a, b]) == CLNot(CLAnd(CLNot(a), CLNot(b)))
     assert cl_disj([]) == CLNot(CLTop())
     assert cl_disj([a]) == CLNot(CLNot(a))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["pd", "vote3"]))
+@settings(max_examples=40, deadline=None)
+def test_render_cl_matches_the_recursive_oracle(seed, name):
+    rng = random.Random(seed)
+    game = PD if name == "pd" else vote3_game()
+    for _ in range(3):
+        f = random_cl_formula(rng, game, 6)
+        if game.outcomes.alternatives:
+            winner = CLAtom(Winner(rng.choice(game.outcomes.alternatives)))
+            f = rng.choice([CLAnd(f, CLNot(winner)), CLAnd(winner, f), CLBox({1}, CLAnd(f, f))])
+        assert render_cl(f) == render_oracle.coalition(f)
+        # Rendered again, with the atoms' spellings kept.
+        assert render_cl(CLNot(f)) == render_oracle.coalition(CLNot(f))
+
+
+def test_a_long_cl_conjunction_chain_renders_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    left = right = CLTop()
+    for _ in range(10_000):
+        left, right = CLAnd(left, CLNot(CLTop())), CLAnd(CLNot(CLTop()), right)
+    assert render_cl(left) == "T" + " & ~T" * 10_000
+    assert render_cl(right) == "~T & (" * 9_999 + "~T & T" + ")" * 9_999
+
+
+def test_render_cl_rejects_other_syntaxes():
+    for bad in (CLNot(UtilEq(1, 0)), CLAnd(CLTop(), Top()), CLBox({1}, Vec(Vector([CUR, CUR])))):
+        with pytest.raises(TypeError, match="cannot render coalition formula"):
+            render_cl(bad)
+    with pytest.raises(TypeError, match="cannot render CLTop"):
+        render(CLTop())
+
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,10 @@ extension.
 - A game on a `restrict`ed form of a larger grid (a model whose slots have
   gaps) gives, key by key, the extensions of the same game on its own grid.
 - ``[p]phi`` equals ``~<p>~phi`` on lifts, for every kind of program.
+- Renumbering the players, together with the positions of every vector and
+  the player of every payoff atom, moves every extension with the states.
+- A positive affine map of one player's utilities leaves `nashHere` and
+  every `weakDominance` unchanged.
 
 Axes have up to 13 strategies, and each test runs few examples."""
 
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 
 from stratlogic import (
     ADV,
+    UtilEq,
     Box,
     Concrete,
     Diamond,
@@ -40,7 +45,7 @@ from stratlogic import (
     restrict,
 )
 from stratlogic.properties import build_property
-from stratlogic.syntax import Agent, AgentConv, Choice, Seq, Star, Test as ProgTest, Vec
+from stratlogic.syntax import Agent, AgentConv, Choice, Node, Seq, Star, Test as ProgTest, Vec
 
 from gens import random_eval_formula, random_program, random_vector
 
@@ -145,3 +150,79 @@ def test_box_is_the_dual_of_diamond_for_every_program_kind_on_lifts(shape, seed)
         assert np.array_equal(
             extension(lift, Box(program, phi)), extension(lift, Not(Diamond(program, Not(phi))))
         )
+
+
+def _renumbered(node, new_of: dict[int, int]):
+    """`node` with player p renamed `new_of[p]`: in every vector's
+    positions and every payoff atom (formulas of modest depth only)."""
+    if isinstance(node, Vector):
+        terms = [None] * node.n
+        for p, term in enumerate(node.terms, 1):
+            terms[new_of[p] - 1] = term
+        return Vector(terms)
+    if isinstance(node, UtilEq):
+        return UtilEq(new_of[node.player], node.value)
+    if not isinstance(node, Node):
+        return node
+    return type(node)(*(_renumbered(getattr(node, name), new_of) for name in node.__match_args__))
+
+
+@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1))
+@settings(max_examples=2, deadline=None)
+def test_renumbering_the_players_moves_every_extension_with_the_states(shape, seed):
+    rng, pick = np.random.default_rng(seed), random.Random(seed)
+    game = _game(GameForm(_names(size) for size in shape), rng)
+    n = len(shape)
+    # New player j + 1 is old player order[j] + 1, with its axis and utilities.
+    order = list(rng.permutation(n))
+    while order == sorted(order):
+        order = list(rng.permutation(n))
+    new_of = {old + 1: j + 1 for j, old in enumerate(order)}
+    form = GameForm(game.form.strategy_sets[old] for old in order)
+    codes = game.outcomes.codes.reshape(*shape, n).transpose(*order, n)[..., order]
+    labels = game.outcomes.label_codes.reshape(shape).transpose(order)
+    outcomes = Outcomes(VALUES, codes.reshape(-1, n), LABELS, labels.reshape(-1))
+    other = StrategicGame(form, outcomes)
+    original, renumbered = MaslModel(game), MaslModel(other)
+    cells = np.unravel_index(np.arange(original.size), shape)
+    moved = np.ravel_multi_index([cells[old] for old in order], [shape[old] for old in order])
+    for i in pick.sample(range(original.size), 20):
+        names = original.state_key(i).split(",")
+        assert renumbered.state_key(int(moved[i])).split(",") == [names[old] for old in order]
+    formulas = [random_eval_formula(pick, game, depth=3) for _ in range(6)]
+    for formula in formulas:
+        assert np.array_equal(
+            extension(renumbered, _renumbered(formula, new_of))[moved], extension(original, formula)
+        )
+    sig, new_sig = Signature.from_game(game), Signature.from_game(other)
+    assert np.array_equal(
+        extension(renumbered, build_property("nashHere", new_sig))[moved],
+        extension(original, build_property("nashHere", sig)),
+    )
+
+
+@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1))
+@settings(max_examples=2, deadline=None)
+def test_a_positive_affine_map_of_one_players_utilities_keeps_nash_and_dominance(shape, seed):
+    rng, pick = np.random.default_rng(seed), random.Random(seed)
+    game = _game(GameForm(_names(size) for size in shape), rng)
+    player = pick.randint(1, len(shape))
+    scale, shift = pick.choice((Fraction(1, 3), 2, 5)), pick.choice((Fraction(-7, 2), 0, 1))
+    mapped = [scale * v + shift for v in VALUES]
+    values = sorted(set(VALUES) | set(mapped))
+    old_codes = np.array([values.index(v) for v in VALUES], dtype=np.uint8)
+    new_codes = np.array([values.index(w) for w in mapped], dtype=np.uint8)
+    codes = old_codes[game.outcomes.codes]
+    codes[:, player - 1] = new_codes[game.outcomes.codes[:, player - 1]]
+    other = StrategicGame(game.form, Outcomes(tuple(values), codes, LABELS, game.outcomes.label_codes))
+    before, after = MaslModel(game), MaslModel(other)
+    sig, new_sig = Signature.from_game(game), Signature.from_game(other)
+    properties = [("nashHere", {})] + [
+        ("weakDominance", {"player": p, "strategy": pick.choice(names)})
+        for p, names in enumerate(sig.strategy_sets, 1)
+    ]
+    for name, params in properties:
+        assert np.array_equal(
+            extension(after, build_property(name, new_sig, **params)),
+            extension(before, build_property(name, sig, **params)),
+        ), (name, params)

@@ -47,9 +47,10 @@ from stratlogic.syntax import (
     disj,
 )
 from stratlogic import syntax
+from stratlogic.axioms import ALL_SCHEMAS, default_pool, instantiate_many
 from stratlogic.catalog import prisoners_dilemma, vote3_game
 
-from builders import bare_signature, choice, seq
+from builders import bare_signature, choice, node_objects, seq
 from gens import random_formula, random_program, random_vector
 import render_oracle
 
@@ -369,7 +370,8 @@ def test_ill_typed_trees_raise_under_kept_spellings():
         for bad in (
             Box(atom, TOP), Box(TOP, atom), Not(Vec(vec)), Box(Vec(vec), Vec(vec)),
             Not(Not(Vec(vec))), Diamond(Agent(1), Not(Agent(1))), Not(Box(atom, TOP)),
-            Box(Vec(vec), Not(Box(Not(atom), atom))),
+            Box(Vec(vec), Not(Box(Not(atom), atom))), Box(Vec(vec), vec), Diamond(Vec(vec), vec),
+            Not(vec),
         ):
             with pytest.raises(TypeError, match="cannot render"):
                 render(bad)
@@ -395,3 +397,96 @@ def test_a_deep_prefix_chain_renders_and_keeps_text_linear_in_its_length():
     assert max(map(len, kept)) <= syntax._KEPT_LIMIT
     # The spellings near the foot of the chain are kept.
     assert nodes[3]._text == want[-len(nodes[3]._text):] and len(nodes[3]._text) > 4
+
+
+# --------------------------------------------------------------------------
+# Depth gates: the renderer's loop never recurses
+
+
+def test_deep_test_nests_render_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    node = TOP
+    for _ in range(5_000):
+        node = Box(ProgTest(node), TOP)
+    assert render(node) == "[?" * 5_000 + "T" + "] T" * 5_000
+
+
+def test_a_mixed_prefix_run_renders_and_keeps_only_short_negations():
+    assert sys.getrecursionlimit() <= 1000
+    vec = Vec(Vector([Concrete("c"), ADV]))
+    heads = {0: "~", 1: "[(c,??)] ", 2: "<ag1> ", 3: "[ag2^] ", 4: "<(c,??)> "}
+    node, nodes = UtilEq(1, 2), []
+    for k in range(5_000):
+        kind = k % 5
+        node = (Not(node), Box(vec, node), Diamond(Agent(1), node),
+                Box(AgentConv(2), node), Diamond(vec, node))[kind]
+        nodes.append(node)
+    want = "".join(heads[k % 5] for k in reversed(range(5_000))) + "u1=2"
+    for _ in range(2):
+        assert render(node) == want
+    length = len("u1=2")
+    for k, n in enumerate(nodes):
+        length += len(heads[k % 5])
+        spelling = want[len(want) - length:]
+        if isinstance(n, Not):
+            assert n._text == (spelling if len(spelling) <= syntax._KEPT_LIMIT else None), k
+        else:
+            assert n._text is None and not hasattr(n, "__dict__"), k
+
+
+def test_a_negation_keeps_its_spelling_up_to_the_limit_and_not_beyond():
+    for first, second, kept in ((26, 26, True), (26, 27, False)):
+        vec = Vec(Vector([Concrete("a" * first), Concrete("b" * second)]))
+        inner = Not(UtilEq(1, 2))
+        outer = Not(Box(vec, inner))
+        text = render(outer)
+        assert text == f"~[({'a' * first},{'b' * second})] ~u1=2"
+        assert len(text) == syntax._KEPT_LIMIT + (not kept)
+        assert outer._text == (text if kept else None)
+        assert inner._text == "~u1=2" and outer.body._text is None
+        assert render(outer) == text
+
+
+@pytest.mark.parametrize("kind, joined", [(Seq, ";"), (Choice, "+")])
+def test_long_program_chains_render_at_the_default_recursion_limit(kind, joined):
+    assert sys.getrecursionlimit() <= 1000
+    step = Agent(1)
+    left = right = step
+    for _ in range(5_000):
+        left, right = kind(left, step), kind(step, right)
+    assert render(left) == joined.join(["ag1"] * 5_001)
+    assert render(right) == ("ag1" + joined + "(") * 4_999 + "ag1" + joined + "ag1" + ")" * 4_999
+    star = step
+    for _ in range(5_000):
+        star = Star(star)
+    assert render(star) == "ag1" + "*" * 5_000
+    assert render(Star(left)) == "(" + render(left) + ")*"
+
+
+def test_rendering_axiom_instances_keeps_each_spelling_once_and_none_on_modalities(monkeypatch):
+    """The pool's atoms and negations, spelled once for the `about`
+    strings, are never spelled again however many instances share them;
+    any other vector is spelled once; and no box or diamond keeps text."""
+    sig = Signature.from_game(vote3_game())
+    instances = instantiate_many(ALL_SCHEMAS, sig)
+    pool = default_pool(sig)
+    roots = [instance.formula for instance in instances]
+    nodes = {id(n): n for root in roots for n in node_objects(root)}.values()
+    pooled = [n for n in nodes if n in pool]
+    assert pooled and all(n._text is not None for n in pooled)
+    before = {id(n): n._text for n in pooled}
+    spelled = []
+    real_vector, real_label = syntax._render_vector, syntax._render_label_arg
+    monkeypatch.setattr(syntax, "_render_vector", lambda v: spelled.append(v) or real_vector(v))
+    monkeypatch.setattr(syntax, "_render_label_arg", lambda t: spelled.append(t) or real_label(t))
+    for _ in range(2):
+        for root in roots:
+            assert render(root) == render_oracle.render(root)
+    assert all(isinstance(v, Vector) for v in spelled)
+    assert len({id(v) for v in spelled}) == len(spelled)
+    assert all(n._text is before[id(n)] for n in pooled)
+    for n in nodes:
+        if isinstance(n, (Box, Diamond)):
+            assert n._text is None and not hasattr(n, "__dict__")
+        elif isinstance(n, Not) and n._text is not None:
+            assert n._text == render_oracle.render(n) and len(n._text) <= syntax._KEPT_LIMIT
