@@ -35,9 +35,8 @@ from .syntax import (
     Top,
     Vec,
     Vector,
-    _CL_AND,
-    _write,
     disj,
+    render_cl,
 )
 
 
@@ -50,10 +49,6 @@ def cl_disj(parts: Sequence[CLFormula]) -> CLFormula:
     for part in negated[1:]:
         out = CLAnd(out, part)
     return CLNot(out)
-
-
-def render_cl(formula: CLFormula) -> str:
-    return _write(formula, _CL_AND)
 
 
 # --------------------------------------------------------------------------

@@ -498,6 +498,11 @@ def render(node: Formula | Program | Vector) -> str:
     raise TypeError(f"cannot render {node!r}")
 
 
+def render_cl(formula: CLFormula) -> str:
+    """Canonical concrete syntax of a coalition formula."""
+    return _write(formula, _CL_AND)
+
+
 def _write(node: Node, context: int) -> str:
     """The one loop that writes formulas, programs and coalition formulas.
     Each step writes what it can of a node, told by its kind (one of its
@@ -532,52 +537,44 @@ def _write(node: Node, context: int) -> str:
             node, context = node.left, left
             continue
         if kind is Box or kind is Diamond or kind is Not:
-            body = node.body
-            if kind is not Not and type(node.program) is Vec and body._text is not None \
-                    and type(body) in _FORMULA_KINDS:
-                # The common case: a vector box or diamond over a kept spelling.
-                vector = node.program.vector
-                vector = vector._text or _render_vector(vector)
-                write(("[" + vector + "] " if kind is Box else "<" + vector + "> ") + body._text)
-            else:
-                run: list = []
-                heads: list[str] = []
-                while True:
-                    if kind is Not:
-                        text = node._text
-                        if text is not None:
-                            break
-                        head = "~"
-                    elif kind is Box or kind is Diamond:
-                        program = node.program
-                        head = _spelling(program) if type(program) in _PROGRAM_KINDS else None
-                        if head is None:  # a composite or ill-typed program
-                            text = None
-                            break
-                        head = "[" + head + "] " if kind is Box else "<" + head + "> "
-                    else:
-                        text = _spelling(node) if kind in _FORMULA_KINDS else None
+            run: list = []
+            heads: list[str] = []
+            while True:
+                if kind is Not:
+                    text = node._text
+                    if text is not None:
                         break
-                    run.append(node)
-                    heads.append(head)
-                    node = node.body
-                    kind = type(node)
-                if text is None:
-                    if kind is Box or kind is Diamond:
-                        write("".join(heads) + ("[" if kind is Box else "<"))
-                        stack += (_UNARY, node.body, "] " if kind is Box else "> ")
-                        node, context = node.program, _CHOICE
-                    else:
-                        write("".join(heads))
-                        context = _UNARY
-                    continue
-                k = len(run)
-                while k and len(heads[k - 1]) + len(text) <= _KEPT_LIMIT:
-                    k -= 1
-                    text = heads[k] + text
-                    if heads[k] == "~":
-                        object.__setattr__(run[k], "_text", text)
-                write("".join(heads[:k]) + text if k else text)
+                    head = "~"
+                elif kind is Box or kind is Diamond:
+                    program = node.program
+                    head = _spelling(program) if type(program) in _PROGRAM_KINDS else None
+                    if head is None:  # a composite or ill-typed program
+                        text = None
+                        break
+                    head = "[" + head + "] " if kind is Box else "<" + head + "> "
+                else:
+                    text = _spelling(node) if kind in _FORMULA_KINDS else None
+                    break
+                run.append(node)
+                heads.append(head)
+                node = node.body
+                kind = type(node)
+            if text is None:
+                if kind is Box or kind is Diamond:
+                    write("".join(heads) + ("[" if kind is Box else "<"))
+                    stack += (_UNARY, node.body, "] " if kind is Box else "> ")
+                    node, context = node.program, _CHOICE
+                else:
+                    write("".join(heads))
+                    context = _UNARY
+                continue
+            k = len(run)
+            while k and len(heads[k - 1]) + len(text) <= _KEPT_LIMIT:
+                k -= 1
+                text = heads[k] + text
+                if heads[k] == "~":
+                    object.__setattr__(run[k], "_text", text)
+            write("".join(heads[:k]) + text if k else text)
         elif kind is Test or kind is CLNot or kind is CLBox:
             write("?" if kind is Test else "~" if kind is CLNot
                   else "[C {" + ",".join(map(str, sorted(node.coalition))) + "}] ")

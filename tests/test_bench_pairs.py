@@ -85,9 +85,7 @@ def test_probe_games_are_valid_and_fixed_by_the_seed(tmp_path):
 def test_every_probe_argv_is_accepted_by_the_cli(tmp_path, monkeypatch):
     # Empty inputs: only their names reach the arguments.
     monkeypatch.setattr(bench_pairs, "_write_game", lambda path, *rest: path.touch())
-    probes = bench_pairs._probe_list(bench_pairs.make_inputs(tmp_path), 7)
-    assert {"parse_3000", "parse_deep"} <= {name for name, *_ in probes}
-    for name, args, *_ in probes:
+    for name, args, *_ in bench_pairs._probe_list(bench_pairs.make_inputs(tmp_path), 7):
         argv = [a.replace("{in}", "in").replace("{out}", "out") for a in args]
         if name != "cold_start_check":
             argv += ["--output", f"out/{name}.json"]

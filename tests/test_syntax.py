@@ -371,7 +371,7 @@ def test_ill_typed_trees_raise_under_kept_spellings():
             Box(atom, TOP), Box(TOP, atom), Not(Vec(vec)), Box(Vec(vec), Vec(vec)),
             Not(Not(Vec(vec))), Diamond(Agent(1), Not(Agent(1))), Not(Box(atom, TOP)),
             Box(Vec(vec), Not(Box(Not(atom), atom))), Box(Vec(vec), vec), Diamond(Vec(vec), vec),
-            Not(vec),
+            Not(vec), Box(Vec(vec), None),
         ):
             with pytest.raises(TypeError, match="cannot render"):
                 render(bad)

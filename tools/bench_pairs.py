@@ -78,9 +78,6 @@ PROBE_BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
 # probe table, except where a probe says otherwise.
 VALUES = (0, 1, 2, "1/2")
 ALTERNATIVES = "abcd"
-# The `parse_deep` probe's formula: a 5 000-long run of `~`, `[(??,!!)]`
-# and `<ag1>` prefixes over an atom.
-DEEP_PREFIXES = "".join(("~", "[(??,!!)] ", "<ag1> ")[k % 3] for k in range(5000)) + "u1=1"
 BALLOTS = ("abcd", "bcda", "cdab", "dabc")
 
 
@@ -331,10 +328,6 @@ def _probe_list(inputs: dict[str, Path], pairs: int) -> list[tuple]:
         # nested rather than as a node table, `same_output` reads false,
         # because that format changed on purpose.
         ("parse_3000", ["parse", "--game", "tests/golden/inputs/pd.json", " & ".join(["u1=1"] * 3000)],
-         60, pairs, (), None),
-        # `parse` of a long prefix run: the parser's prefix loop and the
-        # renderer's prefix walk.
-        ("parse_deep", ["parse", "--game", "tests/golden/inputs/pd.json", DEEP_PREFIXES],
          60, pairs, (), None),
     ]
     for name in ("dictator1_3", "dictator1_4", "plurality_3", "plurality_4"):
